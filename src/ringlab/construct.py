@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .core import (
     DEFAULT_TABLE_CAP,
     FiniteRing,
@@ -193,6 +195,79 @@ def unpack_digits(radices: Sequence[int], i: int) -> list[int]:
     return out
 
 
+def _unpack_vec(radices: Sequence[int], x) -> list:
+    """Digit arrays of an index array (int64, so packing cannot overflow)."""
+    x = np.asarray(x, dtype=np.int64)
+    out = [x] * len(radices)
+    for pos in range(len(radices) - 1, 0, -1):
+        q = x // radices[pos]
+        out[pos] = x - q * radices[pos]
+        x = q
+    out[0] = x
+    return out
+
+
+def _pack_vec(radices: Sequence[int], digits: Sequence) -> np.ndarray:
+    i = np.asarray(digits[0], dtype=np.int64)
+    for d, r in zip(digits[1:], radices[1:]):
+        i = i * r + d
+    return i
+
+
+def _digit_ops(radices: Sequence[int], bases: Sequence[FiniteRing],
+               terms: Sequence[Sequence[tuple]]) -> dict:
+    """Scalar and vector operations of a ring of digit tuples.
+
+    Digit p lives in ``bases[p]``. Addition and negation act digit by digit;
+    digit p of a product x*y is the sum, in the order listed, of the base
+    products x[s]*y[t] over the pairs (s, t) in ``terms[p]``. Returns the
+    add/mul/neg keyword arguments of FiniteRing and their ``*_vec`` forms.
+    """
+    scalar = [(B.add, B.mul, B.neg) for B in bases]
+    vector = [(B.add_vec, B.mul_vec, B.neg_vec) for B in bases]
+
+    def digit_sums(ops, X, Y):
+        return [badd(a, b) for (badd, _, _), a, b in zip(ops, X, Y)]
+
+    def digit_negs(ops, X):
+        return [bneg(a) for (_, _, bneg), a in zip(ops, X)]
+
+    def digit_products(ops, X, Y):
+        out = []
+        for (badd, bmul, _), entry in zip(ops, terms):
+            acc = None
+            for s, t in entry:
+                term = bmul(X[s], Y[t])
+                acc = term if acc is None else badd(acc, term)
+            out.append(acc)
+        return out
+
+    def add(i, j):
+        return pack_digits(radices, digit_sums(
+            scalar, unpack_digits(radices, i), unpack_digits(radices, j)))
+
+    def mul(i, j):
+        return pack_digits(radices, digit_products(
+            scalar, unpack_digits(radices, i), unpack_digits(radices, j)))
+
+    def neg(i):
+        return pack_digits(radices, digit_negs(scalar, unpack_digits(radices, i)))
+
+    def add_vec(x, y):
+        return _pack_vec(radices, digit_sums(
+            vector, _unpack_vec(radices, x), _unpack_vec(radices, y)))
+
+    def mul_vec(x, y):
+        return _pack_vec(radices, digit_products(
+            vector, _unpack_vec(radices, x), _unpack_vec(radices, y)))
+
+    def neg_vec(x):
+        return _pack_vec(radices, digit_negs(vector, _unpack_vec(radices, x)))
+
+    return {"add": add, "mul": mul, "neg": neg,
+            "add_vec": add_vec, "mul_vec": mul_vec, "neg_vec": neg_vec}
+
+
 def ring_pack(ring: FiniteRing, digits: Sequence[int]) -> int:
     """Element index from its digit tuple, for digit-structured rings."""
     return pack_digits(ring.meta["radices"], digits)
@@ -213,6 +288,10 @@ def zn_ring(n: int, spec: Optional[RingSpec] = None, max_order: Optional[int] = 
     if n < 1:
         raise ValueError("modulus must be at least 1")
     _check_cap(n, resolve_max_order(max_order), f"Z{n}")
+
+    def i64(a):
+        return np.asarray(a, dtype=np.int64)
+
     return FiniteRing(
         n,
         lambda a, b: (a + b) % n,
@@ -223,6 +302,9 @@ def zn_ring(n: int, spec: Optional[RingSpec] = None, max_order: Optional[int] = 
         spec=spec if spec is not None else Zn(n),
         meta={"kind": "zn", "n": n},
         validate=validate,
+        add_vec=lambda a, b: (i64(a) + b) % n,
+        mul_vec=lambda a, b: (i64(a) * i64(b)) % n,
+        neg_vec=lambda a: (-i64(a)) % n,
     )
 
 
@@ -237,22 +319,7 @@ def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
         order *= r
     label = "x".join(B.label for B in bases)
     _check_cap(order, resolve_max_order(max_order), label)
-    adds = [B.add for B in bases]
-    muls = [B.mul for B in bases]
-    negs = [B.neg for B in bases]
-
-    def add(i, j):
-        di = unpack_digits(radices, i)
-        dj = unpack_digits(radices, j)
-        return pack_digits(radices, [f(a, b) for f, a, b in zip(adds, di, dj)])
-
-    def mul(i, j):
-        di = unpack_digits(radices, i)
-        dj = unpack_digits(radices, j)
-        return pack_digits(radices, [f(a, b) for f, a, b in zip(muls, di, dj)])
-
-    def neg(i):
-        return pack_digits(radices, [f(a) for f, a in zip(negs, unpack_digits(radices, i))])
+    ops = _digit_ops(radices, bases, [[(p, p)] for p in range(len(bases))])
 
     one = None
     if all(B.unital for B in bases):
@@ -262,10 +329,10 @@ def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
         digits = unpack_digits(radices, i)
         return "(" + ",".join(B.element_label(d) for B, d in zip(_bases, digits)) + ")"
 
-    return FiniteRing(order, add, mul, neg, zero=0, one=one, spec=spec, label=label,
+    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
                       element_label=elabel,
                       meta={"kind": "product", "radices": radices, "bases": tuple(bases)},
-                      validate=validate)
+                      validate=validate, **ops)
 
 
 def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
@@ -279,8 +346,12 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
     label = f"M{k}({base.label})"
     _check_cap(order, resolve_max_order(max_order), label)
     radices = (bo,) * m
+    ops = _digit_ops(radices, (base,) * m,
+                     [[(i * k + l, l * k + j) for l in range(k)]
+                      for i in range(k) for j in range(k)])
 
     if k == 2 and base.mul_table is not None:
+        # unrolled scalar operations for the common 2 x 2 case over a table
         mt = base.mul_table
         at = base.add_table
         nt = base.neg_table
@@ -306,31 +377,8 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
         def neg(x):
             return ((nt[x // b3] * bo + nt[(x // b2) % bo]) * bo
                     + nt[(x // bo) % bo]) * bo + nt[x % bo]
-    else:
-        badd = base.add
-        bmul = base.mul
-        bneg = base.neg
 
-        def mul(x, y):
-            A = unpack_digits(radices, x)
-            B = unpack_digits(radices, y)
-            out = []
-            for i in range(k):
-                ik = i * k
-                for j in range(k):
-                    acc = bmul(A[ik], B[j])
-                    for l in range(1, k):
-                        acc = badd(acc, bmul(A[ik + l], B[l * k + j]))
-                    out.append(acc)
-            return pack_digits(radices, out)
-
-        def add(x, y):
-            dx = unpack_digits(radices, x)
-            dy = unpack_digits(radices, y)
-            return pack_digits(radices, [badd(a, b) for a, b in zip(dx, dy)])
-
-        def neg(x):
-            return pack_digits(radices, [bneg(a) for a in unpack_digits(radices, x)])
+        ops.update(add=add, mul=mul, neg=neg)
 
     one = None
     if base.unital:
@@ -345,10 +393,10 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
                 for r in range(k)]
         return "[" + ",".join(rows) + "]"
 
-    return FiniteRing(order, add, mul, neg, zero=0, one=one, spec=spec, label=label,
+    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
                       element_label=elabel,
                       meta={"kind": "matrix", "k": k, "base": base, "radices": radices},
-                      validate=validate)
+                      validate=validate, **ops)
 
 
 def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
@@ -364,29 +412,9 @@ def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
     label = f"T{k}({base.label})"
     _check_cap(order, resolve_max_order(max_order), label)
     radices = (bo,) * m
-    badd = base.add
-    bmul = base.mul
-    bneg = base.neg
-
-    def mul(x, y):
-        A = unpack_digits(radices, x)
-        B = unpack_digits(radices, y)
-        out = []
-        for (i, j) in positions:
-            acc = None
-            for l in range(i, j + 1):
-                term = bmul(A[slot[(i, l)]], B[slot[(l, j)]])
-                acc = term if acc is None else badd(acc, term)
-            out.append(acc)
-        return pack_digits(radices, out)
-
-    def add(x, y):
-        dx = unpack_digits(radices, x)
-        dy = unpack_digits(radices, y)
-        return pack_digits(radices, [badd(a, b) for a, b in zip(dx, dy)])
-
-    def neg(x):
-        return pack_digits(radices, [bneg(a) for a in unpack_digits(radices, x)])
+    ops = _digit_ops(radices, (base,) * m,
+                     [[(slot[(i, l)], slot[(l, j)]) for l in range(i, j + 1)]
+                      for (i, j) in positions])
 
     one = None
     if base.unital:
@@ -405,11 +433,11 @@ def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
             rows.append("[" + ",".join(cells) + "]")
         return "[" + ",".join(rows) + "]"
 
-    return FiniteRing(order, add, mul, neg, zero=0, one=one, spec=spec, label=label,
+    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
                       element_label=elabel,
                       meta={"kind": "triangular", "k": k, "base": base,
                             "positions": tuple(positions), "radices": radices},
-                      validate=validate)
+                      validate=validate, **ops)
 
 
 def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
@@ -426,29 +454,8 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
     label = f"{base.label}[x]/(x^{n})"
     _check_cap(order, resolve_max_order(max_order), label)
     radices = (bo,) * n
-    badd = base.add
-    bmul = base.mul
-    bneg = base.neg
-
-    def mul(x, y):
-        A = unpack_digits(radices, x)
-        B = unpack_digits(radices, y)
-        out = []
-        for t in range(n):
-            acc = None
-            for u in range(t + 1):
-                term = bmul(A[u], B[t - u])
-                acc = term if acc is None else badd(acc, term)
-            out.append(acc)
-        return pack_digits(radices, out)
-
-    def add(x, y):
-        dx = unpack_digits(radices, x)
-        dy = unpack_digits(radices, y)
-        return pack_digits(radices, [badd(a, b) for a, b in zip(dx, dy)])
-
-    def neg(x):
-        return pack_digits(radices, [bneg(a) for a in unpack_digits(radices, x)])
+    ops = _digit_ops(radices, (base,) * n,
+                     [[(u, t - u) for u in range(t + 1)] for t in range(n)])
 
     one = None
     if base.unital:
@@ -474,10 +481,10 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
                 terms.append(f"x^{t}" if c == 1 else f"{c}x^{t}")
         return "+".join(terms) if terms else "0"
 
-    return FiniteRing(order, add, mul, neg, zero=0, one=one, spec=spec, label=label,
+    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
                       element_label=elabel,
                       meta={"kind": "polymod", "n": n, "base": base, "radices": radices},
-                      validate=validate)
+                      validate=validate, **ops)
 
 
 def trivial_ext_ring(base: FiniteRing, spec: Optional[RingSpec] = None,
@@ -492,10 +499,12 @@ def trivial_ext_ring(base: FiniteRing, spec: Optional[RingSpec] = None,
     label = f"Triv({base.label})"
     _check_cap(order, resolve_max_order(max_order), label)
     radices = (bo, bo)
+    ops = _digit_ops(radices, (base, base), [[(0, 0)], [(0, 1), (1, 0)]])
     badd = base.add
     bmul = base.mul
     bneg = base.neg
 
+    # scalar operations on divmod, cheaper than the generic digit loops
     def add(i, j):
         a, x = divmod(i, bo)
         b, y = divmod(j, bo)
@@ -510,16 +519,18 @@ def trivial_ext_ring(base: FiniteRing, spec: Optional[RingSpec] = None,
         a, x = divmod(i, bo)
         return bneg(a) * bo + bneg(x)
 
+    ops.update(add=add, mul=mul, neg=neg)
+
     one = base.one * bo + base.zero if base.unital else None
 
     def elabel(i):
         a, x = divmod(i, bo)
         return f"({base.element_label(a)}|{base.element_label(x)})"
 
-    return FiniteRing(order, add, mul, neg, zero=0, one=one, spec=spec, label=label,
+    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
                       element_label=elabel,
                       meta={"kind": "trivext", "base": base, "radices": radices},
-                      validate=validate)
+                      validate=validate, **ops)
 
 
 def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None,
@@ -536,11 +547,13 @@ def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None,
                           list(ring.neg_table), zero=ring.zero, one=ring.one,
                           spec=spec, label=label, element_label=ring.element_label,
                           meta={"kind": "opposite", "base": ring}, validate=validate)
-    mul = ring.mul
+    mul, mul_vec = ring.mul, ring.mul_vec
     return FiniteRing(ring.order, ring.add, lambda a, b: mul(b, a), ring.neg,
                       zero=ring.zero, one=ring.one, spec=spec, label=label,
                       element_label=ring.element_label,
-                      meta={"kind": "opposite", "base": ring}, validate=validate)
+                      meta={"kind": "opposite", "base": ring}, validate=validate,
+                      add_vec=ring.add_vec, mul_vec=lambda x, y: mul_vec(y, x),
+                      neg_vec=ring.neg_vec)
 
 
 def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = None,

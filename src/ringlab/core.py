@@ -14,6 +14,13 @@ DEFAULT_VALIDATE_CAP = 256
 
 _AXIOM_CHUNK = 1 << 24  # tensor entries compared per block during validation
 
+VecOp = Callable[..., np.ndarray]
+
+
+def index_dtype(order: int):
+    """Smallest unsigned dtype that holds every element index of a ring."""
+    return np.uint16 if order <= (1 << 16) else np.uint32
+
 
 class RingLabError(Exception):
     """Base error for this package."""
@@ -70,6 +77,11 @@ class FiniteRing:
     (``add_table`` and friends); above the cap they stay lazy closures and the
     table attributes are None. Instances are immutable by convention; ``cache``
     holds memoized derived data (structure scans, witnesses, verdicts).
+
+    ``add_vec``, ``mul_vec``, ``neg_vec`` and ``sub_vec`` are the same
+    operations on integer index arrays of one shape. A tabled ring gathers
+    from a numpy copy of its table, made on first use; a lazy ring uses the
+    vector closure it was given, or else maps its scalar operation.
     """
 
     def __init__(
@@ -86,6 +98,9 @@ class FiniteRing:
         meta: Optional[dict] = None,
         table_cap: int = DEFAULT_TABLE_CAP,
         validate: Optional[bool] = None,
+        add_vec: Optional[VecOp] = None,
+        mul_vec: Optional[VecOp] = None,
+        neg_vec: Optional[VecOp] = None,
     ):
         if order < 1:
             raise ValueError("ring order must be at least 1")
@@ -118,6 +133,14 @@ class FiniteRing:
         self.neg = (lambda a, _t=neg_table: _t[a]) if neg_table is not None else neg
         self.sub = lambda a, b, _add=self.add, _neg=self.neg: _add(a, _neg(b))
 
+        self.add_vec = self._table_vec("add_table") if add_table is not None else (
+            add_vec or _map_vec(add))
+        self.mul_vec = self._table_vec("mul_table") if mul_table is not None else (
+            mul_vec or _map_vec(mul))
+        self.neg_vec = self._table_vec("neg_table") if neg_table is not None else (
+            neg_vec or _map_vec(neg))
+        self.sub_vec = lambda a, b, _add=self.add_vec, _neg=self.neg_vec: _add(a, _neg(b))
+
         self._element_label = element_label
 
         if validate is None:
@@ -126,6 +149,23 @@ class FiniteRing:
             report = validate_axioms(self)
             if not report.ok:
                 raise RingLabError(f"ring axioms violated in {self.label}: {report.failure}")
+
+    def _table_vec(self, name: str) -> VecOp:
+        """Gather from a flat numpy copy of a table, cached in ``cache`` on
+        first use; a pair (a, b) sits at a * order + b."""
+        cache = self.cache
+        n = self.order
+
+        def flat():
+            table = cache.get(name)
+            if table is None:
+                table = cache[name] = np.array(getattr(self, name),
+                                               dtype=index_dtype(n)).ravel()
+            return table
+
+        if name == "neg_table":
+            return lambda a: flat().take(a)
+        return lambda a, b: flat().take(np.multiply(a, n, dtype=np.int64) + b)
 
     def element_label(self, i: int) -> str:
         if self._element_label is not None:
@@ -142,6 +182,16 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"<FiniteRing {self.label} order={self.order}>"
+
+
+def _map_vec(op: Callable[..., int]) -> VecOp:
+    """Vector form of a scalar operation: applies it element by element."""
+    def vec(*args):
+        arrays = np.broadcast_arrays(*args)
+        flat = [x.ravel().tolist() for x in arrays]
+        out = np.fromiter(map(op, *flat), dtype=np.int64, count=arrays[0].size)
+        return out.reshape(arrays[0].shape)
+    return vec
 
 
 def _first_mismatch(lhs, rhs, n: int) -> Optional[tuple[int, int, int]]:

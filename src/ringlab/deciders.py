@@ -22,6 +22,7 @@ from .core import (
 )
 from . import structure as st
 from . import construct as ct
+from . import kernel
 
 # Rings up to this order get exhaustive element scans; larger rings use the
 # trajectory-based constructions only.
@@ -642,7 +643,10 @@ def extract_from_matrix(base: FiniteRing, n: int, a: int,
         raise WitnessError("base ring is not abelian")
     if matrix_witness.form != "alternate":
         raise WitnessError("matrix witness must be in alternate form")
-    mat = ct.matrix_ring(base, n)
+    if base.spec is not None:
+        mat = ct.build_cached(ct.Matrix(n, base.spec))
+    else:
+        mat = ct.matrix_ring(base, n)
     radices = mat.meta["radices"]
     digits = [base.zero] * (n * n)
     digits[0] = a
@@ -782,6 +786,18 @@ def unique_nilpotent_wncl(ring: FiniteRing, a: int,
 # ring-level verdicts
 
 
+def _large_ring_verdict(ring: FiniteRing, name: str, scalar_chain) -> bool:
+    """True when no element fails the batched checks; otherwise the scalar
+    chain is replayed on the smallest failing element, so that the error it
+    raises is the one the element-by-element loop would raise."""
+    a = kernel.first_failures(ring).get(name)
+    if a is None:
+        return True
+    scalar_chain(a)
+    raise WitnessError(f"batched {name} check failed at element {a} of "
+                       f"{ring.label} but the scalar chain passed")
+
+
 def _ring_cached(ring: FiniteRing, name: str, fn):
     key = ("ring_verdict", name)
     if key not in ring.cache:
@@ -791,17 +807,15 @@ def _ring_cached(ring: FiniteRing, name: str, fn):
 
 def ring_weakly_nil_clean(ring: FiniteRing) -> bool:
     """Every element has a primal witness. Large rings use the constructive
-    route through pi-regularity, validating each composed witness."""
+    route through pi-regularity, checked on every element in one batched
+    pass (see kernel)."""
     def compute():
         if ring.order <= BRUTE_ORDER_LIMIT:
             return all(wncl_witness(ring, a) is not None
                        for a in range(ring.order))
         ring.require_unital("large-ring weakly nil clean verdict")
-        for a in range(ring.order):
-            seq = power_seq(ring, a)
-            w = pi_regular_witness_fast(ring, a, seq)
-            wncl_from_pi_regular(ring, a, w)
-        return True
+        return _large_ring_verdict(ring, "wncl", lambda a: wncl_from_pi_regular(
+            ring, a, pi_regular_witness_fast(ring, a)))
     return _ring_cached(ring, "wncl", compute)
 
 
@@ -825,9 +839,8 @@ def ring_pi_regular(ring: FiniteRing) -> bool:
         if ring.order <= BRUTE_ORDER_LIMIT:
             return all(pi_regular_witness(ring, a) is not None
                        for a in range(ring.order))
-        for a in range(ring.order):
-            pi_regular_witness_fast(ring, a)
-        return True
+        return _large_ring_verdict(ring, "pi_regular",
+                                   lambda a: pi_regular_witness_fast(ring, a))
     return _ring_cached(ring, "pi_regular", compute)
 
 
@@ -841,13 +854,9 @@ def ring_strongly_pi_regular(ring: FiniteRing) -> bool:
                            for a in range(ring.order))
             return all(strong_pi_core(ring, a) is not None
                        for a in range(ring.order))
-        if ring.unital:
-            for a in range(ring.order):
-                strong_pi_witness_fast(ring, a)
-        else:
-            for a in range(ring.order):
-                strong_pi_core_fast(ring, a)
-        return True
+        chain = strong_pi_witness_fast if ring.unital else strong_pi_core_fast
+        return _large_ring_verdict(ring, "strongly_pi_regular",
+                                   lambda a: chain(ring, a))
     return _ring_cached(ring, "strongly_pi_regular", compute)
 
 

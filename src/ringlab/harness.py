@@ -443,7 +443,9 @@ def _check_symmetry(built):
     total = 0
     agree = 0
     for spec, ring in built:
-        opp = ring.cache.setdefault("opposite", ct.opposite(ring))
+        opp = ring.cache.get("opposite")
+        if opp is None:
+            opp = ring.cache["opposite"] = ct.opposite(ring)
         for a in range(ring.order):
             total += 1
             if (dc.wncl_witness(ring, a) is None) == (dc.wncl_witness(opp, a) is None):

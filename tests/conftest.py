@@ -1,9 +1,14 @@
+import functools
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import ringlab as rl
+from ringlab import construct as ct
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -24,3 +29,43 @@ def corpus():
 @pytest.fixture(scope="session")
 def unital_corpus(corpus):
     return {name: ring for name, ring in corpus.items() if ring.unital}
+
+
+@contextmanager
+def lazy_rings():
+    """Rings built inside get no tables, so their constructors' own scalar
+    and vector closures serve every operation (subrings and quotients, which
+    are given tables, excepted)."""
+    with mock.patch.object(ct, "FiniteRing", functools.partial(rl.FiniteRing, table_cap=0)):
+        yield
+
+
+def all_pairs(n: int):
+    """Every pair (x, y) of elements 0..n-1, as two index arrays."""
+    return np.divmod(np.arange(n * n), n)
+
+
+def sample_pairs(n: int, count: int = 2000, seed: int = 0):
+    """A fixed seeded sample of pairs of elements 0..n-1."""
+    draw = np.random.default_rng(seed)
+    return draw.integers(0, n, count), draw.integers(0, n, count)
+
+
+def vector_mismatches(ring: rl.FiniteRing, xs, ys) -> list:
+    """Names of the vector operations that differ from the scalar ones on
+    the pairs (xs[i], ys[i])."""
+    xl = np.asarray(xs).tolist()
+    yl = np.asarray(ys).tolist()
+    expected = {
+        "add_vec": [ring.add(x, y) for x, y in zip(xl, yl)],
+        "mul_vec": [ring.mul(x, y) for x, y in zip(xl, yl)],
+        "sub_vec": [ring.sub(x, y) for x, y in zip(xl, yl)],
+        "neg_vec": [ring.neg(x) for x in xl],
+    }
+    got = {
+        "add_vec": ring.add_vec(xs, ys),
+        "mul_vec": ring.mul_vec(xs, ys),
+        "sub_vec": ring.sub_vec(xs, ys),
+        "neg_vec": ring.neg_vec(xs),
+    }
+    return [name for name in expected if np.asarray(got[name]).tolist() != expected[name]]

@@ -5,6 +5,7 @@ import pytest
 import ringlab as rl
 
 import oracles
+from conftest import all_pairs, lazy_rings, sample_pairs, vector_mismatches
 
 
 # --- digit packing ------------------------------------------------------------
@@ -263,3 +264,44 @@ def test_cap_applies_to_intermediate_rings(monkeypatch):
     monkeypatch.setenv("RINGLAB_MAX_ORDER", "100")
     with pytest.raises(rl.OrderCapError):
         rl.build(rl.Corner(rl.Matrix(2, rl.Zn(4)), 65))
+
+
+# --- vector operations ----------------------------------------------------------
+#
+# Built inside lazy_rings(), a ring keeps its constructor's closures at every
+# order, so small rings test them on all pairs; rings above the table cap
+# have them anyway and are tested on a fixed sample.
+
+SMALL_VECTOR_SPECS = [
+    "Z7", "Z2xZ3", "Z2xZ2xZ3", "M2(Z2)", "M2(Z3)", "T2(Z4)",
+    "T3(Z2)", "Z3[x]/(x^3)", "Z2[x]/(x^2)[x]/(x^2)", "Triv(Z5)",
+    "Triv(T2(Z2))", "Op(T2(Z2))", "Op(M2(Z2))", "Corner(M2(Z2),8)",
+    "Quot(Z8,4)", "Ideal(Z4,2)xZ3",
+]
+
+
+@pytest.mark.parametrize("name", SMALL_VECTOR_SPECS)
+def test_constructor_vector_ops_match_scalar(name):
+    spec = rl.parse_spec(name)
+    with lazy_rings():
+        ring = rl.build(spec)
+    xs, ys = all_pairs(ring.order) if ring.order <= 81 else sample_pairs(ring.order)
+    assert vector_mismatches(ring, xs, ys) == []
+    tabled = rl.build_cached(spec)
+    assert tabled.mul_table is not None
+    assert ring.mul_vec(xs, ys).tolist() == tabled.mul_vec(xs, ys).tolist()
+    assert ring.add_vec(xs, ys).tolist() == tabled.add_vec(xs, ys).tolist()
+
+
+@pytest.mark.parametrize("name", [
+    "Z2000", "Z2000xZ3", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "M2(Z6)",
+    "M2(T2(Z2))", "M3(Z3)", "T2(Z16)", "T3(Z4)", "Z2[x]/(x^11)", "Triv(Z64)",
+    "Op(M2(Z6))", "Ideal(Z4,2)xM2(Z6)",
+])
+def test_lazy_vector_ops_match_scalar_on_a_sample(name):
+    ring = rl.build_cached(rl.parse_spec(name))
+    assert ring.mul_table is None
+    xs, ys = sample_pairs(ring.order)
+    assert vector_mismatches(ring, xs, ys) == []
+    ends = [0, 1, ring.order - 1]
+    assert vector_mismatches(ring, *zip(*[(x, y) for x in ends for y in ends])) == []

@@ -1,11 +1,13 @@
 """Ring container, axiom validation, and power trajectory machinery."""
 
+import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab.core import power_from_seq
+from ringlab.core import index_dtype, power_from_seq
 
 import oracles
+from conftest import all_pairs, vector_mismatches
 
 
 def test_validate_axioms_accepts_corpus(corpus):
@@ -156,3 +158,48 @@ def test_lazy_ring_matches_tabled_ring():
         for y in range(16):
             assert lazy_ops.mul(x, y) == tabled.mul(x, y)
             assert lazy_ops.add(x, y) == tabled.add(x, y)
+
+
+# --- vector operations ------------------------------------------------------------
+
+
+def test_index_dtype():
+    assert index_dtype(2) == np.uint16
+    assert index_dtype(65536) == np.uint16
+    assert index_dtype(65537) == np.uint32
+
+
+def test_table_copy_is_made_on_first_use():
+    ring = rl.zn_ring(6)
+    assert not {"add_table", "mul_table", "neg_table"} & set(ring.cache)
+    assert ring.mul_vec(np.array([2, 3]), np.array([3, 5])).tolist() == [0, 3]
+    assert set(ring.cache) == {"mul_table"}
+    assert ring.cache["mul_table"].dtype == np.uint16
+    ring.sub_vec(np.array([1]), np.array([2]))
+    assert {"add_table", "mul_table", "neg_table"} <= set(ring.cache)
+
+
+def test_tabled_vector_ops_match_scalar_on_all_pairs(corpus):
+    for name, ring in corpus.items():
+        assert ring.mul_table is not None, name
+        assert vector_mismatches(ring, *all_pairs(ring.order)) == [], name
+
+
+def test_default_vector_ops_map_the_scalar_ops():
+    n = 10
+    ring = rl.FiniteRing(n, lambda a, b: (a + b) % n, lambda a, b: (a * b) % n,
+                         lambda a: (-a) % n, one=1, table_cap=0)
+    assert ring.mul_table is None
+    assert vector_mismatches(ring, *all_pairs(n)) == []
+    xs = np.array([[1, 2], [3, 4]])
+    assert ring.mul_vec(xs, xs).tolist() == [[1, 4], [9, 6]]
+    assert ring.mul_vec(xs, 3).tolist() == [[3, 6], [9, 2]]  # broadcast
+
+
+def test_subring_and_quotient_vector_ops(corpus):
+    m2 = corpus["M2(Z2)"]
+    corner = rl.corner_ring(m2, rl.ring_pack(m2, (1, 0, 0, 0)))
+    ideal = rl.ideal_subring(corpus["Z8"], rl.ideal_generated(corpus["Z8"], (2,)).members)
+    quot, _ = rl.quotient(corpus["T2(Z4)"], rl.ideal_generated(corpus["T2(Z4)"], (1,)))
+    for ring in (corner, ideal, quot):
+        assert vector_mismatches(ring, *all_pairs(ring.order)) == [], ring.label

@@ -1,8 +1,10 @@
 """Witness searches, checkers, constructive operations, and ring verdicts."""
 
+import numpy as np
 import pytest
 
 import ringlab as rl
+from ringlab import kernel
 from ringlab.deciders import strong_pi_core, strong_pi_core_left, strong_pi_core_fast
 
 import oracles
@@ -501,3 +503,111 @@ def test_implication_lattice(corpus):
         for src, dst in implications:
             if props[src] and props[dst] is not None:
                 assert props[dst], (name, src, dst)
+
+
+# --- batched large-ring verdicts ---------------------------------------------------
+
+
+def _outcome(run):
+    """True, or the type and message of the WitnessError that run raises."""
+    try:
+        return run()
+    except rl.WitnessError as exc:
+        return type(exc), str(exc)
+
+
+def _scalar_verdicts(ring):
+    """The three large-ring verdicts as element-by-element loops over the
+    scalar trajectory witnesses and constructions."""
+    def loop(chain):
+        def run():
+            for a in range(ring.order):
+                chain(a)
+            return True
+        return run
+
+    strong = rl.strong_pi_witness_fast if ring.unital else strong_pi_core_fast
+    out = {
+        "pi_regular": loop(lambda a: rl.pi_regular_witness_fast(ring, a)),
+        "strongly_pi_regular": loop(lambda a: strong(ring, a)),
+    }
+    if ring.unital:
+        out["weakly_nil_clean"] = loop(lambda a: rl.wncl_from_pi_regular(
+            ring, a, rl.pi_regular_witness_fast(ring, a)))
+    return out
+
+
+_BATCHED = {
+    "weakly_nil_clean": rl.ring_weakly_nil_clean,
+    "pi_regular": rl.ring_pi_regular,
+    "strongly_pi_regular": rl.ring_strongly_pi_regular,
+}
+
+
+@pytest.mark.parametrize("name", ["M2(Z6)", "Triv(Z17)", "Ideal(Z4,2)xM2(Z6)"])
+def test_batched_verdicts_equal_the_scalar_loops(name):
+    ring = rl.build(rl.parse_spec(name))
+    assert ring.order > rl.BRUTE_ORDER_LIMIT
+    scalar = _scalar_verdicts(ring)
+    assert ("weakly_nil_clean" in scalar) == ring.unital
+    for prop, run in scalar.items():
+        assert _outcome(run) is True, prop
+        assert _outcome(lambda: _BATCHED[prop](ring)) is True, prop
+    if not ring.unital:
+        with pytest.raises(rl.NonUnitalRingError):
+            rl.ring_weakly_nil_clean(ring)
+
+
+def test_batched_trajectory_helpers_match_the_scalar_ones():
+    ring = rl.build_cached(rl.parse_spec("M2(Z6)"))
+    a = np.arange(ring.order)
+    traj = kernel.trajectories(ring, a)
+    P, pre, per = traj
+    exps = (np.arange(ring.order) % 13) + 1
+    at = kernel.power_at(traj, exps).tolist()
+    sq = kernel.power(ring, a, exps).tolist()
+    nil = kernel.nil_index(ring, a).tolist()
+    for x in range(ring.order):
+        powers, i, p = rl.power_seq(ring, x)
+        assert (pre[x], per[x]) == (i, p)
+        assert P[x, :len(powers)].tolist() == powers
+        assert at[x] == sq[x] == rl.power(ring, x, int(exps[x]))
+        assert nil[x] == (rl.nil_index_of(ring, x) or 0)
+
+
+def _corrupted(ring, pair, value):
+    """A lazy copy of ring whose product at one pair is value; its vector
+    product is the default one, which maps the corrupted scalar product."""
+    mul = ring.mul
+
+    def bad_mul(a, b):
+        return value if (a, b) == pair else mul(a, b)
+
+    return rl.FiniteRing(ring.order, ring.add, bad_mul, ring.neg, one=ring.one,
+                         label=f"{ring.label} corrupted at {pair}", table_cap=0,
+                         add_vec=ring.add_vec, neg_vec=ring.neg_vec)
+
+
+# (pair, value) in M2(Z6) digits; each breaks a different identity of the
+# scalar chains, some first at an element other than the pair's
+_CORRUPTIONS = [
+    (((1, 0, 0, 1), (1, 0, 0, 1)), (0, 0, 0, 0)),
+    (((1, 1, 0, 1), (1, 1, 0, 1)), (1, 0, 0, 1)),
+    (((2, 0, 0, 3), (2, 0, 0, 3)), (0, 0, 0, 5)),
+    (((0, 0, 0, 3), (0, 0, 0, 3)), (0, 0, 1, 1)),
+    (((1, 1, 0, 1), (1, 0, 0, 1)), (1, 1, 0, 2)),
+    (((1, 1, 0, 1), (1, 5, 0, 1)), (1, 0, 0, 2)),
+    (((0, 0, 0, 0), (0, 0, 0, 0)), (0, 0, 0, 1)),
+    (((0, 0, 0, 0), (3, 3, 3, 3)), (0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("pair,value", _CORRUPTIONS)
+def test_corrupted_product_raises_the_scalar_error(pair, value):
+    base = rl.build_cached(rl.parse_spec("M2(Z6)"))
+    ring = _corrupted(base, tuple(rl.ring_pack(base, d) for d in pair),
+                      rl.ring_pack(base, value))
+    scalar = {prop: _outcome(run) for prop, run in _scalar_verdicts(ring).items()}
+    assert any(outcome is not True for outcome in scalar.values())
+    for prop, expected in scalar.items():
+        assert _outcome(lambda: _BATCHED[prop](ring)) == expected, prop

@@ -119,3 +119,35 @@ def test_census_with_timings():
     rows = rl.census([rl.Zn(4)], with_timings=True)
     assert rows[0].report.timings
     assert all(t >= 0 for t in rows[0].report.timings.values())
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap construct.<name> and count its calls by the label of the first
+    argument."""
+    calls = {}
+    original = getattr(ct, name)
+
+    def counting(ring, *args, **kwargs):
+        calls[ring.label] = calls.get(ring.label, 0) + 1
+        return original(ring, *args, **kwargs)
+
+    monkeypatch.setattr(ct, name, counting)
+    return calls
+
+
+def test_symmetry_builds_each_opposite_once(monkeypatch):
+    corpus = [rl.Zn(6), rl.Triangular(2, rl.Zn(2)), rl.Matrix(2, rl.Zn(2))]
+    for spec in corpus:
+        rl.build_cached(spec).cache.pop("opposite", None)
+    calls = _count_calls(monkeypatch, "opposite")
+    first = hn.run_check("Q_SYMMETRY", corpus)
+    second = hn.run_check("Q_SYMMETRY", corpus)
+    assert first.detail == second.detail
+    assert calls == {str(spec): 1 for spec in corpus}
+
+
+def test_koti_builds_each_matrix_ring_at_most_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "matrix_ring")
+    check = hn.run_check("P_KOTI", [rl.Zn(2), rl.Zn(3), rl.Zn(6)])
+    assert check.status == "pass"
+    assert all(count <= 1 for count in calls.values()), calls

@@ -1,10 +1,12 @@
 """Property-based checks over randomly drawn rings, elements, and specs."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as hs
 
 import ringlab as rl
 
 import oracles
+from conftest import lazy_rings, vector_mismatches
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -66,6 +68,20 @@ _specs = hs.recursive(
 @given(spec=_specs)
 def test_spec_string_round_trips(spec):
     assert rl.parse_spec(str(spec)) == spec
+
+
+@SETTINGS
+@given(spec=_specs, data=hs.data())
+def test_vector_ops_match_scalar_on_generated_specs(spec, data):
+    try:
+        with lazy_rings():
+            ring = rl.build(spec, max_order=1024, validate=False)
+    except (rl.RingLabError, ValueError):
+        return  # over the cap, or a corner, ideal or quotient that does not apply
+    idx = hs.integers(0, ring.order - 1)
+    pairs = data.draw(hs.lists(hs.tuples(idx, idx), min_size=1, max_size=20))
+    xs, ys = (np.array(side) for side in zip(*pairs))
+    assert vector_mismatches(ring, xs, ys) == []
 
 
 # --- arithmetic identities -----------------------------------------------------
