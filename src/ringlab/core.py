@@ -10,9 +10,10 @@ import numpy as np
 Element = int
 
 DEFAULT_TABLE_CAP = 1024
-DEFAULT_VALIDATE_CAP = 256
+DEFAULT_VALIDATE_CAP = DEFAULT_TABLE_CAP
 
-_AXIOM_CHUNK = 1 << 24  # tensor entries compared per block during validation
+_AXIOM_CHUNK = 1 << 19  # tensor entries compared per block during validation
+_FILL_CHUNK = 1 << 16  # pairs per vector call when a table is filled
 
 VecOp = Callable[..., np.ndarray]
 
@@ -78,10 +79,16 @@ class FiniteRing:
     table attributes are None. Instances are immutable by convention; ``cache``
     holds memoized derived data (structure scans, witnesses, verdicts).
 
+    A table given as closures is filled by the vector form of the operation
+    over all pairs at once (in row blocks of at most ``_FILL_CHUNK`` pairs);
+    the flat numpy result stays in ``cache`` under the table's name and the
+    list form is its ``tolist()``. A table given as a list is copied to numpy
+    on first use.
+
     ``add_vec``, ``mul_vec``, ``neg_vec`` and ``sub_vec`` are the same
     operations on integer index arrays of one shape. A tabled ring gathers
-    from a numpy copy of its table, made on first use; a lazy ring uses the
-    vector closure it was given, or else maps its scalar operation.
+    from the numpy copy of its table; a lazy ring uses the vector closure it
+    was given, or else maps its scalar operation.
     """
 
     def __init__(
@@ -117,12 +124,14 @@ class FiniteRing:
         mul_table = _as_table(mul, order)
         neg_table = None if callable(neg) else list(neg)
 
-        if add_table is None and order <= table_cap:
-            add_table = [[add(a, b) for b in range(order)] for a in range(order)]
-        if mul_table is None and order <= table_cap:
-            mul_table = [[mul(a, b) for b in range(order)] for a in range(order)]
-        if neg_table is None and order <= table_cap:
-            neg_table = [neg(a) for a in range(order)]
+        if order <= table_cap:
+            dtype = index_dtype(order)
+            if add_table is None:
+                add_table = self._fill("add_table", add_vec or _map_vec(add), dtype)
+            if mul_table is None:
+                mul_table = self._fill("mul_table", mul_vec or _map_vec(mul), dtype)
+            if neg_table is None:
+                neg_table = self._fill("neg_table", neg_vec or _map_vec(neg), dtype)
 
         self.add_table = add_table
         self.mul_table = mul_table
@@ -150,22 +159,37 @@ class FiniteRing:
             if not report.ok:
                 raise RingLabError(f"ring axioms violated in {self.label}: {report.failure}")
 
-    def _table_vec(self, name: str) -> VecOp:
-        """Gather from a flat numpy copy of a table, cached in ``cache`` on
-        first use; a pair (a, b) sits at a * order + b."""
-        cache = self.cache
+    def _fill(self, name: str, vec: VecOp, dtype) -> list:
+        """Fill table ``name`` of the given dtype from its vector operation,
+        keep the flat numpy table in ``cache`` and return the list form."""
         n = self.order
-
-        def flat():
-            table = cache.get(name)
-            if table is None:
-                table = cache[name] = np.array(getattr(self, name),
-                                               dtype=index_dtype(n)).ravel()
-            return table
-
+        idx = np.arange(n)
         if name == "neg_table":
-            return lambda a: flat().take(a)
-        return lambda a, b: flat().take(np.multiply(a, n, dtype=np.int64) + b)
+            table = np.empty(n, dtype=dtype)
+            table[:] = vec(idx)
+        else:
+            table = np.empty((n, n), dtype=dtype)
+            rows = max(1, _FILL_CHUNK // n)
+            for start in range(0, n, rows):
+                table[start:start + rows] = vec(idx[start:start + rows, None], idx)
+        self.cache[name] = table.ravel()
+        return table.tolist()
+
+    def _flat_table(self, name: str) -> np.ndarray:
+        """Flat numpy copy of table ``name`` (a pair (a, b) sits at
+        a * order + b), made on first use and kept in ``cache``."""
+        table = self.cache.get(name)
+        if table is None:
+            table = self.cache[name] = np.array(getattr(self, name),
+                                                dtype=index_dtype(self.order)).ravel()
+        return table
+
+    def _table_vec(self, name: str) -> VecOp:
+        """Gather from the flat numpy copy of a table."""
+        n = self.order
+        if name == "neg_table":
+            return lambda a: self._flat_table(name).take(a)
+        return lambda a, b: self._flat_table(name).take(np.multiply(a, n, dtype=np.int64) + b)
 
     def element_label(self, i: int) -> str:
         if self._element_label is not None:
@@ -207,22 +231,132 @@ def _first_mismatch(lhs, rhs, n: int) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def validate_axioms(ring: FiniteRing) -> AxiomReport:
-    """Exhaustively check the ring axioms against the materialized tables.
-
-    Returns a verdict; on failure the report names the broken axiom and the
-    first offending element tuple in lexicographic order.
-    """
+def _tables(ring: FiniteRing):
+    """(add, mul, neg) as numpy arrays of shape (n, n), (n, n) and (n,)."""
     if ring.add_table is None or ring.mul_table is None or ring.neg_table is None:
         raise OrderCapError(
             f"axiom validation needs materialized tables; {ring.label} has order {ring.order}"
         )
     n = ring.order
-    dtype = np.uint16 if n <= (1 << 16) else np.uint32
-    A = np.array(ring.add_table, dtype=dtype)
-    M = np.array(ring.mul_table, dtype=dtype)
-    neg = np.array(ring.neg_table, dtype=dtype)
-    idx = np.arange(n, dtype=dtype)
+    return (ring._flat_table("add_table").reshape(n, n),
+            ring._flat_table("mul_table").reshape(n, n),
+            ring._flat_table("neg_table"))
+
+
+def validate_axioms(ring: FiniteRing) -> AxiomReport:
+    """Check the ring axioms against the materialized tables, exactly.
+
+    Returns a verdict; on failure the report names the broken axiom and the
+    first offending element tuple in lexicographic order.
+
+    The check costs O(n^2 |G|), where G is an additive
+    generating set from ``_additive_generators`` (|G| <= log2 n when (R, +)
+    is a group). After the O(n^2) checks (closure, commutativity of +, zero,
+    negation, zero rows, unity), it verifies
+
+    * Light's test (x + g) + y = x + (g + y) for all x, y and g in G;
+    * a(b + g) = ab + ag and (b + g)a = ba + ga for all a, b and g in G;
+    * (gh)k = g(hk) for g, h, k in G.
+
+    Call an element good for an identity when the identity holds with it in
+    the place of g. The good elements of each test contain 0 (by the zero
+    checks) and are closed under +: for Light's test, if g and h are good then
+    (x + (g + h)) + y = ((x + g) + h) + y = (x + g) + (h + y)
+    = x + (g + (h + y)) = x + ((g + h) + y); for distributivity,
+    a(b + (g + h)) = a((b + g) + h) = a(b + g) + ah = (ab + ag) + ah
+    = ab + a(g + h). Every element is a sum x + g of a smaller sum and a
+    generator, so every element is good: + is associative and both
+    distributive laws hold. Both sides of (ab)c = a(bc) are then additive in
+    each of a, b and c, so agreement on G^3 extends to all of R^3, one
+    argument at a time.
+
+    Any failure is reported by ``_validate_cubic``, the direct O(n^3) check,
+    so the axiom and tuple named are those of the first failure in its order.
+    """
+    if _axioms_hold(ring):
+        return AxiomReport(True)
+    return _validate_cubic(ring)
+
+
+def _additive_generators(add_table: Sequence[Sequence[int]], zero: int) -> Optional[list[int]]:
+    """Greedy additive generating set: the smallest element not yet reached
+    is the next generator, where reached means a left-bracketed sum
+    (...((0 + g1) + g2) + ...) + gk of generators. In a group each generator
+    at least doubles the subgroup reached, so more than log2 n generators
+    prove (R, +) is no group; None is returned then."""
+    n = len(add_table)
+    seen = [False] * n
+    seen[zero] = True
+    reached = [zero]
+    gens: list[int] = []
+    for c in range(n):
+        if seen[c]:
+            continue
+        if 1 << (len(gens) + 1) > n:
+            return None
+        gens.append(c)
+        todo = [(x, c) for x in reached]
+        while todo:
+            x, g = todo.pop()
+            y = add_table[x][g]
+            if not seen[y]:
+                seen[y] = True
+                reached.append(y)
+                todo.extend((y, h) for h in gens)
+    return gens
+
+
+def _axioms_hold(ring: FiniteRing) -> bool:
+    """The axioms hold: the exact O(n^2 |G|) test of ``validate_axioms``."""
+    A, M, neg = _tables(ring)
+    n = ring.order
+    zero = ring.zero
+    idx = np.arange(n)
+    if (A >= n).any() or (M >= n).any() or (neg >= n).any():
+        return False
+    if not (np.array_equal(A, A.T) and np.array_equal(A[zero], idx)
+            and (A[idx, neg] == zero).all()
+            and (M[zero] == zero).all() and (M[:, zero] == zero).all()):
+        return False
+    if ring.unital and not (np.array_equal(M[ring.one], idx)
+                            and np.array_equal(M[:, ring.one], idx)):
+        return False
+    G = _additive_generators(ring.add_table, zero)
+    if G is None:
+        return False
+    if not G:
+        return True
+    # Each side below is one gather into an array indexed (row, g, column),
+    # so that the compared arrays are contiguous. As + is commutative (checked
+    # above), the distributivity gathers read a(g + b) for a(b + g) and
+    # ag + ab for ab + ag, and likewise on the right.
+    AG = A[:, G]  # AG[x, g] = x + g
+    GA = A[G]     # GA[g, y] = g + y
+    GM = M[G]     # GM[g, a] = ga
+    MGn = M[:, G] * np.intp(n)  # flat row offsets of ag in A
+    GMn = GM * np.intp(n)       # flat row offsets of ga in A
+    flat = A.ravel()
+    rows = max(1, _AXIOM_CHUNK // (n * len(G)))
+    for s in range(0, n, rows):
+        t = s + rows
+        Ms = M[s:t]
+        if not (np.array_equal(A.take(AG[s:t], axis=0), A[s:t].take(GA, axis=1))
+                and np.array_equal(Ms.take(GA, axis=1),
+                                   flat.take(MGn[s:t, :, None] + Ms[:, None, :]))
+                and np.array_equal(M.take(AG[s:t], axis=0),
+                                   flat.take(GMn[None, :, :] + Ms[:, None, :]))):
+            return False
+    GG = GM[:, G]  # GG[g, h] = gh
+    return np.array_equal(M.take(GG, axis=0)[:, :, G], GM.take(GG, axis=1))
+
+
+def _validate_cubic(ring: FiniteRing) -> AxiomReport:
+    """Direct O(n^3) check of the ring axioms, in a fixed order; the report
+    names the first failing axiom and its first failing tuple in
+    lexicographic order. ``validate_axioms`` reports through it."""
+    A, M, neg = _tables(ring)
+    n = ring.order
+    idx = np.arange(n)
     zero = ring.zero
 
     def fail(axiom: str, elements) -> AxiomReport:

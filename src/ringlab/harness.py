@@ -86,6 +86,14 @@ def _build_corpus(specs: Sequence[ct.RingSpec]):
     return built, failures
 
 
+def _derived(ring: FiniteRing, key, make: Callable[[], FiniteRing]) -> FiniteRing:
+    """A ring derived from ``ring`` (corner, opposite, quotient, ideal), kept
+    in ``ring.cache`` under ``key`` so that later checks and runs reuse it."""
+    if key not in ring.cache:
+        ring.cache[key] = make()
+    return ring.cache[key]
+
+
 def canonical_nil_ideal(spec: ct.RingSpec,
                         ring: FiniteRing) -> Optional[st.Ideal]:
     """The nil ideal a construction carries by design: the strictly upper
@@ -168,7 +176,9 @@ def _check_nilideal(built):
         if not st.is_nil_ideal(ring, ideal):
             return ("fail", f"canonical ideal of {spec} is not nil",
                     (str(spec), ()))
-        qring, proj = ct.quotient(ring, ideal)
+        qring = _derived(ring, ("quotient", ideal.members),
+                         lambda: ct.quotient(ring, ideal)[0])
+        proj = qring.projection
         if dc.ring_weakly_nil_clean(ring) != dc.ring_weakly_nil_clean(qring):
             return ("fail", f"verdict differs between {spec} and its quotient",
                     (str(spec), ()))
@@ -209,7 +219,8 @@ def _check_radikal(built):
         jac = st.jacobson_radical(ring)
         if not st.is_nil_ideal(ring, jac):
             return ("fail", f"radical of {spec} is not nil", (str(spec), ()))
-        qring, _ = ct.quotient(ring, jac)
+        qring = _derived(ring, ("quotient", jac.members),
+                         lambda: ct.quotient(ring, jac)[0])
         if not dc.ring_weakly_nil_clean(qring):
             return ("fail", f"{spec} modulo its radical is not weakly nil clean",
                     (str(spec), ()))
@@ -236,10 +247,7 @@ def _check_mocna(built):
                 if c is None:
                     continue
                 f = ring.sub(ring.one, e)
-                key = ("corner", f)
-                if key not in ring.cache:
-                    ring.cache[key] = ct.corner_ring(ring, f)
-                corner = ring.cache[key]
+                corner = _derived(ring, ("corner", f), lambda: ct.corner_ring(ring, f))
                 faf = ring.mul(ring.mul(f, a), f)
                 if corner is ring:
                     cw = dc.wncl_witness(corner, faf)
@@ -443,9 +451,7 @@ def _check_symmetry(built):
     total = 0
     agree = 0
     for spec, ring in built:
-        opp = ring.cache.get("opposite")
-        if opp is None:
-            opp = ring.cache["opposite"] = ct.opposite(ring)
+        opp = _derived(ring, "opposite", lambda: ct.opposite(ring))
         for a in range(ring.order):
             total += 1
             if (dc.wncl_witness(ring, a) is None) == (dc.wncl_witness(opp, a) is None):
@@ -465,10 +471,7 @@ def _check_qcorner(built):
         if not ring.unital:
             continue
         for e in st.idempotents(ring):
-            key = ("corner", e)
-            if key not in ring.cache:
-                ring.cache[key] = ct.corner_ring(ring, e)
-            corner = ring.cache[key]
+            corner = _derived(ring, ("corner", e), lambda: ct.corner_ring(ring, e))
             corners += 1
             if dc.ring_weakly_nil_clean(corner):
                 wncl += 1
@@ -493,10 +496,12 @@ def _check_expireg(built):
             if ideal.members in seen:
                 continue
             seen.add(ideal.members)
-            sub = ct.ideal_subring(ring, ideal.members)
+            sub = _derived(ring, ("ideal_ring", ideal.members),
+                           lambda: ct.ideal_subring(ring, ideal.members))
             ideal_pireg = all(dc.pi_regular_witness(sub, b) is not None
                               for b in range(sub.order))
-            qring, _ = ct.quotient(ring, ideal)
+            qring = _derived(ring, ("quotient", ideal.members),
+                             lambda: ct.quotient(ring, ideal)[0])
             quot_pireg = all(dc.pi_regular_witness(qring, b) is not None
                              for b in range(qring.order))
             if ideal_pireg and quot_pireg:

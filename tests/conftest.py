@@ -9,6 +9,7 @@ import pytest
 
 import ringlab as rl
 from ringlab import construct as ct
+from ringlab.core import _axioms_hold, _validate_cubic
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -69,3 +70,33 @@ def vector_mismatches(ring: rl.FiniteRing, xs, ys) -> list:
         "neg_vec": ring.neg_vec(xs),
     }
     return [name for name in expected if np.asarray(got[name]).tolist() != expected[name]]
+
+
+def with_cell(ring: rl.FiniteRing, table: str, cell, value: int) -> rl.FiniteRing:
+    """An unvalidated copy of a tabled ring with one table cell replaced:
+    ``table`` is "add", "mul" or "neg" (cell[0] only), or "add-sym", which
+    replaces the add cells at (x, y) and (y, x) so that + stays commutative."""
+    add = [row[:] for row in ring.add_table]
+    mul = [row[:] for row in ring.mul_table]
+    neg = list(ring.neg_table)
+    x, y = cell
+    if table == "neg":
+        neg[x] = value
+    elif table == "mul":
+        mul[x][y] = value
+    else:
+        add[x][y] = value
+        if table == "add-sym":
+            add[y][x] = value
+    return rl.FiniteRing(ring.order, add, mul, neg, zero=ring.zero, one=ring.one,
+                         label=f"{ring.label} with {table} {cell} = {value}",
+                         validate=False)
+
+
+def agrees_with_cubic(ring: rl.FiniteRing) -> rl.AxiomReport:
+    """Assert that the generator test of the axioms and the report of
+    validate_axioms equal those of the O(n^3) check; return the report."""
+    expected = _validate_cubic(ring)
+    assert _axioms_hold(ring) == expected.ok
+    assert rl.validate_axioms(ring) == expected
+    return expected

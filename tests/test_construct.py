@@ -305,3 +305,30 @@ def test_lazy_vector_ops_match_scalar_on_a_sample(name):
     assert vector_mismatches(ring, xs, ys) == []
     ends = [0, 1, ring.order - 1]
     assert vector_mismatches(ring, *zip(*[(x, y) for x in ends for y in ends])) == []
+
+
+# --- table fill ----------------------------------------------------------------
+#
+# A ring built from closures fills its tables with its vector operations;
+# they must equal the scalar closures of the same spec built without tables,
+# on all pairs up to order 256 and on a seeded sample above.
+
+TABLE_FILL_SPECS = [
+    "Z7", "Z2xZ3xZ5", "M2(Z3)", "T3(Z2)", "Z3[x]/(x^3)", "Triv(Z5)", "Triv(T2(Z2))",
+    "M3(Z2)", "Z2[x]/(x^9)", "T2(Z7)", "Triv(Z17)", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2",
+]
+
+
+@pytest.mark.parametrize("name", TABLE_FILL_SPECS)
+def test_filled_tables_match_scalar_closures(name):
+    spec = rl.parse_spec(name)
+    ring = rl.build(spec)
+    with lazy_rings():
+        lazy = rl.build(spec)
+    assert ring.mul_table is not None and lazy.mul_table is None
+    n = ring.order
+    xs, ys = all_pairs(n) if n <= 256 else sample_pairs(n)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    assert [ring.add_table[x][y] for x, y in pairs] == [lazy.add(x, y) for x, y in pairs]
+    assert [ring.mul_table[x][y] for x, y in pairs] == [lazy.mul(x, y) for x, y in pairs]
+    assert ring.neg_table == [lazy.neg(x) for x in range(n)]

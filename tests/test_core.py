@@ -1,13 +1,15 @@
 """Ring container, axiom validation, and power trajectory machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab.core import index_dtype, power_from_seq
+from ringlab.core import _additive_generators, index_dtype, power_from_seq
 
 import oracles
-from conftest import all_pairs, vector_mismatches
+from conftest import agrees_with_cubic, all_pairs, corpus_ring, vector_mismatches, with_cell
 
 
 def test_validate_axioms_accepts_corpus(corpus):
@@ -68,6 +70,103 @@ def test_unity_axioms_checked():
     report = rl.validate_axioms(wrong_one)
     assert not report.ok
     assert "unity" in report.failure.axiom
+
+
+# --- generator validation against the cubic oracle ---------------------------------
+
+
+def test_generator_validator_matches_cubic_on_corrupted_tables():
+    assert agrees_with_cubic(_corrupted_z4()).failure.axiom == "mul-associativity"
+    base = rl.zn_ring(4)
+    wrong_one = rl.FiniteRing(4, base.add_table, base.mul_table, base.neg_table, one=2,
+                              validate=False)
+    assert "unity" in agrees_with_cubic(wrong_one).failure.axiom
+
+
+# Products on the additive group of Z2xZ2 (x + y is x XOR y) that break
+# exactly one of the three identities tested on generators
+_ONE_IDENTITY_BROKEN = [
+    ([[0, 0, 0, 0], [0, 1, 1, 1], [0, 2, 2, 2], [0, 3, 3, 3]], "left-distributivity"),
+    ([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 3, 3, 0]], "right-distributivity"),
+    ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 2, 0, 2], [0, 2, 0, 2]], "mul-associativity"),
+]
+
+
+@pytest.mark.parametrize("mul,axiom", _ONE_IDENTITY_BROKEN)
+def test_generator_validator_catches_each_identity(mul, axiom):
+    group = corpus_ring("Z2xZ2")
+    ring = rl.FiniteRing(4, group.add_table, mul, group.neg_table, validate=False)
+    assert agrees_with_cubic(ring).failure.axiom == axiom
+
+
+def test_generator_validator_needs_a_commutative_addition():
+    # the symmetric group on 3 points has a zero and negatives and is
+    # associative, but not commutative; the product is zero
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    add = [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
+    neg = [index[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]
+    ring = rl.FiniteRing(6, add, [[0] * 6] * 6, neg, validate=False)
+    assert agrees_with_cubic(ring).failure.axiom == "add-commutativity"
+
+
+def test_generator_validator_catches_entries_out_of_range():
+    ring = corpus_ring("M2(Z2)")
+    for table in ("add", "mul", "neg"):
+        report = agrees_with_cubic(with_cell(ring, table, (3, 5), ring.order))
+        assert report.failure.axiom == f"{table}-closure"
+
+
+# (ring, table, cell): no element of a cell is in the ring's generating set
+_OFF_GENERATOR_CELLS = [
+    ("M2(Z2)", "mul", (3, 5)),
+    ("M2(Z2)", "mul", (15, 15)),
+    ("M2(Z2)", "add-sym", (3, 5)),
+    ("M2(Z2)", "neg", (6, 6)),
+    ("Z12", "mul", (5, 7)),
+    ("Z12", "add-sym", (5, 7)),
+    ("Z12", "neg", (9, 9)),
+    ("T2(Z4)", "mul", (6, 39)),
+    ("T2(Z4)", "add-sym", (21, 42)),
+    ("Z2xZ4", "mul", (3, 7)),
+]
+
+
+@pytest.mark.parametrize("name,table,cell", _OFF_GENERATOR_CELLS)
+def test_generator_validator_catches_off_generator_corruptions(name, table, cell):
+    ring = corpus_ring(name)
+    assert not set(cell) & set(_additive_generators(ring.add_table, ring.zero))
+    x, y = cell
+    current = {"mul": ring.mul(x, y), "add-sym": ring.add(x, y), "neg": ring.neg(x)}[table]
+    report = agrees_with_cubic(with_cell(ring, table, cell, (current + 1) % ring.order))
+    assert not report.ok
+
+
+@pytest.mark.parametrize("name", [str(spec) for spec in rl.DEFAULT_CORPUS] + [
+    "M3(Z2)", "T2(Z7)", "Triv(Z17)", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"])
+def test_additive_generators_generate_by_left_bracketed_sums(name):
+    ring = rl.build_cached(rl.parse_spec(name))
+    gens = _additive_generators(ring.add_table, ring.zero)
+    assert len(gens) <= ring.order.bit_length() - 1  # |G| <= log2 n
+    reached, todo = {ring.zero}, [ring.zero]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            if ring.add(x, g) not in reached:
+                reached.add(ring.add(x, g))
+                todo.append(ring.add(x, g))
+    assert reached == set(range(ring.order))
+
+
+def test_additive_generators_of_matrix_ring_are_matrix_units():
+    assert _additive_generators(corpus_ring("M2(Z3)").add_table, 0) == [1, 3, 9, 27]
+
+
+def test_additive_generators_give_up_on_a_non_group():
+    # 1 + 1 = 1 + 2 = 2 + 2 = 0: from 0, the sums of 1 and 2 reach {0, 1, 2}
+    # and 3 would be a third generator of a set of 4
+    table = [[0, 1, 2, 3], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0]]
+    assert _additive_generators(table, 0) is None
 
 
 def test_sub_matches_add_neg(corpus):
@@ -169,9 +268,20 @@ def test_index_dtype():
     assert index_dtype(65537) == np.uint32
 
 
+def test_tables_filled_from_closures_are_cached_at_construction():
+    ring = rl.zn_ring(6, validate=False)
+    assert set(ring.cache) == {"add_table", "mul_table", "neg_table"}
+    for name in ("add_table", "mul_table"):
+        assert ring.cache[name].dtype == np.uint16
+        assert ring.cache[name].reshape(6, 6).tolist() == getattr(ring, name)
+    assert ring.cache["neg_table"].tolist() == ring.neg_table
+
+
 def test_table_copy_is_made_on_first_use():
-    ring = rl.zn_ring(6)
-    assert not {"add_table", "mul_table", "neg_table"} & set(ring.cache)
+    base = rl.zn_ring(6)
+    ring = rl.FiniteRing(6, base.add_table, base.mul_table, base.neg_table, one=1,
+                         validate=False)
+    assert not ring.cache
     assert ring.mul_vec(np.array([2, 3]), np.array([3, 5])).tolist() == [0, 3]
     assert set(ring.cache) == {"mul_table"}
     assert ring.cache["mul_table"].dtype == np.uint16

@@ -151,3 +151,13 @@ def test_koti_builds_each_matrix_ring_at_most_once(monkeypatch):
     check = hn.run_check("P_KOTI", [rl.Zn(2), rl.Zn(3), rl.Zn(6)])
     assert check.status == "pass"
     assert all(count <= 1 for count in calls.values()), calls
+
+
+@pytest.mark.parametrize("check_id", ["P_NILIDEAL", "P_RADIKAL", "P_EXPIREG"])
+def test_derived_rings_are_built_once(monkeypatch, check_id):
+    corpus = [rl.Zn(12), rl.Triangular(2, rl.Zn(2)), rl.IdealRing(rl.Zn(4), (2,))]
+    first = hn.run_check(check_id, corpus)
+    calls = {name: _count_calls(monkeypatch, name) for name in ("quotient", "ideal_subring")}
+    second = hn.run_check(check_id, corpus)
+    assert (first.status, first.detail) == (second.status, second.detail)
+    assert calls == {"quotient": {}, "ideal_subring": {}}

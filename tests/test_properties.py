@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as hs
 import ringlab as rl
 
 import oracles
-from conftest import lazy_rings, vector_mismatches
+from conftest import agrees_with_cubic, lazy_rings, vector_mismatches, with_cell
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -82,6 +82,18 @@ def test_vector_ops_match_scalar_on_generated_specs(spec, data):
     pairs = data.draw(hs.lists(hs.tuples(idx, idx), min_size=1, max_size=20))
     xs, ys = (np.array(side) for side in zip(*pairs))
     assert vector_mismatches(ring, xs, ys) == []
+
+
+# --- axiom validation ------------------------------------------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(name=hs.sampled_from([n for n in _RING_NAMES if _ring(n).order <= 16]),
+       table=hs.sampled_from(("add", "add-sym", "mul", "neg")), data=hs.data())
+def test_generator_validator_matches_cubic_on_one_cell_corruptions(name, table, data):
+    ring = _ring(name)
+    idx = hs.integers(0, ring.order - 1)
+    agrees_with_cubic(with_cell(ring, table, (data.draw(idx), data.draw(idx)), data.draw(idx)))
 
 
 # --- arithmetic identities -----------------------------------------------------
