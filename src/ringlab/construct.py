@@ -541,10 +541,9 @@ def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None,
     label = f"Op({ring.label})"
     if ring.mul_table is not None:
         n = ring.order
-        mt = ring.mul_table
-        mul_t = [[mt[b][a] for b in range(n)] for a in range(n)]
-        return FiniteRing(n, [row[:] for row in ring.add_table], mul_t,
-                          list(ring.neg_table), zero=ring.zero, one=ring.one,
+        return FiniteRing(n, ring._flat_table("add_table").reshape(n, n),
+                          ring._flat_table("mul_table").reshape(n, n).T,
+                          ring._flat_table("neg_table"), zero=ring.zero, one=ring.one,
                           spec=spec, label=label, element_label=ring.element_label,
                           meta={"kind": "opposite", "base": ring}, validate=validate)
     mul, mul_vec = ring.mul, ring.mul_vec
@@ -565,31 +564,32 @@ def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = Non
     indices is kept on the result as ``members``.
     """
     mem = sorted(set(members))
-    index_of = {m: i for i, m in enumerate(mem)}
-    if parent.zero not in index_of:
+    idx = np.array(mem, dtype=np.int64)
+    index_of = np.full(parent.order, -1, dtype=np.int64)
+    index_of[idx] = np.arange(len(mem))
+    if index_of[parent.zero] < 0:
         raise ValueError("subring must contain zero")
-    padd, pmul, pneg = parent.add, parent.mul, parent.neg
-    for a in mem:
-        if pneg(a) not in index_of:
-            raise ValueError(f"subset not closed under negation at {a}")
-        for b in mem:
-            if padd(a, b) not in index_of:
-                raise ValueError(f"subset not closed under addition at ({a}, {b})")
-            if pmul(a, b) not in index_of:
-                raise ValueError(f"subset not closed under multiplication at ({a}, {b})")
-    add_t = [[index_of[padd(a, b)] for b in mem] for a in mem]
-    mul_t = [[index_of[pmul(a, b)] for b in mem] for a in mem]
-    neg_t = [index_of[pneg(a)] for a in mem]
+    add_t = index_of[parent.add_vec(idx[:, None], idx)]
+    mul_p = parent.mul_vec(idx[:, None], idx)
+    mul_t = index_of[mul_p]
+    neg_t = index_of[parent.neg_vec(idx)]
+    if min(neg_t.min(), add_t.min(), mul_t.min()) < 0:
+        bad_neg, bad_add, bad_mul = neg_t < 0, add_t < 0, mul_t < 0
+        i = int((bad_neg | bad_add.any(axis=1) | bad_mul.any(axis=1)).argmax())
+        if bad_neg[i]:
+            raise ValueError(f"subset not closed under negation at {mem[i]}")
+        j = int((bad_add[i] | bad_mul[i]).argmax())
+        op = "addition" if bad_add[i, j] else "multiplication"
+        raise ValueError(f"subset not closed under {op} at ({mem[i]}, {mem[j]})")
     if one is None and detect_one:
-        for u in mem:
-            if all(pmul(u, m) == m and pmul(m, u) == m for m in mem):
-                one = u
-                break
-    elif one is not None and one not in index_of:
+        unity = (mul_p == idx).all(axis=1) & (mul_p == idx[:, None]).all(axis=0)
+        if unity.any():
+            one = mem[int(unity.argmax())]
+    elif one is not None and not (0 <= one < parent.order and index_of[one] >= 0):
         raise ValueError("designated unity is not a member")
     ring = FiniteRing(len(mem), add_t, mul_t, neg_t,
-                      zero=index_of[parent.zero],
-                      one=index_of[one] if one is not None else None,
+                      zero=int(index_of[parent.zero]),
+                      one=int(index_of[one]) if one is not None else None,
                       spec=spec,
                       label=label or f"Sub({parent.label})",
                       element_label=lambda i, _m=tuple(mem): parent.element_label(_m[i]),
@@ -650,13 +650,13 @@ def quotient(parent: FiniteRing, ideal, spec: Optional[RingSpec] = None,
         reps.append(x)
         for i in ideal.members:
             proj[padd(x, i)] = qi
-    k = len(reps)
-    pmul, pneg = parent.mul, parent.neg
-    add_t = [[proj[padd(reps[a], reps[b])] for b in range(k)] for a in range(k)]
-    mul_t = [[proj[pmul(reps[a], reps[b])] for b in range(k)] for a in range(k)]
-    neg_t = [proj[pneg(reps[a])] for a in range(k)]
+    cosets = np.array(proj, dtype=np.int64)
+    rep = np.array(reps, dtype=np.int64)
+    add_t = cosets[parent.add_vec(rep[:, None], rep)]
+    mul_t = cosets[parent.mul_vec(rep[:, None], rep)]
+    neg_t = cosets[parent.neg_vec(rep)]
     one = proj[parent.one] if parent.unital else None
-    ring = FiniteRing(k, add_t, mul_t, neg_t, zero=proj[parent.zero], one=one,
+    ring = FiniteRing(len(reps), add_t, mul_t, neg_t, zero=proj[parent.zero], one=one,
                       spec=spec, label=f"{parent.label}/I{len(ideal.members)}",
                       element_label=lambda i, _r=tuple(reps): f"[{parent.element_label(_r[i])}]",
                       meta={"kind": "quotient", "base": parent,

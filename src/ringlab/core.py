@@ -58,12 +58,16 @@ class AxiomReport:
         return "ok" if self.ok else str(self.failure)
 
 
-TableLike = Union[Callable[[int, int], int], Sequence[Sequence[int]]]
+TableLike = Union[Callable[[int, int], int], Sequence[Sequence[int]], np.ndarray]
 
 
 def _as_table(op: TableLike, order: int) -> Optional[list[list[int]]]:
     if callable(op):
         return None
+    if isinstance(op, np.ndarray):
+        if op.shape != (order, order):
+            raise ValueError(f"table must be {order}x{order}")
+        return op.tolist()
     table = [list(row) for row in op]
     if len(table) != order or any(len(row) != order for row in table):
         raise ValueError(f"table must be {order}x{order}")
@@ -82,8 +86,9 @@ class FiniteRing:
     A table given as closures is filled by the vector form of the operation
     over all pairs at once (in row blocks of at most ``_FILL_CHUNK`` pairs);
     the flat numpy result stays in ``cache`` under the table's name and the
-    list form is its ``tolist()``. A table given as a list is copied to numpy
-    on first use.
+    list form is its ``tolist()``. A table given as a numpy array is kept the
+    same way, flattened; a table given as a list is copied to numpy on first
+    use.
 
     ``add_vec``, ``mul_vec``, ``neg_vec`` and ``sub_vec`` are the same
     operations on integer index arrays of one shape. A tabled ring gathers
@@ -96,7 +101,7 @@ class FiniteRing:
         order: int,
         add: TableLike,
         mul: TableLike,
-        neg: Union[Callable[[int], int], Sequence[int]],
+        neg: Union[Callable[[int], int], Sequence[int], np.ndarray],
         zero: int = 0,
         one: Optional[int] = None,
         spec=None,
@@ -122,7 +127,12 @@ class FiniteRing:
 
         add_table = _as_table(add, order)
         mul_table = _as_table(mul, order)
-        neg_table = None if callable(neg) else list(neg)
+        neg_table = (None if callable(neg)
+                     else neg.tolist() if isinstance(neg, np.ndarray) else list(neg))
+        for name, given in (("add_table", add), ("mul_table", mul), ("neg_table", neg)):
+            if isinstance(given, np.ndarray):
+                self.cache[name] = np.ascontiguousarray(
+                    given, dtype=index_dtype(order)).ravel()
 
         if order <= table_cap:
             dtype = index_dtype(order)

@@ -28,6 +28,11 @@ from . import kernel
 # trajectory-based constructions only.
 BRUTE_ORDER_LIMIT = 256
 
+# From this order on, the ring-level wncl, uniqueness and exchange verdicts
+# read the array passes of kernel; below it one numpy call costs more than
+# the element-by-element scalar search.
+PASS_MIN_ORDER = 32
+
 
 @dataclass(frozen=True)
 class WnclWitness:
@@ -561,7 +566,7 @@ def lift_idempotent(ring: FiniteRing, ideal: st.Ideal, x: int,
     """
     if not st.is_nil_ideal(ring, ideal):
         raise WitnessError("ideal is not nil")
-    members = set(ideal.members)
+    members = ideal.member_set
     mul, sub, add = ring.mul, ring.sub, ring.add
     defect = sub(mul(x, x), x)
     if defect not in members:
@@ -767,12 +772,15 @@ def unique_nilpotent_wncl(ring: FiniteRing, a: int,
                           ) -> Tuple[int, List[WnclWitness]]:
     """Count distinct nilpotents over all valid primal triples for a."""
     sub = ring.sub
-    maps = [(e, _exa_value_map(ring, e, a)) for e in st.idempotents(ring)]
+    idems = st.idempotents(ring)
+    maps: Dict[int, Dict[int, int]] = {}
     count = 0
     samples: List[WnclWitness] = []
     for q in st.nilpotents(ring):
-        for e, exa in maps:
-            x = exa.get(sub(sub(a, e), q))
+        for e in idems:
+            if e not in maps:
+                maps[e] = _exa_value_map(ring, e, a)
+            x = maps[e].get(sub(sub(a, e), q))
             if x is not None:
                 count += 1
                 samples.append(WnclWitness(e, q, x, "primal"))
@@ -798,6 +806,23 @@ def _large_ring_verdict(ring: FiniteRing, name: str, scalar_chain) -> bool:
                        f"{ring.label} but the scalar chain passed")
 
 
+def _pass_verdict(ring: FiniteRing, name: str, bad, scalar_passes) -> bool:
+    """True when a kernel pass flags no element; otherwise the scalar search
+    is replayed on the smallest flagged element: the verdict is False when
+    the scalar search fails there too, and a WitnessError when it passes."""
+    if not bad.any():
+        return True
+    a = int(bad.argmax())
+    if not scalar_passes(a):
+        return False
+    raise WitnessError(f"batched {name} pass failed at element {a} of "
+                       f"{ring.label} but the scalar search passed")
+
+
+def _wncl_pass(ring: FiniteRing):
+    return kernel.wncl_pass(ring, st.idempotents(ring), st.nilpotents(ring))
+
+
 def _ring_cached(ring: FiniteRing, name: str, fn):
     key = ("ring_verdict", name)
     if key not in ring.cache:
@@ -806,13 +831,20 @@ def _ring_cached(ring: FiniteRing, name: str, fn):
 
 
 def ring_weakly_nil_clean(ring: FiniteRing) -> bool:
-    """Every element has a primal witness. Large rings use the constructive
+    """Every element has a primal witness. From PASS_MIN_ORDER on, the
+    witnesses come from one array pass (kernel.wncl_pass), unless every
+    element's witness is memoized already. Large rings use the constructive
     route through pi-regularity, checked on every element in one batched
     pass (see kernel)."""
     def compute():
-        if ring.order <= BRUTE_ORDER_LIMIT:
-            return all(wncl_witness(ring, a) is not None
-                       for a in range(ring.order))
+        n = ring.order
+        if n <= BRUTE_ORDER_LIMIT:
+            if n < PASS_MIN_ORDER or all(("wncl_witness", a) in ring.cache
+                                         for a in range(n)):
+                return all(wncl_witness(ring, a) is not None for a in range(n))
+            found = _wncl_pass(ring)
+            return _pass_verdict(ring, "wncl", ~found["checked"],
+                                 lambda a: wncl_witness(ring, a) is not None)
         ring.require_unital("large-ring weakly nil clean verdict")
         return _large_ring_verdict(ring, "wncl", lambda a: wncl_from_pi_regular(
             ring, a, pi_regular_witness_fast(ring, a)))
@@ -830,8 +862,15 @@ def ring_clean(ring: FiniteRing) -> bool:
 
 
 def ring_exchange(ring: FiniteRing) -> bool:
-    return _ring_cached(ring, "exchange", lambda: all(
-        exchange_witness(ring, a) is not None for a in range(ring.order)))
+    def compute():
+        if ring.order < PASS_MIN_ORDER:
+            return all(exchange_witness(ring, a) is not None
+                       for a in range(ring.order))
+        ring.require_unital("exchange search")
+        found = kernel.exchange_pass(ring, st.idempotents(ring))
+        return _pass_verdict(ring, "exchange", ~found["checked"],
+                             lambda a: exchange_witness(ring, a) is not None)
+    return _ring_cached(ring, "exchange", compute)
 
 
 def ring_pi_regular(ring: FiniteRing) -> bool:
@@ -866,16 +905,26 @@ def ring_strongly_regular(ring: FiniteRing) -> bool:
         for a in range(ring.order)))
 
 
+def _unique_verdict(ring: FiniteRing, name: str, count) -> bool:
+    """Every element has exactly one distinct idempotent (name "idempotents",
+    count unique_idempotent_wncl) or nilpotent (name "nilpotents", count
+    unique_nilpotent_wncl) over its primal triples."""
+    if ring.order < PASS_MIN_ORDER:
+        return all(count(ring, a, limit=2)[0] == 1 for a in range(ring.order))
+    found = _wncl_pass(ring)
+    return _pass_verdict(ring, f"{name} uniqueness",
+                         (found[name] != 1) | ~found["checked"],
+                         lambda a: count(ring, a, limit=2)[0] == 1)
+
+
 def ring_unique_idempotent(ring: FiniteRing) -> bool:
-    return _ring_cached(ring, "unique_idempotent", lambda: all(
-        unique_idempotent_wncl(ring, a, limit=2)[0] == 1
-        for a in range(ring.order)))
+    return _ring_cached(ring, "unique_idempotent", lambda: _unique_verdict(
+        ring, "idempotents", unique_idempotent_wncl))
 
 
 def ring_unique_nilpotent(ring: FiniteRing) -> bool:
-    return _ring_cached(ring, "unique_nilpotent", lambda: all(
-        unique_nilpotent_wncl(ring, a, limit=2)[0] == 1
-        for a in range(ring.order)))
+    return _ring_cached(ring, "unique_nilpotent", lambda: _unique_verdict(
+        ring, "nilpotents", unique_nilpotent_wncl))
 
 
 # ---------------------------------------------------------------------------

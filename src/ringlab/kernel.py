@@ -1,16 +1,22 @@
-"""Batched array forms of the trajectory fast paths, for large-ring verdicts.
+"""Batched array forms of the ring-level verdicts.
 
 The ring-level verdicts above the exhaustive-scan limit run the trajectory
 witnesses of ``deciders`` (``pi_regular_witness_fast``,
 ``strong_pi_witness_fast`` or ``strong_pi_core_fast``, and
-``wncl_from_pi_regular``) on every element. The functions here do the same
-work on arrays of elements through the ring's vector operations. Each mirrors
-its scalar counterpart step by step: the same products of the same factors,
+``wncl_from_pi_regular``) on every element. ``first_failures`` does the same
+work on arrays of elements through the ring's vector operations. Each step
+mirrors its scalar counterpart: the same products of the same factors,
 the same identities, the same independent recomputations (a^n by repeated
 squaring, nilpotency by power sequence). A value the scalar code computes
 twice is computed once. Failures come back as boolean arrays of failed rows
 instead of a raised WitnessError; ``deciders`` replays the scalar chain on
 the smallest failing element to raise it.
+
+From ``deciders.PASS_MIN_ORDER`` up to the limit, ``wncl_pass`` and
+``exchange_pass`` do the exhaustive witness searches of ``deciders`` for
+every element at once, over blocks of idempotents and elements, and check
+each witness they find again; ``deciders`` replays the scalar search on the
+smallest element they flag.
 """
 
 from __future__ import annotations
@@ -194,3 +200,131 @@ def first_failures(ring: FiniteRing) -> Dict[str, int]:
                     first[name] = start + int(bad.argmax())
         ring.cache[key] = first
     return ring.cache[key]
+
+
+# ---------------------------------------------------------------------------
+# small-ring passes over idempotents
+
+# Cells (idempotent, x, element) per block of wncl_pass, and (r, element)
+# per block of exchange_pass. It bounds the products, membership masks and
+# differences of one block to a few megabytes.
+_PASS_CELLS = 1 << 18
+
+
+def wncl_pass(ring: FiniteRing, idems, nils) -> Dict[str, np.ndarray]:
+    """The primal weakly nil clean triples (e, q, x) of every element a, with
+    e from idems and q from nils: a - e - q = (e*x)*a.
+
+    Returns arrays indexed by element: "e", "q", "x", the first triple of
+    deciders.wncl_witness in its lexicographic order (e, q, then the smallest
+    x), or -1 where there is none; "checked", that a first triple exists and
+    passes e*e = e, q nilpotent and a - e - q = e*x*a, recomputed from the
+    ring's operations; "idempotents" and "nilpotents", how many of idems and
+    of nils occur in some triple of a (the counts of
+    deciders.unique_idempotent_wncl and unique_nilpotent_wncl without a
+    limit). Cached on the ring.
+
+    One pass over blocks of (idempotent, x, element) cells: gather
+    (e*x)*a over the distinct values of e*x, scatter the membership masks of
+    eRa, and look up a - e - q in them for every q."""
+    key = ("wncl_pass",)
+    if key in ring.cache:
+        return ring.cache[key]
+    mul, sub = ring.mul_vec, ring.sub_vec
+    n = ring.order
+    E = np.asarray(idems, dtype=np.int64)
+    Q = np.asarray(nils, dtype=np.int64)
+    X = np.arange(n, dtype=np.int64)
+    first = {name: np.full(n, -1, dtype=np.int64) for name in "eqx"}
+    e_count = np.zeros(n, dtype=np.int64)
+    q_seen = np.zeros((len(Q), n), dtype=bool)
+    width = min(n, max(1, _PASS_CELLS // n))
+    for a0 in range(0, n, width):
+        A = X[a0:a0 + width]
+        depth = max(1, _PASS_CELLS // (n * len(A)))
+        for e0 in range(0, len(E), depth):
+            Eb = E[e0:e0 + depth]
+            # eR as pairs (row of e in Eb, value w = e*x), rows ascending
+            eR = np.zeros((len(Eb), n), dtype=bool)
+            eR[np.arange(len(Eb))[:, None], mul(Eb[:, None], X)] = True
+            i, w = np.nonzero(eR)
+            # member[e, a, v] is True when v = w*a for some w in eR
+            rows = (np.arange(len(Eb))[:, None] * len(A) + np.arange(len(A))) * n
+            member = np.zeros(len(Eb) * len(A) * n, dtype=bool)
+            member[rows[i] + mul(w[:, None], A)] = True
+            D = sub(sub(A, Eb[:, None])[:, :, None], Q)  # (e, a, q)
+            W = member[rows[:, :, None] + D]
+            admit = W.any(axis=2)
+            e_count[A] += admit.sum(axis=0)
+            q_seen[:, A] |= W.any(axis=0).T
+            js = np.flatnonzero((first["e"][A] < 0) & admit.any(axis=0))
+            if js.size:
+                i = admit[:, js].argmax(axis=0)
+                k = W[i, js].argmax(axis=1)
+                exa = mul(mul(Eb[i, None], X), A[js, None])
+                first["e"][A[js]] = Eb[i]
+                first["q"][A[js]] = Q[k]
+                first["x"][A[js]] = (exa == D[i, js, k][:, None]).argmax(axis=1)
+    found = np.flatnonzero(first["e"] >= 0)
+    e, q, x = (first[name][found] for name in "eqx")
+    nilpotent = np.zeros(n, dtype=bool)
+    nilpotent[q] = True
+    qs = np.flatnonzero(nilpotent)
+    nilpotent[qs] = nil_index(ring, qs) != 0
+    checked = np.zeros(n, dtype=bool)
+    checked[found] = ((mul(e, e) == e) & nilpotent[q]
+                      & (sub(sub(found, e), q) == mul(mul(e, x), found)))
+    out = dict(first, checked=checked, idempotents=e_count,
+               nilpotents=q_seen.sum(axis=0))
+    ring.cache[key] = out
+    return out
+
+
+def exchange_pass(ring: FiniteRing, idems) -> Dict[str, np.ndarray]:
+    """The exchange triples (e, r, s) of every element a of a unital ring,
+    with e from idems: e = r*a and 1 - e = s*(1 - a).
+
+    Returns arrays indexed by element: "e", "r", "s", the first triple of
+    deciders.exchange_witness (the first e in idems order, then the smallest
+    r and s), or -1 where there is none, and "checked", that it passes
+    e*e = e, r*a = e and s*(1 - a) = 1 - e, recomputed from the ring's
+    operations. Cached on the ring.
+
+    One pass over blocks of elements: gather r*a and r*(1 - a) for every r,
+    scatter the membership masks of Ra and R(1 - a), and read them at e and
+    1 - e for every idempotent."""
+    key = ("exchange_pass",)
+    if key in ring.cache:
+        return ring.cache[key]
+    mul, sub = ring.mul_vec, ring.sub_vec
+    n = ring.order
+    E = np.asarray(idems, dtype=np.int64)
+    X = np.arange(n, dtype=np.int64)
+    F = sub(np.full(len(E), ring.one, dtype=np.int64), E)
+    first = {name: np.full(n, -1, dtype=np.int64) for name in "ers"}
+    width = min(n, max(1, _PASS_CELLS // n))
+    for a0 in range(0, n, width):
+        A = X[a0:a0 + width]
+        rows = np.arange(len(A))
+        RA = mul(X[:, None], A)  # (r, a)
+        RB = mul(X[:, None], sub(np.full(len(A), ring.one, dtype=np.int64), A))
+        in_ra = np.zeros((len(A), n), dtype=bool)
+        in_rb = np.zeros((len(A), n), dtype=bool)
+        in_ra[rows, RA] = True
+        in_rb[rows, RB] = True
+        ok = in_ra[:, E] & in_rb[:, F]  # (a, e)
+        js = np.flatnonzero(ok.any(axis=1))
+        if js.size:
+            i = ok[js].argmax(axis=1)
+            first["e"][A[js]] = E[i]
+            first["r"][A[js]] = (RA[:, js] == E[i]).argmax(axis=0)
+            first["s"][A[js]] = (RB[:, js] == F[i]).argmax(axis=0)
+    found = np.flatnonzero(first["e"] >= 0)
+    e, r, s = (first[name][found] for name in "ers")
+    one = np.full(len(found), ring.one, dtype=np.int64)
+    checked = np.zeros(n, dtype=bool)
+    checked[found] = ((mul(e, e) == e) & (mul(r, found) == e)
+                      & (mul(s, sub(one, found)) == sub(one, e)))
+    out = dict(first, checked=checked)
+    ring.cache[key] = out
+    return out

@@ -5,7 +5,10 @@ against the same ring object are cheap."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .core import FiniteRing, nil_index_of
 
@@ -21,29 +24,37 @@ class Ideal:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def member_set(self) -> frozenset:
+        return frozenset(self.members)
+
     def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
+        return x in self.member_set
 
 
 def make_ideal(ring: FiniteRing, members: Iterable[int],
                generators: Sequence[int] = ()) -> Ideal:
     """Validate that a subset is a two-sided ideal and wrap it."""
     mem = sorted(set(members))
-    ms = set(mem)
-    if ring.zero not in ms:
+    idx = np.array(mem, dtype=np.int64)
+    inside = np.zeros(ring.order, dtype=bool)
+    inside[idx] = True
+    if not inside[ring.zero]:
         raise ValueError("ideal must contain zero")
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    for a in mem:
-        if neg(a) not in ms:
-            raise ValueError(f"not closed under negation at {a}")
-        for b in mem:
-            if add(a, b) not in ms:
-                raise ValueError(f"not closed under addition at ({a}, {b})")
-    n = ring.order
-    for a in mem:
-        for r in range(n):
-            if mul(r, a) not in ms or mul(a, r) not in ms:
-                raise ValueError(f"not absorbing at ({r}, {a})")
+    bad_neg = ~inside[ring.neg_vec(idx)]
+    bad_add = ~inside[ring.add_vec(idx[:, None], idx)]
+    bad = bad_neg | bad_add.any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_neg[i]:
+            raise ValueError(f"not closed under negation at {mem[i]}")
+        j = int(bad_add[i].argmax())
+        raise ValueError(f"not closed under addition at ({mem[i]}, {mem[j]})")
+    X = np.arange(ring.order)
+    bad = ~inside[ring.mul_vec(X, idx[:, None])] | ~inside[ring.mul_vec(idx[:, None], X)]
+    if bad.any():
+        i, r = divmod(int(bad.argmax()), ring.order)
+        raise ValueError(f"not absorbing at ({r}, {mem[i]})")
     return Ideal(ring, tuple(mem), tuple(generators))
 
 
@@ -158,11 +169,15 @@ def inverse_map(ring: FiniteRing) -> Dict[int, int]:
 def center(ring: FiniteRing) -> tuple:
     """All elements commuting with the whole ring, ascending."""
     if "center" not in ring.cache:
-        mul = ring.mul
         n = ring.order
-        ring.cache["center"] = tuple(
-            a for a in range(n)
-            if all(mul(a, b) == mul(b, a) for b in range(n)))
+        if ring.mul_table is not None:
+            M = ring._flat_table("mul_table").reshape(n, n)
+            central = np.flatnonzero((M == M.T).all(axis=1)).tolist()
+        else:
+            mul = ring.mul
+            central = [a for a in range(n)
+                       if all(mul(a, b) == mul(b, a) for b in range(n))]
+        ring.cache["center"] = tuple(central)
     return ring.cache["center"]
 
 

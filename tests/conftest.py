@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import construct as ct
+from ringlab import construct as ct, kernel
 from ringlab.core import _axioms_hold, _validate_cubic
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -100,3 +100,67 @@ def agrees_with_cubic(ring: rl.FiniteRing) -> rl.AxiomReport:
     assert _axioms_hold(ring) == expected.ok
     assert rl.validate_axioms(ring) == expected
     return expected
+
+
+def outcome(run):
+    """True, or the type and message of the WitnessError that run raises."""
+    try:
+        return run()
+    except rl.WitnessError as exc:
+        return type(exc), str(exc)
+
+
+def _small_scalar_verdicts(ring):
+    """The ring-level verdicts the small-ring passes serve, as the scalar
+    element-by-element loops."""
+    n = ring.order
+    out = {
+        "weakly_nil_clean": lambda: all(
+            rl.wncl_witness(ring, a) is not None for a in range(n)),
+        "unique_idempotent": lambda: all(
+            rl.unique_idempotent_wncl(ring, a, limit=2)[0] == 1 for a in range(n)),
+        "unique_nilpotent": lambda: all(
+            rl.unique_nilpotent_wncl(ring, a, limit=2)[0] == 1 for a in range(n)),
+    }
+    if ring.unital:
+        out["exchange"] = lambda: all(
+            rl.exchange_witness(ring, a) is not None for a in range(n))
+    return out
+
+
+SMALL_BATCHED = {
+    "weakly_nil_clean": rl.ring_weakly_nil_clean,
+    "unique_idempotent": rl.ring_unique_idempotent,
+    "unique_nilpotent": rl.ring_unique_nilpotent,
+    "exchange": rl.ring_exchange,
+}
+
+
+def assert_passes_match_scalar(ring):
+    """kernel.wncl_pass and kernel.exchange_pass equal the scalar searches
+    element by element: first witnesses, checks and counts."""
+    found = kernel.wncl_pass(ring, rl.idempotents(ring), rl.nilpotents(ring))
+    for a in range(ring.order):
+        w = rl.wncl_witness(ring, a)
+        got = tuple(int(found[k][a]) for k in "eqx")
+        assert got == ((w.e, w.q, w.x) if w else (-1, -1, -1)), (ring.label, a)
+        assert found["checked"][a] == (w is not None), (ring.label, a)
+        assert found["idempotents"][a] == rl.unique_idempotent_wncl(ring, a)[0], a
+        assert found["nilpotents"][a] == rl.unique_nilpotent_wncl(ring, a)[0], a
+    if ring.unital:
+        found = kernel.exchange_pass(ring, rl.idempotents(ring))
+        for a in range(ring.order):
+            w = rl.exchange_witness(ring, a)
+            got = tuple(int(found[k][a]) for k in "ers")
+            assert got == ((w.e, w.r, w.s) if w else (-1, -1, -1)), (ring.label, a)
+            assert found["checked"][a] == (w is not None), (ring.label, a)
+
+
+def assert_small_verdicts_match_scalar(make):
+    """The four ring-level verdicts of a ring from make() equal the scalar
+    loops on another ring from make(), or raise the same WitnessError."""
+    ring = make()
+    scalar = {prop: outcome(run) for prop, run in _small_scalar_verdicts(make()).items()}
+    for prop, expected in scalar.items():
+        assert outcome(lambda: SMALL_BATCHED[prop](ring)) == expected, prop
+    return scalar

@@ -1,5 +1,6 @@
 """Ring constructors, spec algebra, digit packing, and the order cap."""
 
+import numpy as np
 import pytest
 
 import ringlab as rl
@@ -332,3 +333,93 @@ def test_filled_tables_match_scalar_closures(name):
     assert [ring.add_table[x][y] for x, y in pairs] == [lazy.add(x, y) for x, y in pairs]
     assert [ring.mul_table[x][y] for x, y in pairs] == [lazy.mul(x, y) for x, y in pairs]
     assert ring.neg_table == [lazy.neg(x) for x in range(n)]
+
+
+# --- derived-ring tables against the scalar construction ---------------------------
+
+
+def _scalar_subring(parent, members, detect_one=False):
+    """Tables, detected unity and first closure error of a subring, built
+    pair by pair through the parent's scalar operations."""
+    mem = sorted(set(members))
+    index_of = {m: i for i, m in enumerate(mem)}
+    for a in mem:
+        if parent.neg(a) not in index_of:
+            return f"subset not closed under negation at {a}"
+        for b in mem:
+            if parent.add(a, b) not in index_of:
+                return f"subset not closed under addition at ({a}, {b})"
+            if parent.mul(a, b) not in index_of:
+                return f"subset not closed under multiplication at ({a}, {b})"
+    one = None
+    if detect_one:
+        one = next((index_of[u] for u in mem if all(
+            parent.mul(u, m) == m and parent.mul(m, u) == m for m in mem)), None)
+    return ([[index_of[parent.add(a, b)] for b in mem] for a in mem],
+            [[index_of[parent.mul(a, b)] for b in mem] for a in mem],
+            [index_of[parent.neg(a)] for a in mem], one)
+
+
+def _subring_outcome(parent, members, detect_one=False):
+    try:
+        sub = rl.subring(parent, members, detect_one=detect_one, validate=False)
+    except ValueError as exc:
+        return str(exc)
+    assert sub.members == tuple(sorted(set(members)))
+    for name in ("add_table", "mul_table", "neg_table"):
+        assert sub._flat_table(name).tolist() == np.ravel(getattr(sub, name)).tolist()
+    return sub.add_table, sub.mul_table, sub.neg_table, sub.one
+
+
+def test_subring_tables_match_the_scalar_construction(corpus):
+    draw = np.random.default_rng(5)
+    errors = set()
+    for name, ring in corpus.items():
+        if ring.order > 81:
+            continue
+        subsets = [rl.center(ring)]
+        subsets += [rl.ideal_generated(ring, (x,)).members for x in range(0, ring.order, 3)]
+        if ring.unital:
+            subsets += [sorted({ring.mul(ring.mul(e, r), e) for r in range(ring.order)})
+                        for e in rl.idempotents(ring)]
+        # random subsets with zero, most of them not closed
+        subsets += [[ring.zero] + draw.integers(0, ring.order, size).tolist()
+                    for size in (1, 2, 3, ring.order // 2)]
+        if name == "M2(Z2)":  # an additive subgroup not closed under products
+            subsets.append([ring.zero, rl.ring_pack(ring, (0, 1, 1, 0))])
+        for members in subsets:
+            for detect in (False, True):
+                expected = _scalar_subring(ring, members, detect)
+                assert _subring_outcome(ring, members, detect) == expected, (name, members)
+                if isinstance(expected, str):
+                    errors.add(expected.split(" at ")[0])
+    assert errors == {f"subset not closed under {op}"
+                      for op in ("negation", "addition", "multiplication")}
+
+
+def test_subring_of_a_lazy_parent_matches_the_scalar_construction():
+    spec = rl.parse_spec("M2(Z3)")
+    with lazy_rings():
+        lazy = rl.build(spec)
+    assert lazy.mul_table is None
+    tabled = rl.build_cached(spec)
+    for e in rl.idempotents(tabled):
+        members = sorted({tabled.mul(tabled.mul(e, r), e) for r in range(tabled.order)})
+        assert _subring_outcome(lazy, members, True) == _scalar_subring(tabled, members, True)
+
+
+def test_opposite_and_quotient_tables_match_the_scalar_construction(corpus):
+    for name, ring in list(corpus.items()) + [("M3(Z2)", rl.build_cached(rl.parse_spec("M3(Z2)")))]:
+        n = ring.order
+        op = rl.opposite(ring)
+        assert op.mul_table == [[ring.mul(b, a) for b in range(n)] for a in range(n)], name
+        assert op.add_table == ring.add_table and op.neg_table == ring.neg_table, name
+        assert op.cache["mul_table"].tolist() == np.ravel(op.mul_table).tolist(), name
+        if n > 64:
+            continue
+        for x in range(n):
+            q, proj = rl.quotient(ring, rl.ideal_generated(ring, (x,)))
+            reps = q.reps
+            assert q.add_table == [[proj[ring.add(a, b)] for b in reps] for a in reps]
+            assert q.mul_table == [[proj[ring.mul(a, b)] for b in reps] for a in reps]
+            assert q.neg_table == [proj[ring.neg(a)] for a in reps]

@@ -1,13 +1,19 @@
 """Witness searches, checkers, constructive operations, and ring verdicts."""
 
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import kernel
+from ringlab import deciders as dc, kernel
 from ringlab.deciders import strong_pi_core, strong_pi_core_left, strong_pi_core_fast
 
 import oracles
+from conftest import (SMALL_BATCHED, assert_passes_match_scalar,
+                      assert_small_verdicts_match_scalar, with_cell)
+from conftest import outcome as _outcome
 
 SMALL = ["Z2", "Z3", "Z4", "Z6", "Z8", "Z12", "Z2xZ2", "Z2xZ4", "Triv(Z2)",
          "Z2[x]/(x^2)", "T2(Z2)", "M2(Z2)"]
@@ -508,14 +514,6 @@ def test_implication_lattice(corpus):
 # --- batched large-ring verdicts ---------------------------------------------------
 
 
-def _outcome(run):
-    """True, or the type and message of the WitnessError that run raises."""
-    try:
-        return run()
-    except rl.WitnessError as exc:
-        return type(exc), str(exc)
-
-
 def _scalar_verdicts(ring):
     """The three large-ring verdicts as element-by-element loops over the
     scalar trajectory witnesses and constructions."""
@@ -611,3 +609,96 @@ def test_corrupted_product_raises_the_scalar_error(pair, value):
     assert any(outcome is not True for outcome in scalar.values())
     for prop, expected in scalar.items():
         assert _outcome(lambda: _BATCHED[prop](ring)) == expected, prop
+
+
+# --- batched small-ring passes ----------------------------------------------------
+
+
+# the default corpus, the census small band and rings on both sides of
+# PASS_MIN_ORDER, unital or not
+_PASS_RINGS = [str(spec) for spec in rl.DEFAULT_CORPUS] + [
+    "Z2xZ2xZ2xZ2xZ2xZ2", "Z2[x]/(x^6)", "Triv(Z16)", "Z2xZ2xZ2xZ2", "Z16",
+    "Z2xZ2xZ2xZ2xZ2", "Z32", "Z3xZ9", "Ideal(Z4,2)xZ16"]
+
+
+@pytest.mark.parametrize("name", _PASS_RINGS)
+def test_small_ring_passes_equal_the_scalar_searches(name):
+    spec = rl.parse_spec(name)
+    assert_passes_match_scalar(rl.build(spec))
+    assert_small_verdicts_match_scalar(lambda: rl.build(spec))
+
+
+# (ring, product cell, value): unvalidated one-cell corruptions at or above
+# PASS_MIN_ORDER, which turn some verdicts False and leave others True
+_SMALL_CORRUPTIONS = [
+    ("Z2xZ2xZ2xZ2xZ2", (14, 14), 29),
+    ("Z2xZ2xZ2xZ2xZ2", (1, 1), 0),
+    ("Z2xZ2xZ2xZ2xZ2", (8, 4), 16),
+    ("T2(Z4)", (9, 9), 39),
+    ("Z32", (16, 4), 28),
+    ("Z32", (5, 26), 7),
+]
+
+
+@pytest.mark.parametrize("name,cell,value", _SMALL_CORRUPTIONS)
+def test_corrupted_small_ring_gets_the_scalar_verdicts(name, cell, value):
+    base = rl.build_cached(rl.parse_spec(name))
+    assert base.order >= dc.PASS_MIN_ORDER
+    scalar = assert_small_verdicts_match_scalar(
+        lambda: with_cell(base, "mul", cell, value))
+    assert False in scalar.values()
+
+
+def test_pass_disagreeing_with_the_scalar_search_raises():
+    ring = rl.build(rl.parse_spec("Z2xZ2xZ2xZ2xZ2"))
+    found = kernel.wncl_pass(ring, rl.idempotents(ring), rl.nilpotents(ring))
+    found["checked"][5] = False
+    found["idempotents"][7] = 2
+    with pytest.raises(rl.WitnessError, match="batched wncl pass failed at element 5"):
+        rl.ring_weakly_nil_clean(ring)
+    with pytest.raises(rl.WitnessError, match="idempotents uniqueness pass failed at "
+                                              "element 5"):
+        rl.ring_unique_idempotent(ring)
+    found = kernel.exchange_pass(ring, rl.idempotents(ring))
+    found["checked"][3] = False
+    with pytest.raises(rl.WitnessError, match="exchange pass failed at element 3"):
+        rl.ring_exchange(ring)
+
+
+def test_memoized_witnesses_decide_wncl_without_the_pass():
+    ring = rl.build(rl.parse_spec("T2(Z4)"))
+    for a in range(ring.order):
+        rl.wncl_witness(ring, a)
+    with mock.patch.object(kernel, "wncl_pass") as wncl_pass:
+        assert rl.ring_weakly_nil_clean(ring) is True
+    wncl_pass.assert_not_called()
+    fresh = rl.build(rl.parse_spec("T2(Z4)"))
+    assert rl.ring_weakly_nil_clean(fresh) is True
+    assert ("wncl_pass",) in fresh.cache
+
+
+def test_tiny_rings_keep_the_scalar_loops():
+    ring = rl.build(rl.parse_spec("M2(Z2)"))
+    assert ring.order < dc.PASS_MIN_ORDER
+    with mock.patch.object(kernel, "wncl_pass") as wncl_pass, \
+            mock.patch.object(kernel, "exchange_pass") as exchange_pass:
+        for verdict in SMALL_BATCHED.values():
+            verdict(ring)
+    wncl_pass.assert_not_called()
+    exchange_pass.assert_not_called()
+
+
+def test_unique_nilpotent_count_builds_each_map_on_first_use():
+    ring = rl.build_cached(rl.parse_spec("Z2xZ2xZ2xZ2"))
+    with mock.patch.object(dc, "_exa_value_map", wraps=dc._exa_value_map) as exa:
+        count, samples = rl.unique_nilpotent_wncl(ring, 0, limit=1)
+    assert (count, samples) == (1, [rl.WnclWitness(0, 0, 0, "primal")])
+    assert exa.call_count == 1
+
+
+def test_classify_z2_to_the_8_stays_fast():
+    t0 = time.perf_counter()
+    report = rl.classify(rl.build(rl.parse_spec("Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2")))
+    elapsed = time.perf_counter() - t0
+    assert all(report.properties.values())
+    assert elapsed < 3.0, f"took {elapsed:.2f}s"

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as hs
 import ringlab as rl
 
 import oracles
-from conftest import agrees_with_cubic, lazy_rings, vector_mismatches, with_cell
+from conftest import (agrees_with_cubic, assert_passes_match_scalar,
+                      assert_small_verdicts_match_scalar, lazy_rings, vector_mismatches,
+                      with_cell)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -82,6 +84,27 @@ def test_vector_ops_match_scalar_on_generated_specs(spec, data):
     pairs = data.draw(hs.lists(hs.tuples(idx, idx), min_size=1, max_size=20))
     xs, ys = (np.array(side) for side in zip(*pairs))
     assert vector_mismatches(ring, xs, ys) == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(spec=_specs)
+def test_small_ring_passes_match_scalar_on_generated_specs(spec):
+    try:
+        ring = rl.build(spec, max_order=rl.BRUTE_ORDER_LIMIT)
+    except (rl.RingLabError, ValueError):
+        return  # over the limit, or a corner, ideal or quotient that does not apply
+    assert_passes_match_scalar(ring)
+    assert_small_verdicts_match_scalar(lambda: rl.build(spec))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(name=hs.sampled_from(("Z2xZ2xZ2xZ2xZ2", "Z32", "Triv(Z2)xZ8", "T2(Z4)")),
+       data=hs.data())
+def test_small_verdicts_match_scalar_on_one_cell_corruptions(name, data):
+    ring = _ring(name)
+    idx = hs.integers(0, ring.order - 1)
+    cell, value = (data.draw(idx), data.draw(idx)), data.draw(idx)
+    assert_small_verdicts_match_scalar(lambda: with_cell(ring, "mul", cell, value))
 
 
 # --- axiom validation ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Structure scans: special element sets, ideals, radical, and counts."""
 
+import numpy as np
 import pytest
 
 import ringlab as rl
@@ -154,3 +155,49 @@ def test_scans_against_generic_oracles(corpus):
         assert list(rl.nilpotents(ring)) == oracles.nilpotent_set(ring.order, ring.mul), name
         if ring.unital:
             assert list(rl.units(ring)) == oracles.unit_set(ring.order, ring.mul, ring.one), name
+
+
+def _scalar_make_ideal(ring, members):
+    """Members of an ideal, or the first closure error, checked element by
+    element through the ring's scalar operations."""
+    mem = sorted(set(members))
+    if ring.zero not in mem:
+        return "ideal must contain zero"
+    for a in mem:
+        if ring.neg(a) not in mem:
+            return f"not closed under negation at {a}"
+        for b in mem:
+            if ring.add(a, b) not in mem:
+                return f"not closed under addition at ({a}, {b})"
+    for a in mem:
+        for r in range(ring.order):
+            if ring.mul(r, a) not in mem or ring.mul(a, r) not in mem:
+                return f"not absorbing at ({r}, {a})"
+    return tuple(mem)
+
+
+def test_make_ideal_and_center_match_the_scalar_scans(corpus):
+    draw = np.random.default_rng(11)
+    errors = set()
+    for name, ring in corpus.items():
+        n = ring.order
+        assert rl.center(ring) == tuple(
+            a for a in range(n) if all(ring.mul(a, b) == ring.mul(b, a) for b in range(n)))
+        if n > 64:
+            continue
+        subsets = [rl.ideal_generated(ring, (x,)).members for x in range(0, n, 3)]
+        subsets += [rl.left_ideal_generated(ring, x) for x in range(0, n, 3)]
+        subsets += [draw.integers(0, n, size).tolist() + [ring.zero] * bool(size % 2)
+                    for size in (1, 2, 3, n // 2, n - 1)]
+        for members in subsets:
+            expected = _scalar_make_ideal(ring, members)
+            try:
+                got = rl.make_ideal(ring, members)
+            except ValueError as exc:
+                assert str(exc) == expected, (name, members)
+                errors.add(expected.split(" at ")[0])
+            else:
+                assert got.members == expected, (name, members)
+                assert all((x in got) == (x in expected) for x in range(n))
+    assert errors == {"ideal must contain zero", "not closed under negation",
+                      "not closed under addition", "not absorbing"}
