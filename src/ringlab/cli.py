@@ -309,61 +309,30 @@ def _trace_sreg(ring, a, r, out):
     print(f"  a*a*r = {ring.mul(aa, r)}", file=out)
 
 
-_WITNESS_PROPS = ("wnc", "wnc-alt", "clean", "nilclean", "exchange", "pireg",
-                  "spireg", "sreg")
+# property -> (search, check, trace). The search and the check are names in
+# deciders, looked up at call time so that wrappers installed on that module
+# (perfbench/tracer.py) see the calls.
+_WITNESS = {
+    "wnc": ("wncl_witness", "check_wncl", _trace_wnc),
+    "wnc-alt": ("wncl_witness_alt", "check_wncl", _trace_wnc_alt),
+    "clean": ("clean_witness", "check_sum", _trace_clean),
+    "nilclean": ("nil_clean_witness", "check_sum", _trace_nilclean),
+    "exchange": ("exchange_witness", "check_exchange", _trace_exchange),
+    "pireg": ("pi_regular_witness", "check_pi_regular", _trace_pireg),
+    "spireg": ("strong_pi_witness", "check_strong_pi", _trace_spireg),
+    "sreg": ("strongly_regular_witness", "check_strongly_regular", _trace_sreg),
+}
+
+_WITNESS_PROPS = tuple(_WITNESS)
 
 
 def _run_witness(ring: FiniteRing, a: int, prop: str, out) -> int:
-    if prop == "wnc":
-        w = dc.wncl_witness(ring, a)
-        if w is None or not dc.check_wncl(ring, a, w):
-            print("none", file=out)
-            return 1
-        _trace_wnc(ring, a, w, out)
-    elif prop == "wnc-alt":
-        w = dc.wncl_witness_alt(ring, a)
-        if w is None or not dc.check_wncl(ring, a, w):
-            print("none", file=out)
-            return 1
-        _trace_wnc_alt(ring, a, w, out)
-    elif prop == "clean":
-        w = dc.clean_witness(ring, a)
-        if w is None or not dc.check_sum(ring, a, w):
-            print("none", file=out)
-            return 1
-        _trace_clean(ring, a, w, out)
-    elif prop == "nilclean":
-        w = dc.nil_clean_witness(ring, a)
-        if w is None or not dc.check_sum(ring, a, w):
-            print("none", file=out)
-            return 1
-        _trace_nilclean(ring, a, w, out)
-    elif prop == "exchange":
-        w = dc.exchange_witness(ring, a)
-        if w is None or not dc.check_exchange(ring, a, w):
-            print("none", file=out)
-            return 1
-        _trace_exchange(ring, a, w, out)
-    elif prop == "pireg":
-        w = dc.pi_regular_witness(ring, a)
-        if w is None or not dc.check_pi_regular(ring, a, w):
-            print("none", file=out)
-            return 1
-        _trace_pireg(ring, a, w, out)
-    elif prop == "spireg":
-        w = dc.strong_pi_witness(ring, a)
-        if w is None or not dc.check_strong_pi(ring, a, w):
-            print("none", file=out)
-            return 1
-        _trace_spireg(ring, a, w, out)
-    elif prop == "sreg":
-        r = dc.strongly_regular_witness(ring, a)
-        if r is None or not dc.check_strongly_regular(ring, a, r):
-            print("none", file=out)
-            return 1
-        _trace_sreg(ring, a, r, out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(prop)
+    search, check, trace = _WITNESS[prop]
+    w = getattr(dc, search)(ring, a)
+    if w is None or not getattr(dc, check)(ring, a, w):
+        print("none", file=out)
+        return 1
+    trace(ring, a, w, out)
     return 0
 
 

@@ -15,6 +15,7 @@ from .core import (
     FiniteRing,
     OrderCapError,
     RingLabError,
+    SpecError,
 )
 
 DEFAULT_MAX_ORDER = 65536
@@ -137,7 +138,7 @@ def product(parts: Iterable[RingSpec]) -> RingSpec:
         else:
             flat.append(p)
     if not flat:
-        raise ValueError("product needs at least one factor")
+        raise SpecError("product needs at least one factor")
     if len(flat) == 1:
         return flat[0]
     return Product(tuple(flat))
@@ -286,7 +287,7 @@ def zn_ring(n: int, spec: Optional[RingSpec] = None, max_order: Optional[int] = 
             validate: Optional[bool] = None) -> FiniteRing:
     """Residue ring of integers modulo n."""
     if n < 1:
-        raise ValueError("modulus must be at least 1")
+        raise SpecError("modulus must be at least 1")
     _check_cap(n, resolve_max_order(max_order), f"Z{n}")
 
     def i64(a):
@@ -312,7 +313,7 @@ def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
                  max_order: Optional[int] = None, validate: Optional[bool] = None) -> FiniteRing:
     """Direct product with componentwise operations, first component slowest."""
     if not bases:
-        raise ValueError("product needs at least one factor")
+        raise SpecError("product needs at least one factor")
     radices = tuple(B.order for B in bases)
     order = 1
     for r in radices:
@@ -339,7 +340,7 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
                 max_order: Optional[int] = None, validate: Optional[bool] = None) -> FiniteRing:
     """Full k x k matrix ring over the base, entries stored row-major."""
     if k < 1:
-        raise ValueError("matrix size must be at least 1")
+        raise SpecError("matrix size must be at least 1")
     bo = base.order
     m = k * k
     order = bo ** m
@@ -403,7 +404,7 @@ def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
                     max_order: Optional[int] = None, validate: Optional[bool] = None) -> FiniteRing:
     """Upper triangular k x k matrix ring; stored entries are (i, j) with i <= j."""
     if k < 2:
-        raise ValueError("triangular size must be at least 2")
+        raise SpecError("triangular size must be at least 2")
     bo = base.order
     positions = [(i, j) for i in range(k) for j in range(i, k)]
     slot = {pos: s for s, pos in enumerate(positions)}
@@ -448,7 +449,7 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
     convolutions with terms of degree n or higher dropped.
     """
     if n < 1:
-        raise ValueError("truncation degree must be at least 1")
+        raise SpecError("truncation degree must be at least 1")
     bo = base.order
     order = bo ** n
     label = f"{base.label}[x]/(x^{n})"
@@ -603,10 +604,10 @@ def corner_ring(parent: FiniteRing, e: int, spec: Optional[RingSpec] = None,
                 validate: Optional[bool] = None) -> FiniteRing:
     """Corner e*R*e for an idempotent e; unital with unity e."""
     if not 0 <= e < parent.order:
-        raise ValueError(f"element {e} out of range")
+        raise SpecError(f"element {e} out of range")
     pmul = parent.mul
     if pmul(e, e) != e:
-        raise ValueError(f"corner needs an idempotent, {e} is not one")
+        raise SpecError(f"corner needs an idempotent, {e} is not one")
     if parent.unital and e == parent.one:
         return parent
     members = sorted({pmul(pmul(e, r), e) for r in range(parent.order)})
@@ -702,7 +703,7 @@ def build(spec: RingSpec, max_order: Optional[int] = None,
         base = build(spec.base, cap, validate)
         for g in spec.generators:
             if not 0 <= g < base.order:
-                raise ValueError(f"generator {g} out of range for {base.label}")
+                raise SpecError(f"generator {g} out of range for {base.label}")
         ideal = ideal_generated(base, spec.generators)
         ring, _ = quotient(base, ideal, spec=spec, validate=validate)
         return ring
@@ -712,7 +713,7 @@ def build(spec: RingSpec, max_order: Optional[int] = None,
         base = build(spec.base, cap, validate)
         for g in spec.generators:
             if not 0 <= g < base.order:
-                raise ValueError(f"generator {g} out of range for {base.label}")
+                raise SpecError(f"generator {g} out of range for {base.label}")
         ideal = ideal_generated(base, spec.generators)
         return ideal_subring(base, ideal.members, spec=spec, label=str(spec),
                              validate=validate)

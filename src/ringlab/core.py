@@ -35,6 +35,10 @@ class OrderCapError(RingLabError):
     """Raised when a construction or check exceeds a configured size cap."""
 
 
+class SpecError(RingLabError, ValueError):
+    """Raised when a ring constructor's argument is outside its domain."""
+
+
 class WitnessError(RingLabError):
     """Raised when witness data fails its verification."""
 
@@ -468,12 +472,6 @@ def power_seq(ring: FiniteRing, a: int) -> tuple[list[int], int, int]:
             return powers, j, k - j
         seen[cur] = k
         powers.append(cur)
-
-
-def power_trajectory(ring: FiniteRing, a: int) -> tuple[int, int]:
-    """Minimal (preperiod, period) of the power sequence of a."""
-    _, i, p = power_seq(ring, a)
-    return i, p
 
 
 def power_from_seq(powers: list[int], preperiod: int, period: int, t: int) -> int:

@@ -24,13 +24,16 @@ from . import structure as st
 from . import construct as ct
 from . import kernel
 
-# Rings up to this order get exhaustive element scans; larger rings use the
-# trajectory-based constructions only.
+# Up to this order classify reports every property and the structure counts,
+# and the wncl verdict searches for witnesses; above it classify reports only
+# the verdicts that the trajectory witnesses decide, wncl through
+# pi-regularity. The pi-regularity verdicts use the trajectory witnesses at
+# every order.
 BRUTE_ORDER_LIMIT = 256
 
-# From this order on, the ring-level wncl, uniqueness and exchange verdicts
-# read the array passes of kernel; below it one numpy call costs more than
-# the element-by-element scalar search.
+# From this order on, the ring-level verdicts read the array passes of
+# kernel; below it one numpy call costs more than the element-by-element
+# scalar search or chain.
 PASS_MIN_ORDER = 32
 
 
@@ -302,32 +305,6 @@ def strong_pi_witness(ring: FiniteRing, a: int) -> Optional[StrongPiWitness]:
     return _cache_put(ring, key, out)
 
 
-def strong_pi_core(ring: FiniteRing, a: int) -> Optional[Tuple[int, int]]:
-    """Bare power equation a^n = a^(n+1)*r, usable without a unity."""
-    mul = ring.mul
-    powers, i, p = power_seq(ring, a)
-    for n in range(1, i + p + 1):
-        an = power_from_seq(powers, i, p, n)
-        an1 = power_from_seq(powers, i, p, n + 1)
-        for r in range(ring.order):
-            if mul(an1, r) == an:
-                return (n, r)
-    return None
-
-
-def strong_pi_core_left(ring: FiniteRing, a: int) -> Optional[Tuple[int, int]]:
-    """Left-sided variant: a^n = r * a^(n+1)."""
-    mul = ring.mul
-    powers, i, p = power_seq(ring, a)
-    for n in range(1, i + p + 1):
-        an = power_from_seq(powers, i, p, n)
-        an1 = power_from_seq(powers, i, p, n + 1)
-        for r in range(ring.order):
-            if mul(r, an1) == an:
-                return (n, r)
-    return None
-
-
 def exchange_witness(ring: FiniteRing, a: int) -> Optional[ExchangeWitness]:
     """First (e, r, s) with e = r*a idempotent and 1-e = s*(1-a)."""
     ring.require_unital("exchange search")
@@ -400,7 +377,7 @@ def strongly_regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# trajectory-based fast paths for large rings
+# trajectory witnesses: the scalar chains of the pi-regularity verdicts
 
 
 def pi_regular_witness_fast(ring: FiniteRing, a: int,
@@ -794,10 +771,16 @@ def unique_nilpotent_wncl(ring: FiniteRing, a: int,
 # ring-level verdicts
 
 
-def _large_ring_verdict(ring: FiniteRing, name: str, scalar_chain) -> bool:
-    """True when no element fails the batched checks; otherwise the scalar
-    chain is replayed on the smallest failing element, so that the error it
-    raises is the one the element-by-element loop would raise."""
+def _trajectory_verdict(ring: FiniteRing, name: str, scalar_chain) -> bool:
+    """True when the scalar trajectory chain passes on every element. Below
+    PASS_MIN_ORDER the chain runs on each element; from there on
+    kernel.first_failures checks every element in batches and the chain is
+    replayed on the smallest failing element, so that the error it raises
+    is the one the element-by-element loop would raise."""
+    if ring.order < PASS_MIN_ORDER:
+        for a in range(ring.order):
+            scalar_chain(a)
+        return True
     a = kernel.first_failures(ring).get(name)
     if a is None:
         return True
@@ -846,7 +829,7 @@ def ring_weakly_nil_clean(ring: FiniteRing) -> bool:
             return _pass_verdict(ring, "wncl", ~found["checked"],
                                  lambda a: wncl_witness(ring, a) is not None)
         ring.require_unital("large-ring weakly nil clean verdict")
-        return _large_ring_verdict(ring, "wncl", lambda a: wncl_from_pi_regular(
+        return _trajectory_verdict(ring, "wncl", lambda a: wncl_from_pi_regular(
             ring, a, pi_regular_witness_fast(ring, a)))
     return _ring_cached(ring, "wncl", compute)
 
@@ -874,29 +857,16 @@ def ring_exchange(ring: FiniteRing) -> bool:
 
 
 def ring_pi_regular(ring: FiniteRing) -> bool:
-    def compute():
-        if ring.order <= BRUTE_ORDER_LIMIT:
-            return all(pi_regular_witness(ring, a) is not None
-                       for a in range(ring.order))
-        return _large_ring_verdict(ring, "pi_regular",
-                                   lambda a: pi_regular_witness_fast(ring, a))
-    return _ring_cached(ring, "pi_regular", compute)
+    return _ring_cached(ring, "pi_regular", lambda: _trajectory_verdict(
+        ring, "pi_regular", lambda a: pi_regular_witness_fast(ring, a)))
 
 
 def ring_strongly_pi_regular(ring: FiniteRing) -> bool:
     """Every element solves a^n = a^(n+1)*r; unital rings also get the full
     characterization verified through the witness constructor."""
-    def compute():
-        if ring.order <= BRUTE_ORDER_LIMIT:
-            if ring.unital:
-                return all(strong_pi_witness(ring, a) is not None
-                           for a in range(ring.order))
-            return all(strong_pi_core(ring, a) is not None
-                       for a in range(ring.order))
-        chain = strong_pi_witness_fast if ring.unital else strong_pi_core_fast
-        return _large_ring_verdict(ring, "strongly_pi_regular",
-                                   lambda a: chain(ring, a))
-    return _ring_cached(ring, "strongly_pi_regular", compute)
+    chain = strong_pi_witness_fast if ring.unital else strong_pi_core_fast
+    return _ring_cached(ring, "strongly_pi_regular", lambda: _trajectory_verdict(
+        ring, "strongly_pi_regular", lambda a: chain(ring, a)))
 
 
 def ring_strongly_regular(ring: FiniteRing) -> bool:

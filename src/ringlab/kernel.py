@@ -1,9 +1,10 @@
 """Batched array forms of the ring-level verdicts.
 
-The ring-level verdicts above the exhaustive-scan limit run the trajectory
-witnesses of ``deciders`` (``pi_regular_witness_fast``,
-``strong_pi_witness_fast`` or ``strong_pi_core_fast``, and
-``wncl_from_pi_regular``) on every element. ``first_failures`` does the same
+The pi-regularity verdicts at every order, and the weakly nil clean verdict
+above the exhaustive-scan limit, run the trajectory witnesses of
+``deciders`` (``pi_regular_witness_fast``, ``strong_pi_witness_fast`` or
+``strong_pi_core_fast``, and ``wncl_from_pi_regular``) on every element.
+From ``deciders.PASS_MIN_ORDER`` on, ``first_failures`` does the same
 work on arrays of elements through the ring's vector operations. Each step
 mirrors its scalar counterpart: the same products of the same factors,
 the same identities, the same independent recomputations (a^n by repeated
@@ -12,7 +13,7 @@ twice is computed once. Failures come back as boolean arrays of failed rows
 instead of a raised WitnessError; ``deciders`` replays the scalar chain on
 the smallest failing element to raise it.
 
-From ``deciders.PASS_MIN_ORDER`` up to the limit, ``wncl_pass`` and
+From the same order up to the limit, ``wncl_pass`` and
 ``exchange_pass`` do the exhaustive witness searches of ``deciders`` for
 every element at once, over blocks of idempotents and elements, and check
 each witness they find again; ``deciders`` replays the scalar search on the

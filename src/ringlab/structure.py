@@ -184,13 +184,16 @@ def center(ring: FiniteRing) -> tuple:
 def is_abelian(ring: FiniteRing) -> bool:
     """True when every idempotent is central."""
     if "is_abelian" not in ring.cache:
-        mul = ring.mul
         n = ring.order
-        verdict = True
-        for e in idempotents(ring):
-            if any(mul(e, b) != mul(b, e) for b in range(n)):
-                verdict = False
-                break
+        idems = idempotents(ring)
+        if ring.mul_table is not None:
+            M = ring._flat_table("mul_table").reshape(n, n)
+            E = np.array(idems, dtype=np.int64)
+            verdict = bool((M[E] == M[:, E].T).all())
+        else:
+            mul = ring.mul
+            verdict = all(mul(e, b) == mul(b, e)
+                          for e in idems for b in range(n))
         ring.cache["is_abelian"] = verdict
     return ring.cache["is_abelian"]
 
@@ -239,9 +242,13 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
 
 
 def is_nil_ideal(ring: FiniteRing, ideal) -> bool:
-    """True when every member of the ideal (or plain member list) is nilpotent."""
+    """True when every member of the ideal (or plain member list) is
+    nilpotent; memoized per member tuple."""
     members = ideal.members if isinstance(ideal, Ideal) else tuple(ideal)
-    return all(nil_index_of(ring, a) is not None for a in members)
+    key = ("is_nil_ideal", members)
+    if key not in ring.cache:
+        ring.cache[key] = all(nil_index_of(ring, a) is not None for a in members)
+    return ring.cache[key]
 
 
 def bounded_index(ring: FiniteRing) -> int:

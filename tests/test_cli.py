@@ -277,6 +277,26 @@ def test_census_human_table(capsys):
     assert " - " in ideal_row  # empty cells render as dashes
 
 
+@pytest.mark.parametrize("text,message", [
+    ("Z0", "modulus must be at least 1"),
+    ("M0(Z2)", "matrix size must be at least 1"),
+    ("T1(Z2)", "triangular size must be at least 2"),
+    ("Z2[x]/(x^0)", "truncation degree must be at least 1"),
+    ("Corner(Z4,3)", "corner needs an idempotent, 3 is not one"),
+    ("Quot(Z4,9)", "generator 9 out of range for Z4"),
+])
+def test_bad_spec_is_a_usage_error(text, message, tmp_path, capsys):
+    with pytest.raises(rl.SpecError, match=message):
+        rl.build(parse_spec(text))
+    assert rl.main(["classify", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    path = tmp_path / "specs.txt"
+    path.write_text(f"Z2\n{text}\n")
+    assert rl.main(["census", "--csv", "--specs", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[2] == f"{text},error: {message}" + "," * 15
+
+
 def test_main_requires_subcommand():
     with pytest.raises(SystemExit) as err:
         rl.main([])

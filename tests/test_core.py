@@ -209,7 +209,6 @@ def test_power_seq_trajectory():
         # reduction beyond the stored range is exact
         for t in range(1, 4 * (i + p)):
             assert power_from_seq(powers, i, p, t) == rl.power(ring, a, t)
-        assert rl.power_trajectory(ring, a) == (i, p)
 
 
 def test_nil_index_of():

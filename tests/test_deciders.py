@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import deciders as dc, kernel
-from ringlab.deciders import strong_pi_core, strong_pi_core_left, strong_pi_core_fast
+from ringlab import deciders as dc, kernel, structure as st
+from ringlab.deciders import strong_pi_core_fast
 
 import oracles
 from conftest import (SMALL_BATCHED, assert_passes_match_scalar,
@@ -183,17 +183,6 @@ def test_fast_witnesses_are_valid(corpus):
             assert ring.mul(rl.power(ring, a, n + 1), r) == rl.power(ring, a, n)
 
 
-def test_dischinger_symmetry(corpus):
-    # right-sided and left-sided power equations are equally solvable
-    for name, ring in corpus.items():
-        if ring.order > 64:
-            continue
-        for a in range(ring.order):
-            right = strong_pi_core(ring, a)
-            left = strong_pi_core_left(ring, a)
-            assert (right is None) == (left is None), (name, a)
-
-
 # --- constructive operations -------------------------------------------------------
 
 
@@ -307,6 +296,18 @@ def test_lift_wncl_witness_z4():
     w = rl.lift_wncl_witness(z4, ideal, 3, qw)
     assert (w.e, w.q, w.x) == (1, 2, 0)
     assert rl.check_wncl(z4, 3, w)
+
+
+def test_second_lift_reuses_the_nil_ideal_check():
+    z8 = rl.zn_ring(8)
+    ideal = rl.make_ideal(z8, [0, 2, 4, 6])
+    qring, proj = rl.quotient(z8, ideal)
+    qw = rl.wncl_witness(qring, proj[3])
+    first = (rl.lift_idempotent(z8, ideal, 3), rl.lift_wncl_witness(z8, ideal, 3, qw))
+    with mock.patch.object(st, "nil_index_of", wraps=st.nil_index_of) as nil:
+        again = (rl.lift_idempotent(z8, ideal, 3), rl.lift_wncl_witness(z8, ideal, 3, qw))
+    assert again == first
+    assert nil.call_count == 0
 
 
 def test_lift_wncl_witness_t2z2(corpus):
@@ -554,6 +555,39 @@ def test_batched_verdicts_equal_the_scalar_loops(name):
     if not ring.unital:
         with pytest.raises(rl.NonUnitalRingError):
             rl.ring_weakly_nil_clean(ring)
+
+
+_PI_VERDICTS = ("pi_regular", "strongly_pi_regular")
+
+
+# rings on both sides of PASS_MIN_ORDER, unital or not
+@pytest.mark.parametrize("name", ["Z2", "Z12", "T2(Z2)", "Ideal(Z4,2)", "Z32", "T2(Z4)",
+                                  "M2(Z3)", "Triv(Z16)", "Ideal(Z4,2)xZ16"])
+def test_pi_regularity_verdicts_equal_the_scalar_loops_at_every_order(name):
+    ring = rl.build(rl.parse_spec(name))
+    scalar = _scalar_verdicts(rl.build(rl.parse_spec(name)))
+    with mock.patch.object(dc, "pi_regular_witness") as brute, \
+            mock.patch.object(dc, "strong_pi_witness") as strong_brute:
+        for prop in _PI_VERDICTS:
+            assert _outcome(scalar[prop]) is True, prop
+            assert _outcome(lambda: _BATCHED[prop](ring)) is True, prop
+    brute.assert_not_called()
+    strong_brute.assert_not_called()
+    assert (("large_ring_failures",) in ring.cache) == (ring.order >= dc.PASS_MIN_ORDER)
+
+
+# (ring, product pair, value): unvalidated corruptions on both sides of
+# PASS_MIN_ORDER that make a trajectory chain raise, some first at an
+# element other than the pair's
+@pytest.mark.parametrize("name,pair,value", [
+    ("Z12", (1, 1), 0), ("Z12", (2, 2), 2), ("T2(Z4)", (1, 1), 0), ("T2(Z4)", (3, 3), 0)])
+def test_corrupted_ring_pi_regularity_verdicts_raise_the_scalar_error(name, pair, value):
+    ring = _corrupted(rl.build_cached(rl.parse_spec(name)), pair, value)
+    scalar = _scalar_verdicts(ring)
+    outcomes = [_outcome(scalar[prop]) for prop in _PI_VERDICTS]
+    assert any(out is not True for out in outcomes)
+    for prop, expected in zip(_PI_VERDICTS, outcomes):
+        assert _outcome(lambda: _BATCHED[prop](ring)) == expected, prop
 
 
 def test_batched_trajectory_helpers_match_the_scalar_ones():

@@ -6,6 +6,7 @@ import pytest
 import ringlab as rl
 
 import oracles
+from conftest import lazy_rings
 
 
 @pytest.mark.parametrize("n", list(range(2, 17)))
@@ -45,6 +46,18 @@ def test_is_abelian_verdicts(corpus):
     }
     for name, want in expected.items():
         assert rl.is_abelian(corpus[name]) == want, name
+
+
+def test_is_abelian_matches_the_scalar_definition():
+    specs = list(rl.DEFAULT_CORPUS) + [rl.parse_spec("Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2")]
+    rings = [rl.build(spec) for spec in specs]
+    with lazy_rings():
+        rings += [rl.build(rl.parse_spec(name)) for name in ("Z12", "T2(Z2)", "M2(Z2)")]
+    for ring in rings:
+        n = ring.order
+        assert rl.is_abelian(ring) == all(
+            ring.mul(e, b) == ring.mul(b, e) for e in rl.idempotents(ring)
+            for b in range(n)), ring.label
 
 
 def test_jacobson_radical_values(corpus):
