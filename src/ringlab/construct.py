@@ -16,6 +16,7 @@ from .core import (
     OrderCapError,
     RingLabError,
     SpecError,
+    index_dtype,
 )
 
 DEFAULT_MAX_ORDER = 65536
@@ -269,6 +270,68 @@ def _digit_ops(radices: Sequence[int], bases: Sequence[FiniteRing],
             "add_vec": add_vec, "mul_vec": mul_vec, "neg_vec": neg_vec}
 
 
+def _m2_vector_ops(base: FiniteRing) -> dict:
+    """add_vec/mul_vec/neg_vec of the 2 x 2 matrices over the base, each a
+    few gathers from tables of n = b^4 cells (b the base order).
+
+    An element x is its row pair u0 = x // b^2 above its row pair
+    u1 = x - u0*b^2, a pair (p, q) being p*b + q. The tables, filled once
+    from the base's own vector operations and stored in index_dtype(n):
+
+    * dot[v*b^2 + u] = p*r + q*s, for u = (p, q) a row of x and v = (r, s)
+      a column of y: one entry of the product; dot_hi = dot*b;
+    * col0[y], col1[y]: the columns of y as pairs, times b^2;
+    * pair_sum[u*b^2 + v] = (p + r, q + s), for row pairs u and v;
+    * neg[x] = -x.
+
+    A row of a product, dot_hi + dot, is a pair below b^2 <= n and stays in
+    the table dtype; only the packed element is widened to int64. The ops
+    split elements with // and a product: % and divmod cost about three
+    times as much in numpy.
+    """
+    b = base.order
+    b2 = b * b
+    n = b2 * b2
+    dtype = index_dtype(n)
+    # the digits (d0, d1, d2, d3) of every element: its rows (d0, d1), (d2, d3)
+    hi, lo = np.divmod(np.arange(n, dtype=np.int64), b2)
+    d0, d1 = np.divmod(hi, b)
+    d2, d3 = np.divmod(lo, b)
+    badd, bmul = base.add_vec, base.mul_vec
+    dot = np.asarray(badd(bmul(d2, d0), bmul(d3, d1)), dtype=np.int64)
+    dot_hi = (dot * b).astype(dtype)
+    dot = dot.astype(dtype)
+    col0 = ((d0 * b + d2) * b2).astype(dtype)
+    col1 = ((d1 * b + d3) * b2).astype(dtype)
+    pair_sum = (np.asarray(badd(d0, d2), dtype=np.int64) * b + badd(d1, d3)).astype(dtype)
+    neg = _pack_vec((b,) * 4, [base.neg_vec(d) for d in (d0, d1, d2, d3)]).astype(dtype)
+
+    def split(x):
+        """The row pairs (u0, u1) of the elements x, as int64 arrays."""
+        x = np.asarray(x, dtype=np.int64)
+        u0 = x // b2
+        return u0, x - u0 * b2
+
+    def mul_vec(x, y):
+        u0, u1 = split(x)
+        v0 = col0.take(y)
+        v1 = col1.take(y)
+        row0 = dot_hi.take(v0 + u0) + dot.take(v1 + u0)
+        row1 = dot_hi.take(v0 + u1) + dot.take(v1 + u1)
+        return np.multiply(row0, b2, dtype=np.int64) + row1
+
+    def add_vec(x, y):
+        u0, u1 = split(x)
+        v0, v1 = split(y)
+        row0 = pair_sum.take(u0 * b2 + v0)
+        return np.multiply(row0, b2, dtype=np.int64) + pair_sum.take(u1 * b2 + v1)
+
+    def neg_vec(x):
+        return neg.take(x).astype(np.int64)
+
+    return {"add_vec": add_vec, "mul_vec": mul_vec, "neg_vec": neg_vec}
+
+
 def ring_pack(ring: FiniteRing, digits: Sequence[int]) -> int:
     """Element index from its digit tuple, for digit-structured rings."""
     return pack_digits(ring.meta["radices"], digits)
@@ -350,6 +413,10 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
     ops = _digit_ops(radices, (base,) * m,
                      [[(i * k + l, l * k + j) for l in range(k)]
                       for i in range(k) for j in range(k)])
+    if k == 2:
+        # vector ops gather from n-cell tables over row and column pairs
+        # (see _m2_vector_ops) instead of combining the base's digit by digit
+        ops.update(_m2_vector_ops(base))
 
     if k == 2 and base.mul_table is not None:
         # unrolled scalar operations for the common 2 x 2 case over a table

@@ -23,13 +23,7 @@ from .core import (
 from . import structure as st
 from . import construct as ct
 from . import kernel
-
-# Up to this order classify reports every property and the structure counts,
-# and the wncl verdict searches for witnesses; above it classify reports only
-# the verdicts that the trajectory witnesses decide, wncl through
-# pi-regularity. The pi-regularity verdicts use the trajectory witnesses at
-# every order.
-BRUTE_ORDER_LIMIT = 256
+from .kernel import BRUTE_ORDER_LIMIT
 
 # From this order on, the ring-level verdicts read the array passes of
 # kernel; below it one numpy call costs more than the element-by-element

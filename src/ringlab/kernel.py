@@ -28,6 +28,13 @@ import numpy as np
 
 from .core import FiniteRing, index_dtype
 
+# Up to this order classify reports every property and the structure counts,
+# and the wncl verdict searches for witnesses (wncl_pass from
+# deciders.PASS_MIN_ORDER on); above it classify reports only the verdicts
+# that the trajectory witnesses decide, wncl through pi-regularity. The
+# pi-regularity verdicts use the trajectory witnesses at every order.
+BRUTE_ORDER_LIMIT = 256
+
 # Elements per batch in first_failures. It bounds the arrays of one batch,
 # its power trajectories above all, to a few hundred kilobytes.
 _VERDICT_CHUNK = 2048
@@ -159,8 +166,9 @@ def chunk_failures(ring: FiniteRing, a: np.ndarray) -> Dict[str, np.ndarray]:
     """Failed rows, on the elements a, of the scalar chain of each verdict:
     "pi_regular" runs pi_regular_witness_fast; "strongly_pi_regular" runs
     strong_pi_witness_fast, or strong_pi_core_fast without a unity; with a
-    unity, "wncl" runs pi_regular_witness_fast then wncl_from_pi_regular.
-    One trajectory pass serves all three."""
+    unity and above BRUTE_ORDER_LIMIT (below it wncl_pass decides wncl),
+    "wncl" runs pi_regular_witness_fast then wncl_from_pi_regular. One
+    trajectory pass serves all three."""
     mul, sub = ring.mul_vec, ring.sub_vec
     traj = trajectories(ring, a)
     _, pre, per = traj
@@ -184,7 +192,8 @@ def chunk_failures(ring: FiniteRing, a: np.ndarray) -> Dict[str, np.ndarray]:
     bad_spi |= mul(z, ae) != e
     b = mul(a, sub(np.full(len(a), ring.one, dtype=np.int64), e))
     bad_spi |= power(ring, b, m) != ring.zero
-    out["wncl"] = bad_pi | wncl_chain_failures(ring, a, m, am)
+    if ring.order > BRUTE_ORDER_LIMIT:
+        out["wncl"] = bad_pi | wncl_chain_failures(ring, a, m, am)
     return out
 
 

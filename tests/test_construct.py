@@ -1,9 +1,12 @@
 """Ring constructors, spec algebra, digit packing, and the order cap."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import ringlab as rl
+from ringlab import construct as ct
 
 import oracles
 from conftest import all_pairs, lazy_rings, sample_pairs, vector_mismatches
@@ -297,7 +300,8 @@ def test_constructor_vector_ops_match_scalar(name):
 @pytest.mark.parametrize("name", [
     "Z2000", "Z2000xZ3", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "M2(Z6)",
     "M2(T2(Z2))", "M3(Z3)", "T2(Z16)", "T3(Z4)", "Z2[x]/(x^11)", "Triv(Z64)",
-    "Op(M2(Z6))", "Ideal(Z4,2)xM2(Z6)",
+    "Op(M2(Z6))", "Ideal(Z4,2)xM2(Z6)", "M2(Z8)", "M2(Z9)", "M2(Z12)", "M2(Z16)",
+    "M2(Z2xZ4)", "M2(Z4[x]/(x^2))",
 ])
 def test_lazy_vector_ops_match_scalar_on_a_sample(name):
     ring = rl.build_cached(rl.parse_spec(name))
@@ -306,6 +310,45 @@ def test_lazy_vector_ops_match_scalar_on_a_sample(name):
     assert vector_mismatches(ring, xs, ys) == []
     ends = [0, 1, ring.order - 1]
     assert vector_mismatches(ring, *zip(*[(x, y) for x in ends for y in ends])) == []
+
+
+@pytest.mark.parametrize("name", ["M2(Z6)", "M2(M2(Z2))", "M2(Z4[x]/(x^2))"])
+def test_lazy_matrix_vector_ops_broadcast(name):
+    ring = rl.build_cached(rl.parse_spec(name))
+    assert ring.mul_table is None
+    xs, ys = sample_pairs(ring.order, count=60, seed=3)
+    for vec, op in ((ring.mul_vec, ring.mul), (ring.add_vec, ring.add)):
+        got = vec(xs[:, None], ys)
+        assert got.shape == (60, 60)
+        assert got.tolist() == [[op(x, y) for y in ys.tolist()] for x in xs.tolist()]
+
+
+# The 2 x 2 matrix rings gather from their own row-pair tables. A silent
+# fallback to the digit-by-digit ops would still pass the differential
+# tests, so check that a vector op calls neither the digit unpacking nor the
+# base's product.
+@pytest.mark.parametrize("name,lazy_base", [
+    ("Z2", True), ("Z3", True), ("Z6", False), ("M2(Z2)", False), ("Z4[x]/(x^2)", False)])
+def test_matrix_vector_ops_use_the_row_pair_tables(name, lazy_base):
+    spec = rl.parse_spec(name)
+    if lazy_base:
+        with lazy_rings():
+            base = rl.build(spec)
+    else:
+        base = rl.build(spec)
+    base_mul = mock.Mock(wraps=base.mul_vec)
+    base.mul_vec = base_mul
+    with lazy_rings():
+        ring = ct.matrix_ring(base, 2)
+    assert ring.mul_table is None and base_mul.called
+    base_mul.reset_mock()
+    xs, ys = sample_pairs(ring.order, count=50)
+    with mock.patch.object(ct, "_unpack_vec", wraps=ct._unpack_vec) as unpack:
+        ring.mul_vec(xs, ys)
+        ring.add_vec(xs, ys)
+        ring.neg_vec(xs)
+    unpack.assert_not_called()
+    base_mul.assert_not_called()
 
 
 # --- table fill ----------------------------------------------------------------

@@ -576,6 +576,23 @@ def test_pi_regularity_verdicts_equal_the_scalar_loops_at_every_order(name):
     assert (("large_ring_failures",) in ring.cache) == (ring.order >= dc.PASS_MIN_ORDER)
 
 
+# (ring, batched wncl chain calls): up to BRUTE_ORDER_LIMIT wncl_pass decides
+# wncl, so the batched pass skips the wncl chain; above it the chain runs
+# once per chunk (M2(Z6), of order 1296, is one chunk)
+@pytest.mark.parametrize("name,chain_calls", [
+    ("Z32", 0), ("T2(Z4)", 0), ("M2(Z3)", 0), ("M2(Z6)", 1)])
+def test_batched_pass_runs_the_wncl_chain_only_above_the_brute_limit(name, chain_calls):
+    ring = rl.build(rl.parse_spec(name))
+    scalar = _scalar_verdicts(rl.build(rl.parse_spec(name)))
+    with mock.patch.object(kernel, "wncl_chain_failures",
+                           wraps=kernel.wncl_chain_failures) as chain:
+        for prop, verdict in _BATCHED.items():
+            assert _outcome(scalar[prop]) is True, prop
+            assert _outcome(lambda: verdict(ring)) is True, prop
+    assert ("large_ring_failures",) in ring.cache
+    assert chain.call_count == chain_calls
+
+
 # (ring, product pair, value): unvalidated corruptions on both sides of
 # PASS_MIN_ORDER that make a trajectory chain raise, some first at an
 # element other than the pair's
