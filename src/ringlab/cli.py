@@ -457,46 +457,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the element index legend")
     p.add_argument("--max-order", type=int, default=None,
                    help="override the build size cap")
+    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("witness", help="search one witness and show its trace")
     p.add_argument("spec", help="ring spec expression")
     p.add_argument("element", type=int, help="element index")
     p.add_argument("property", choices=_WITNESS_PROPS)
     p.add_argument("--max-order", type=int, default=None)
+    p.set_defaults(run=_cmd_witness)
 
     p = sub.add_parser("verify", help="run the named checks over a corpus")
     p.add_argument("--props", default="all",
                    help="'all' or comma-separated check ids")
     p.add_argument("--corpus", default="default",
                    help="'default' or a file with one spec per line")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("census", help="classification table for many rings")
     p.add_argument("--specs", default=None,
                    help="file with one spec per line (default corpus if omitted)")
     p.add_argument("--csv", action="store_true", help="emit CSV")
+    p.set_defaults(run=_cmd_census)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "classify":
-            return _cmd_classify(args, out)
-        if args.command == "witness":
-            return _cmd_witness(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "census":
-            return _cmd_census(args, out)
+        return args.run(args, sys.stdout)
     except OrderCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RingLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error("unknown command")  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -607,13 +607,6 @@ def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None,
     if spec is None and ring.spec is not None:
         spec = Opposite(ring.spec)
     label = f"Op({ring.label})"
-    if ring.mul_table is not None:
-        n = ring.order
-        return FiniteRing(n, ring._flat_table("add_table").reshape(n, n),
-                          ring._flat_table("mul_table").reshape(n, n).T,
-                          ring._flat_table("neg_table"), zero=ring.zero, one=ring.one,
-                          spec=spec, label=label, element_label=ring.element_label,
-                          meta={"kind": "opposite", "base": ring}, validate=validate)
     mul, mul_vec = ring.mul, ring.mul_vec
     return FiniteRing(ring.order, ring.add, lambda a, b: mul(b, a), ring.neg,
                       zero=ring.zero, one=ring.one, spec=spec, label=label,
@@ -764,7 +757,7 @@ def build(spec: RingSpec, max_order: Optional[int] = None,
     if isinstance(spec, Corner):
         return corner_ring(build(spec.base, cap, validate), spec.e, spec=spec,
                            validate=validate)
-    if isinstance(spec, Quotient):
+    if isinstance(spec, (Quotient, IdealRing)):
         from .structure import ideal_generated
 
         base = build(spec.base, cap, validate)
@@ -772,16 +765,8 @@ def build(spec: RingSpec, max_order: Optional[int] = None,
             if not 0 <= g < base.order:
                 raise SpecError(f"generator {g} out of range for {base.label}")
         ideal = ideal_generated(base, spec.generators)
-        ring, _ = quotient(base, ideal, spec=spec, validate=validate)
-        return ring
-    if isinstance(spec, IdealRing):
-        from .structure import ideal_generated
-
-        base = build(spec.base, cap, validate)
-        for g in spec.generators:
-            if not 0 <= g < base.order:
-                raise SpecError(f"generator {g} out of range for {base.label}")
-        ideal = ideal_generated(base, spec.generators)
+        if isinstance(spec, Quotient):
+            return quotient(base, ideal, spec=spec, validate=validate)[0]
         return ideal_subring(base, ideal.members, spec=spec, label=str(spec),
                              validate=validate)
     raise TypeError(f"unknown spec node {type(spec).__name__}")

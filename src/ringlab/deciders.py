@@ -192,22 +192,8 @@ def wncl_witness(ring: FiniteRing, a: int) -> Optional[WnclWitness]:
     hit = _cache_get(ring, key)
     if hit is not _MISS:
         return hit
-    sub = ring.sub
-    nils = st.nilpotents(ring)
-    out = None
-    for e in st.idempotents(ring):
-        exa = _exa_value_map(ring, e, a)
-        found = None
-        for q in nils:
-            diff = sub(sub(a, e), q)
-            x = exa.get(diff)
-            if x is not None:
-                found = WnclWitness(e, q, x, "primal")
-                break
-        if found is not None:
-            out = found
-            break
-    return _cache_put(ring, key, out)
+    _, samples = unique_idempotent_wncl(ring, a, limit=1)
+    return _cache_put(ring, key, samples[0] if samples else None)
 
 
 def wncl_witness_alt(ring: FiniteRing, a: int) -> Optional[WnclWitness]:

@@ -215,9 +215,10 @@ def first_failures(ring: FiniteRing) -> Dict[str, int]:
 # ---------------------------------------------------------------------------
 # small-ring passes over idempotents
 
-# Cells (idempotent, x, element) per block of wncl_pass, and (r, element)
-# per block of exchange_pass. It bounds the products, membership masks and
-# differences of one block to a few megabytes.
+# Cells (idempotent, x, element) per block of wncl_pass, (r, element) per
+# block of exchange_pass, and (row, element) per block of the structure scans.
+# It bounds the products, membership masks and differences of one block to a
+# few megabytes.
 _PASS_CELLS = 1 << 18
 
 

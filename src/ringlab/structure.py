@@ -1,16 +1,22 @@
 """Structure scans over a finite ring: special element sets, ideals and the
 radical. Results are memoized on the ring's cache dict, so repeated queries
-against the same ring object are cheap."""
+against the same ring object are cheap.
+
+The O(n^2) scans (units, center, is_abelian, the radical) read only the
+ring's vector operations, in row blocks of at most kernel._PASS_CELLS
+(row, element) cells, so tabled and lazy rings take the same path."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
 from .core import FiniteRing, nil_index_of
+from .kernel import _PASS_CELLS
 
 
 @dataclass(frozen=True)
@@ -58,57 +64,44 @@ def make_ideal(ring: FiniteRing, members: Iterable[int],
     return Ideal(ring, tuple(mem), tuple(generators))
 
 
+def _closure(ring: FiniteRing, gens: Iterable[int], two_sided: bool) -> tuple:
+    """Members of the smallest set containing zero and gens that is closed
+    under negation, addition and multiplication by the ring on the left, and
+    on the right too when two_sided (worklist closure)."""
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    R = range(ring.order)
+    seen = {ring.zero, *gens}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        new = set(map(mul, R, repeat(x)))
+        if two_sided:
+            new.update(map(mul, repeat(x), R))
+        new.update(map(add, repeat(x), seen))
+        new.add(neg(x))
+        new -= seen
+        seen |= new
+        frontier.extend(new)
+    return tuple(sorted(seen))
+
+
 def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
-    """Smallest two-sided ideal containing the generators (worklist closure)."""
+    """Smallest two-sided ideal containing the generators."""
     gens = tuple(sorted(set(generators)))
     key = ("ideal_generated", gens)
     if key in ring.cache:
         return ring.cache[key]
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    n = ring.order
-    seen = {ring.zero}
-    frontier = []
     for g in gens:
-        if not 0 <= g < n:
+        if not 0 <= g < ring.order:
             raise ValueError(f"generator {g} out of range")
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    while frontier:
-        x = frontier.pop()
-        produced = [neg(x)]
-        for r in range(n):
-            produced.append(mul(r, x))
-            produced.append(mul(x, r))
-        for y in list(seen):
-            produced.append(add(x, y))
-        for z in produced:
-            if z not in seen:
-                seen.add(z)
-                frontier.append(z)
-    ideal = Ideal(ring, tuple(sorted(seen)), gens)
+    ideal = Ideal(ring, _closure(ring, gens, two_sided=True), gens)
     ring.cache[key] = ideal
     return ideal
 
 
 def left_ideal_generated(ring: FiniteRing, a: int) -> tuple:
     """Members of the smallest left ideal containing a."""
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    n = ring.order
-    seen = {ring.zero, a}
-    frontier = [a]
-    while frontier:
-        x = frontier.pop()
-        produced = [neg(x)]
-        for r in range(n):
-            produced.append(mul(r, x))
-        for y in list(seen):
-            produced.append(add(x, y))
-        for z in produced:
-            if z not in seen:
-                seen.add(z)
-                frontier.append(z)
-    return tuple(sorted(seen))
+    return _closure(ring, (a,), two_sided=False)
 
 
 def idempotents(ring: FiniteRing) -> tuple:
@@ -139,85 +132,85 @@ def nil_index_map(ring: FiniteRing) -> Dict[int, int]:
     return ring.cache["nil_index"]
 
 
+def _row_blocks(ring: FiniteRing, count: int) -> list:
+    """Slices of range(count), each of at most kernel._PASS_CELLS
+    (row, element) cells."""
+    width = max(1, _PASS_CELLS // ring.order)
+    return [slice(start, start + width) for start in range(0, count, width)]
+
+
 def units(ring: FiniteRing) -> tuple:
     """All two-sided invertible elements, ascending. Requires a unity."""
     ring.require_unital("units")
     if "units" not in ring.cache:
-        mul = ring.mul
         one = ring.one
-        n = ring.order
-        inv: Dict[int, int] = {}
-        for a in range(n):
-            if a in inv:
-                continue
-            for b in range(n):
-                if mul(a, b) == one and mul(b, a) == one:
-                    inv[a] = b
-                    inv[b] = a
-                    break
-        ring.cache["units"] = tuple(sorted(inv))
-        ring.cache["inverse"] = inv
+        X = np.arange(ring.order, dtype=np.int64)
+        found, inverse = [], []
+        for s in _row_blocks(ring, ring.order):
+            A = X[s]
+            # candidates b with a*b = 1, rows ascending and b ascending in a row
+            i, b = np.nonzero(ring.mul_vec(A[:, None], X) == one)
+            two_sided = ring.mul_vec(b, A[i]) == one
+            i, first = np.unique(i[two_sided], return_index=True)
+            found.append(A[i])
+            inverse.append(b[two_sided][first])
+        us = np.concatenate(found).tolist()
+        ring.cache["units"] = tuple(us)
+        ring.cache["inverse"] = dict(zip(us, np.concatenate(inverse).tolist()))
     return ring.cache["units"]
 
 
 def inverse_map(ring: FiniteRing) -> Dict[int, int]:
-    """Map from each unit to its inverse."""
+    """Map from each unit to its inverse (the smallest two-sided one)."""
     units(ring)
     return ring.cache["inverse"]
+
+
+def _commuting(ring: FiniteRing, rows) -> np.ndarray:
+    """Mask of the elements of rows that commute with every element."""
+    rows = np.asarray(rows, dtype=np.int64)
+    X = np.arange(ring.order, dtype=np.int64)
+    ok = np.empty(len(rows), dtype=bool)
+    for s in _row_blocks(ring, len(rows)):
+        A = rows[s, None]
+        ok[s] = (ring.mul_vec(A, X) == ring.mul_vec(X, A)).all(axis=1)
+    return ok
 
 
 def center(ring: FiniteRing) -> tuple:
     """All elements commuting with the whole ring, ascending."""
     if "center" not in ring.cache:
-        n = ring.order
-        if ring.mul_table is not None:
-            M = ring._flat_table("mul_table").reshape(n, n)
-            central = np.flatnonzero((M == M.T).all(axis=1)).tolist()
-        else:
-            mul = ring.mul
-            central = [a for a in range(n)
-                       if all(mul(a, b) == mul(b, a) for b in range(n))]
-        ring.cache["center"] = tuple(central)
+        central = _commuting(ring, np.arange(ring.order))
+        ring.cache["center"] = tuple(np.flatnonzero(central).tolist())
     return ring.cache["center"]
 
 
 def is_abelian(ring: FiniteRing) -> bool:
     """True when every idempotent is central."""
     if "is_abelian" not in ring.cache:
-        n = ring.order
-        idems = idempotents(ring)
-        if ring.mul_table is not None:
-            M = ring._flat_table("mul_table").reshape(n, n)
-            E = np.array(idems, dtype=np.int64)
-            verdict = bool((M[E] == M[:, E].T).all())
-        else:
-            mul = ring.mul
-            verdict = all(mul(e, b) == mul(b, e)
-                          for e in idems for b in range(n))
-        ring.cache["is_abelian"] = verdict
+        ring.cache["is_abelian"] = bool(_commuting(ring, idempotents(ring)).all())
     return ring.cache["is_abelian"]
 
 
-def _left_quasi_regular(ring: FiniteRing, a: int) -> bool:
-    # b circle a = b + a - b*a = 0 for some b
-    add, sub, mul = ring.add, ring.sub, ring.mul
-    zero = ring.zero
-    return any(add(b, sub(a, mul(b, a))) == zero for b in range(ring.order))
-
-
 def _radical_members(ring: FiniteRing) -> tuple:
-    """Raw quasi-regularity scan, without validation or quotient re-check."""
+    """Raw quasi-regularity scan, without validation or quotient re-check:
+    with a unity, the a with 1 - r*a a unit for every r; without one, the a
+    whose left ideal is left quasi-regular (b + x - b*x = 0 for some b)."""
     n = ring.order
+    X = np.arange(n, dtype=np.int64)
+    mul, sub = ring.mul_vec, ring.sub_vec
+    good = np.empty(n, dtype=bool)
     if ring.unital:
-        U = set(units(ring))
-        sub, mul, one = ring.sub, ring.mul, ring.one
-        return tuple(a for a in range(n)
-                     if all(sub(one, mul(r, a)) in U for r in range(n)))
-    out = []
-    for a in range(n):
-        if all(_left_quasi_regular(ring, x) for x in left_ideal_generated(ring, a)):
-            out.append(a)
-    return tuple(out)
+        unit = np.zeros(n, dtype=bool)
+        unit[list(units(ring))] = True
+        for s in _row_blocks(ring, n):
+            RA = mul(X, X[s, None])  # (a, r) -> r*a
+            good[s] = unit[sub(np.full(RA.shape, ring.one, dtype=np.int64), RA)].all(axis=1)
+        return tuple(np.flatnonzero(good).tolist())
+    for s in _row_blocks(ring, n):
+        A = X[s, None]
+        good[s] = (ring.add_vec(X, sub(A, mul(X, A))) == ring.zero).any(axis=1)
+    return tuple(a for a in range(n) if good[list(left_ideal_generated(ring, a))].all())
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:
@@ -243,12 +236,9 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
 
 def is_nil_ideal(ring: FiniteRing, ideal) -> bool:
     """True when every member of the ideal (or plain member list) is
-    nilpotent; memoized per member tuple."""
-    members = ideal.members if isinstance(ideal, Ideal) else tuple(ideal)
-    key = ("is_nil_ideal", members)
-    if key not in ring.cache:
-        ring.cache[key] = all(nil_index_of(ring, a) is not None for a in members)
-    return ring.cache[key]
+    nilpotent."""
+    members = ideal.member_set if isinstance(ideal, Ideal) else set(ideal)
+    return nil_index_map(ring).keys() >= members
 
 
 def bounded_index(ring: FiniteRing) -> int:

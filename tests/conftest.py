@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import construct as ct, kernel
+from ringlab import construct as ct, kernel, structure as st
 from ringlab.core import _axioms_hold, _validate_cubic
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+import oracles  # noqa: E402
 
 _SPEC_BY_NAME = {str(spec): spec for spec in rl.DEFAULT_CORPUS}
 
@@ -164,3 +166,40 @@ def assert_small_verdicts_match_scalar(make):
     for prop, expected in scalar.items():
         assert outcome(lambda: SMALL_BATCHED[prop](ring)) == expected, prop
     return scalar
+
+
+def _oracle_radical(ring, members):
+    """What jacobson_radical does with the oracle's radical members: their
+    ideal check, the quotient by them, and the check that its radical
+    vanishes."""
+    check = oracles.ideal_check(ring.order, ring.add, ring.mul, ring.neg, members)
+    if isinstance(check, str):
+        raise ValueError(check)
+    q, _ = ct.quotient(ring, members)
+    if oracles.radical_set(q.order, q.add, q.mul, q.neg, q.one) != [q.zero]:
+        raise RuntimeError(f"radical scan of {ring.label} left a nonzero residual radical")
+    return check
+
+
+def _members_or_error(run):
+    try:
+        return run()
+    except (ValueError, RuntimeError, rl.RingLabError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_scans_match_oracles(ring):
+    """units, inverse_map, center, is_abelian, the radical scan and
+    jacobson_radical equal the scalar oracles on the ring's scalar
+    operations, or raise the error the oracle's members lead to."""
+    n, add, mul, neg = ring.order, ring.add, ring.mul, ring.neg
+    central = oracles.center_set(n, mul)
+    assert list(rl.center(ring)) == central, ring.label
+    assert rl.is_abelian(ring) == set(oracles.idempotent_set(n, mul)).issubset(central)
+    if ring.unital:
+        assert list(rl.units(ring)) == oracles.unit_set(n, mul, ring.one), ring.label
+        assert rl.inverse_map(ring) == oracles.inverse_map(n, mul, ring.one), ring.label
+    radical = oracles.radical_set(n, add, mul, neg, ring.one)
+    assert list(st._radical_members(ring)) == radical, ring.label
+    assert (_members_or_error(lambda: rl.jacobson_radical(ring).members)
+            == _members_or_error(lambda: _oracle_radical(ring, radical))), ring.label

@@ -102,6 +102,72 @@ def unit_set(order, mul, one):
     return out
 
 
+def inverse_map(order, mul, one):
+    """Each unit mapped to its smallest two-sided inverse."""
+    out = {}
+    for u in range(order):
+        for v in range(order):
+            if mul(u, v) == one and mul(v, u) == one:
+                out[u] = v
+                break
+    return out
+
+
+def center_set(order, mul):
+    return [a for a in range(order)
+            if all(mul(a, b) == mul(b, a) for b in range(order))]
+
+
+def left_ideal_set(order, add, mul, neg, a):
+    """R^1 a: the smallest set holding 0 and a that is closed under +, - and
+    multiplication by the ring on the left, grown to a fixed point."""
+    members = {0, a}
+    while True:
+        grown = (members | {neg(x) for x in members}
+                 | {mul(r, x) for r in range(order) for x in members}
+                 | {add(x, y) for x in members for y in members})
+        if grown == members:
+            return members
+        members = grown
+
+
+def radical_set(order, add, mul, neg, one=None):
+    """J(R) from its definition: with a unity, the a with 1 - r*a a unit for
+    every r; without one, the a such that every member x of R^1 a is left
+    quasi-regular, b + x - b*x = 0 for some b."""
+    def sub(u, v):
+        return add(u, neg(v))
+    if one is not None:
+        units = set(unit_set(order, mul, one))
+        return [a for a in range(order)
+                if all(sub(one, mul(r, a)) in units for r in range(order))]
+
+    def left_quasi_regular(x):
+        return any(add(b, sub(x, mul(b, x))) == 0 for b in range(order))
+    regular = [left_quasi_regular(x) for x in range(order)]
+    return [a for a in range(order)
+            if all(regular[x] for x in left_ideal_set(order, add, mul, neg, a))]
+
+
+def ideal_check(order, add, mul, neg, members):
+    """The sorted members of a two-sided ideal, or the first closure error,
+    checked element by element."""
+    mem = sorted(set(members))
+    if 0 not in mem:
+        return "ideal must contain zero"
+    for a in mem:
+        if neg(a) not in mem:
+            return f"not closed under negation at {a}"
+        for b in mem:
+            if add(a, b) not in mem:
+                return f"not closed under addition at ({a}, {b})"
+    for a in mem:
+        for r in range(order):
+            if mul(r, a) not in mem or mul(a, r) not in mem:
+                return f"not absorbing at ({r}, {a})"
+    return tuple(mem)
+
+
 def wncl_triples(order, add, mul, neg, a):
     """All (e, q, x) with e idempotent, q nilpotent, a - e - q = e*x*a,
     found by a plain triple loop."""

@@ -7,8 +7,8 @@ import ringlab as rl
 
 import oracles
 from conftest import (agrees_with_cubic, assert_passes_match_scalar,
-                      assert_small_verdicts_match_scalar, lazy_rings, vector_mismatches,
-                      with_cell)
+                      assert_scans_match_oracles, assert_small_verdicts_match_scalar,
+                      lazy_rings, vector_mismatches, with_cell)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -95,6 +95,7 @@ def test_small_ring_passes_match_scalar_on_generated_specs(spec):
         return  # over the limit, or a corner, ideal or quotient that does not apply
     assert_passes_match_scalar(ring)
     assert_small_verdicts_match_scalar(lambda: rl.build(spec))
+    assert_scans_match_oracles(ring)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -105,6 +106,7 @@ def test_small_verdicts_match_scalar_on_one_cell_corruptions(name, data):
     idx = hs.integers(0, ring.order - 1)
     cell, value = (data.draw(idx), data.draw(idx)), data.draw(idx)
     assert_small_verdicts_match_scalar(lambda: with_cell(ring, "mul", cell, value))
+    assert_scans_match_oracles(with_cell(ring, "mul", cell, value))
 
 
 # --- axiom validation ------------------------------------------------------------

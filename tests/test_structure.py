@@ -6,7 +6,7 @@ import pytest
 import ringlab as rl
 
 import oracles
-from conftest import lazy_rings
+from conftest import assert_scans_match_oracles, lazy_rings, with_cell
 
 
 @pytest.mark.parametrize("n", list(range(2, 17)))
@@ -170,25 +170,6 @@ def test_scans_against_generic_oracles(corpus):
             assert list(rl.units(ring)) == oracles.unit_set(ring.order, ring.mul, ring.one), name
 
 
-def _scalar_make_ideal(ring, members):
-    """Members of an ideal, or the first closure error, checked element by
-    element through the ring's scalar operations."""
-    mem = sorted(set(members))
-    if ring.zero not in mem:
-        return "ideal must contain zero"
-    for a in mem:
-        if ring.neg(a) not in mem:
-            return f"not closed under negation at {a}"
-        for b in mem:
-            if ring.add(a, b) not in mem:
-                return f"not closed under addition at ({a}, {b})"
-    for a in mem:
-        for r in range(ring.order):
-            if ring.mul(r, a) not in mem or ring.mul(a, r) not in mem:
-                return f"not absorbing at ({r}, {a})"
-    return tuple(mem)
-
-
 def test_make_ideal_and_center_match_the_scalar_scans(corpus):
     draw = np.random.default_rng(11)
     errors = set()
@@ -203,7 +184,7 @@ def test_make_ideal_and_center_match_the_scalar_scans(corpus):
         subsets += [draw.integers(0, n, size).tolist() + [ring.zero] * bool(size % 2)
                     for size in (1, 2, 3, n // 2, n - 1)]
         for members in subsets:
-            expected = _scalar_make_ideal(ring, members)
+            expected = oracles.ideal_check(n, ring.add, ring.mul, ring.neg, members)
             try:
                 got = rl.make_ideal(ring, members)
             except ValueError as exc:
@@ -214,3 +195,22 @@ def test_make_ideal_and_center_match_the_scalar_scans(corpus):
                 assert all((x in got) == (x in expected) for x in range(n))
     assert errors == {"ideal must contain zero", "not closed under negation",
                       "not closed under addition", "not absorbing"}
+
+
+def test_scans_match_the_oracles(corpus):
+    specs = ["Corner(M2(Z2),8)", "Corner(T2(Z4),1)", "Quot(Z8,4)", "Quot(T2(Z4),2)",
+             "Quot(M2(Z4),130)", "Ideal(Z8,2)", "Ideal(T2(Z2),1)", "Ideal(M2(Z2),1)",
+             "Ideal(Z2[x]/(x^3),2)", "Op(T2(Z2))"]
+    rings = list(corpus.values()) + [rl.build(rl.parse_spec(s)) for s in specs]
+    with lazy_rings():
+        rings += [rl.build(rl.parse_spec(s)) for s in
+                  ("Z12", "Z2xZ4", "Triv(Z4)", "T2(Z2)", "T2(Z3)", "M2(Z2)", "M2(Z3)",
+                   "Z2[x]/(x^3)", "Op(T2(Z2))")]
+    # n^2 = 2^20 cells: the scans run in four blocks of kernel._PASS_CELLS
+    rings.append(rl.build(rl.parse_spec("x".join(["Z2"] * 10))))
+    # unvalidated corruptions: in Z4, 2*3 = 1 but 3*2 = 2, so 2 has a right
+    # inverse only; in Ideal(T2(Z2),1), 1*0 = 1 puts 1 in the left ideal of 0
+    rings += [with_cell(corpus["Z4"], "mul", (2, 3), 1),
+              with_cell(rl.build(rl.parse_spec("Ideal(T2(Z2),1)")), "mul", (1, 0), 1)]
+    for ring in rings:
+        assert_scans_match_oracles(ring)
