@@ -293,18 +293,18 @@ def _m2_vector_ops(base: FiniteRing) -> dict:
     b2 = b * b
     n = b2 * b2
     dtype = index_dtype(n)
-    # the digits (d0, d1, d2, d3) of every element: its rows (d0, d1), (d2, d3)
-    hi, lo = np.divmod(np.arange(n, dtype=np.int64), b2)
-    d0, d1 = np.divmod(hi, b)
-    d2, d3 = np.divmod(lo, b)
-    badd, bmul = base.add_vec, base.mul_vec
-    dot = np.asarray(badd(bmul(d2, d0), bmul(d3, d1)), dtype=np.int64)
-    dot_hi = (dot * b).astype(dtype)
-    dot = dot.astype(dtype)
-    col0 = ((d0 * b + d2) * b2).astype(dtype)
-    col1 = ((d1 * b + d3) * b2).astype(dtype)
-    pair_sum = (np.asarray(badd(d0, d2), dtype=np.int64) * b + badd(d1, d3)).astype(dtype)
-    neg = _pack_vec((b,) * 4, [base.neg_vec(d) for d in (d0, d1, d2, d3)]).astype(dtype)
+    # the rows (d0, d1), (d2, d3) of every element, in dtype (int64 only inside base ops)
+    x = np.arange(n, dtype=dtype)
+    d0, d1, d2, d3 = x // (b2 * b), x // b2 % b, x // b % b, x % b
+    badd, bmul, bneg = base.add_vec, base.mul_vec, base.neg_vec
+    dot = badd(bmul(d2, d0), bmul(d3, d1)).astype(dtype, copy=False)
+    dot_hi = dot * b
+    col0 = (d0 * b + d2) * b2
+    col1 = (d1 * b + d3) * b2
+    pair_sum = badd(d0, d2).astype(dtype, copy=False) * b + badd(d1, d3).astype(dtype, copy=False)
+    neg = bneg(d0).astype(dtype, copy=False)
+    for d in (d1, d2, d3):
+        neg = neg * b + bneg(d).astype(dtype, copy=False)
 
     def split(x):
         """The row pairs (u0, u1) of the elements x, as int64 arrays."""
@@ -420,9 +420,9 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
 
     if k == 2 and base.mul_table is not None:
         # unrolled scalar operations for the common 2 x 2 case over a table
-        mt = base.mul_table
-        at = base.add_table
-        nt = base.neg_table
+        mt = base.rows("mul")
+        at = base.rows("add")
+        nt = base.rows("neg")
         b2 = bo * bo
         b3 = b2 * bo
 

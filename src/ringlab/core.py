@@ -65,39 +65,53 @@ class AxiomReport:
 TableLike = Union[Callable[[int, int], int], Sequence[Sequence[int]], np.ndarray]
 
 
-def _as_table(op: TableLike, order: int) -> Optional[list[list[int]]]:
-    if callable(op):
-        return None
-    if isinstance(op, np.ndarray):
-        if op.shape != (order, order):
-            raise ValueError(f"table must be {order}x{order}")
-        return op.tolist()
-    table = [list(row) for row in op]
-    if len(table) != order or any(len(row) != order for row in table):
-        raise ValueError(f"table must be {order}x{order}")
+def _fill(vec: VecOp, shape: tuple, dtype) -> np.ndarray:
+    """The table of a vector operation, filled over all elements or pairs at
+    once (row blocks of at most _FILL_CHUNK pairs)."""
+    n = shape[0]
+    idx = np.arange(n)
+    table = np.empty(shape, dtype=dtype)
+    if len(shape) == 1:
+        table[:] = vec(idx)
+    else:
+        rows = max(1, _FILL_CHUNK // n)
+        for start in range(0, n, rows):
+            table[start:start + rows] = vec(idx[start:start + rows, None], idx)
     return table
+
+
+class _Rows:
+    """Default ``_r`` of a tabled ring's scalar op ``lambda a, b, _r: _r[a][b]``
+    until the op's first call: indexing it makes the table's list rows and
+    puts them in the op's defaults in its place, so that every later call,
+    also through a reference taken before, indexes the lists directly."""
+
+    __slots__ = ("op", "table")
+
+    def __init__(self, op, table: np.ndarray):
+        self.op, self.table = op, table
+
+    def __getitem__(self, a):
+        rows = self.table.tolist()
+        self.op.__defaults__ = (rows,)
+        return rows[a]
 
 
 class FiniteRing:
     """A finite ring on elements 0..order-1.
 
-    ``add``, ``mul`` and ``neg`` are callables on indices. For orders up to
-    ``table_cap`` they are backed by tables materialized once at construction
-    (``add_table`` and friends); above the cap they stay lazy closures and the
-    table attributes are None. Instances are immutable by convention; ``cache``
-    holds memoized derived data (structure scans, witnesses, verdicts).
-
-    A table given as closures is filled by the vector form of the operation
-    over all pairs at once (in row blocks of at most ``_FILL_CHUNK`` pairs);
-    the flat numpy result stays in ``cache`` under the table's name and the
-    list form is its ``tolist()``. A table given as a numpy array is kept the
-    same way, flattened; a table given as a list is copied to numpy on first
-    use.
-
-    ``add_vec``, ``mul_vec``, ``neg_vec`` and ``sub_vec`` are the same
-    operations on integer index arrays of one shape. A tabled ring gathers
-    from the numpy copy of its table; a lazy ring uses the vector closure it
-    was given, or else maps its scalar operation.
+    ``add``, ``mul``, ``neg`` and ``sub`` are callables on indices, and
+    ``add_vec``, ``mul_vec``, ``neg_vec`` and ``sub_vec`` the same operations
+    on index arrays of one shape. Up to order ``table_cap`` each operation has
+    one read-only table in ``index_dtype(order)``, made at construction:
+    ``add_table``/``mul_table`` (order, order) and ``neg_table`` (order,),
+    flat in ``cache`` under the same names. Closures are filled through their
+    vector form; a list or array is converted. The vector ops gather from the
+    flat tables; the scalar ops read Python lists (``rows``, a list index
+    costs half a numpy one), those of add and mul made on their first call.
+    Above the cap the table attributes are None and the closures given serve
+    (the scalar one mapped when no vector form is given). Instances are
+    immutable by convention; ``cache`` holds memoized derived data.
     """
 
     def __init__(
@@ -129,81 +143,52 @@ class FiniteRing:
         self.meta = meta or {}
         self.cache: dict = {}
 
-        add_table = _as_table(add, order)
-        mul_table = _as_table(mul, order)
-        neg_table = (None if callable(neg)
-                     else neg.tolist() if isinstance(neg, np.ndarray) else list(neg))
-        for name, given in (("add_table", add), ("mul_table", mul), ("neg_table", neg)):
-            if isinstance(given, np.ndarray):
-                self.cache[name] = np.ascontiguousarray(
-                    given, dtype=index_dtype(order)).ravel()
-
-        if order <= table_cap:
-            dtype = index_dtype(order)
-            if add_table is None:
-                add_table = self._fill("add_table", add_vec or _map_vec(add), dtype)
-            if mul_table is None:
-                mul_table = self._fill("mul_table", mul_vec or _map_vec(mul), dtype)
-            if neg_table is None:
-                neg_table = self._fill("neg_table", neg_vec or _map_vec(neg), dtype)
-
-        self.add_table = add_table
-        self.mul_table = mul_table
-        self.neg_table = neg_table
-
-        self.add = (lambda a, b, _t=add_table: _t[a][b]) if add_table is not None else add
-        self.mul = (lambda a, b, _t=mul_table: _t[a][b]) if mul_table is not None else mul
-        self.neg = (lambda a, _t=neg_table: _t[a]) if neg_table is not None else neg
+        dtype = index_dtype(order)
+        for name, op, vec, shape in (("add", add, add_vec, (order, order)),
+                                     ("mul", mul, mul_vec, (order, order)),
+                                     ("neg", neg, neg_vec, (order,))):
+            if not callable(op):
+                table = np.array(op, dtype=dtype)
+                if table.shape != shape:
+                    raise ValueError(f"table must be {'x'.join(map(str, shape))}")
+            else:
+                table = _fill(vec or _map_vec(op), shape, dtype) if order <= table_cap else None
+            setattr(self, f"{name}_table", table)
+            if table is None:
+                setattr(self, name, op)
+                setattr(self, f"{name}_vec", vec or _map_vec(op))
+                continue
+            table.flags.writeable = False
+            flat = self.cache[f"{name}_table"] = table.ravel()
+            if name == "neg":  # n entries: its list is made at once
+                self.neg = table.tolist().__getitem__
+                self.neg_vec = flat.take
+            else:
+                read = lambda a, b, _r=None: _r[a][b]
+                read.__defaults__ = (_Rows(read, table),)
+                setattr(self, name, read)
+                setattr(self, f"{name}_vec", lambda a, b, _t=flat: _t.take(
+                    np.multiply(a, order, dtype=np.int64) + b))
         self.sub = lambda a, b, _add=self.add, _neg=self.neg: _add(a, _neg(b))
-
-        self.add_vec = self._table_vec("add_table") if add_table is not None else (
-            add_vec or _map_vec(add))
-        self.mul_vec = self._table_vec("mul_table") if mul_table is not None else (
-            mul_vec or _map_vec(mul))
-        self.neg_vec = self._table_vec("neg_table") if neg_table is not None else (
-            neg_vec or _map_vec(neg))
         self.sub_vec = lambda a, b, _add=self.add_vec, _neg=self.neg_vec: _add(a, _neg(b))
 
         self._element_label = element_label
 
         if validate is None:
-            validate = add_table is not None and order <= DEFAULT_VALIDATE_CAP
+            validate = self.add_table is not None and order <= DEFAULT_VALIDATE_CAP
         if validate:
             report = validate_axioms(self)
             if not report.ok:
                 raise RingLabError(f"ring axioms violated in {self.label}: {report.failure}")
 
-    def _fill(self, name: str, vec: VecOp, dtype) -> list:
-        """Fill table ``name`` of the given dtype from its vector operation,
-        keep the flat numpy table in ``cache`` and return the list form."""
-        n = self.order
-        idx = np.arange(n)
-        if name == "neg_table":
-            table = np.empty(n, dtype=dtype)
-            table[:] = vec(idx)
-        else:
-            table = np.empty((n, n), dtype=dtype)
-            rows = max(1, _FILL_CHUNK // n)
-            for start in range(0, n, rows):
-                table[start:start + rows] = vec(idx[start:start + rows, None], idx)
-        self.cache[name] = table.ravel()
-        return table.tolist()
-
-    def _flat_table(self, name: str) -> np.ndarray:
-        """Flat numpy copy of table ``name`` (a pair (a, b) sits at
-        a * order + b), made on first use and kept in ``cache``."""
-        table = self.cache.get(name)
-        if table is None:
-            table = self.cache[name] = np.array(getattr(self, name),
-                                                dtype=index_dtype(self.order)).ravel()
-        return table
-
-    def _table_vec(self, name: str) -> VecOp:
-        """Gather from the flat numpy copy of a table."""
-        n = self.order
-        if name == "neg_table":
-            return lambda a: self._flat_table(name).take(a)
-        return lambda a, b: self._flat_table(name).take(np.multiply(a, n, dtype=np.int64) + b)
+    def rows(self, name: str) -> list:
+        """Table ``name`` ("add", "mul" or "neg") of a tabled ring as the
+        Python list (of rows) that its scalar op reads, made now if need be."""
+        op = getattr(self, name)
+        if name == "neg":
+            return op.__self__
+        op.__defaults__[0][0]  # makes the rows if they are not made yet
+        return op.__defaults__[0]
 
     def element_label(self, i: int) -> str:
         if self._element_label is not None:
@@ -251,10 +236,7 @@ def _tables(ring: FiniteRing):
         raise OrderCapError(
             f"axiom validation needs materialized tables; {ring.label} has order {ring.order}"
         )
-    n = ring.order
-    return (ring._flat_table("add_table").reshape(n, n),
-            ring._flat_table("mul_table").reshape(n, n),
-            ring._flat_table("neg_table"))
+    return ring.add_table, ring.mul_table, ring.neg_table
 
 
 def validate_axioms(ring: FiniteRing) -> AxiomReport:
@@ -292,31 +274,34 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
     return _validate_cubic(ring)
 
 
-def _additive_generators(add_table: Sequence[Sequence[int]], zero: int) -> Optional[list[int]]:
+def _additive_generators(add_table: np.ndarray, zero: int) -> Optional[list[int]]:
     """Greedy additive generating set: the smallest element not yet reached
     is the next generator, where reached means a left-bracketed sum
     (...((0 + g1) + g2) + ...) + gk of generators. In a group each generator
     at least doubles the subgroup reached, so more than log2 n generators
     prove (R, +) is no group; None is returned then."""
+    add_table = np.asarray(add_table)
     n = len(add_table)
     seen = [False] * n
     seen[zero] = True
     reached = [zero]
     gens: list[int] = []
+    cols: list[list[int]] = []  # cols[i][x] = x + gens[i]
     for c in range(n):
         if seen[c]:
             continue
         if 1 << (len(gens) + 1) > n:
             return None
         gens.append(c)
-        todo = [(x, c) for x in reached]
+        cols.append(add_table[:, c].tolist())
+        todo = [(x, cols[-1]) for x in reached]
         while todo:
-            x, g = todo.pop()
-            y = add_table[x][g]
+            x, col = todo.pop()
+            y = col[x]
             if not seen[y]:
                 seen[y] = True
                 reached.append(y)
-                todo.extend((y, h) for h in gens)
+                todo.extend((y, h) for h in cols)
     return gens
 
 

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from .core import FiniteRing, nil_index_of
+from .core import FiniteRing, _axioms_hold, nil_index_of
 from .kernel import _PASS_CELLS
 
 
@@ -195,10 +195,12 @@ def is_abelian(ring: FiniteRing) -> bool:
 def _radical_members(ring: FiniteRing) -> tuple:
     """Raw quasi-regularity scan, without validation or quotient re-check:
     with a unity, the a with 1 - r*a a unit for every r; without one, the a
-    whose left ideal is left quasi-regular (b + x - b*x = 0 for some b)."""
+    whose left ideal R^1 a = {k*a + r*a} is left quasi-regular (b + x - b*x
+    = 0 for some b). That form needs the axioms, so a table that fails them
+    takes the worklist closure of each element (lazy rings are not checked)."""
     n = ring.order
     X = np.arange(n, dtype=np.int64)
-    mul, sub = ring.mul_vec, ring.sub_vec
+    add, mul, sub = ring.add_vec, ring.mul_vec, ring.sub_vec
     good = np.empty(n, dtype=bool)
     if ring.unital:
         unit = np.zeros(n, dtype=bool)
@@ -207,10 +209,23 @@ def _radical_members(ring: FiniteRing) -> tuple:
             RA = mul(X, X[s, None])  # (a, r) -> r*a
             good[s] = unit[sub(np.full(RA.shape, ring.one, dtype=np.int64), RA)].all(axis=1)
         return tuple(np.flatnonzero(good).tolist())
+    regular = np.empty(n, dtype=bool)
     for s in _row_blocks(ring, n):
         A = X[s, None]
-        good[s] = (ring.add_vec(X, sub(A, mul(X, A))) == ring.zero).any(axis=1)
-    return tuple(a for a in range(n) if good[list(left_ideal_generated(ring, a))].all())
+        regular[s] = (add(X, sub(A, mul(X, A))) == ring.zero).any(axis=1)
+    if ring.add_table is not None and not _axioms_hold(ring):
+        return tuple(a for a in range(n) if regular[list(left_ideal_generated(ring, a))].all())
+    for s in _row_blocks(ring, n):
+        A = X[s, None]
+        RA = mul(X, A)  # (a, r) -> r*a
+        KA = np.full(A.shape, ring.zero, dtype=np.int64)  # k*a, for k = 0, 1, ...
+        good[s] = True
+        for _ in range(n):  # the additive order of a divides n
+            good[s] &= regular[add(KA, RA)].all(axis=1)
+            KA = add(KA, A)
+            if (KA == ring.zero).all():
+                break
+    return tuple(np.flatnonzero(good).tolist())
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:

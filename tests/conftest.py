@@ -74,13 +74,20 @@ def vector_mismatches(ring: rl.FiniteRing, xs, ys) -> list:
     return [name for name in expected if np.asarray(got[name]).tolist() != expected[name]]
 
 
+def list_rows(ring: rl.FiniteRing) -> set:
+    """Names of the (n, n) tables of a tabled ring whose Python list rows
+    have been made."""
+    return {name for name in ("add", "mul")
+            if type(getattr(ring, name).__defaults__[0]) is list}
+
+
 def with_cell(ring: rl.FiniteRing, table: str, cell, value: int) -> rl.FiniteRing:
     """An unvalidated copy of a tabled ring with one table cell replaced:
     ``table`` is "add", "mul" or "neg" (cell[0] only), or "add-sym", which
     replaces the add cells at (x, y) and (y, x) so that + stays commutative."""
-    add = [row[:] for row in ring.add_table]
-    mul = [row[:] for row in ring.mul_table]
-    neg = list(ring.neg_table)
+    add = ring.add_table.tolist()
+    mul = ring.mul_table.tolist()
+    neg = ring.neg_table.tolist()
     x, y = cell
     if table == "neg":
         neg[x] = value

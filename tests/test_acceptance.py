@@ -29,11 +29,11 @@ def test_criterion_01_axiom_validation():
         report = rl.validate_axioms(ring)
         assert report.ok, f"{name}: {report.failure}"
     base = rl.zn_ring(4)
-    mul = [row[:] for row in base.mul_table]
+    mul = base.mul_table.tolist()
     mul[2][3] = 1
     corrupted = rl.FiniteRing(
-        4, add=[row[:] for row in base.add_table], mul=mul,
-        neg=list(base.neg_table), one=1, validate=False)
+        4, add=base.add_table.tolist(), mul=mul,
+        neg=base.neg_table.tolist(), one=1, validate=False)
     report = rl.validate_axioms(corrupted)
     assert not report.ok
     assert report.failure.axiom == "mul-associativity"

@@ -9,7 +9,8 @@ import ringlab as rl
 from ringlab.core import _additive_generators, index_dtype, power_from_seq
 
 import oracles
-from conftest import agrees_with_cubic, all_pairs, corpus_ring, vector_mismatches, with_cell
+from conftest import (agrees_with_cubic, all_pairs, corpus_ring, list_rows, sample_pairs,
+                      vector_mismatches, with_cell)
 
 
 def test_validate_axioms_accepts_corpus(corpus):
@@ -20,13 +21,13 @@ def test_validate_axioms_accepts_corpus(corpus):
 
 def _corrupted_z4(entry=(2, 3), value=1):
     base = rl.zn_ring(4)
-    mul = [row[:] for row in base.mul_table]
+    mul = base.mul_table.tolist()
     mul[entry[0]][entry[1]] = value
     return rl.FiniteRing(
         4,
-        add=[row[:] for row in base.add_table],
+        add=base.add_table.tolist(),
         mul=mul,
-        neg=list(base.neg_table),
+        neg=base.neg_table.tolist(),
         one=1,
         label="corrupted Z4",
         validate=False,
@@ -61,9 +62,9 @@ def test_unity_axioms_checked():
     base = rl.zn_ring(4)
     wrong_one = rl.FiniteRing(
         4,
-        add=[row[:] for row in base.add_table],
-        mul=[row[:] for row in base.mul_table],
-        neg=list(base.neg_table),
+        add=base.add_table.tolist(),
+        mul=base.mul_table.tolist(),
+        neg=base.neg_table.tolist(),
         one=2,
         validate=False,
     )
@@ -272,26 +273,80 @@ def test_tables_filled_from_closures_are_cached_at_construction():
     assert set(ring.cache) == {"add_table", "mul_table", "neg_table"}
     for name in ("add_table", "mul_table"):
         assert ring.cache[name].dtype == np.uint16
-        assert ring.cache[name].reshape(6, 6).tolist() == getattr(ring, name)
-    assert ring.cache["neg_table"].tolist() == ring.neg_table
+        assert ring.cache[name].reshape(6, 6).tolist() == getattr(ring, name).tolist()
+    assert ring.cache["neg_table"].tolist() == ring.neg_table.tolist()
 
 
-def test_table_copy_is_made_on_first_use():
+def test_list_tables_are_converted_at_construction():
     base = rl.zn_ring(6)
-    ring = rl.FiniteRing(6, base.add_table, base.mul_table, base.neg_table, one=1,
-                         validate=False)
-    assert not ring.cache
+    ring = rl.FiniteRing(6, base.add_table.tolist(), base.mul_table.tolist(),
+                         base.neg_table.tolist(), one=1, validate=False)
+    assert set(ring.cache) == {"add_table", "mul_table", "neg_table"}
+    for name in ("add_table", "mul_table", "neg_table"):
+        table = getattr(ring, name)
+        assert table.dtype == np.uint16 and ring.cache[name].dtype == np.uint16
+        assert table.tolist() == getattr(base, name).tolist()
+        assert ring.cache[name].tolist() == np.ravel(table).tolist()
+    assert table.shape == (6,) and ring.mul_table.shape == (6, 6)
     assert ring.mul_vec(np.array([2, 3]), np.array([3, 5])).tolist() == [0, 3]
-    assert set(ring.cache) == {"mul_table"}
-    assert ring.cache["mul_table"].dtype == np.uint16
-    ring.sub_vec(np.array([1]), np.array([2]))
-    assert {"add_table", "mul_table", "neg_table"} <= set(ring.cache)
+    with pytest.raises(ValueError, match="6x6"):
+        rl.FiniteRing(6, base.add_table.tolist()[:5], base.mul_table, base.neg_table)
+
+
+def test_tables_reject_writes():
+    given = rl.zn_ring(6).mul_table.copy()
+    for ring in (rl.zn_ring(6), corpus_ring("M2(Z2)"),
+                 rl.FiniteRing(6, given, given, given[0], validate=False)):
+        for name in ("add_table", "mul_table", "neg_table"):
+            for table in (getattr(ring, name), ring.cache[name]):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 1
+                assert not table.flags.writeable
+    given[0, 0] = 5  # the ring holds a copy of a given array
+    assert ring.mul_table[0, 0] == 0
+
+
+def test_scalar_ops_make_list_rows_on_first_use():
+    ring = rl.zn_ring(6)
+    assert list_rows(ring) == set()
+    mul = ring.mul  # taken before the first call, as callers that hoist it do
+    assert mul(2, 5) == 4 and type(mul(2, 5)) is int and ring.mul is mul
+    assert ring.rows("mul") == ring.mul_table.tolist()
+    assert ring.mul(2, 5) == 4 and list_rows(ring) == {"mul"}
+    assert ring.sub(1, 2) == 5 and list_rows(ring) == {"add", "mul"}
+    assert ring.rows("neg") == ring.neg_table.tolist()
+    for fresh in (ring, rl.zn_ring(6)):  # out of range before and after the rows
+        with pytest.raises(IndexError):
+            fresh.add(6, 0)
+    lazy = rl.FiniteRing(6, lambda a, b: (a + b) % 6, lambda a, b: (a * b) % 6,
+                         lambda a: -a % 6, one=1, table_cap=0)
+    assert lazy.mul(2, 5) == 4 and lazy.sub(1, 2) == 5
 
 
 def test_tabled_vector_ops_match_scalar_on_all_pairs(corpus):
     for name, ring in corpus.items():
         assert ring.mul_table is not None, name
         assert vector_mismatches(ring, *all_pairs(ring.order)) == [], name
+
+
+def test_list_rows_match_the_vector_ops():
+    """The scalar ops of fresh tabled rings, read from list rows made on
+    first use, equal the vector ops, which gather from the flat tables."""
+    z8 = rl.build(rl.Zn(8))
+    m3 = rl.build(rl.parse_spec("M3(Z2)"))
+    specs = [str(s) for s in rl.DEFAULT_CORPUS] + [
+        "Op(T2(Z4))", "Ideal(T2(Z4),3)", "Quot(M2(Z4),130)", "Triv(Z17)", "M2(Z5)"]
+    rings = [rl.build(rl.parse_spec(s)) for s in specs] + [
+        rl.subring(z8, (0, 2, 4, 6)),
+        rl.quotient(z8, rl.ideal_generated(z8, (4,)))[0],
+        rl.opposite(m3)]
+    assert list_rows(m3) == set()  # Op left them unmade
+    for ring in rings:
+        assert ring.mul_table is not None, ring.label
+        assert list_rows(ring) == set(), ring.label
+        pairs = all_pairs(ring.order) if ring.order <= 256 else sample_pairs(ring.order)
+        assert vector_mismatches(ring, *pairs) == [], ring.label
+        assert ring.rows("mul") == ring.mul_table.tolist(), ring.label
 
 
 def test_default_vector_ops_map_the_scalar_ops():

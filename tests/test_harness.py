@@ -1,10 +1,14 @@
 """The named-check harness and the census over the default corpus."""
 
+from unittest import mock
+
 import pytest
 
 import ringlab as rl
 from ringlab import harness as hn
 from ringlab import construct as ct
+
+from conftest import list_rows
 
 
 def test_check_ids_exact_order():
@@ -161,3 +165,20 @@ def test_derived_rings_are_built_once(monkeypatch, check_id):
     second = hn.run_check(check_id, corpus)
     assert (first.status, first.detail) == (second.status, second.detail)
     assert calls == {"quotient": {}, "ideal_subring": {}}
+
+
+def test_census_of_tabled_rings_makes_no_list_rows():
+    # the census reads only the flat tables of rings above the brute limit
+    built = []
+
+    def build(spec):
+        built.append(rl.build(spec))
+        return built[-1]
+
+    with mock.patch.object(ct, "build_cached", build):
+        rows = hn.census([rl.parse_spec("M2(Z5)"), rl.parse_spec("T2(Z7)")])
+    assert [row.error for row in rows] == [None, None]
+    assert [ring.order for ring in built] == [625, 343]
+    for ring in built:
+        assert ring.mul_table is not None
+        assert list_rows(ring) == set(), ring.label
