@@ -481,8 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.run(args, sys.stdout)
     except OrderCapError as exc:

@@ -665,12 +665,12 @@ def corner_ring(parent: FiniteRing, e: int, spec: Optional[RingSpec] = None,
     """Corner e*R*e for an idempotent e; unital with unity e."""
     if not 0 <= e < parent.order:
         raise SpecError(f"element {e} out of range")
-    pmul = parent.mul
-    if pmul(e, e) != e:
+    er = parent.mul_vec(e, np.arange(parent.order))  # e*r for every r
+    if er[e] != e:
         raise SpecError(f"corner needs an idempotent, {e} is not one")
     if parent.unital and e == parent.one:
         return parent
-    members = sorted({pmul(pmul(e, r), e) for r in range(parent.order)})
+    members = parent.mul_vec(er, e).tolist()
     if spec is None and parent.spec is not None:
         spec = Corner(parent.spec, e)
     return subring(parent, members, one=e, spec=spec,

@@ -110,8 +110,9 @@ class FiniteRing:
     flat tables; the scalar ops read Python lists (``rows``, a list index
     costs half a numpy one), those of add and mul made on their first call.
     Above the cap the table attributes are None and the closures given serve
-    (the scalar one mapped when no vector form is given). Instances are
-    immutable by convention; ``cache`` holds memoized derived data.
+    (the scalar one mapped when no vector form is given). ``validated`` is
+    True when the axioms were checked (and held) at construction. Instances
+    are immutable by convention; ``cache`` holds memoized derived data.
     """
 
     def __init__(
@@ -180,6 +181,7 @@ class FiniteRing:
             report = validate_axioms(self)
             if not report.ok:
                 raise RingLabError(f"ring axioms violated in {self.label}: {report.failure}")
+        self.validated = bool(validate)
 
     def rows(self, name: str) -> list:
         """Table ``name`` ("add", "mul" or "neg") of a tabled ring as the

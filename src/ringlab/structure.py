@@ -197,7 +197,8 @@ def _radical_members(ring: FiniteRing) -> tuple:
     with a unity, the a with 1 - r*a a unit for every r; without one, the a
     whose left ideal R^1 a = {k*a + r*a} is left quasi-regular (b + x - b*x
     = 0 for some b). That form needs the axioms, so a table that fails them
-    takes the worklist closure of each element (lazy rings are not checked)."""
+    takes the worklist closure of each element (unchecked: lazy rings and
+    those validated at construction)."""
     n = ring.order
     X = np.arange(n, dtype=np.int64)
     add, mul, sub = ring.add_vec, ring.mul_vec, ring.sub_vec
@@ -213,7 +214,7 @@ def _radical_members(ring: FiniteRing) -> tuple:
     for s in _row_blocks(ring, n):
         A = X[s, None]
         regular[s] = (add(X, sub(A, mul(X, A))) == ring.zero).any(axis=1)
-    if ring.add_table is not None and not _axioms_hold(ring):
+    if ring.add_table is not None and not ring.validated and not _axioms_hold(ring):
         return tuple(a for a in range(n) if regular[list(left_ideal_generated(ring, a))].all())
     for s in _row_blocks(ring, n):
         A = X[s, None]

@@ -1,5 +1,6 @@
 """Spec expression parser and the four CLI subcommands."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import ringlab as rl
+from ringlab import cli
 from ringlab.cli import CSV_HEADER, parse_spec, SpecParseError
 
 
@@ -309,3 +311,56 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "witness:" in proc.stdout
+
+
+# --- one parser per process -----------------------------------------------------------
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert rl.main(["witness", "Z6", "2", "wnc"]) == 0
+    assert len(built) == 5  # ringlab and its four subcommands
+    built.clear()
+    assert rl.main(["witness", "Z6", "3", "clean"]) == 0
+    assert rl.main(["classify", "Z4"]) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    assert rl.main(["witness", "Z6", "2", "wnc"]) == 0
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        rl.main(["witness", "Z6", "2", "sideways"])
+    assert err.value.code == 2
+    assert "invalid choice: 'sideways'" in capsys.readouterr().err
+    assert rl.main(["witness", "Z6", "2", "wnc"]) == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["classify", "Zq"], 2),                      # SpecParseError
+    (["witness", "Z6", "99", "wnc"], 2),          # RingLabError
+    (["classify", "M3(Z8)"], 3),                  # OrderCapError
+    (["witness", "Z6", "2", "sideways"], 2),      # argparse usage error
+])
+def test_errors_after_a_call_match_a_fresh_interpreter(argv, code, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at this width
+    fresh = subprocess.run([sys.executable, "-m", "ringlab", *argv],
+                           capture_output=True, text=True)
+    assert rl.main(["witness", "Z6", "2", "wnc"]) == 0
+    capsys.readouterr()
+    try:
+        got = rl.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, capsys.readouterr().err) == (code, fresh.stderr)
+    assert fresh.returncode == code

@@ -9,7 +9,7 @@ import ringlab as rl
 from ringlab import construct as ct
 
 import oracles
-from conftest import all_pairs, lazy_rings, sample_pairs, vector_mismatches
+from conftest import all_pairs, lazy_rings, list_rows, sample_pairs, vector_mismatches
 
 
 # --- digit packing ------------------------------------------------------------
@@ -176,6 +176,46 @@ def test_corner_ring_of_matrix_unit(corpus):
     assert corner.members[corner.one] == e11
     with pytest.raises(ValueError):
         rl.corner_ring(m2, rl.ring_pack(m2, (0, 1, 0, 0)))  # not idempotent
+
+
+def _scalar_corner(parent, e):
+    """Members of e*R*e from scalar products, or the SpecError message."""
+    if not 0 <= e < parent.order:
+        return f"element {e} out of range"
+    mul = parent.mul
+    if mul(e, e) != e:
+        return f"corner needs an idempotent, {e} is not one"
+    return tuple(sorted({mul(mul(e, r), e) for r in range(parent.order)}))
+
+
+def _corner_outcome(parent, e):
+    try:
+        corner = rl.corner_ring(parent, e)
+    except rl.SpecError as exc:
+        return str(exc)
+    return tuple(range(parent.order)) if corner is parent else corner.members
+
+
+def test_corner_ring_matches_scalar_products(corpus):
+    for ring in corpus.values():
+        for e in (-1, *range(ring.order + 1)):
+            assert _corner_outcome(ring, e) == _scalar_corner(ring, e), (ring.label, e)
+    m3 = rl.build(rl.Matrix(3, rl.Zn(2)))
+    for e in rl.idempotents(m3) + (2, 3, 257, 511):
+        assert _corner_outcome(m3, e) == _scalar_corner(m3, e), e
+    with lazy_rings():
+        lazy = [rl.build(rl.parse_spec(s)) for s in ("M2(Z2)", "T2(Z3)", "Triv(Z4)")]
+    for ring in lazy:
+        for e in range(ring.order):
+            assert _corner_outcome(ring, e) == _scalar_corner(ring, e), (ring.label, e)
+
+
+def test_corner_ring_makes_no_list_rows_in_its_parent():
+    m3 = rl.build(rl.Matrix(3, rl.Zn(2)))
+    assert rl.corner_ring(m3, 256).order == 2
+    with pytest.raises(rl.SpecError):
+        rl.corner_ring(m3, 2)  # a matrix unit off the diagonal
+    assert list_rows(m3) == set()
 
 
 def test_quotient_projection_is_homomorphism():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ringlab as rl
+from ringlab import structure as st
 
 import oracles
 from conftest import assert_scans_match_oracles, lazy_rings, with_cell
@@ -214,3 +215,23 @@ def test_scans_match_the_oracles(corpus):
               with_cell(rl.build(rl.parse_spec("Ideal(T2(Z2),1)")), "mul", (1, 0), 1)]
     for ring in rings:
         assert_scans_match_oracles(ring)
+
+
+@pytest.mark.parametrize("text", ["Ideal(Z8,2)", "Ideal(Z2[x]/(x^3),2)",
+                                  "Ideal(T2(Z4),2)"])
+def test_radical_rechecks_the_axioms_only_of_unvalidated_rings(text, monkeypatch):
+    calls, axioms_hold = [], st._axioms_hold
+
+    def counting(ring):
+        calls.append(ring.label)
+        return axioms_hold(ring)
+
+    monkeypatch.setattr(st, "_axioms_hold", counting)
+    ring = rl.build(rl.parse_spec(text))
+    copy = rl.FiniteRing(ring.order, ring.add_table, ring.mul_table, ring.neg_table,
+                         zero=ring.zero, label="copy", validate=False)
+    assert not ring.unital and ring.validated and not copy.validated
+    members = rl.jacobson_radical(ring).members
+    assert calls == []
+    assert rl.jacobson_radical(copy).members == members
+    assert calls == ["copy"]
