@@ -247,26 +247,39 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
     Returns a verdict; on failure the report names the broken axiom and the
     first offending element tuple in lexicographic order.
 
-    The check costs O(n^2 |G|), where G is an additive
-    generating set from ``_additive_generators`` (|G| <= log2 n when (R, +)
-    is a group). After the O(n^2) checks (closure, commutativity of +, zero,
-    negation, zero rows, unity), it verifies
+    The check costs n^2 |G| + O(n^2) gathers, where G is the additive
+    generating set of ``_additive_generators`` (|G| <= log2 n when (R, +) is
+    a group), whose walk reaches each x != 0 as x = p + g, g in G, from an
+    element p reached before x. After the O(n^2) checks (closure,
+    commutativity of +, zero, negation, zero rows, unity), it verifies
 
-    * Light's test (x + g) + y = x + (g + y) for all x, y and g in G;
-    * a(b + g) = ab + ag and (b + g)a = ba + ga for all a, b and g in G;
+    * (p + g) + y = p + (g + y) for every such tree edge x = p + g and all y,
+      and g + (h + y) = h + (g + y) for g, h in G and all y;
+    * g(h + b) = gh + gb for g, h in G and all b;
+    * (b + g)a = ba + ga for all a, b and g in G;
     * (gh)k = g(hk) for g, h, k in G.
 
-    Call an element good for an identity when the identity holds with it in
-    the place of g. The good elements of each test contain 0 (by the zero
-    checks) and are closed under +: for Light's test, if g and h are good then
-    (x + (g + h)) + y = ((x + g) + h) + y = (x + g) + (h + y)
-    = x + (g + (h + y)) = x + ((g + h) + y); for distributivity,
-    a(b + (g + h)) = a((b + g) + h) = a(b + g) + ah = (ab + ag) + ah
-    = ab + a(g + h). Every element is a sum x + g of a smaller sum and a
-    generator, so every element is good: + is associative and both
-    distributive laws hold. Both sides of (ab)c = a(bc) are then additive in
-    each of a, b and c, so agreement on G^3 extends to all of R^3, one
-    argument at a time.
+    Write L_x for the translation y -> x + y. The tree edges say
+    L_{p+g} = L_p L_g, and L_0 is the identity, so every L_x is a product of
+    generator translations, which commute with each other: the L_x lie in a
+    commutative semigroup S of maps. S is transitive, as L_x(0) = x, so two of
+    its maps h, k that agree at 0 are equal: h(s(0)) = s(h(0)) = s(k(0))
+    = k(s(0)) for every s in S. L_x L_y and L_{x+y} both lie in S and send 0
+    to x + y, so they are equal: + is associative.
+
+    Call an element good for a distributive law when the law holds with it in
+    the place of the generator. The good elements contain 0 (by the zero
+    checks) and are closed under +: on the right,
+    (b + (g + h))a = ((b + g) + h)a = (b + g)a + ha = (ba + ga) + ha
+    = ba + (g + h)a, and on the left, for a fixed g in G, likewise
+    g(b + (h + k)) = g(b + h) + gk = (gb + gh) + gk = gb + g(h + k). Every
+    element is a sum of generators, so right distributivity holds on all of
+    R^3, and g(b + c) = gb + gc for g in G and all b, c. The a with
+    a(b + c) = ab + ac for all b, c are closed under + too, by right
+    distributivity: (a + a')(b + c) = a(b + c) + a'(b + c)
+    = (ab + a'b) + (ac + a'c) = (a + a')b + (a + a')c. So both distributive
+    laws hold. Both sides of (ab)c = a(bc) are then additive in each of a, b
+    and c, so agreement on G^3 extends to all of R^3, one argument at a time.
 
     Any failure is reported by ``_validate_cubic``, the direct O(n^3) check,
     so the axiom and tuple named are those of the first failure in its order.
@@ -276,79 +289,104 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
     return _validate_cubic(ring)
 
 
-def _additive_generators(add_table: np.ndarray, zero: int) -> Optional[list[int]]:
-    """Greedy additive generating set: the smallest element not yet reached
-    is the next generator, where reached means a left-bracketed sum
-    (...((0 + g1) + g2) + ...) + gk of generators. In a group each generator
-    at least doubles the subgroup reached, so more than log2 n generators
-    prove (R, +) is no group; None is returned then."""
+def _generator_tree(add_table: np.ndarray, zero: int):
+    """The walk of ``_additive_generators``: (gens, tree), or None where that
+    returns None. tree lists the n - 1 edges (x, p, g) with x = p + g and g
+    in gens, one for each x != zero, p reached before x."""
     add_table = np.asarray(add_table)
     n = len(add_table)
     seen = [False] * n
     seen[zero] = True
     reached = [zero]
+    tree: list[tuple[int, int, int]] = []
     gens: list[int] = []
-    cols: list[list[int]] = []  # cols[i][x] = x + gens[i]
+    cols: list[tuple[int, list[int]]] = []  # (g, col) with col[x] = x + g
     for c in range(n):
         if seen[c]:
             continue
         if 1 << (len(gens) + 1) > n:
             return None
         gens.append(c)
-        cols.append(add_table[:, c].tolist())
-        todo = [(x, cols[-1]) for x in reached]
-        while todo:
-            x, col = todo.pop()
-            y = col[x]
-            if not seen[y]:
-                seen[y] = True
-                reached.append(y)
-                todo.extend((y, h) for h in cols)
-    return gens
+        cols.append((c, add_table[:, c].tolist()))
+        old = len(reached)
+        # the loop also visits the elements it appends: those meet every
+        # generator, the ones reached before only the new one
+        for j, x in enumerate(reached):
+            for g, col in (cols if j >= old else cols[-1:]):
+                y = col[x]
+                if not seen[y]:
+                    seen[y] = True
+                    reached.append(y)
+                    tree.append((y, x, g))
+    return gens, tree
+
+
+def _additive_generators(add_table: np.ndarray, zero: int) -> Optional[list[int]]:
+    """Greedy additive generating set: the smallest element not yet reached
+    is the next generator, where reached means a left-bracketed sum
+    (...((0 + g1) + g2) + ...) + gk of generators. In a group each generator
+    at least doubles the subgroup reached, so more than log2 n generators
+    prove (R, +) is no group; None is returned then."""
+    walk = _generator_tree(add_table, zero)
+    return None if walk is None else walk[0]
 
 
 def _axioms_hold(ring: FiniteRing) -> bool:
-    """The axioms hold: the exact O(n^2 |G|) test of ``validate_axioms``."""
+    """The axioms hold: the exact test of ``validate_axioms``, each identity
+    compared in blocks of at most _AXIOM_CHUNK cells."""
     A, M, neg = _tables(ring)
     n = ring.order
     zero = ring.zero
     idx = np.arange(n)
-    if (A >= n).any() or (M >= n).any() or (neg >= n).any():
+    if max(A.max(), M.max(), neg.max()) >= n:
         return False
-    if not (np.array_equal(A, A.T) and np.array_equal(A[zero], idx)
+    if not ((A == A.T).all() and (A[zero] == idx).all()
             and (A[idx, neg] == zero).all()
             and (M[zero] == zero).all() and (M[:, zero] == zero).all()):
         return False
-    if ring.unital and not (np.array_equal(M[ring.one], idx)
-                            and np.array_equal(M[:, ring.one], idx)):
+    if ring.unital and not ((M[ring.one] == idx).all() and (M[:, ring.one] == idx).all()):
         return False
-    G = _additive_generators(ring.add_table, zero)
-    if G is None:
+    walk = _generator_tree(A, zero)
+    if walk is None:
         return False
+    G, tree = walk
     if not G:
         return True
+    flat = A.ravel()
+    # Translation identities L_u L_v = L_p L_w, one per row (u, v, p, w),
+    # read u + (v + y) = p + (w + y) for all y: x + (0 + y) = p + (g + y) on
+    # the tree edges x = p + g, and g + (h + y) = h + (g + y) on the pairs of
+    # generators. Each side is one gather of (row, y) cells.
+    rows = [(x * n, zero, p * n, g) for x, p, g in tree]
+    rows += [(g * n, h, h * n, g) for i, g in enumerate(G) for h in G[:i]]
+    Un, V, Pn, W = np.array(rows, dtype=np.intp).T
+    step = max(1, _AXIOM_CHUNK // n)
+    for s in range(0, len(rows), step):
+        t = s + step
+        if not (flat.take(Un[s:t, None] + A.take(V[s:t], axis=0))
+                == flat.take(Pn[s:t, None] + A.take(W[s:t], axis=0))).all():
+            return False
     # Each side below is one gather into an array indexed (row, g, column),
     # so that the compared arrays are contiguous. As + is commutative (checked
-    # above), the distributivity gathers read a(g + b) for a(b + g) and
-    # ag + ab for ab + ag, and likewise on the right.
-    AG = A[:, G]  # AG[x, g] = x + g
-    GA = A[G]     # GA[g, y] = g + y
-    GM = M[G]     # GM[g, a] = ga
-    MGn = M[:, G] * np.intp(n)  # flat row offsets of ag in A
-    GMn = GM * np.intp(n)       # flat row offsets of ga in A
-    flat = A.ravel()
-    rows = max(1, _AXIOM_CHUNK // (n * len(G)))
-    for s in range(0, n, rows):
-        t = s + rows
-        Ms = M[s:t]
-        if not (np.array_equal(A.take(AG[s:t], axis=0), A[s:t].take(GA, axis=1))
-                and np.array_equal(Ms.take(GA, axis=1),
-                                   flat.take(MGn[s:t, :, None] + Ms[:, None, :]))
-                and np.array_equal(M.take(AG[s:t], axis=0),
-                                   flat.take(GMn[None, :, :] + Ms[:, None, :]))):
-            return False
+    # above), g(h + b) is read for g(b + h) and gb + gh for gh + gb, and
+    # likewise on the right.
+    GA = A[G]  # GA[g, y] = g + y
+    GM = M[G]  # GM[g, a] = ga
+    GMn = GM * np.intp(n)  # flat row offsets of ga in A
     GG = GM[:, G]  # GG[g, h] = gh
-    return np.array_equal(M.take(GG, axis=0)[:, :, G], GM.take(GG, axis=1))
+    step = max(1, _AXIOM_CHUNK // (n * len(G)))
+    for s in range(0, len(G), step):
+        t = s + step
+        if not (GM[s:t].take(GA, axis=1)
+                == flat.take(GMn[s:t, G][:, :, None] + GM[s:t, None, :])).all():
+            return False
+    AG = A[:, G]  # AG[x, g] = x + g
+    for s in range(0, n, step):
+        t = s + step
+        if not (M.take(AG[s:t], axis=0)
+                == flat.take(GMn[None, :, :] + M[s:t, None, :])).all():
+            return False
+    return bool((M.take(GG, axis=0)[:, :, G] == GM.take(GG, axis=1)).all())
 
 
 def _validate_cubic(ring: FiniteRing) -> AxiomReport:

@@ -2,15 +2,15 @@
 radical. Results are memoized on the ring's cache dict, so repeated queries
 against the same ring object are cheap.
 
-The O(n^2) scans (units, center, is_abelian, the radical) read only the
-ring's vector operations, in row blocks of at most kernel._PASS_CELLS
-(row, element) cells, so tabled and lazy rings take the same path."""
+The O(n^2) scans (units, center, is_abelian, the radical) and the ideal
+closures read only the ring's vector operations, in row blocks of at most
+kernel._PASS_CELLS (row, element) cells, so tabled and lazy rings take the
+same path."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Dict, Iterable, Sequence
 
 import numpy as np
@@ -67,22 +67,27 @@ def make_ideal(ring: FiniteRing, members: Iterable[int],
 def _closure(ring: FiniteRing, gens: Iterable[int], two_sided: bool) -> tuple:
     """Members of the smallest set containing zero and gens that is closed
     under negation, addition and multiplication by the ring on the left, and
-    on the right too when two_sided (worklist closure)."""
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    R = range(ring.order)
-    seen = {ring.zero, *gens}
-    frontier = list(seen)
-    while frontier:
-        x = frontier.pop()
-        new = set(map(mul, R, repeat(x)))
-        if two_sided:
-            new.update(map(mul, repeat(x), R))
-        new.update(map(add, repeat(x), seen))
-        new.add(neg(x))
-        new -= seen
-        seen |= new
-        frontier.extend(new)
-    return tuple(sorted(seen))
+    on the right too when two_sided. Frontier rounds on a membership mask:
+    each adds R*F (and F*R), F + members and -F for the frontier F of the
+    elements new in the round before, F in row blocks of kernel._PASS_CELLS
+    (row, element) cells."""
+    n = ring.order
+    X = np.arange(n, dtype=np.int64)
+    inside = np.zeros(n, dtype=bool)
+    inside[[ring.zero, *gens]] = True
+    frontier = np.flatnonzero(inside)
+    while len(frontier):
+        members = np.flatnonzero(inside)
+        before = inside.copy()
+        inside[ring.neg_vec(frontier)] = True
+        for s in _row_blocks(ring, len(frontier)):
+            F = frontier[s, None]
+            inside[ring.mul_vec(X, F)] = True
+            if two_sided:
+                inside[ring.mul_vec(F, X)] = True
+            inside[ring.add_vec(F, members)] = True
+        frontier = np.flatnonzero(inside & ~before)
+    return tuple(np.flatnonzero(inside).tolist())
 
 
 def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> Ideal:

@@ -131,6 +131,27 @@ def left_ideal_set(order, add, mul, neg, a):
         members = grown
 
 
+def closure_worklist(order, add, mul, neg, gens, two_sided):
+    """The smallest set holding 0 and gens that is closed under negation,
+    addition and multiplication by the ring on the left, and on the right too
+    when two_sided, by a worklist: each element taken from it adds its
+    products with every r, its sums with every member so far and its
+    negative."""
+    seen = {0, *gens}
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        new = {mul(r, x) for r in range(order)}
+        if two_sided:
+            new |= {mul(x, r) for r in range(order)}
+        new |= {add(x, y) for y in seen}
+        new.add(neg(x))
+        new -= seen
+        seen |= new
+        todo.extend(new)
+    return tuple(sorted(seen))
+
+
 def radical_set(order, add, mul, neg, one=None):
     """J(R) from its definition: with a unity, the a with 1 - r*a a unit for
     every r; without one, the a such that every member x of R^1 a is left

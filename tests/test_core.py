@@ -1,12 +1,14 @@
 """Ring container, axiom validation, and power trajectory machinery."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab.core import _additive_generators, index_dtype, power_from_seq
+from ringlab.core import (_AXIOM_CHUNK, _additive_generators, _generator_tree, index_dtype,
+                          power_from_seq)
 
 import oracles
 from conftest import (agrees_with_cubic, all_pairs, corpus_ring, list_rows, sample_pairs,
@@ -98,6 +100,54 @@ def test_generator_validator_catches_each_identity(mul, axiom):
     group = corpus_ring("Z2xZ2")
     ring = rl.FiniteRing(4, group.add_table, mul, group.neg_table, validate=False)
     assert agrees_with_cubic(ring).failure.axiom == axiom
+
+
+@pytest.mark.parametrize("name", ["Z4", "Z6", "Z2xZ2", "Triv(Z2)", "T2(Z2)"])
+def test_generator_validator_matches_cubic_on_every_one_cell_corruption(name):
+    ring = corpus_ring(name)
+    n = ring.order
+    cells = [(table, (x, y)) for table in ("add", "add-sym", "mul")
+             for x in range(n) for y in range(n)]
+    cells += [("neg", (x, x)) for x in range(n)]
+    current = {"add": ring.add, "add-sym": ring.add, "mul": ring.mul,
+               "neg": lambda x, _: ring.neg(x)}
+    for table, cell in cells:
+        for value in range(n):
+            if value != current[table](*cell):
+                agrees_with_cubic(with_cell(ring, table, cell, value))
+
+
+def test_generator_validator_rejects_a_non_associative_loop():
+    # a commutative loop on 6 elements with zero 0 and inverses, whose
+    # generator tree 0 -1-> 1, 0 -2-> 2 -2-> 4, 1 -2-> 3 -2-> 5 satisfies
+    # (p + g) + y = p + (g + y) on every edge: only the commuting check
+    # 1 + (2 + y) = 2 + (1 + y) on the generators shows it is no group
+    add = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 4, 5, 2], [2, 3, 4, 5, 0, 1],
+           [3, 4, 5, 2, 1, 0], [4, 5, 0, 1, 2, 3], [5, 2, 1, 0, 3, 4]]
+    assert all(sorted(row) == list(range(6)) for row in add)  # a Latin square
+    assert add == [list(col) for col in zip(*add)]  # commutative
+    neg = [row.index(0) for row in add]
+    gens, tree = _generator_tree(np.array(add), 0)
+    assert gens == [1, 2]
+    assert all(add[add[p][g]][y] == add[p][add[g][y]] for _, p, g in tree for y in range(6))
+    ring = rl.FiniteRing(6, add, [[0] * 6] * 6, neg, validate=False)
+    assert agrees_with_cubic(ring).failure.axiom == "add-associativity"
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "M3(Z2)"])
+def test_validation_memory_is_bounded_by_the_chunk(name):
+    # a block of _AXIOM_CHUNK compared cells holds one intp gather index per
+    # cell, the two gathered sides in the table dtype and their comparison:
+    # less than two intp per cell, where a whole (n, |G|, n) index array
+    # would take 84 MB for Z2^10
+    ring = rl.build_cached(rl.parse_spec(name))
+    tracemalloc.start()
+    try:
+        assert rl.validate_axioms(ring).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * np.dtype(np.intp).itemsize * _AXIOM_CHUNK
 
 
 def test_generator_validator_needs_a_commutative_addition():

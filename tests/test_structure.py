@@ -109,6 +109,29 @@ def test_left_ideal_generated():
     assert rl.left_ideal_generated(z6, 2) == (0, 2, 4)
 
 
+@pytest.mark.parametrize("pass_cells", [None, 32])
+def test_closures_match_the_worklist(corpus, pass_cells, monkeypatch):
+    """Left and two-sided closures of every element of the corpus rings of
+    order <= 64 equal the scalar worklist, and so do those of rings without a
+    unity, where R*a need not hold a and sums must be taken, and of two
+    corruptions: in Ideal(T2(Z2),1), 1*0 = 1, and in Z4, -0 = 2. With 32
+    cells a block, the frontier of a ring of order 16 or more spans several
+    row blocks."""
+    if pass_cells:
+        monkeypatch.setattr(st, "_PASS_CELLS", pass_cells)
+    rings = [ring for ring in corpus.values() if ring.order <= 64]
+    rings += [rl.build(rl.parse_spec(s)) for s in
+              ("Ideal(Z8,2)", "Ideal(Z2[x]/(x^3),2)", "Ideal(T2(Z4),2)", "Ideal(M2(Z2),1)")]
+    rings += [with_cell(rl.build(rl.parse_spec("Ideal(T2(Z2),1)")), "mul", (1, 0), 1),
+              with_cell(corpus["Z4"], "neg", (0, 0), 2)]
+    for ring in rings:
+        for two_sided in (False, True):
+            for a in range(ring.order):
+                expected = oracles.closure_worklist(ring.order, ring.add, ring.mul,
+                                                    ring.neg, (a,), two_sided)
+                assert st._closure(ring, (a,), two_sided) == expected, (ring.label, a)
+
+
 def test_make_ideal_validation():
     z8 = rl.zn_ring(8)
     with pytest.raises(ValueError):
