@@ -79,10 +79,13 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
+        if self.pos - start > ct.MAX_INT_DIGITS:
+            self.pos = start
+            self.fail(f"integer literal longer than {ct.MAX_INT_DIGITS} digits")
         return int(self.text[start:self.pos])
 
     def intlist(self) -> Tuple[int, ...]:

@@ -22,6 +22,13 @@ from .core import (
 DEFAULT_MAX_ORDER = 65536
 MAX_ORDER_ENV = "RINGLAB_MAX_ORDER"
 
+# Python reads and writes ints of at most this many digits as text (its
+# default int_max_str_digits). Spec literals are held to it, and orders
+# saturate at _ORDER_LIMIT, the first with more digits, so that every order
+# can be compared with the cap at once and shown in an error.
+MAX_INT_DIGITS = 4300
+_ORDER_LIMIT = 10 ** MAX_INT_DIGITS
+
 
 def resolve_max_order(max_order: Optional[int] = None) -> int:
     """Effective build cap: explicit argument, else environment, else default."""
@@ -145,38 +152,47 @@ def product(parts: Iterable[RingSpec]) -> RingSpec:
     return Product(tuple(flat))
 
 
+def _power(base: int, exp: int) -> int:
+    """min(base ** exp, _ORDER_LIMIT), without forming a power far past it."""
+    if base > 1 and (base.bit_length() - 1) * exp >= _ORDER_LIMIT.bit_length():
+        return _ORDER_LIMIT  # base ** exp >= 2 ** ((bit length - 1) * exp)
+    return min(base ** exp, _ORDER_LIMIT)
+
+
 def spec_order(spec: RingSpec) -> Optional[int]:
-    """Order denoted by the spec, or None when it depends on table contents."""
+    """Order denoted by the spec, or None when it depends on table contents.
+    An order of more than MAX_INT_DIGITS digits reads as _ORDER_LIMIT."""
     if isinstance(spec, Zn):
-        return spec.n
+        return min(spec.n, _ORDER_LIMIT)
     if isinstance(spec, Product):
         n = 1
         for p in spec.parts:
             sub = spec_order(p)
             if sub is None:
                 return None
-            n *= sub
+            n = min(n * sub, _ORDER_LIMIT)
         return n
     if isinstance(spec, Matrix):
         sub = spec_order(spec.base)
-        return None if sub is None else sub ** (spec.k * spec.k)
+        return None if sub is None else _power(sub, spec.k * spec.k)
     if isinstance(spec, Triangular):
         sub = spec_order(spec.base)
-        return None if sub is None else sub ** (spec.k * (spec.k + 1) // 2)
+        return None if sub is None else _power(sub, spec.k * (spec.k + 1) // 2)
     if isinstance(spec, PolyMod):
         sub = spec_order(spec.base)
-        return None if sub is None else sub ** spec.n
+        return None if sub is None else _power(sub, spec.n)
     if isinstance(spec, TrivialExt):
         sub = spec_order(spec.base)
-        return None if sub is None else sub * sub
+        return None if sub is None else _power(sub, 2)
     if isinstance(spec, Opposite):
         return spec_order(spec.base)
     return None  # quotient, corner, ideal: bounded by the base order
 
 
 def _check_cap(order: int, cap: int, what: str) -> None:
-    if order > cap:
-        raise OrderCapError(f"{what} has order {order}, over the cap {cap}")
+    if order > cap or order >= _ORDER_LIMIT:
+        size = order if order < _ORDER_LIMIT else f"of more than {MAX_INT_DIGITS} digits"
+        raise OrderCapError(f"{what} has order {size}, over the cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +422,7 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
         raise SpecError("matrix size must be at least 1")
     bo = base.order
     m = k * k
-    order = bo ** m
+    order = _power(bo, m)
     label = f"M{k}({base.label})"
     _check_cap(order, resolve_max_order(max_order), label)
     radices = (bo,) * m
@@ -473,12 +489,12 @@ def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
     if k < 2:
         raise SpecError("triangular size must be at least 2")
     bo = base.order
-    positions = [(i, j) for i in range(k) for j in range(i, k)]
-    slot = {pos: s for s, pos in enumerate(positions)}
-    m = len(positions)
-    order = bo ** m
+    m = k * (k + 1) // 2
+    order = _power(bo, m)
     label = f"T{k}({base.label})"
     _check_cap(order, resolve_max_order(max_order), label)
+    positions = [(i, j) for i in range(k) for j in range(i, k)]
+    slot = {pos: s for s, pos in enumerate(positions)}
     radices = (bo,) * m
     ops = _digit_ops(radices, (base,) * m,
                      [[(slot[(i, l)], slot[(l, j)]) for l in range(i, j + 1)]
@@ -518,7 +534,7 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
     if n < 1:
         raise SpecError("truncation degree must be at least 1")
     bo = base.order
-    order = bo ** n
+    order = _power(bo, n)
     label = f"{base.label}[x]/(x^{n})"
     _check_cap(order, resolve_max_order(max_order), label)
     radices = (bo,) * n
@@ -726,6 +742,12 @@ def quotient(parent: FiniteRing, ideal, spec: Optional[RingSpec] = None,
     ring.reps = tuple(reps)
     ring.projection = tuple(proj)
     return ring, proj
+
+
+def quotient_cached(parent: FiniteRing, ideal) -> FiniteRing:
+    """The ring of quotient(parent, ideal), kept in the parent's cache under
+    ("quotient", members), so that it is built and validated once."""
+    return parent.memo(("quotient", ideal.members), lambda: quotient(parent, ideal)[0])
 
 
 def build(spec: RingSpec, max_order: Optional[int] = None,

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Hashable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -112,7 +113,9 @@ class FiniteRing:
     Above the cap the table attributes are None and the closures given serve
     (the scalar one mapped when no vector form is given). ``validated`` is
     True when the axioms were checked (and held) at construction. Instances
-    are immutable by convention; ``cache`` holds memoized derived data.
+    are immutable by convention; ``cache`` holds the flat tables and data
+    derived from the ring, kept through ``memo``, ``memoized`` and
+    ``memoized_per_element``.
     """
 
     def __init__(
@@ -200,6 +203,14 @@ class FiniteRing:
     def elements(self) -> range:
         return range(self.order)
 
+    def memo(self, key: Hashable, make: Callable[[], object]):
+        """``cache[key]``, made by ``make()`` on first use: derived rings,
+        ring verdicts and array passes."""
+        cache = self.cache
+        if key not in cache:
+            cache[key] = make()
+        return cache[key]
+
     def require_unital(self, what: str) -> int:
         if self.one is None:
             raise NonUnitalRingError(f"{what} needs a unity but {self.label} has none")
@@ -207,6 +218,40 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"<FiniteRing {self.label} order={self.order}>"
+
+
+def memoized(key: str):
+    """Decorator keeping a scan ``fn(ring)`` in ``ring.cache[key]``. The
+    wrapper reads the cache itself, with no closure made per call, because
+    scans are called inside element loops."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def scan(ring):
+            try:
+                return ring.cache[key]
+            except KeyError:
+                pass
+            value = ring.cache[key] = fn(ring)
+            return value
+        return scan
+    return decorate
+
+
+def memoized_per_element(fn):
+    """Decorator keeping a search ``fn(ring, a)``, None (nothing found)
+    included, in ``ring.cache[(fn.__name__, a)]``, read as in ``memoized``."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def search(ring, a):
+        key = (name, a)
+        try:
+            return ring.cache[key]
+        except KeyError:
+            pass
+        value = ring.cache[key] = fn(ring, a)
+        return value
+    return search
 
 
 def _map_vec(op: Callable[..., int]) -> VecOp:

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from .core import (
     FiniteRing,
     WitnessError,
+    memoized_per_element,
     nil_index_of,
     power,
     power_from_seq,
@@ -159,19 +160,8 @@ def check_strongly_regular(ring: FiniteRing, a: int, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# brute-force searches (ascending index order throughout)
-
-
-def _cache_get(ring: FiniteRing, key):
-    return ring.cache.get(key, _MISS)
-
-
-def _cache_put(ring: FiniteRing, key, value):
-    ring.cache[key] = value
-    return value
-
-
-_MISS = object()
+# brute-force searches (ascending index order throughout), each memoized per
+# element under (name, a)
 
 
 def _exa_value_map(ring: FiniteRing, e: int, a: int) -> Dict[int, int]:
@@ -183,34 +173,27 @@ def _exa_value_map(ring: FiniteRing, e: int, a: int) -> Dict[int, int]:
     return ea
 
 
+@memoized_per_element
 def wncl_witness(ring: FiniteRing, a: int) -> Optional[WnclWitness]:
     """Smallest primal witness in lexicographic (e, q, x) order, or None.
 
     Works in non-unital rings; search space is Id(R) x Nil(R) x R.
     """
-    key = ("wncl_witness", a)
-    hit = _cache_get(ring, key)
-    if hit is not _MISS:
-        return hit
     _, samples = unique_idempotent_wncl(ring, a, limit=1)
-    return _cache_put(ring, key, samples[0] if samples else None)
+    return samples[0] if samples else None
 
 
+@memoized_per_element
 def wncl_witness_alt(ring: FiniteRing, a: int) -> Optional[WnclWitness]:
     """Alternate-form witness: e = x*a idempotent, (1-e) = (1-e)(1+q)(1-a).
 
     Scans x ascending, then q over nilpotents ascending; first hit wins.
     """
     ring.require_unital("alternate witness search")
-    key = ("wncl_witness_alt", a)
-    hit = _cache_get(ring, key)
-    if hit is not _MISS:
-        return hit
     mul, sub, add = ring.mul, ring.sub, ring.add
     one = ring.one
     one_minus_a = sub(one, a)
     nils = st.nilpotents(ring)
-    out = None
     for x in range(ring.order):
         e = mul(x, a)
         if mul(e, e) != e:
@@ -218,31 +201,21 @@ def wncl_witness_alt(ring: FiniteRing, a: int) -> Optional[WnclWitness]:
         f = sub(one, e)
         for q in nils:
             if f == mul(mul(f, add(one, q)), one_minus_a):
-                out = WnclWitness(e, q, x, "alternate")
-                break
-        if out is not None:
-            break
-    return _cache_put(ring, key, out)
+                return WnclWitness(e, q, x, "alternate")
+    return None
 
 
+@memoized_per_element
 def pi_regular_witness(ring: FiniteRing, a: int) -> Optional[PiRegularWitness]:
     """First (n, r) with a^n * r * a^n = a^n, n scanned over the trajectory."""
-    key = ("pi_regular_witness", a)
-    hit = _cache_get(ring, key)
-    if hit is not _MISS:
-        return hit
     mul = ring.mul
     powers, i, p = power_seq(ring, a)
-    out = None
     for n in range(1, i + p + 1):
         an = power_from_seq(powers, i, p, n)
         for r in range(ring.order):
             if mul(mul(an, r), an) == an:
-                out = PiRegularWitness(n, r)
-                break
-        if out is not None:
-            break
-    return _cache_put(ring, key, out)
+                return PiRegularWitness(n, r)
+    return None
 
 
 def _cycle_idempotent(ring: FiniteRing, powers, i: int, p: int) -> int:
@@ -256,17 +229,13 @@ def _cycle_idempotent(ring: FiniteRing, powers, i: int, p: int) -> int:
     raise WitnessError("no idempotent in the power cycle")
 
 
+@memoized_per_element
 def strong_pi_witness(ring: FiniteRing, a: int) -> Optional[StrongPiWitness]:
     """First (n, r) with a^n = a^(n+1) * r plus the cycle idempotent e;
     all characterization clauses are verified before returning."""
     ring.require_unital("strong pi-regularity search")
-    key = ("strong_pi_witness", a)
-    hit = _cache_get(ring, key)
-    if hit is not _MISS:
-        return hit
     mul = ring.mul
     powers, i, p = power_seq(ring, a)
-    out = None
     for n in range(1, i + p + 1):
         an = power_from_seq(powers, i, p, n)
         an1 = power_from_seq(powers, i, p, n + 1)
@@ -278,86 +247,69 @@ def strong_pi_witness(ring: FiniteRing, a: int) -> Optional[StrongPiWitness]:
                     raise WitnessError(
                         f"cycle idempotent fails the characterization at "
                         f"element {a} of {ring.label}")
-                out = w
-                break
-        if out is not None:
-            break
-    return _cache_put(ring, key, out)
+                return w
+    return None
 
 
+@memoized_per_element
 def exchange_witness(ring: FiniteRing, a: int) -> Optional[ExchangeWitness]:
     """First (e, r, s) with e = r*a idempotent and 1-e = s*(1-a)."""
     ring.require_unital("exchange search")
-    key = ("exchange_witness", a)
-    hit = _cache_get(ring, key)
-    if hit is not _MISS:
-        return hit
     mul, sub = ring.mul, ring.sub
     one = ring.one
     one_minus_a = sub(one, a)
-    out = None
     for e in st.idempotents(ring):
         r = next((r for r in range(ring.order) if mul(r, a) == e), None)
         if r is None:
             continue
         f = sub(one, e)
         s = next((s for s in range(ring.order) if mul(s, one_minus_a) == f), None)
-        if s is None:
-            continue
-        out = ExchangeWitness(e, r, s)
-        break
-    return _cache_put(ring, key, out)
+        if s is not None:
+            return ExchangeWitness(e, r, s)
+    return None
 
 
+@memoized_per_element
 def clean_witness(ring: FiniteRing, a: int) -> Optional[SumWitness]:
     """First idempotent e (ascending) with a - e invertible."""
     ring.require_unital("clean search")
-    key = ("clean_witness", a)
-    hit = _cache_get(ring, key)
-    if hit is not _MISS:
-        return hit
     inv = st.inverse_map(ring)
     sub = ring.sub
-    out = None
     for e in st.idempotents(ring):
         u = sub(a, e)
         if u in inv:
-            out = SumWitness(e, u, "unit")
-            break
-    return _cache_put(ring, key, out)
+            return SumWitness(e, u, "unit")
+    return None
 
 
+@memoized_per_element
 def nil_clean_witness(ring: FiniteRing, a: int) -> Optional[SumWitness]:
     """First idempotent e (ascending) with a - e nilpotent; no unity needed."""
-    key = ("nil_clean_witness", a)
-    hit = _cache_get(ring, key)
-    if hit is not _MISS:
-        return hit
     sub = ring.sub
     nilset = set(st.nilpotents(ring))
-    out = None
     for e in st.idempotents(ring):
         q = sub(a, e)
         if q in nilset:
-            out = SumWitness(e, q, "nilpotent")
-            break
-    return _cache_put(ring, key, out)
+            return SumWitness(e, q, "nilpotent")
+    return None
 
 
+@memoized_per_element
 def strongly_regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
     """Smallest r with a = a*a*r, or None."""
-    key = ("strongly_regular_witness", a)
-    hit = _cache_get(ring, key)
-    if hit is not _MISS:
-        return hit
     mul = ring.mul
     aa = mul(a, a)
-    out = next((r for r in range(ring.order) if mul(aa, r) == a), None)
-    return _cache_put(ring, key, out)
+    return next((r for r in range(ring.order) if mul(aa, r) == a), None)
 
 
 # ---------------------------------------------------------------------------
 # trajectory witnesses: the scalar chains of the pi-regularity verdicts
+
+
+def _cycle_exponent(i: int, p: int) -> int:
+    """The smallest multiple m >= 1 of the period p at or past the preperiod
+    i of a power trajectory: a^m is the idempotent of the cycle."""
+    return p * ((max(i, 1) + p - 1) // p)
 
 
 def pi_regular_witness_fast(ring: FiniteRing, a: int,
@@ -365,8 +317,7 @@ def pi_regular_witness_fast(ring: FiniteRing, a: int,
     """Witness (m, a^m) where m is the smallest multiple of the period at or
     past the preperiod; verified before returning."""
     powers, i, p = power_seq(ring, a) if seq is None else seq
-    lo = max(i, 1)
-    m = p * ((lo + p - 1) // p)
+    m = _cycle_exponent(i, p)
     am = power_from_seq(powers, i, p, m)
     w = PiRegularWitness(m, am)
     if ring.mul(ring.mul(am, am), am) != am:
@@ -381,19 +332,15 @@ def strong_pi_witness_fast(ring: FiniteRing, a: int,
     with a corner inverse that is itself a power of a."""
     ring.require_unital("strong pi-regularity search")
     mul, sub = ring.mul, ring.sub
-    powers, i, p = power_seq(ring, a) if seq is None else seq
-    lo = max(i, 1)
-    n = lo
-    r = power_from_seq(powers, i, p, p - 1) if p >= 2 else a
-    an = power_from_seq(powers, i, p, n)
-    if mul(power_from_seq(powers, i, p, n + 1), r) != an:
-        raise WitnessError(f"power equation failed at element {a} of {ring.label}")
-    m = p * ((lo + p - 1) // p)
+    seq = power_seq(ring, a) if seq is None else seq
+    n, r = strong_pi_core_fast(ring, a, seq)
+    powers, i, p = seq
+    m = _cycle_exponent(i, p)
     e = power_from_seq(powers, i, p, m)
     if mul(e, e) != e:
         raise WitnessError(f"cycle power not idempotent at element {a}")
-    # corner inverse of a*e: the power a^m' with m' = -1 mod period, m' >= lo
-    mp = lo if p == 1 else lo + ((p - 1 - lo) % p)
+    # corner inverse of a*e: the power a^m' with m' = -1 mod period, m' >= n
+    mp = n if p == 1 else n + ((p - 1 - n) % p)
     z = power_from_seq(powers, i, p, mp)
     ae = mul(a, e)
     if mul(mul(e, z), e) != z or mul(ae, z) != e or mul(z, ae) != e:
@@ -405,10 +352,10 @@ def strong_pi_witness_fast(ring: FiniteRing, a: int,
 
 
 def strong_pi_core_fast(ring: FiniteRing, a: int, seq=None) -> Tuple[int, int]:
-    """Fast (n, r) for the bare power equation; works without a unity."""
+    """Fast (n, r) for the bare power equation, n = max(preperiod, 1) and r
+    a power of a; works without a unity."""
     powers, i, p = power_seq(ring, a) if seq is None else seq
-    lo = max(i, 1)
-    n = lo
+    n = max(i, 1)
     r = power_from_seq(powers, i, p, p - 1) if p >= 2 else a
     an = power_from_seq(powers, i, p, n)
     if ring.mul(power_from_seq(powers, i, p, n + 1), r) != an:
@@ -574,11 +521,8 @@ def lift_wncl_witness(ring: FiniteRing, ideal: st.Ideal, a: int,
     """
     if not st.is_nil_ideal(ring, ideal):
         raise WitnessError("ideal is not nil")
-    key = ("quotient_by", ideal.members)
-    if key not in ring.cache:
-        ring.cache[key] = ct.quotient(ring, ideal)
-    q_ring, proj = ring.cache[key]
-    if not check_wncl(q_ring, proj[a], quotient_witness):
+    q_ring = ct.quotient_cached(ring, ideal)
+    if not check_wncl(q_ring, q_ring.projection[a], quotient_witness):
         raise WitnessError("quotient witness is invalid for the coset of a")
     reps = q_ring.reps
     e = lift_idempotent(ring, ideal, reps[quotient_witness.e])
@@ -657,8 +601,7 @@ def center_witness(ring: FiniteRing, a: int, w: WnclWitness) -> WnclWitness:
         raise WitnessError("geometric series failed to invert 1 + q")
     c = mul(mul(e, sub(one, x)), inv1q)
     powers, i, p = power_seq(ring, a)
-    lo = max(i, 1)
-    m = p * ((lo + p - 1) // p)
+    m = _cycle_exponent(i, p)
     ck = one
     for k in range(1, m + 1):
         ck = mul(ck, c)
@@ -686,14 +629,14 @@ def center_witness(ring: FiniteRing, a: int, w: WnclWitness) -> WnclWitness:
 
 def center_ring(ring: FiniteRing) -> FiniteRing:
     """The center as a unital subring, cached per ring; element indices map
-    through its ``members`` tuple, with the reverse map in cache."""
-    if "center_ring" not in ring.cache:
+    through its ``members`` tuple, with the reverse map in its cache."""
+    def make():
         ring.require_unital("center ring")
         cring = ct.subring(ring, st.center(ring), one=ring.one,
                            label=f"Center({ring.label})")
         cring.cache["parent_index"] = {m: i for i, m in enumerate(cring.members)}
-        ring.cache["center_ring"] = cring
-    return ring.cache["center_ring"]
+        return cring
+    return ring.memo("center_ring", make)
 
 
 # ---------------------------------------------------------------------------
@@ -786,13 +729,6 @@ def _wncl_pass(ring: FiniteRing):
     return kernel.wncl_pass(ring, st.idempotents(ring), st.nilpotents(ring))
 
 
-def _ring_cached(ring: FiniteRing, name: str, fn):
-    key = ("ring_verdict", name)
-    if key not in ring.cache:
-        ring.cache[key] = fn()
-    return ring.cache[key]
-
-
 def ring_weakly_nil_clean(ring: FiniteRing) -> bool:
     """Every element has a primal witness. From PASS_MIN_ORDER on, the
     witnesses come from one array pass (kernel.wncl_pass), unless every
@@ -811,16 +747,16 @@ def ring_weakly_nil_clean(ring: FiniteRing) -> bool:
         ring.require_unital("large-ring weakly nil clean verdict")
         return _trajectory_verdict(ring, "wncl", lambda a: wncl_from_pi_regular(
             ring, a, pi_regular_witness_fast(ring, a)))
-    return _ring_cached(ring, "wncl", compute)
+    return ring.memo(("ring_verdict", "wncl"), compute)
 
 
 def ring_nil_clean(ring: FiniteRing) -> bool:
-    return _ring_cached(ring, "nil_clean", lambda: all(
+    return ring.memo(("ring_verdict", "nil_clean"), lambda: all(
         nil_clean_witness(ring, a) is not None for a in range(ring.order)))
 
 
 def ring_clean(ring: FiniteRing) -> bool:
-    return _ring_cached(ring, "clean", lambda: all(
+    return ring.memo(("ring_verdict", "clean"), lambda: all(
         clean_witness(ring, a) is not None for a in range(ring.order)))
 
 
@@ -833,11 +769,11 @@ def ring_exchange(ring: FiniteRing) -> bool:
         found = kernel.exchange_pass(ring, st.idempotents(ring))
         return _pass_verdict(ring, "exchange", ~found["checked"],
                              lambda a: exchange_witness(ring, a) is not None)
-    return _ring_cached(ring, "exchange", compute)
+    return ring.memo(("ring_verdict", "exchange"), compute)
 
 
 def ring_pi_regular(ring: FiniteRing) -> bool:
-    return _ring_cached(ring, "pi_regular", lambda: _trajectory_verdict(
+    return ring.memo(("ring_verdict", "pi_regular"), lambda: _trajectory_verdict(
         ring, "pi_regular", lambda a: pi_regular_witness_fast(ring, a)))
 
 
@@ -845,12 +781,12 @@ def ring_strongly_pi_regular(ring: FiniteRing) -> bool:
     """Every element solves a^n = a^(n+1)*r; unital rings also get the full
     characterization verified through the witness constructor."""
     chain = strong_pi_witness_fast if ring.unital else strong_pi_core_fast
-    return _ring_cached(ring, "strongly_pi_regular", lambda: _trajectory_verdict(
+    return ring.memo(("ring_verdict", "strongly_pi_regular"), lambda: _trajectory_verdict(
         ring, "strongly_pi_regular", lambda a: chain(ring, a)))
 
 
 def ring_strongly_regular(ring: FiniteRing) -> bool:
-    return _ring_cached(ring, "strongly_regular", lambda: all(
+    return ring.memo(("ring_verdict", "strongly_regular"), lambda: all(
         strongly_regular_witness(ring, a) is not None
         for a in range(ring.order)))
 
@@ -868,12 +804,12 @@ def _unique_verdict(ring: FiniteRing, name: str, count) -> bool:
 
 
 def ring_unique_idempotent(ring: FiniteRing) -> bool:
-    return _ring_cached(ring, "unique_idempotent", lambda: _unique_verdict(
+    return ring.memo(("ring_verdict", "unique_idempotent"), lambda: _unique_verdict(
         ring, "idempotents", unique_idempotent_wncl))
 
 
 def ring_unique_nilpotent(ring: FiniteRing) -> bool:
-    return _ring_cached(ring, "unique_nilpotent", lambda: _unique_verdict(
+    return ring.memo(("ring_verdict", "unique_nilpotent"), lambda: _unique_verdict(
         ring, "nilpotents", unique_nilpotent_wncl))
 
 

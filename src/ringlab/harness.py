@@ -16,25 +16,6 @@ from . import construct as ct
 from . import structure as st
 from . import deciders as dc
 
-CHECK_IDS = (
-    "P_OSNOVE",
-    "P_PRVA",
-    "P_NILIDEAL",
-    "P_RADIKAL",
-    "L_MOCNA",
-    "P_PIREG",
-    "P_ABEL",
-    "P_BOUNDED",
-    "C_PI",
-    "P_KOTI",
-    "P_CENTER",
-    "P_UNQ1",
-    "P_UNQ2",
-    "Q_SYMMETRY",
-    "Q_CORNER",
-    "P_EXPIREG",
-)
-
 DEFAULT_CORPUS: Tuple[ct.RingSpec, ...] = (
     ct.Zn(2),
     ct.Zn(3),
@@ -84,14 +65,6 @@ def _build_corpus(specs: Sequence[ct.RingSpec]):
         except RingLabError as exc:
             failures.append(f"{spec}: {exc}")
     return built, failures
-
-
-def _derived(ring: FiniteRing, key, make: Callable[[], FiniteRing]) -> FiniteRing:
-    """A ring derived from ``ring`` (corner, opposite, quotient, ideal), kept
-    in ``ring.cache`` under ``key`` so that later checks and runs reuse it."""
-    if key not in ring.cache:
-        ring.cache[key] = make()
-    return ring.cache[key]
 
 
 def canonical_nil_ideal(spec: ct.RingSpec,
@@ -176,8 +149,7 @@ def _check_nilideal(built):
         if not st.is_nil_ideal(ring, ideal):
             return ("fail", f"canonical ideal of {spec} is not nil",
                     (str(spec), ()))
-        qring = _derived(ring, ("quotient", ideal.members),
-                         lambda: ct.quotient(ring, ideal)[0])
+        qring = ct.quotient_cached(ring, ideal)
         proj = qring.projection
         if dc.ring_weakly_nil_clean(ring) != dc.ring_weakly_nil_clean(qring):
             return ("fail", f"verdict differs between {spec} and its quotient",
@@ -219,8 +191,7 @@ def _check_radikal(built):
         jac = st.jacobson_radical(ring)
         if not st.is_nil_ideal(ring, jac):
             return ("fail", f"radical of {spec} is not nil", (str(spec), ()))
-        qring = _derived(ring, ("quotient", jac.members),
-                         lambda: ct.quotient(ring, jac)[0])
+        qring = ct.quotient_cached(ring, jac)
         if not dc.ring_weakly_nil_clean(qring):
             return ("fail", f"{spec} modulo its radical is not weakly nil clean",
                     (str(spec), ()))
@@ -247,7 +218,7 @@ def _check_mocna(built):
                 if c is None:
                     continue
                 f = ring.sub(ring.one, e)
-                corner = _derived(ring, ("corner", f), lambda: ct.corner_ring(ring, f))
+                corner = ring.memo(("corner", f), lambda: ct.corner_ring(ring, f))
                 faf = ring.mul(ring.mul(f, a), f)
                 if corner is ring:
                     cw = dc.wncl_witness(corner, faf)
@@ -451,7 +422,7 @@ def _check_symmetry(built):
     total = 0
     agree = 0
     for spec, ring in built:
-        opp = _derived(ring, "opposite", lambda: ct.opposite(ring))
+        opp = ring.memo("opposite", lambda: ct.opposite(ring))
         for a in range(ring.order):
             total += 1
             if (dc.wncl_witness(ring, a) is None) == (dc.wncl_witness(opp, a) is None):
@@ -471,7 +442,7 @@ def _check_qcorner(built):
         if not ring.unital:
             continue
         for e in st.idempotents(ring):
-            corner = _derived(ring, ("corner", e), lambda: ct.corner_ring(ring, e))
+            corner = ring.memo(("corner", e), lambda: ct.corner_ring(ring, e))
             corners += 1
             if dc.ring_weakly_nil_clean(corner):
                 wncl += 1
@@ -496,12 +467,11 @@ def _check_expireg(built):
             if ideal.members in seen:
                 continue
             seen.add(ideal.members)
-            sub = _derived(ring, ("ideal_ring", ideal.members),
-                           lambda: ct.ideal_subring(ring, ideal.members))
+            sub = ring.memo(("ideal_ring", ideal.members),
+                            lambda: ct.ideal_subring(ring, ideal.members))
             ideal_pireg = all(dc.pi_regular_witness(sub, b) is not None
                               for b in range(sub.order))
-            qring = _derived(ring, ("quotient", ideal.members),
-                             lambda: ct.quotient(ring, ideal)[0])
+            qring = ct.quotient_cached(ring, ideal)
             quot_pireg = all(dc.pi_regular_witness(qring, b) is not None
                              for b in range(qring.order))
             if ideal_pireg and quot_pireg:
@@ -531,6 +501,8 @@ _CHECKS: Dict[str, Callable] = {
     "Q_CORNER": _check_qcorner,
     "P_EXPIREG": _check_expireg,
 }
+
+CHECK_IDS = tuple(_CHECKS)
 
 
 def run_check(check_id: str,

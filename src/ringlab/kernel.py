@@ -200,16 +200,15 @@ def chunk_failures(ring: FiniteRing, a: np.ndarray) -> Dict[str, np.ndarray]:
 def first_failures(ring: FiniteRing) -> Dict[str, int]:
     """The smallest element failing each chain of chunk_failures, from one
     pass over the ring in chunks of _VERDICT_CHUNK; cached on the ring."""
-    key = ("large_ring_failures",)
-    if key not in ring.cache:
+    def scan():
         first: Dict[str, int] = {}
         for start in range(0, ring.order, _VERDICT_CHUNK):
             a = np.arange(start, min(start + _VERDICT_CHUNK, ring.order), dtype=np.int64)
             for name, bad in chunk_failures(ring, a).items():
                 if name not in first and bad.any():
                     first[name] = start + int(bad.argmax())
-        ring.cache[key] = first
-    return ring.cache[key]
+        return first
+    return ring.memo(("large_ring_failures",), scan)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +237,10 @@ def wncl_pass(ring: FiniteRing, idems, nils) -> Dict[str, np.ndarray]:
     One pass over blocks of (idempotent, x, element) cells: gather
     (e*x)*a over the distinct values of e*x, scatter the membership masks of
     eRa, and look up a - e - q in them for every q."""
-    key = ("wncl_pass",)
-    if key in ring.cache:
-        return ring.cache[key]
+    return ring.memo(("wncl_pass",), lambda: _wncl_pass(ring, idems, nils))
+
+
+def _wncl_pass(ring: FiniteRing, idems, nils) -> Dict[str, np.ndarray]:
     mul, sub = ring.mul_vec, ring.sub_vec
     n = ring.order
     E = np.asarray(idems, dtype=np.int64)
@@ -285,10 +285,8 @@ def wncl_pass(ring: FiniteRing, idems, nils) -> Dict[str, np.ndarray]:
     checked = np.zeros(n, dtype=bool)
     checked[found] = ((mul(e, e) == e) & nilpotent[q]
                       & (sub(sub(found, e), q) == mul(mul(e, x), found)))
-    out = dict(first, checked=checked, idempotents=e_count,
-               nilpotents=q_seen.sum(axis=0))
-    ring.cache[key] = out
-    return out
+    return dict(first, checked=checked, idempotents=e_count,
+                nilpotents=q_seen.sum(axis=0))
 
 
 def exchange_pass(ring: FiniteRing, idems) -> Dict[str, np.ndarray]:
@@ -304,9 +302,10 @@ def exchange_pass(ring: FiniteRing, idems) -> Dict[str, np.ndarray]:
     One pass over blocks of elements: gather r*a and r*(1 - a) for every r,
     scatter the membership masks of Ra and R(1 - a), and read them at e and
     1 - e for every idempotent."""
-    key = ("exchange_pass",)
-    if key in ring.cache:
-        return ring.cache[key]
+    return ring.memo(("exchange_pass",), lambda: _exchange_pass(ring, idems))
+
+
+def _exchange_pass(ring: FiniteRing, idems) -> Dict[str, np.ndarray]:
     mul, sub = ring.mul_vec, ring.sub_vec
     n = ring.order
     E = np.asarray(idems, dtype=np.int64)
@@ -336,6 +335,4 @@ def exchange_pass(ring: FiniteRing, idems) -> Dict[str, np.ndarray]:
     checked = np.zeros(n, dtype=bool)
     checked[found] = ((mul(e, e) == e) & (mul(r, found) == e)
                       & (mul(s, sub(one, found)) == sub(one, e)))
-    out = dict(first, checked=checked)
-    ring.cache[key] = out
-    return out
+    return dict(first, checked=checked)

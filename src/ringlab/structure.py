@@ -1,6 +1,6 @@
 """Structure scans over a finite ring: special element sets, ideals and the
-radical. Results are memoized on the ring's cache dict, so repeated queries
-against the same ring object are cheap.
+radical. Results are memoized in the ring's cache (core.memoized), so
+repeated queries against the same ring object are cheap.
 
 The O(n^2) scans (units, center, is_abelian, the radical) and the ideal
 closures read only the ring's vector operations, in row blocks of at most
@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from .core import FiniteRing, _axioms_hold, nil_index_of
+from .core import FiniteRing, _axioms_hold, memoized, nil_index_of
 from .kernel import _PASS_CELLS
 
 
@@ -93,15 +93,11 @@ def _closure(ring: FiniteRing, gens: Iterable[int], two_sided: bool) -> tuple:
 def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
     """Smallest two-sided ideal containing the generators."""
     gens = tuple(sorted(set(generators)))
-    key = ("ideal_generated", gens)
-    if key in ring.cache:
-        return ring.cache[key]
     for g in gens:
         if not 0 <= g < ring.order:
             raise ValueError(f"generator {g} out of range")
-    ideal = Ideal(ring, _closure(ring, gens, two_sided=True), gens)
-    ring.cache[key] = ideal
-    return ideal
+    return ring.memo(("ideal_generated", gens), lambda: Ideal(
+        ring, _closure(ring, gens, two_sided=True), gens))
 
 
 def left_ideal_generated(ring: FiniteRing, a: int) -> tuple:
@@ -109,32 +105,28 @@ def left_ideal_generated(ring: FiniteRing, a: int) -> tuple:
     return _closure(ring, (a,), two_sided=False)
 
 
+@memoized("idempotents")
 def idempotents(ring: FiniteRing) -> tuple:
     """All e with e*e = e, ascending."""
-    if "idempotents" not in ring.cache:
-        mul = ring.mul
-        ring.cache["idempotents"] = tuple(
-            a for a in range(ring.order) if mul(a, a) == a)
-    return ring.cache["idempotents"]
+    mul = ring.mul
+    return tuple(a for a in range(ring.order) if mul(a, a) == a)
 
 
+@memoized("nilpotents")
 def nilpotents(ring: FiniteRing) -> tuple:
     """All q with q^k = 0 for some k >= 1, ascending."""
-    if "nilpotents" not in ring.cache:
-        index: Dict[int, int] = {}
-        for a in range(ring.order):
-            k = nil_index_of(ring, a)
-            if k is not None:
-                index[a] = k
-        ring.cache["nilpotents"] = tuple(sorted(index))
-        ring.cache["nil_index"] = index
-    return ring.cache["nilpotents"]
+    return tuple(nil_index_map(ring))
 
 
+@memoized("nil_index")
 def nil_index_map(ring: FiniteRing) -> Dict[int, int]:
-    """Map from each nilpotent to its least vanishing exponent."""
-    nilpotents(ring)
-    return ring.cache["nil_index"]
+    """Map from each nilpotent, ascending, to its least vanishing exponent."""
+    index: Dict[int, int] = {}
+    for a in range(ring.order):
+        k = nil_index_of(ring, a)
+        if k is not None:
+            index[a] = k
+    return index
 
 
 def _row_blocks(ring: FiniteRing, count: int) -> list:
@@ -144,31 +136,28 @@ def _row_blocks(ring: FiniteRing, count: int) -> list:
     return [slice(start, start + width) for start in range(0, count, width)]
 
 
+@memoized("units")
 def units(ring: FiniteRing) -> tuple:
     """All two-sided invertible elements, ascending. Requires a unity."""
-    ring.require_unital("units")
-    if "units" not in ring.cache:
-        one = ring.one
-        X = np.arange(ring.order, dtype=np.int64)
-        found, inverse = [], []
-        for s in _row_blocks(ring, ring.order):
-            A = X[s]
-            # candidates b with a*b = 1, rows ascending and b ascending in a row
-            i, b = np.nonzero(ring.mul_vec(A[:, None], X) == one)
-            two_sided = ring.mul_vec(b, A[i]) == one
-            i, first = np.unique(i[two_sided], return_index=True)
-            found.append(A[i])
-            inverse.append(b[two_sided][first])
-        us = np.concatenate(found).tolist()
-        ring.cache["units"] = tuple(us)
-        ring.cache["inverse"] = dict(zip(us, np.concatenate(inverse).tolist()))
-    return ring.cache["units"]
+    return tuple(inverse_map(ring))
 
 
+@memoized("inverse")
 def inverse_map(ring: FiniteRing) -> Dict[int, int]:
-    """Map from each unit to its inverse (the smallest two-sided one)."""
-    units(ring)
-    return ring.cache["inverse"]
+    """Map from each unit, ascending, to its inverse (the smallest two-sided
+    one). Requires a unity."""
+    one = ring.require_unital("units")
+    X = np.arange(ring.order, dtype=np.int64)
+    found, inverse = [], []
+    for s in _row_blocks(ring, ring.order):
+        A = X[s]
+        # candidates b with a*b = 1, rows ascending and b ascending in a row
+        i, b = np.nonzero(ring.mul_vec(A[:, None], X) == one)
+        two_sided = ring.mul_vec(b, A[i]) == one
+        i, first = np.unique(i[two_sided], return_index=True)
+        found.append(A[i])
+        inverse.append(b[two_sided][first])
+    return dict(zip(np.concatenate(found).tolist(), np.concatenate(inverse).tolist()))
 
 
 def _commuting(ring: FiniteRing, rows) -> np.ndarray:
@@ -182,19 +171,16 @@ def _commuting(ring: FiniteRing, rows) -> np.ndarray:
     return ok
 
 
+@memoized("center")
 def center(ring: FiniteRing) -> tuple:
     """All elements commuting with the whole ring, ascending."""
-    if "center" not in ring.cache:
-        central = _commuting(ring, np.arange(ring.order))
-        ring.cache["center"] = tuple(np.flatnonzero(central).tolist())
-    return ring.cache["center"]
+    return tuple(np.flatnonzero(_commuting(ring, np.arange(ring.order))).tolist())
 
 
+@memoized("is_abelian")
 def is_abelian(ring: FiniteRing) -> bool:
     """True when every idempotent is central."""
-    if "is_abelian" not in ring.cache:
-        ring.cache["is_abelian"] = bool(_commuting(ring, idempotents(ring)).all())
-    return ring.cache["is_abelian"]
+    return bool(_commuting(ring, idempotents(ring)).all())
 
 
 def _radical_members(ring: FiniteRing) -> tuple:
@@ -234,25 +220,23 @@ def _radical_members(ring: FiniteRing) -> tuple:
     return tuple(np.flatnonzero(good).tolist())
 
 
+@memoized("jacobson_radical")
 def jacobson_radical(ring: FiniteRing) -> Ideal:
     """Elements a such that every member of the left ideal of a is left
     quasi-regular; with a unity this is the usual 1 - r*a invertibility test.
 
     The result is validated as a two-sided ideal, and the radical of the
-    quotient by it is checked to vanish.
+    quotient by it (construct.quotient_cached, so kept for later use) is
+    checked to vanish.
     """
-    if "jacobson_radical" not in ring.cache:
-        members = _radical_members(ring)
-        ideal = make_ideal(ring, members)
-        from .construct import quotient
+    from .construct import quotient_cached
 
-        q, _ = quotient(ring, ideal)
-        residual = _radical_members(q)
-        if residual != (q.zero,):
-            raise RuntimeError(
-                f"radical scan of {ring.label} left a nonzero residual radical")
-        ring.cache["jacobson_radical"] = ideal
-    return ring.cache["jacobson_radical"]
+    ideal = make_ideal(ring, _radical_members(ring))
+    q = quotient_cached(ring, ideal)
+    if _radical_members(q) != (q.zero,):
+        raise RuntimeError(
+            f"radical scan of {ring.label} left a nonzero residual radical")
+    return ideal
 
 
 def is_nil_ideal(ring: FiniteRing, ideal) -> bool:
@@ -262,11 +246,10 @@ def is_nil_ideal(ring: FiniteRing, ideal) -> bool:
     return nil_index_map(ring).keys() >= members
 
 
+@memoized("bounded_index")
 def bounded_index(ring: FiniteRing) -> int:
     """Largest nil index over the ring's nilpotents (at least 1, from zero)."""
-    if "bounded_index" not in ring.cache:
-        ring.cache["bounded_index"] = max(nil_index_map(ring).values())
-    return ring.cache["bounded_index"]
+    return max(nil_index_map(ring).values())
 
 
 def structure_counts(ring: FiniteRing) -> dict:

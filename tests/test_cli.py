@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -59,6 +60,8 @@ def test_parse_round_trip_is_stable():
     ("Z4)", 3),
     ("W4", 1),
     ("M2(Z4,3)", 6),
+    ("Z\u00b2", 2),  # a digit (superscript two) that is not a decimal
+    pytest.param("M2(Z" + "1" * 4301 + ")", 5, id="M2(Z1...1)-5"),
 ])
 def test_parse_errors_carry_columns(text, column):
     with pytest.raises(SpecParseError) as err:
@@ -132,6 +135,41 @@ def test_classify_over_cap(capsys):
 def test_classify_cap_flag(capsys):
     assert rl.main(["classify", "Z100", "--max-order", "50"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text,order", [
+    ("M2(Z300)", "8100000000"),
+    pytest.param("Z" + "9" * 4300, "9" * 4300, id="Z9...9"),
+    pytest.param("Z2[x]/(x^14284)", str(2 ** 14284), id="2^14284"),  # 4300 digits
+])
+def test_cap_errors_show_the_exact_order(text, order, capsys):
+    assert rl.main(["classify", text]) == 3
+    assert capsys.readouterr().err == f"error: {text} has order {order}, over the cap 65536\n"
+
+
+@pytest.mark.parametrize("text", ["M300(Z2)", "Z2[x]/(x^99999)", "Z2[x]/(x^14285)",
+                                  "M3000(Z99)", "T3000(Z99)"])
+def test_orders_past_the_int_text_limit_are_cap_errors(text, tmp_path, capsys):
+    start = time.perf_counter()
+    message = f"{text} has order of more than 4300 digits, over the cap 65536"
+    assert rl.main(["classify", text]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    path = tmp_path / "specs.txt"
+    path.write_text(f"Z2\n{text}\nZ3\n")
+    assert rl.main(["census", "--csv", "--specs", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["Z2", text, "Z3"]
+    assert lines[2] == f"{text},error: {message}" + "," * 15
+    # the exact order of M3000(Z99) takes tens of seconds to compute
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("text", ["Z" + "9" * 5000, "M" + "9" * 4301 + "(Z2)"],
+                         ids=["Z9...9", "M9...9(Z2)"])
+def test_overlong_literals_are_parse_errors(text, capsys):
+    assert rl.main(["classify", text]) == 2
+    assert capsys.readouterr().err == (
+        "error: parse error at column 2: integer literal longer than 4300 digits\n")
 
 
 # --- witness -----------------------------------------------------------------------

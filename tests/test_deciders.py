@@ -753,3 +753,36 @@ def test_classify_z2_to_the_8_stays_fast():
     elapsed = time.perf_counter() - t0
     assert all(report.properties.values())
     assert elapsed < 3.0, f"took {elapsed:.2f}s"
+
+
+# --- memo keys -------------------------------------------------------------------------
+
+SCAN_KEYS = {  # scan -> its ring.cache key
+    st.idempotents: "idempotents", st.nilpotents: "nilpotents",
+    st.nil_index_map: "nil_index", st.units: "units", st.inverse_map: "inverse",
+    st.center: "center", st.is_abelian: "is_abelian",
+    st.jacobson_radical: "jacobson_radical", st.bounded_index: "bounded_index",
+}
+SEARCHES = ("wncl_witness", "wncl_witness_alt", "pi_regular_witness",
+            "strong_pi_witness", "exchange_witness", "clean_witness",
+            "nil_clean_witness", "strongly_regular_witness")
+VERDICTS = ("wncl", "clean", "nil_clean", "exchange", "pi_regular",
+            "strongly_pi_regular", "strongly_regular", "unique_idempotent",
+            "unique_nilpotent")
+
+
+@pytest.mark.parametrize("text", ["T2(Z2)", "Z4"])
+def test_scans_and_searches_keep_their_results_under_fixed_keys(text):
+    # the bench tracer counts memo hits by these keys
+    ring = rl.build(rl.parse_spec(text))  # a fresh ring, with an empty cache
+    for scan, key in SCAN_KEYS.items():
+        value = scan(ring)
+        assert ring.cache[key] is value is scan(ring), key
+    for name in SEARCHES:
+        for a in range(ring.order):
+            value = getattr(dc, name)(ring, a)
+            assert (name, a) in ring.cache and ring.cache[name, a] is value, (name, a)
+    # None, for an element without a witness, is kept too
+    assert ring.cache["strongly_regular_witness", 2] is None
+    dc.classify(ring)
+    assert {("ring_verdict", name) for name in VERDICTS} <= set(ring.cache)

@@ -1,5 +1,10 @@
 """The named-check harness and the census over the default corpus."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -182,3 +187,48 @@ def test_census_of_tabled_rings_makes_no_list_rows():
     for ring in built:
         assert ring.mul_table is not None
         assert list_rows(ring) == set(), ring.label
+
+
+@pytest.mark.parametrize("check_id", ["P_NILIDEAL", "P_RADIKAL"])
+def test_cold_checks_build_each_quotient_once(monkeypatch, check_id):
+    # the radical scan, the lift of quotient witnesses and the checks share
+    # one cached quotient per (ring, ideal)
+    specs = ["Z12", "T2(Z2)", "T2(Z4)", "Triv(Z2)", "Z2[x]/(x^2)", "M2(Z3)", "Ideal(Z4,2)"]
+    monkeypatch.setattr(ct, "build_cached", ct.build)  # fresh rings, empty caches
+    calls = {}
+    original = ct.quotient
+
+    def counting(ring, ideal, *args, **kwargs):
+        key = (ring.label, ideal.members)
+        calls[key] = calls.get(key, 0) + 1
+        return original(ring, ideal, *args, **kwargs)
+
+    monkeypatch.setattr(ct, "quotient", counting)
+    check = hn.run_check(check_id, [rl.parse_spec(text) for text in specs])
+    assert check.status == "pass", check.detail
+    assert calls and all(count == 1 for count in calls.values()), calls
+
+
+# --- tooling that calls the library ----------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_workloads_list_the_harness_check_ids():
+    # perfbench/workloads.py keeps its own copy, to make inputs without ringlab
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    copy = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["CHECK_IDS"])
+    assert copy == rl.CHECK_IDS
+
+
+@pytest.mark.parametrize("script", ["opposite_symmetry.py", "corner_scan.py"])
+def test_scripts_run(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "T2(Z2)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "T2(Z2)" in proc.stdout
