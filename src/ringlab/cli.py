@@ -13,13 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import FiniteRing, OrderCapError, RingLabError, nil_index_of, power
 from . import construct as ct
 from . import structure as st
 from . import deciders as dc
 from . import harness as hn
+
+
+MAX_SPEC_DEPTH = 256  # constructors a spec may nest; each costs 3 parser frames
 
 
 class SpecParseError(RingLabError):
@@ -40,11 +43,14 @@ class _Parser:
              | 'Ideal(' expr ',' intlist ')' | 'Quot(' expr ',' intlist ')'
 
     Whitespace is skipped everywhere; columns refer to the original text.
+    Constructors nest at most MAX_SPEC_DEPTH deep, so that parsing and
+    building stay well inside the interpreter's recursion limit.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # constructors open at pos
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -110,54 +116,63 @@ class _Parser:
             spec = ct.PolyMod(spec, n)
         return spec
 
+    def close(self) -> None:
+        """The closing parenthesis of a constructor opened in primary."""
+        self.literal(")")
+        self.depth -= 1
+
     def primary(self) -> ct.RingSpec:
         ch = self.peek()
         if ch == "Z":
             self.pos += 1
             return ct.Zn(self.integer())
+        if ch in ("M", "T", "O", "C", "I", "Q"):
+            self.depth += 1  # counted inline: a helper frame per level would cost depth
+            if self.depth > MAX_SPEC_DEPTH:
+                self.fail(f"constructors nested more than {MAX_SPEC_DEPTH} deep")
         if ch == "M":
             self.pos += 1
             k = self.integer()
             self.literal("(")
             base = self.expr()
-            self.literal(")")
+            self.close()
             return ct.Matrix(k, base)
         if ch == "T":
             if self.try_literal("Triv("):
                 base = self.expr()
-                self.literal(")")
+                self.close()
                 return ct.TrivialExt(base)
             self.pos += 1
             k = self.integer()
             self.literal("(")
             base = self.expr()
-            self.literal(")")
+            self.close()
             return ct.Triangular(k, base)
         if ch == "O":
             self.literal("Op(")
             base = self.expr()
-            self.literal(")")
+            self.close()
             return ct.Opposite(base)
         if ch == "C":
             self.literal("Corner(")
             base = self.expr()
             self.literal(",")
             e = self.integer()
-            self.literal(")")
+            self.close()
             return ct.Corner(base, e)
         if ch == "I":
             self.literal("Ideal(")
             base = self.expr()
             self.literal(",")
             gens = self.intlist()
-            self.literal(")")
+            self.close()
             return ct.IdealRing(base, gens)
         if ch == "Q":
             self.literal("Quot(")
             base = self.expr()
             self.literal(",")
             gens = self.intlist()
-            self.literal(")")
+            self.close()
             return ct.Quotient(base, gens)
         self.fail("expected a ring constructor (Z, M, T, Triv, Op, Corner, "
                   "Ideal, Quot)")
@@ -384,7 +399,9 @@ def _cmd_witness(args, out) -> int:
     return _run_witness(ring, args.element, args.property, out)
 
 
-def _read_spec_file(path: str) -> List[ct.RingSpec]:
+def _read_spec_file(path: str) -> List[Tuple[int, str, Union[ct.RingSpec, SpecParseError]]]:
+    """(line number, text, spec) for each line of the file that holds a spec,
+    comments stripped; the spec of a malformed line is its SpecParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -396,9 +413,9 @@ def _read_spec_file(path: str) -> List[ct.RingSpec]:
         if not text:
             continue
         try:
-            specs.append(parse_spec(text))
+            specs.append((lineno, text, parse_spec(text)))
         except SpecParseError as exc:
-            raise SpecParseError(f"{path}:{lineno}: {exc}", exc.column) from None
+            specs.append((lineno, text, exc))
     return specs
 
 
@@ -412,7 +429,11 @@ def _cmd_verify(args, out) -> int:
             raise RingLabError(f"unknown check ids: {', '.join(unknown)}")
     corpus = None
     if args.corpus != "default":
-        corpus = _read_spec_file(args.corpus)
+        corpus = []
+        for lineno, _, spec in _read_spec_file(args.corpus):
+            if isinstance(spec, SpecParseError):
+                raise RingLabError(f"{args.corpus}:{lineno}: {spec}")
+            corpus.append(spec)
     checks = hn.run_all(corpus, ids)
     failed = False
     for chk in checks:
@@ -426,8 +447,11 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_census(args, out) -> int:
-    specs = hn.DEFAULT_CORPUS if args.specs is None else _read_spec_file(args.specs)
-    rows = hn.census(specs)
+    if args.specs is None:
+        rows = hn.census(hn.DEFAULT_CORPUS)
+    else:  # a malformed line, like a ring that fails to build, is an error row
+        rows = [hn.CensusRow(text, None, str(spec)) if isinstance(spec, SpecParseError)
+                else hn.census([spec])[0] for _, text, spec in _read_spec_file(args.specs)]
     table = [_census_cells(row) for row in rows]
     if args.csv:
         print(CSV_HEADER, file=out)

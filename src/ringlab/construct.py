@@ -17,6 +17,7 @@ from .core import (
     RingLabError,
     SpecError,
     index_dtype,
+    lazy_lists,
 )
 
 DEFAULT_MAX_ORDER = 65536
@@ -286,9 +287,9 @@ def _digit_ops(radices: Sequence[int], bases: Sequence[FiniteRing],
             "add_vec": add_vec, "mul_vec": mul_vec, "neg_vec": neg_vec}
 
 
-def _m2_vector_ops(base: FiniteRing) -> dict:
-    """add_vec/mul_vec/neg_vec of the 2 x 2 matrices over the base, each a
-    few gathers from tables of n = b^4 cells (b the base order).
+def _m2_ops(base: FiniteRing) -> dict:
+    """add/mul/neg of the 2 x 2 matrices over the base and their ``*_vec``
+    forms, each a few reads of tables of n = b^4 cells (b the base order).
 
     An element x is its row pair u0 = x // b^2 above its row pair
     u1 = x - u0*b^2, a pair (p, q) being p*b + q. The tables, filled once
@@ -300,10 +301,11 @@ def _m2_vector_ops(base: FiniteRing) -> dict:
     * pair_sum[u*b^2 + v] = (p + r, q + s), for row pairs u and v;
     * neg[x] = -x.
 
-    A row of a product, dot_hi + dot, is a pair below b^2 <= n and stays in
-    the table dtype; only the packed element is widened to int64. The ops
-    split elements with // and a product: % and divmod cost about three
-    times as much in numpy.
+    The vector ops gather from the tables. A row of a product, dot_hi + dot,
+    is a pair below b^2 <= n and stays in the table dtype; only the packed
+    element is widened to int64. They split elements with // and a product:
+    % and divmod cost about three times as much in numpy. The scalar ops
+    read the same tables as Python lists, made on their first call.
     """
     b = base.order
     b2 = b * b
@@ -345,7 +347,22 @@ def _m2_vector_ops(base: FiniteRing) -> dict:
     def neg_vec(x):
         return neg.take(x).astype(np.int64)
 
-    return {"add_vec": add_vec, "mul_vec": mul_vec, "neg_vec": neg_vec}
+    def mul(x, y, dot, dot_hi, col0, col1):
+        u0 = x // b2
+        u1 = x - u0 * b2
+        v0 = col0[y]
+        v1 = col1[y]
+        return (dot_hi[v0 + u0] + dot[v1 + u0]) * b2 + dot_hi[v0 + u1] + dot[v1 + u1]
+
+    def add(x, y, pair_sum):
+        u0 = x // b2
+        v0 = y // b2
+        return pair_sum[u0 * b2 + v0] * b2 + pair_sum[(x - u0 * b2) * b2 + y - v0 * b2]
+
+    return {"add": lazy_lists(add, pair_sum),
+            "mul": lazy_lists(mul, dot, dot_hi, col0, col1),
+            "neg": lazy_lists(lambda x, neg: neg[x], neg),
+            "add_vec": add_vec, "mul_vec": mul_vec, "neg_vec": neg_vec}
 
 
 def ring_pack(ring: FiniteRing, digits: Sequence[int]) -> int:
@@ -362,8 +379,8 @@ def ring_unpack(ring: FiniteRing, i: int) -> list[int]:
 # constructors
 
 
-def zn_ring(n: int, spec: Optional[RingSpec] = None, max_order: Optional[int] = None,
-            validate: Optional[bool] = None) -> FiniteRing:
+def zn_ring(n: int, spec: Optional[RingSpec] = None,
+            max_order: Optional[int] = None) -> FiniteRing:
     """Residue ring of integers modulo n."""
     if n < 1:
         raise SpecError("modulus must be at least 1")
@@ -381,7 +398,6 @@ def zn_ring(n: int, spec: Optional[RingSpec] = None, max_order: Optional[int] = 
         one=1 % n,
         spec=spec if spec is not None else Zn(n),
         meta={"kind": "zn", "n": n},
-        validate=validate,
         add_vec=lambda a, b: (i64(a) + b) % n,
         mul_vec=lambda a, b: (i64(a) * i64(b)) % n,
         neg_vec=lambda a: (-i64(a)) % n,
@@ -389,7 +405,7 @@ def zn_ring(n: int, spec: Optional[RingSpec] = None, max_order: Optional[int] = 
 
 
 def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
-                 max_order: Optional[int] = None, validate: Optional[bool] = None) -> FiniteRing:
+                 max_order: Optional[int] = None) -> FiniteRing:
     """Direct product with componentwise operations, first component slowest."""
     if not bases:
         raise SpecError("product needs at least one factor")
@@ -411,12 +427,11 @@ def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
 
     return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
                       element_label=elabel,
-                      meta={"kind": "product", "radices": radices, "bases": tuple(bases)},
-                      validate=validate, **ops)
+                      meta={"kind": "product", "radices": radices, "bases": tuple(bases)}, **ops)
 
 
 def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
-                max_order: Optional[int] = None, validate: Optional[bool] = None) -> FiniteRing:
+                max_order: Optional[int] = None) -> FiniteRing:
     """Full k x k matrix ring over the base, entries stored row-major."""
     if k < 1:
         raise SpecError("matrix size must be at least 1")
@@ -426,43 +441,12 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
     label = f"M{k}({base.label})"
     _check_cap(order, resolve_max_order(max_order), label)
     radices = (bo,) * m
-    ops = _digit_ops(radices, (base,) * m,
-                     [[(i * k + l, l * k + j) for l in range(k)]
-                      for i in range(k) for j in range(k)])
     if k == 2:
-        # vector ops gather from n-cell tables over row and column pairs
-        # (see _m2_vector_ops) instead of combining the base's digit by digit
-        ops.update(_m2_vector_ops(base))
-
-    if k == 2 and base.mul_table is not None:
-        # unrolled scalar operations for the common 2 x 2 case over a table
-        mt = base.rows("mul")
-        at = base.rows("add")
-        nt = base.rows("neg")
-        b2 = bo * bo
-        b3 = b2 * bo
-
-        def mul(x, y):
-            x0 = x // b3
-            x1 = (x // b2) % bo
-            x2 = (x // bo) % bo
-            x3 = x % bo
-            y0 = y // b3
-            y1 = (y // b2) % bo
-            y2 = (y // bo) % bo
-            y3 = y % bo
-            return ((at[mt[x0][y0]][mt[x1][y2]] * bo + at[mt[x0][y1]][mt[x1][y3]]) * bo
-                    + at[mt[x2][y0]][mt[x3][y2]]) * bo + at[mt[x2][y1]][mt[x3][y3]]
-
-        def add(x, y):
-            return ((at[x // b3][y // b3] * bo + at[(x // b2) % bo][(y // b2) % bo]) * bo
-                    + at[(x // bo) % bo][(y // bo) % bo]) * bo + at[x % bo][y % bo]
-
-        def neg(x):
-            return ((nt[x // b3] * bo + nt[(x // b2) % bo]) * bo
-                    + nt[(x // bo) % bo]) * bo + nt[x % bo]
-
-        ops.update(add=add, mul=mul, neg=neg)
+        ops = _m2_ops(base)
+    else:
+        ops = _digit_ops(radices, (base,) * m,
+                         [[(i * k + l, l * k + j) for l in range(k)]
+                          for i in range(k) for j in range(k)])
 
     one = None
     if base.unital:
@@ -479,12 +463,11 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
 
     return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
                       element_label=elabel,
-                      meta={"kind": "matrix", "k": k, "base": base, "radices": radices},
-                      validate=validate, **ops)
+                      meta={"kind": "matrix", "k": k, "base": base, "radices": radices}, **ops)
 
 
 def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
-                    max_order: Optional[int] = None, validate: Optional[bool] = None) -> FiniteRing:
+                    max_order: Optional[int] = None) -> FiniteRing:
     """Upper triangular k x k matrix ring; stored entries are (i, j) with i <= j."""
     if k < 2:
         raise SpecError("triangular size must be at least 2")
@@ -520,12 +503,11 @@ def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
     return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
                       element_label=elabel,
                       meta={"kind": "triangular", "k": k, "base": base,
-                            "positions": tuple(positions), "radices": radices},
-                      validate=validate, **ops)
+                            "positions": tuple(positions), "radices": radices}, **ops)
 
 
 def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
-                  max_order: Optional[int] = None, validate: Optional[bool] = None) -> FiniteRing:
+                  max_order: Optional[int] = None) -> FiniteRing:
     """Polynomials over the base truncated at degree n, i.e. x^n = 0.
 
     Elements are coefficient tuples with the constant term first; products are
@@ -567,12 +549,11 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
 
     return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
                       element_label=elabel,
-                      meta={"kind": "polymod", "n": n, "base": base, "radices": radices},
-                      validate=validate, **ops)
+                      meta={"kind": "polymod", "n": n, "base": base, "radices": radices}, **ops)
 
 
 def trivial_ext_ring(base: FiniteRing, spec: Optional[RingSpec] = None,
-                     max_order: Optional[int] = None, validate: Optional[bool] = None) -> FiniteRing:
+                     max_order: Optional[int] = None) -> FiniteRing:
     """Trivial extension of the base by itself as a bimodule.
 
     Elements are pairs (a, x); products are (a, x)(b, y) = (ab, ay + xb), so the
@@ -613,12 +594,10 @@ def trivial_ext_ring(base: FiniteRing, spec: Optional[RingSpec] = None,
 
     return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
                       element_label=elabel,
-                      meta={"kind": "trivext", "base": base, "radices": radices},
-                      validate=validate, **ops)
+                      meta={"kind": "trivext", "base": base, "radices": radices}, **ops)
 
 
-def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None,
-             validate: Optional[bool] = None) -> FiniteRing:
+def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None) -> FiniteRing:
     """Same additive group with multiplication reversed."""
     if spec is None and ring.spec is not None:
         spec = Opposite(ring.spec)
@@ -627,14 +606,14 @@ def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None,
     return FiniteRing(ring.order, ring.add, lambda a, b: mul(b, a), ring.neg,
                       zero=ring.zero, one=ring.one, spec=spec, label=label,
                       element_label=ring.element_label,
-                      meta={"kind": "opposite", "base": ring}, validate=validate,
+                      meta={"kind": "opposite", "base": ring},
                       add_vec=ring.add_vec, mul_vec=lambda x, y: mul_vec(y, x),
                       neg_vec=ring.neg_vec)
 
 
 def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = None,
             detect_one: bool = False, spec: Optional[RingSpec] = None,
-            label: Optional[str] = None, validate: Optional[bool] = None) -> FiniteRing:
+            label: Optional[str] = None) -> FiniteRing:
     """Ring on a subset of the parent closed under its operations.
 
     Elements are reindexed 0..k-1 in parent index order; the tuple of parent
@@ -670,14 +649,12 @@ def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = Non
                       spec=spec,
                       label=label or f"Sub({parent.label})",
                       element_label=lambda i, _m=tuple(mem): parent.element_label(_m[i]),
-                      meta={"kind": "subring", "base": parent, "members": tuple(mem)},
-                      validate=validate)
+                      meta={"kind": "subring", "base": parent, "members": tuple(mem)})
     ring.members = tuple(mem)
     return ring
 
 
-def corner_ring(parent: FiniteRing, e: int, spec: Optional[RingSpec] = None,
-                validate: Optional[bool] = None) -> FiniteRing:
+def corner_ring(parent: FiniteRing, e: int, spec: Optional[RingSpec] = None) -> FiniteRing:
     """Corner e*R*e for an idempotent e; unital with unity e."""
     if not 0 <= e < parent.order:
         raise SpecError(f"element {e} out of range")
@@ -690,19 +667,18 @@ def corner_ring(parent: FiniteRing, e: int, spec: Optional[RingSpec] = None,
     if spec is None and parent.spec is not None:
         spec = Corner(parent.spec, e)
     return subring(parent, members, one=e, spec=spec,
-                   label=f"Corner({parent.label},{e})", validate=validate)
+                   label=f"Corner({parent.label},{e})")
 
 
 def ideal_subring(parent: FiniteRing, members: Iterable[int],
-                  spec: Optional[RingSpec] = None, label: Optional[str] = None,
-                  validate: Optional[bool] = None) -> FiniteRing:
+                  spec: Optional[RingSpec] = None, label: Optional[str] = None) -> FiniteRing:
     """An ideal viewed as a ring of its own; unity detected if one exists."""
     return subring(parent, members, detect_one=True, spec=spec,
-                   label=label or f"Ideal({parent.label})", validate=validate)
+                   label=label or f"Ideal({parent.label})")
 
 
-def quotient(parent: FiniteRing, ideal, spec: Optional[RingSpec] = None,
-             validate: Optional[bool] = None) -> tuple[FiniteRing, list[int]]:
+def quotient(parent: FiniteRing, ideal,
+             spec: Optional[RingSpec] = None) -> tuple[FiniteRing, list[int]]:
     """Quotient by a two-sided ideal.
 
     Cosets are represented by their smallest parent index and enumerated in
@@ -737,8 +713,7 @@ def quotient(parent: FiniteRing, ideal, spec: Optional[RingSpec] = None,
                       spec=spec, label=f"{parent.label}/I{len(ideal.members)}",
                       element_label=lambda i, _r=tuple(reps): f"[{parent.element_label(_r[i])}]",
                       meta={"kind": "quotient", "base": parent,
-                            "reps": tuple(reps), "projection": tuple(proj)},
-                      validate=validate)
+                            "reps": tuple(reps), "projection": tuple(proj)})
     ring.reps = tuple(reps)
     ring.projection = tuple(proj)
     return ring, proj
@@ -750,47 +725,40 @@ def quotient_cached(parent: FiniteRing, ideal) -> FiniteRing:
     return parent.memo(("quotient", ideal.members), lambda: quotient(parent, ideal)[0])
 
 
-def build(spec: RingSpec, max_order: Optional[int] = None,
-          validate: Optional[bool] = None) -> FiniteRing:
+def build(spec: RingSpec, max_order: Optional[int] = None) -> FiniteRing:
     """Materialize a RingSpec into a FiniteRing, enforcing the order cap."""
     cap = resolve_max_order(max_order)
     known = spec_order(spec)
     if known is not None:
         _check_cap(known, cap, str(spec))
     if isinstance(spec, Zn):
-        return zn_ring(spec.n, spec=spec, max_order=cap, validate=validate)
+        return zn_ring(spec.n, spec=spec, max_order=cap)
     if isinstance(spec, Product):
-        bases = [build(p, cap, validate) for p in spec.parts]
-        return product_ring(bases, spec=spec, max_order=cap, validate=validate)
+        bases = [build(p, cap) for p in spec.parts]
+        return product_ring(bases, spec=spec, max_order=cap)
     if isinstance(spec, Matrix):
-        return matrix_ring(build(spec.base, cap, validate), spec.k, spec=spec,
-                           max_order=cap, validate=validate)
+        return matrix_ring(build(spec.base, cap), spec.k, spec=spec, max_order=cap)
     if isinstance(spec, Triangular):
-        return triangular_ring(build(spec.base, cap, validate), spec.k, spec=spec,
-                               max_order=cap, validate=validate)
+        return triangular_ring(build(spec.base, cap), spec.k, spec=spec, max_order=cap)
     if isinstance(spec, PolyMod):
-        return poly_mod_ring(build(spec.base, cap, validate), spec.n, spec=spec,
-                             max_order=cap, validate=validate)
+        return poly_mod_ring(build(spec.base, cap), spec.n, spec=spec, max_order=cap)
     if isinstance(spec, TrivialExt):
-        return trivial_ext_ring(build(spec.base, cap, validate), spec=spec,
-                                max_order=cap, validate=validate)
+        return trivial_ext_ring(build(spec.base, cap), spec=spec, max_order=cap)
     if isinstance(spec, Opposite):
-        return opposite(build(spec.base, cap, validate), spec=spec, validate=validate)
+        return opposite(build(spec.base, cap), spec=spec)
     if isinstance(spec, Corner):
-        return corner_ring(build(spec.base, cap, validate), spec.e, spec=spec,
-                           validate=validate)
+        return corner_ring(build(spec.base, cap), spec.e, spec=spec)
     if isinstance(spec, (Quotient, IdealRing)):
         from .structure import ideal_generated
 
-        base = build(spec.base, cap, validate)
+        base = build(spec.base, cap)
         for g in spec.generators:
             if not 0 <= g < base.order:
                 raise SpecError(f"generator {g} out of range for {base.label}")
         ideal = ideal_generated(base, spec.generators)
         if isinstance(spec, Quotient):
-            return quotient(base, ideal, spec=spec, validate=validate)[0]
-        return ideal_subring(base, ideal.members, spec=spec, label=str(spec),
-                             validate=validate)
+            return quotient(base, ideal, spec=spec)[0]
+        return ideal_subring(base, ideal.members, spec=spec, label=str(spec))
     raise TypeError(f"unknown spec node {type(spec).__name__}")
 
 

@@ -8,10 +8,7 @@ from typing import Callable, Hashable, Optional, Sequence, Union
 
 import numpy as np
 
-Element = int
-
 DEFAULT_TABLE_CAP = 1024
-DEFAULT_VALIDATE_CAP = DEFAULT_TABLE_CAP
 
 _AXIOM_CHUNK = 1 << 19  # tensor entries compared per block during validation
 _FILL_CHUNK = 1 << 16  # pairs per vector call when a table is filled
@@ -82,20 +79,31 @@ def _fill(vec: VecOp, shape: tuple, dtype) -> np.ndarray:
 
 
 class _Rows:
-    """Default ``_r`` of a tabled ring's scalar op ``lambda a, b, _r: _r[a][b]``
-    until the op's first call: indexing it makes the table's list rows and
-    puts them in the op's defaults in its place, so that every later call,
-    also through a reference taken before, indexes the lists directly."""
+    """Default ``slot`` of a scalar op until the op's first index into it:
+    indexing it makes the table's Python list (of rows) and puts that in
+    the op's defaults in its place, so that every later call, also through
+    a reference taken before, indexes the list directly."""
 
-    __slots__ = ("op", "table")
+    __slots__ = ("op", "slot", "table")
 
-    def __init__(self, op, table: np.ndarray):
-        self.op, self.table = op, table
+    def __init__(self, op, slot: int, table: np.ndarray):
+        self.op, self.slot, self.table = op, slot, table
 
     def __getitem__(self, a):
-        rows = self.table.tolist()
-        self.op.__defaults__ = (rows,)
+        defaults = self.op.__defaults__
+        rows = defaults[self.slot]
+        if rows is self:  # not made yet (a call may index a slot twice)
+            rows = self.table.tolist()
+            self.op.__defaults__ = defaults[:self.slot] + (rows,) + defaults[self.slot + 1:]
         return rows[a]
+
+
+def lazy_lists(op: Callable, *tables: np.ndarray) -> Callable:
+    """op, with its trailing parameters, one per table, defaulting to the
+    tables' Python lists, each made on op's first index into it: a list
+    index costs about half a numpy one, and an op never called makes none."""
+    op.__defaults__ = tuple(_Rows(op, slot, t) for slot, t in enumerate(tables))
+    return op
 
 
 class FiniteRing:
@@ -108,8 +116,8 @@ class FiniteRing:
     ``add_table``/``mul_table`` (order, order) and ``neg_table`` (order,),
     flat in ``cache`` under the same names. Closures are filled through their
     vector form; a list or array is converted. The vector ops gather from the
-    flat tables; the scalar ops read Python lists (``rows``, a list index
-    costs half a numpy one), those of add and mul made on their first call.
+    flat tables; the scalar ops read Python lists (see ``lazy_lists``), those
+    of add and mul made on their first call.
     Above the cap the table attributes are None and the closures given serve
     (the scalar one mapped when no vector form is given). ``validated`` is
     True when the axioms were checked (and held) at construction. Instances
@@ -168,9 +176,7 @@ class FiniteRing:
                 self.neg = table.tolist().__getitem__
                 self.neg_vec = flat.take
             else:
-                read = lambda a, b, _r=None: _r[a][b]
-                read.__defaults__ = (_Rows(read, table),)
-                setattr(self, name, read)
+                setattr(self, name, lazy_lists(lambda a, b, _r: _r[a][b], table))
                 setattr(self, f"{name}_vec", lambda a, b, _t=flat: _t.take(
                     np.multiply(a, order, dtype=np.int64) + b))
         self.sub = lambda a, b, _add=self.add, _neg=self.neg: _add(a, _neg(b))
@@ -179,29 +185,17 @@ class FiniteRing:
         self._element_label = element_label
 
         if validate is None:
-            validate = self.add_table is not None and order <= DEFAULT_VALIDATE_CAP
+            validate = self.add_table is not None and order <= DEFAULT_TABLE_CAP
         if validate:
             report = validate_axioms(self)
             if not report.ok:
                 raise RingLabError(f"ring axioms violated in {self.label}: {report.failure}")
         self.validated = bool(validate)
 
-    def rows(self, name: str) -> list:
-        """Table ``name`` ("add", "mul" or "neg") of a tabled ring as the
-        Python list (of rows) that its scalar op reads, made now if need be."""
-        op = getattr(self, name)
-        if name == "neg":
-            return op.__self__
-        op.__defaults__[0][0]  # makes the rows if they are not made yet
-        return op.__defaults__[0]
-
     def element_label(self, i: int) -> str:
         if self._element_label is not None:
             return self._element_label(i)
         return str(i)
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def memo(self, key: Hashable, make: Callable[[], object]):
         """``cache[key]``, made by ``make()`` on first use: derived rings,

@@ -81,6 +81,16 @@ def list_rows(ring: rl.FiniteRing) -> set:
             if type(getattr(ring, name).__defaults__[0]) is list}
 
 
+def op_rows(ring: rl.FiniteRing, name: str) -> list:
+    """Table ``name`` ("add", "mul" or "neg") of a tabled ring as the Python
+    list (of rows) that its scalar op reads, made now if need be."""
+    op = getattr(ring, name)
+    if name == "neg":
+        return op.__self__
+    op.__defaults__[0][0]  # makes the rows if they are not made yet
+    return op.__defaults__[0]
+
+
 def with_cell(ring: rl.FiniteRing, table: str, cell, value: int) -> rl.FiniteRing:
     """An unvalidated copy of a tabled ring with one table cell replaced:
     ``table`` is "add", "mul" or "neg" (cell[0] only), or "add-sym", which

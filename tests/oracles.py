@@ -64,6 +64,32 @@ def mat_neg(A, n):
     return tuple((-x) % n for x in A)
 
 
+# --- 2x2 matrices over any base, from the base's scalar operations -------------
+
+def mat2_ops(b, add, mul, neg):
+    """add, mul and neg of the 2x2 matrices over a ring of order b, given
+    its scalar operations; a matrix [[p, q], [r, s]] is the index
+    ((p*b + q)*b + r)*b + s."""
+    def entries(x):
+        return x // b ** 3, x // b ** 2 % b, x // b % b, x % b
+
+    def index(p, q, r, s):
+        return ((p * b + q) * b + r) * b + s
+
+    def m_add(x, y):
+        return index(*(add(u, v) for u, v in zip(entries(x), entries(y))))
+
+    def m_mul(x, y):
+        (p, q, r, s), (e, f, g, h) = entries(x), entries(y)
+        return index(add(mul(p, e), mul(q, g)), add(mul(p, f), mul(q, h)),
+                     add(mul(r, e), mul(s, g)), add(mul(r, f), mul(s, h)))
+
+    def m_neg(x):
+        return index(*(neg(u) for u in entries(x)))
+
+    return m_add, m_mul, m_neg
+
+
 # --- independent upper triangular 2x2 over Z_n (entries a, b, d) --------------
 
 def tri_mul(X, Y, n):

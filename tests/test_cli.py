@@ -172,6 +172,43 @@ def test_overlong_literals_are_parse_errors(text, capsys):
         "error: parse error at column 2: integer literal longer than 4300 digits\n")
 
 
+def _nested(depth):
+    return "Op(" * depth + "Z2" + ")" * depth
+
+
+def test_spec_nesting_is_bounded(tmp_path, capsys):
+    message = "parse error at column 769: constructors nested more than 256 deep"
+    assert cli.MAX_SPEC_DEPTH == 256
+    assert rl.main(["classify", _nested(256)]) == 0
+    assert rl.main(["witness", _nested(256), "1", "wnc"]) == 0
+    capsys.readouterr()
+    for depth in (257, 2000):
+        assert rl.main(["classify", _nested(depth)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    path = tmp_path / "specs.txt"
+    path.write_text(f"Z2\n{_nested(2000)}\nZ3\n")
+    assert rl.main(["census", "--csv", "--specs", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["Z2", _nested(2000), "Z3"]
+    assert lines[2] == f"{_nested(2000)},error: {message}" + "," * 15
+
+
+def test_spec_file_parse_errors_name_one_column(tmp_path, capsys):
+    path = tmp_path / "specs.txt"
+    long = "Z" + "5" * 5000
+    path.write_text(f"Z2\n{long}  # too long\n\nM2(Z3\nZ3\n")
+    reason = "integer literal longer than 4300 digits"
+    assert rl.main(["verify", "--corpus", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: parse error at column 2: {reason}\n"
+    assert rl.main(["census", "--csv", "--specs", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "Z2,2,true,true,true,true,true,true,true,true,true,true,2,1,1,1,1",
+        f"{long},error: parse error at column 2: {reason}" + "," * 15,
+        "M2(Z3,error: parse error at column 6: expected ')'" + "," * 15,
+        "Z3,3,true,true,false,true,true,true,true,true,true,true,2,1,2,1,1",
+    ]
+
+
 # --- witness -----------------------------------------------------------------------
 
 

@@ -83,10 +83,69 @@ def test_matrix_ring_2x2(n):
 
 
 def test_matrix_ring_3x3_is_a_ring():
-    ring = rl.matrix_ring(rl.zn_ring(2), 3, validate=False)
+    ring = rl.matrix_ring(rl.zn_ring(2), 3)
     assert ring.order == 512
     assert rl.validate_axioms(ring).ok
     assert rl.ring_unpack(ring, ring.one) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
+M2_BASES = ("Z6", "Z8", "Z12", "Z16", "Z2xZ4", "T2(Z2)", "M2(Z2)", "Z4[x]/(x^2)")
+
+
+def _m2_reference_mismatches(ring):
+    """Names of the operations of a 2x2 matrix ring, scalar and vector, that
+    differ from oracles.mat2_ops over its base's scalar operations, on
+    sample pairs and on all pairs of end elements."""
+    base = ring.meta["base"]
+    add, mul, neg = oracles.mat2_ops(base.order, base.add, base.mul, base.neg)
+    n = ring.order
+    ends = [0, 1, 2, n - 2, n - 1]
+    xs, ys = (side.tolist() for side in sample_pairs(n))
+    xs += [x for x in ends for _ in ends]
+    ys += ends * len(ends)
+    got = {
+        "add": [ring.add(x, y) for x, y in zip(xs, ys)],
+        "mul": [ring.mul(x, y) for x, y in zip(xs, ys)],
+        "neg": [ring.neg(x) for x in xs],
+        "add_vec": ring.add_vec(np.array(xs), np.array(ys)).tolist(),
+        "mul_vec": ring.mul_vec(np.array(xs), np.array(ys)).tolist(),
+        "neg_vec": ring.neg_vec(np.array(xs)).tolist(),
+    }
+    expected = {"add": [add(x, y) for x, y in zip(xs, ys)],
+                "mul": [mul(x, y) for x, y in zip(xs, ys)],
+                "neg": [neg(x) for x in xs]}
+    return [name for name in got if got[name] != expected[name.removesuffix("_vec")]]
+
+
+@pytest.mark.parametrize("base", M2_BASES)
+def test_m2_ops_match_the_matrix_reference(base):
+    ring = rl.build(rl.parse_spec(f"M2({base})"))
+    assert ring.mul_table is None  # lazy, so its own ops serve every call
+    assert _m2_reference_mismatches(ring) == []
+
+
+@pytest.mark.parametrize("base", ["Z3", "Z6", "T2(Z2)", "Z2xZ4"])
+def test_m2_ops_over_a_lazy_base_match_the_matrix_reference(base):
+    with lazy_rings():
+        ring = rl.build(rl.parse_spec(f"M2({base})"))
+    assert ring.mul_table is None and ring.meta["base"].mul_table is None
+    assert _m2_reference_mismatches(ring) == []
+
+
+def test_m2_scalar_ops_make_their_lists_on_first_call():
+    def made(op):
+        return [type(d) is list for d in op.__defaults__]
+
+    ring = rl.build(rl.parse_spec("M2(Z8)"))
+    rl.classify(ring)  # array scans only
+    assert [made(ring.add), made(ring.mul), made(ring.neg)] == [[False], [False] * 4, [False]]
+    mul = ring.mul  # taken before the first call, as callers that hoist it do
+    x = rl.ring_pack(ring, [1, 2, 3, 4])
+    y = rl.ring_pack(ring, [5, 6, 7, 0])
+    assert rl.ring_unpack(ring, mul(x, y)) == [3, 6, 3, 2] and ring.mul is mul
+    assert made(ring.mul) == [True] * 4 and made(ring.add) == made(ring.neg) == [False]
+    assert rl.ring_unpack(ring, ring.sub(x, y)) == [4, 4, 4, 4]
+    assert made(ring.add) == made(ring.neg) == [True]
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -446,7 +505,7 @@ def _scalar_subring(parent, members, detect_one=False):
 
 def _subring_outcome(parent, members, detect_one=False):
     try:
-        sub = rl.subring(parent, members, detect_one=detect_one, validate=False)
+        sub = rl.subring(parent, members, detect_one=detect_one)
     except ValueError as exc:
         return str(exc)
     assert sub.members == tuple(sorted(set(members)))

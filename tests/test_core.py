@@ -11,8 +11,8 @@ from ringlab.core import (_AXIOM_CHUNK, _additive_generators, _generator_tree, i
                           power_from_seq)
 
 import oracles
-from conftest import (agrees_with_cubic, all_pairs, corpus_ring, list_rows, sample_pairs,
-                      vector_mismatches, with_cell)
+from conftest import (agrees_with_cubic, all_pairs, corpus_ring, list_rows, op_rows,
+                      sample_pairs, vector_mismatches, with_cell)
 
 
 def test_validate_axioms_accepts_corpus(corpus):
@@ -319,7 +319,7 @@ def test_index_dtype():
 
 
 def test_tables_filled_from_closures_are_cached_at_construction():
-    ring = rl.zn_ring(6, validate=False)
+    ring = rl.zn_ring(6)
     assert set(ring.cache) == {"add_table", "mul_table", "neg_table"}
     for name in ("add_table", "mul_table"):
         assert ring.cache[name].dtype == np.uint16
@@ -361,10 +361,10 @@ def test_scalar_ops_make_list_rows_on_first_use():
     assert list_rows(ring) == set()
     mul = ring.mul  # taken before the first call, as callers that hoist it do
     assert mul(2, 5) == 4 and type(mul(2, 5)) is int and ring.mul is mul
-    assert ring.rows("mul") == ring.mul_table.tolist()
+    assert op_rows(ring, "mul") == ring.mul_table.tolist()
     assert ring.mul(2, 5) == 4 and list_rows(ring) == {"mul"}
     assert ring.sub(1, 2) == 5 and list_rows(ring) == {"add", "mul"}
-    assert ring.rows("neg") == ring.neg_table.tolist()
+    assert op_rows(ring, "neg") == ring.neg_table.tolist()
     for fresh in (ring, rl.zn_ring(6)):  # out of range before and after the rows
         with pytest.raises(IndexError):
             fresh.add(6, 0)
@@ -396,7 +396,7 @@ def test_list_rows_match_the_vector_ops():
         assert list_rows(ring) == set(), ring.label
         pairs = all_pairs(ring.order) if ring.order <= 256 else sample_pairs(ring.order)
         assert vector_mismatches(ring, *pairs) == [], ring.label
-        assert ring.rows("mul") == ring.mul_table.tolist(), ring.label
+        assert op_rows(ring, "mul") == ring.mul_table.tolist(), ring.label
 
 
 def test_default_vector_ops_map_the_scalar_ops():

@@ -77,7 +77,7 @@ def test_spec_string_round_trips(spec):
 def test_vector_ops_match_scalar_on_generated_specs(spec, data):
     try:
         with lazy_rings():
-            ring = rl.build(spec, max_order=1024, validate=False)
+            ring = rl.build(spec, max_order=1024)
     except (rl.RingLabError, ValueError):
         return  # over the cap, or a corner, ideal or quotient that does not apply
     idx = hs.integers(0, ring.order - 1)
