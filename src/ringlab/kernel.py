@@ -5,7 +5,12 @@ above the exhaustive-scan limit, run the trajectory witnesses of
 ``deciders`` (``pi_regular_witness_fast``, ``strong_pi_witness_fast`` or
 ``strong_pi_core_fast``, and ``wncl_from_pi_regular``) on every element.
 From ``deciders.PASS_MIN_ORDER`` on, ``first_failures`` does the same
-work on arrays of elements through the ring's vector operations. Each step
+work on arrays of elements through the ring's vector operations, in batches
+of ``_PASS_CELLS // 32`` elements. A batch keeps its working set under
+``_PASS_CELLS`` int64 values (about 200 bytes an element at its peak on
+M2(Z12)): the trajectory table and the strong-pi temporaries are dropped
+before the wncl chain runs, and each chain temporary once its last check
+is done. Each step
 mirrors its scalar counterpart: the same products of the same factors,
 the same identities, the same independent recomputations (a^n by repeated
 squaring, nilpotency by power sequence). A value the scalar code computes
@@ -35,15 +40,22 @@ from .core import FiniteRing, index_dtype
 # pi-regularity verdicts use the trajectory witnesses at every order.
 BRUTE_ORDER_LIMIT = 256
 
-# Elements per batch in first_failures. It bounds the arrays of one batch,
-# its power trajectories above all, to a few hundred kilobytes.
-_VERDICT_CHUNK = 2048
+# Cells (idempotent, x, element) per block of wncl_pass, (r, element) per
+# block of exchange_pass, and (row, element) per block of the structure scans.
+# It bounds the products, membership masks and differences of one block to a
+# few megabytes. A batch of first_failures holds _PASS_CELLS // 32 elements:
+# chunk_failures keeps at most 32 element-sized int64 arrays live at its peak
+# (trajectory table, chain temporaries and vector-op scratch together), so a
+# batch's working set stays under _PASS_CELLS int64 values, 2 MiB.
+_PASS_CELLS = 1 << 18
 
 
 def trajectories(ring: FiniteRing, x: np.ndarray):
     """core.power_seq of every element of x, as (P, pre, per): row r holds
     P[r, t-1] = x[r]^t for t up to pre[r] + per[r] - 1 (later columns of the
-    row are unused), and pre[r], per[r] are its preperiod and period."""
+    row are unused), and pre[r], per[r] are its preperiod and period. The
+    table doubles its width by copying itself into the left half of a new
+    one, so a growth step holds the old and the new table only."""
     mul = ring.mul_vec
     n = len(x)
     P = np.zeros((n, 8), dtype=index_dtype(ring.order))
@@ -66,7 +78,9 @@ def trajectories(ring: FiniteRing, x: np.ndarray):
             live = ~hit
             rows, base, cur = rows[live], base[live], cur[live]
         if k > P.shape[1]:
-            P = np.concatenate([P, np.zeros_like(P)], axis=1)
+            grown = np.zeros((n, 2 * P.shape[1]), dtype=P.dtype)
+            grown[:, :P.shape[1]] = P
+            P = grown
         P[rows, k - 1] = cur
     return P, pre, per
 
@@ -81,9 +95,11 @@ def power_at(traj, t: np.ndarray) -> np.ndarray:
 def nil_index(ring: FiniteRing, x: np.ndarray) -> np.ndarray:
     """core.nil_index_of on every element of x, with 0 where it is None."""
     P, pre, per = trajectories(ring, x)
-    zero = (P == ring.zero) & (np.arange(P.shape[1]) < (pre + per - 1)[:, None])
-    index = np.where(zero.any(axis=1), zero.argmax(axis=1) + 1, 0)
-    return np.where(x == ring.zero, 1, index)
+    rows = np.arange(len(x))
+    # a row's first zero column is in its trajectory when any column there is
+    col = (P == ring.zero).argmax(axis=1)
+    zero = (P[rows, col] == ring.zero) & (col < pre + per - 1)
+    return np.where(x == ring.zero, 1, np.where(zero, col + 1, 0))
 
 
 def power(ring: FiniteRing, x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -112,7 +128,8 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
                         am: np.ndarray) -> np.ndarray:
     """Rows where deciders.wncl_from_pi_regular(ring, a, (m, am)) raises:
     its pi-regularity check, wncl_from_corner with the corner witness
-    (0, faf, 0), and the final check_wncl of the composed witness."""
+    (0, faf, 0), and the final check_wncl of the composed witness. Each
+    temporary is dropped once its last check is done."""
     mul, add, sub = ring.mul_vec, ring.add_vec, ring.sub_vec
     n = len(a)
     one = np.full(n, ring.one, dtype=np.int64)
@@ -121,6 +138,7 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     an = power(ring, a, m)
     bad = mul(mul(an, am), an) != an
     e = mul(am, an)
+    del an
     c = am.copy()
     longer = m > 1
     c[longer] = mul(am[longer], power(ring, a[longer], m[longer] - 1))
@@ -142,6 +160,11 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     fae = mul(fa, e)
     mu = add(faf, fae)
     pi = add(e, zero)
+    del e
+    # 1 - s of the composed witness, made before the power loop so that its
+    # factors are dropped first
+    x_out = sub(one, sub(add(c, f), mul(gx, sub(f, mul(fa, c)))))
+    del c, f, fa, gx
     # mu^k = q^k + q^(k-1)*fae for k up to the nil index of q
     mu_pow = mu.copy()
     q_pow = faf.copy()
@@ -151,10 +174,10 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
         mu_pow[rows] = mul(mu_pow[rows], mu[rows])
         q_pow[rows] = mul(prev, faf[rows])
         bad[rows] |= mu_pow[rows] != add(q_pow[rows], mul(prev, fae[rows]))
+    del qn, q_pow, faf, fae
     bad |= mu_pow != zero
+    del mu_pow
     bad |= mul(sub(one, pi), sub(a, mu)) != zero
-    s = sub(add(c, f), mul(gx, sub(f, mul(fa, c))))
-    x_out = sub(one, s)
     # check_wncl of (pi, mu, x_out)
     bad |= mul(pi, pi) != pi
     bad |= nil_index(ring, mu) == 0
@@ -162,16 +185,14 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     return bad
 
 
-def chunk_failures(ring: FiniteRing, a: np.ndarray) -> Dict[str, np.ndarray]:
-    """Failed rows, on the elements a, of the scalar chain of each verdict:
-    "pi_regular" runs pi_regular_witness_fast; "strongly_pi_regular" runs
-    strong_pi_witness_fast, or strong_pi_core_fast without a unity; with a
-    unity and above BRUTE_ORDER_LIMIT (below it wncl_pass decides wncl),
-    "wncl" runs pi_regular_witness_fast then wncl_from_pi_regular. One
-    trajectory pass serves all three."""
+def _trajectory_failures(ring: FiniteRing, a: np.ndarray):
+    """The "pi_regular" and "strongly_pi_regular" rows of chunk_failures,
+    with the exponents m and the powers a^m that the wncl chain takes. The
+    trajectory table and the strong-pi temporaries are dropped once their
+    last check is done, and all are gone before the wncl chain runs."""
     mul, sub = ring.mul_vec, ring.sub_vec
     traj = trajectories(ring, a)
-    _, pre, per = traj
+    pre, per = traj[1:]
     lo = pre  # power_seq gives a preperiod of at least 1
     m = per * ((lo + per - 1) // per)
     am = power_at(traj, m)
@@ -181,29 +202,45 @@ def chunk_failures(ring: FiniteRing, a: np.ndarray) -> Dict[str, np.ndarray]:
     bad_spi = mul(power_at(traj, lo + 1), r) != an
     out = {"pi_regular": bad_pi, "strongly_pi_regular": bad_spi}
     if not ring.unital:
-        return out
+        return m, am, out
+    del r, an
     e = am
     bad_spi |= mul(e, e) != e
     # the corner inverse of a*e is a^mp with mp = -1 mod the period
     z = power_at(traj, np.where(per == 1, lo, lo + (per - 1 - lo) % per))
+    del traj, pre, per, lo
     ae = mul(a, e)
     bad_spi |= mul(mul(e, z), e) != z
     bad_spi |= mul(ae, z) != e
     bad_spi |= mul(z, ae) != e
+    del z, ae
     b = mul(a, sub(np.full(len(a), ring.one, dtype=np.int64), e))
     bad_spi |= power(ring, b, m) != ring.zero
-    if ring.order > BRUTE_ORDER_LIMIT:
-        out["wncl"] = bad_pi | wncl_chain_failures(ring, a, m, am)
+    return m, am, out
+
+
+def chunk_failures(ring: FiniteRing, a: np.ndarray) -> Dict[str, np.ndarray]:
+    """Failed rows, on the elements a, of the scalar chain of each verdict:
+    "pi_regular" runs pi_regular_witness_fast; "strongly_pi_regular" runs
+    strong_pi_witness_fast, or strong_pi_core_fast without a unity; with a
+    unity and above BRUTE_ORDER_LIMIT (below it wncl_pass decides wncl),
+    "wncl" runs pi_regular_witness_fast then wncl_from_pi_regular. One
+    trajectory pass serves all three."""
+    m, am, out = _trajectory_failures(ring, a)
+    if ring.unital and ring.order > BRUTE_ORDER_LIMIT:
+        out["wncl"] = out["pi_regular"] | wncl_chain_failures(ring, a, m, am)
     return out
 
 
 def first_failures(ring: FiniteRing) -> Dict[str, int]:
     """The smallest element failing each chain of chunk_failures, from one
-    pass over the ring in chunks of _VERDICT_CHUNK; cached on the ring."""
+    pass over the ring in batches of _PASS_CELLS // 32 elements, each
+    within a working set of _PASS_CELLS int64 values; cached on the ring."""
     def scan():
+        step = max(1, _PASS_CELLS // 32)
         first: Dict[str, int] = {}
-        for start in range(0, ring.order, _VERDICT_CHUNK):
-            a = np.arange(start, min(start + _VERDICT_CHUNK, ring.order), dtype=np.int64)
+        for start in range(0, ring.order, step):
+            a = np.arange(start, min(start + step, ring.order), dtype=np.int64)
             for name, bad in chunk_failures(ring, a).items():
                 if name not in first and bad.any():
                     first[name] = start + int(bad.argmax())
@@ -213,12 +250,6 @@ def first_failures(ring: FiniteRing) -> Dict[str, int]:
 
 # ---------------------------------------------------------------------------
 # small-ring passes over idempotents
-
-# Cells (idempotent, x, element) per block of wncl_pass, (r, element) per
-# block of exchange_pass, and (row, element) per block of the structure scans.
-# It bounds the products, membership masks and differences of one block to a
-# few megabytes.
-_PASS_CELLS = 1 << 18
 
 
 def wncl_pass(ring: FiniteRing, idems, nils) -> Dict[str, np.ndarray]:

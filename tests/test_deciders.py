@@ -1,6 +1,7 @@
 """Witness searches, checkers, constructive operations, and ring verdicts."""
 
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -578,7 +579,8 @@ def test_pi_regularity_verdicts_equal_the_scalar_loops_at_every_order(name):
 
 # (ring, batched wncl chain calls): up to BRUTE_ORDER_LIMIT wncl_pass decides
 # wncl, so the batched pass skips the wncl chain; above it the chain runs
-# once per chunk (M2(Z6), of order 1296, is one chunk)
+# once per batch (M2(Z6), of order 1296, is one batch of _PASS_CELLS // 32
+# elements)
 @pytest.mark.parametrize("name,chain_calls", [
     ("Z32", 0), ("T2(Z4)", 0), ("M2(Z3)", 0), ("M2(Z6)", 1)])
 def test_batched_pass_runs_the_wncl_chain_only_above_the_brute_limit(name, chain_calls):
@@ -660,6 +662,64 @@ def test_corrupted_product_raises_the_scalar_error(pair, value):
     assert any(outcome is not True for outcome in scalar.values())
     for prop, expected in scalar.items():
         assert _outcome(lambda: _BATCHED[prop](ring)) == expected, prop
+
+
+def _corrupted_m2z6(pair, value):
+    base = rl.build_cached(rl.parse_spec("M2(Z6)"))
+    return _corrupted(base, tuple(rl.ring_pack(base, d) for d in pair),
+                      rl.ring_pack(base, value))
+
+
+# (pair, value) in M2(Z6) digits whose chains first fail past element 256:
+# all three at 650; strongly pi-regular at 259 and wncl at 777; both at 1295
+_LATE_CORRUPTIONS = [
+    (((3, 0, 0, 4), (3, 0, 0, 4)), (0, 0, 0, 0)),
+    (((3, 3, 3, 3), (3, 3, 3, 3)), (0, 0, 0, 1)),
+    (((5, 5, 5, 5), (5, 5, 5, 5)), (0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("elements", [100, 256])
+def test_first_failures_do_not_depend_on_the_batch_size(monkeypatch, elements):
+    def rings():
+        return ([rl.build(rl.parse_spec(name)) for name in ("M2(Z6)", "M2(Z8)")]
+                + [_corrupted_m2z6(pair, value) for pair, value in _LATE_CORRUPTIONS])
+
+    one_batch = rings()
+    assert all(ring.order <= kernel._PASS_CELLS // 32 for ring in one_batch)
+    whole = [kernel.first_failures(ring) for ring in one_batch]
+    monkeypatch.setattr(kernel, "_PASS_CELLS", 32 * elements)
+    for ring, expected in zip(rings(), whole):
+        with mock.patch.object(kernel, "chunk_failures",
+                               wraps=kernel.chunk_failures) as batch:
+            assert kernel.first_failures(ring) == expected, ring.label
+        assert batch.call_count == -(-ring.order // elements)
+
+
+@pytest.mark.parametrize("pair,value", _LATE_CORRUPTIONS)
+def test_corrupted_product_past_the_first_batch_raises_the_scalar_error(
+        monkeypatch, pair, value):
+    monkeypatch.setattr(kernel, "_PASS_CELLS", 32 * 256)
+    ring = _corrupted_m2z6(pair, value)
+    scalar = {prop: _outcome(run) for prop, run in _scalar_verdicts(ring).items()}
+    assert any(outcome is not True for outcome in scalar.values())
+    for prop, expected in scalar.items():
+        assert _outcome(lambda: _BATCHED[prop](ring)) == expected, prop
+    assert min(kernel.first_failures(ring).values()) >= 256
+
+
+def test_one_verdict_batch_stays_within_its_working_set():
+    """The tracemalloc peak of one batch of chunk_failures on the order-20736
+    M2(Z12) stays under the _PASS_CELLS int64 values the batch rule allows."""
+    ring = rl.build_cached(rl.parse_spec("M2(Z12)"))
+    a = np.arange(kernel._PASS_CELLS // 32, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        kernel.chunk_failures(ring, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < kernel._PASS_CELLS * np.dtype(np.int64).itemsize, peak / len(a)
 
 
 # --- batched small-ring passes ----------------------------------------------------
