@@ -726,7 +726,11 @@ def quotient_cached(parent: FiniteRing, ideal) -> FiniteRing:
 
 
 def build(spec: RingSpec, max_order: Optional[int] = None) -> FiniteRing:
-    """Materialize a RingSpec into a FiniteRing, enforcing the order cap."""
+    """Materialize a RingSpec into a new FiniteRing, enforcing the order cap.
+
+    The sub-specs (parts and bases) come from the per-process build cache,
+    so each intermediate ring is built and validated once per process and
+    shared; only the ring returned is built on every call."""
     cap = resolve_max_order(max_order)
     known = spec_order(spec)
     if known is not None:
@@ -734,24 +738,24 @@ def build(spec: RingSpec, max_order: Optional[int] = None) -> FiniteRing:
     if isinstance(spec, Zn):
         return zn_ring(spec.n, spec=spec, max_order=cap)
     if isinstance(spec, Product):
-        bases = [build(p, cap) for p in spec.parts]
+        bases = [_build_cached(p, cap) for p in spec.parts]
         return product_ring(bases, spec=spec, max_order=cap)
     if isinstance(spec, Matrix):
-        return matrix_ring(build(spec.base, cap), spec.k, spec=spec, max_order=cap)
+        return matrix_ring(_build_cached(spec.base, cap), spec.k, spec=spec, max_order=cap)
     if isinstance(spec, Triangular):
-        return triangular_ring(build(spec.base, cap), spec.k, spec=spec, max_order=cap)
+        return triangular_ring(_build_cached(spec.base, cap), spec.k, spec=spec, max_order=cap)
     if isinstance(spec, PolyMod):
-        return poly_mod_ring(build(spec.base, cap), spec.n, spec=spec, max_order=cap)
+        return poly_mod_ring(_build_cached(spec.base, cap), spec.n, spec=spec, max_order=cap)
     if isinstance(spec, TrivialExt):
-        return trivial_ext_ring(build(spec.base, cap), spec=spec, max_order=cap)
+        return trivial_ext_ring(_build_cached(spec.base, cap), spec=spec, max_order=cap)
     if isinstance(spec, Opposite):
-        return opposite(build(spec.base, cap), spec=spec)
+        return opposite(_build_cached(spec.base, cap), spec=spec)
     if isinstance(spec, Corner):
-        return corner_ring(build(spec.base, cap), spec.e, spec=spec)
+        return corner_ring(_build_cached(spec.base, cap), spec.e, spec=spec)
     if isinstance(spec, (Quotient, IdealRing)):
         from .structure import ideal_generated
 
-        base = build(spec.base, cap)
+        base = _build_cached(spec.base, cap)
         for g in spec.generators:
             if not 0 <= g < base.order:
                 raise SpecError(f"generator {g} out of range for {base.label}")

@@ -35,11 +35,23 @@ def unital_corpus(corpus):
 
 
 @contextmanager
+def fresh_build_cache():
+    """Builds inside use their own empty build cache, as in a new process:
+    their bases are built anew, and none of them is served outside."""
+    fresh = functools.lru_cache(maxsize=None)(ct._build_cached.__wrapped__)
+    with mock.patch.object(ct, "_build_cached", fresh):
+        yield
+
+
+@contextmanager
 def lazy_rings():
     """Rings built inside get no tables, so their constructors' own scalar
     and vector closures serve every operation (subrings and quotients, which
-    are given tables, excepted)."""
-    with mock.patch.object(ct, "FiniteRing", functools.partial(rl.FiniteRing, table_cap=0)):
+    are given tables, excepted). The context has its own build cache, so a
+    nested build inside gets lazy bases, and its lazy rings never reach the
+    tabled builds outside."""
+    with mock.patch.object(ct, "FiniteRing", functools.partial(rl.FiniteRing, table_cap=0)), \
+            fresh_build_cache():
         yield
 
 

@@ -12,6 +12,8 @@ import ringlab as rl
 from ringlab import cli
 from ringlab.cli import CSV_HEADER, parse_spec, SpecParseError
 
+from conftest import fresh_build_cache
+
 
 # --- parser ---------------------------------------------------------------------
 
@@ -277,6 +279,23 @@ def test_witness_non_unital_property(capsys):
     # unital-only searches on a non-unital ring are usage errors
     assert rl.main(["witness", "Ideal(Z4,2)", "1", "exchange"]) == 2
     assert "unity" in capsys.readouterr().err
+
+
+# The specs of perfbench's witness-cli workload: the default corpus less M2(Z4).
+WITNESS_CLI_SPECS = [str(spec) for spec in rl.DEFAULT_CORPUS if str(spec) != "M2(Z4)"]
+
+
+@pytest.mark.parametrize("text", WITNESS_CLI_SPECS)
+def test_witness_repeats_byte_for_byte_on_cached_bases(text, capsys):
+    """The first call builds the bases of the spec, as in a new process; the
+    second gets them from the build cache and prints the same bytes."""
+    last = rl.build_cached(parse_spec(text)).order - 1
+    with fresh_build_cache():
+        for prop in cli._WITNESS_PROPS:
+            for a in (0, last):
+                argv = ["witness", text, str(a), prop]
+                first = rl.main(argv), capsys.readouterr()
+                assert (rl.main(argv), capsys.readouterr()) == first, argv
 
 
 # --- verify -------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import ringlab as rl
 from ringlab import construct as ct
 
 import oracles
-from conftest import all_pairs, lazy_rings, list_rows, sample_pairs, vector_mismatches
+from conftest import (all_pairs, fresh_build_cache, lazy_rings, list_rows, sample_pairs,
+                      vector_mismatches)
 
 
 # --- digit packing ------------------------------------------------------------
@@ -335,6 +336,48 @@ def test_build_cached_returns_same_object():
     assert a is b
     c = rl.build(rl.Zn(6))
     assert c is not a
+
+
+def _bases(ring):
+    return ring.meta.get("bases") or (ring.meta["base"],)
+
+
+@pytest.mark.parametrize("text,bases", [
+    ("M2(Z3)", ["Z3"]),
+    ("Z2xZ4", ["Z2", "Z4"]),
+    ("Ideal(Z4,2)", ["Z4"]),
+    ("Op(T2(Z2))", ["Z2", "T2(Z2)"]),
+])
+def test_nested_builds_validate_each_base_once(text, bases):
+    spec = rl.parse_spec(text)
+
+    def validated():
+        labels = [call.args[0].label for call in validate.call_args_list]
+        validate.reset_mock()
+        return labels
+
+    with fresh_build_cache(), \
+            mock.patch("ringlab.core.validate_axioms", wraps=rl.validate_axioms) as validate:
+        first = rl.build(spec)
+        assert validated() == [*bases, text]
+        second = rl.build(spec)
+        assert validated() == [text]
+    assert first is not second
+    assert first.validated and second.validated
+    assert all(a is b for a, b in zip(_bases(first), _bases(second), strict=True))
+
+
+@pytest.mark.parametrize("text,max_order,error,message", [
+    ("M2(Quot(Z4,9))", None, ValueError, "generator 9 out of range for Z4"),
+    ("Corner(M2(Z4),65)", 100, rl.OrderCapError, "M2(Z4) has order 256, over the cap 100"),
+])
+def test_a_failed_base_build_fails_again(text, max_order, error, message):
+    spec = rl.parse_spec(text)
+    with fresh_build_cache():
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                rl.build(spec, max_order=max_order)
+            assert str(exc.value) == message
 
 
 # --- order cap -------------------------------------------------------------------
