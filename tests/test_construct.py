@@ -7,6 +7,7 @@ import pytest
 
 import ringlab as rl
 from ringlab import construct as ct
+from ringlab import structure as st
 
 import oracles
 from conftest import (all_pairs, fresh_build_cache, lazy_rings, list_rows, sample_pairs,
@@ -289,6 +290,49 @@ def test_quotient_projection_is_homomorphism():
             assert proj[z12.mul(a, b)] == q.mul(proj[a], proj[b])
     assert q.one == proj[1]
     assert q.reps == (0, 1, 2, 3)
+
+
+def _scalar_cosets(ring, members):
+    """(reps, projection) of ring / I by scalar adds: each coset is numbered
+    in the order of its smallest element."""
+    proj = [-1] * ring.order
+    reps = []
+    for x in range(ring.order):
+        if proj[x] < 0:
+            reps.append(x)
+            for i in members:
+                proj[ring.add(x, i)] = len(reps) - 1
+    return reps, proj
+
+
+def test_quotient_cosets_match_the_scalar_numbering(corpus):
+    with lazy_rings():
+        lazy = [rl.build(rl.parse_spec(s)) for s in ("M2(Z2)", "T2(Z3)", "Triv(Z4)")]
+    for ring in [r for r in corpus.values() if r.order <= 64] + lazy:
+        for x in range(ring.order):
+            ideal = rl.ideal_generated(ring, (x,))
+            q, proj = rl.quotient(ring, ideal)
+            reps, expected = _scalar_cosets(ring, ideal.members)
+            assert (list(q.reps), proj) == (reps, expected), (ring.label, x)
+            assert q.projection == tuple(expected)
+
+
+def test_quotient_reads_its_parent_in_row_blocks(monkeypatch):
+    # blocks of 8 rows of M2(Z3): the cosets do not depend on the block size
+    m2 = rl.build(rl.parse_spec("M2(Z3)"))
+    ideal = rl.ideal_generated(m2, (1,))
+    whole = rl.quotient(m2, ideal)[1]
+    monkeypatch.setattr(st, "_PASS_CELLS", 8 * m2.order)
+    with mock.patch.object(m2, "add_vec", wraps=m2.add_vec) as add:
+        assert rl.quotient(m2, ideal)[1] == whole
+    assert add.call_count == m2.order // 8 + 1 + 1  # row blocks, then the table
+
+
+def test_quotient_makes_no_list_rows_in_its_parent():
+    ring = rl.build(rl.parse_spec("Z2[x]/(x^10)"))
+    ideal = rl.ideal_generated(ring, (2,))
+    assert rl.quotient(ring, ideal)[0].order == ring.order // len(ideal.members) == 256
+    assert list_rows(ring) == set()
 
 
 # --- spec algebra ---------------------------------------------------------------

@@ -13,7 +13,7 @@ import ringlab as rl
 from ringlab import harness as hn
 from ringlab import construct as ct
 
-from conftest import list_rows
+from conftest import fresh_build_cache, list_rows
 
 
 def test_check_ids_exact_order():
@@ -194,7 +194,9 @@ def test_cold_checks_build_each_quotient_once(monkeypatch, check_id):
     # the radical scan, the lift of quotient witnesses and the checks share
     # one cached quotient per (ring, ideal)
     specs = ["Z12", "T2(Z2)", "T2(Z4)", "Triv(Z2)", "Z2[x]/(x^2)", "M2(Z3)", "Ideal(Z4,2)"]
-    monkeypatch.setattr(ct, "build_cached", ct.build)  # fresh rings, empty caches
+    # fresh rings, empty caches: new top rings, and bases (Z2, Z3, Z4) from
+    # an empty build cache rather than the process's
+    monkeypatch.setattr(ct, "build_cached", ct.build)
     calls = {}
     original = ct.quotient
 
@@ -204,7 +206,8 @@ def test_cold_checks_build_each_quotient_once(monkeypatch, check_id):
         return original(ring, ideal, *args, **kwargs)
 
     monkeypatch.setattr(ct, "quotient", counting)
-    check = hn.run_check(check_id, [rl.parse_spec(text) for text in specs])
+    with fresh_build_cache():
+        check = hn.run_check(check_id, [rl.parse_spec(text) for text in specs])
     assert check.status == "pass", check.detail
     assert calls and all(count == 1 for count in calls.values()), calls
 
