@@ -5,13 +5,15 @@ print one certified witness), verify (run the named corpus checks), census
 (classification table for many rings).
 
 Exit codes: 0 success, 1 absent witness or failed check, 2 usage or parse
-errors, 3 order-cap violations.
+errors, 3 order-cap violations, 141 (128 + SIGPIPE) stdout closed by its
+reader before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -202,6 +204,7 @@ def _n(value: Optional[int]) -> str:
     return "" if value is None else str(value)
 
 
+# the property columns follow dc.PROPERTY_ORDER
 CSV_HEADER = ("spec,order,wnc,clean,nilclean,exchange,pireg,spireg,sreg,"
               "abelian,uniq_e,uniq_q,|Id|,|Nil|,|U|,|J|,bidx")
 
@@ -210,27 +213,11 @@ def _census_cells(row: hn.CensusRow) -> List[str]:
     if row.error is not None:
         return [row.spec, f"error: {row.error}"] + [""] * 15
     rep = row.report
-    p = rep.properties
     c = rep.counts or {}
-    return [
-        row.spec,
-        str(rep.order),
-        _b(p["weakly_nil_clean"]),
-        _b(p["clean"]),
-        _b(p["nil_clean"]),
-        _b(p["exchange"]),
-        _b(p["pi_regular"]),
-        _b(p["strongly_pi_regular"]),
-        _b(p["strongly_regular"]),
-        _b(p["abelian"]),
-        _b(p["unique_idempotent_all"]),
-        _b(p["unique_nilpotent_all"]),
-        _n(c.get("id")),
-        _n(c.get("nil")),
-        _n(c.get("unit")),
-        _n(c.get("radical")),
-        _n(rep.bounded_index),
-    ]
+    return ([row.spec, str(rep.order)]
+            + [_b(rep.properties[name]) for name in dc.PROPERTY_ORDER]
+            + [_n(c.get(k)) for k in ("id", "nil", "unit", "radical")]
+            + [_n(rep.bounded_index)])
 
 
 def _print_legend(ring: FiniteRing, out) -> None:
@@ -517,7 +504,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.run(args, sys.stdout)
+        code = args.run(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # as the Python signal docs advise: point stdout at devnull, so that
+        # the flush at exit writes what is left there and raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OrderCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -3,10 +3,12 @@ truncated polynomial, trivial extensions, corners, quotients and opposites."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from itertools import islice, repeat
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -365,6 +367,67 @@ def _m2_ops(base: FiniteRing) -> dict:
             "add_vec": add_vec, "mul_vec": mul_vec, "neg_vec": neg_vec}
 
 
+def _triv_ops(base: FiniteRing) -> dict:
+    """Scalar add/mul/neg of the trivial extension of the base, on divmod:
+    cheaper than the generic digit loops of _digit_ops."""
+    bo = base.order
+    badd, bmul, bneg = base.add, base.mul, base.neg
+
+    def add(i, j):
+        a, x = divmod(i, bo)
+        b, y = divmod(j, bo)
+        return badd(a, b) * bo + badd(x, y)
+
+    def mul(i, j):
+        a, x = divmod(i, bo)
+        b, y = divmod(j, bo)
+        return bmul(a, b) * bo + badd(bmul(a, y), bmul(x, b))
+
+    def neg(i):
+        a, x = divmod(i, bo)
+        return bneg(a) * bo + bneg(x)
+
+    return {"add": add, "mul": mul, "neg": neg}
+
+
+def _digit_ring(label: str, order: int, max_order: Optional[int], spec: Optional[RingSpec],
+                bases: Iterable[FiniteRing], positions: Iterable, terms: Callable,
+                unity: Callable, element_label: Callable, meta: dict,
+                ops: Optional[Callable] = None) -> FiniteRing:
+    """The ring of digit tuples of the given order; an order over the cap is
+    refused before any digit is laid out.
+
+    The digits sit at ``positions``, keys such as matrix cells, the first
+    one slowest; ``bases`` gives the base of each in turn. Both are read
+    only after the cap check. Addition and negation act digit by digit; the
+    digit at key k of a product x*y is the sum, in the order listed, of the
+    base products x[s]*y[t] over the key pairs (s, t) in ``terms(k)`` (see
+    _digit_ops). When every base has a unity, so has the ring: the base's
+    one at the keys where ``unity(k)``, its zero elsewhere.
+    ``element_label`` formats the digits of an element, given as a dict
+    from key to digit. ``ops(base)``, if given, makes operations over the
+    first base that take the place of those of _digit_ops. ``meta`` gains
+    "radices" and "positions"."""
+    _check_cap(order, resolve_max_order(max_order), label)
+    positions = tuple(positions)
+    bases = tuple(islice(bases, len(positions)))
+    radices = tuple(B.order for B in bases)
+    digit_ops = ops(bases[0]) if ops is not None else {}
+    if len(digit_ops) < 6:  # _digit_ops makes the operations that ops leaves out
+        slot = {key: p for p, key in enumerate(positions)}
+        digit_ops = {**_digit_ops(radices, bases, [[(slot[s], slot[t]) for s, t in terms(key)]
+                                                   for key in positions]), **digit_ops}
+    one = None
+    if all(B.unital for B in bases):
+        one = pack_digits(radices, [B.one if unity(key) else B.zero
+                                    for key, B in zip(positions, bases)])
+    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
+                      element_label=lambda i: element_label(
+                          dict(zip(positions, unpack_digits(radices, i)))),
+                      meta={**meta, "radices": radices, "positions": positions},
+                      **digit_ops)
+
+
 def ring_pack(ring: FiniteRing, digits: Sequence[int]) -> int:
     """Element index from its digit tuple, for digit-structured rings."""
     return pack_digits(ring.meta["radices"], digits)
@@ -409,25 +472,14 @@ def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
     """Direct product with componentwise operations, first component slowest."""
     if not bases:
         raise SpecError("product needs at least one factor")
-    radices = tuple(B.order for B in bases)
-    order = 1
-    for r in radices:
-        order *= r
-    label = "x".join(B.label for B in bases)
-    _check_cap(order, resolve_max_order(max_order), label)
-    ops = _digit_ops(radices, bases, [[(p, p)] for p in range(len(bases))])
+    bases = tuple(bases)
 
-    one = None
-    if all(B.unital for B in bases):
-        one = pack_digits(radices, [B.one for B in bases])
+    def elabel(d):
+        return "(" + ",".join(B.element_label(d[p]) for p, B in enumerate(bases)) + ")"
 
-    def elabel(i, _bases=tuple(bases)):
-        digits = unpack_digits(radices, i)
-        return "(" + ",".join(B.element_label(d) for B, d in zip(_bases, digits)) + ")"
-
-    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
-                      element_label=elabel,
-                      meta={"kind": "product", "radices": radices, "bases": tuple(bases)}, **ops)
+    return _digit_ring("x".join(B.label for B in bases), math.prod(B.order for B in bases),
+                       max_order, spec, bases, range(len(bases)), lambda p: [(p, p)],
+                       lambda p: True, elabel, {"kind": "product", "bases": bases})
 
 
 def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
@@ -435,35 +487,18 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
     """Full k x k matrix ring over the base, entries stored row-major."""
     if k < 1:
         raise SpecError("matrix size must be at least 1")
-    bo = base.order
-    m = k * k
-    order = _power(bo, m)
-    label = f"M{k}({base.label})"
-    _check_cap(order, resolve_max_order(max_order), label)
-    radices = (bo,) * m
-    if k == 2:
-        ops = _m2_ops(base)
-    else:
-        ops = _digit_ops(radices, (base,) * m,
-                         [[(i * k + l, l * k + j) for l in range(k)]
-                          for i in range(k) for j in range(k)])
 
-    one = None
-    if base.unital:
-        digits = [base.zero] * m
-        for i in range(k):
-            digits[i * k + i] = base.one
-        one = pack_digits(radices, digits)
-
-    def elabel(i):
-        d = unpack_digits(radices, i)
-        rows = ["[" + ",".join(base.element_label(d[r * k + c]) for c in range(k)) + "]"
-                for r in range(k)]
+    def elabel(d):
+        rows = ("[" + ",".join(base.element_label(d[(r, c)]) for c in range(k)) + "]"
+                for r in range(k))
         return "[" + ",".join(rows) + "]"
 
-    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
-                      element_label=elabel,
-                      meta={"kind": "matrix", "k": k, "base": base, "radices": radices}, **ops)
+    return _digit_ring(f"M{k}({base.label})", _power(base.order, k * k), max_order, spec,
+                       repeat(base), ((i, j) for i in range(k) for j in range(k)),
+                       lambda ij: [((ij[0], l), (l, ij[1])) for l in range(k)],
+                       lambda ij: ij[0] == ij[1], elabel,
+                       {"kind": "matrix", "k": k, "base": base},
+                       ops=_m2_ops if k == 2 else None)
 
 
 def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
@@ -471,39 +506,18 @@ def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
     """Upper triangular k x k matrix ring; stored entries are (i, j) with i <= j."""
     if k < 2:
         raise SpecError("triangular size must be at least 2")
-    bo = base.order
-    m = k * (k + 1) // 2
-    order = _power(bo, m)
-    label = f"T{k}({base.label})"
-    _check_cap(order, resolve_max_order(max_order), label)
-    positions = [(i, j) for i in range(k) for j in range(i, k)]
-    slot = {pos: s for s, pos in enumerate(positions)}
-    radices = (bo,) * m
-    ops = _digit_ops(radices, (base,) * m,
-                     [[(slot[(i, l)], slot[(l, j)]) for l in range(i, j + 1)]
-                      for (i, j) in positions])
 
-    one = None
-    if base.unital:
-        digits = [base.zero] * m
-        for i in range(k):
-            digits[slot[(i, i)]] = base.one
-        one = pack_digits(radices, digits)
-
-    def elabel(i):
-        d = unpack_digits(radices, i)
-        zero_lab = base.element_label(base.zero)
-        rows = []
-        for r in range(k):
-            cells = [base.element_label(d[slot[(r, c)]]) if c >= r else zero_lab
-                     for c in range(k)]
-            rows.append("[" + ",".join(cells) + "]")
+    def elabel(d):  # no digit below the diagonal: the base's zero
+        rows = ("[" + ",".join(base.element_label(d.get((r, c), base.zero)) for c in range(k))
+                + "]" for r in range(k))
         return "[" + ",".join(rows) + "]"
 
-    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
-                      element_label=elabel,
-                      meta={"kind": "triangular", "k": k, "base": base,
-                            "positions": tuple(positions), "radices": radices}, **ops)
+    return _digit_ring(f"T{k}({base.label})", _power(base.order, k * (k + 1) // 2),
+                       max_order, spec, repeat(base),
+                       ((i, j) for i in range(k) for j in range(i, k)),
+                       lambda ij: [((ij[0], l), (l, ij[1])) for l in range(ij[0], ij[1] + 1)],
+                       lambda ij: ij[0] == ij[1], elabel,
+                       {"kind": "triangular", "k": k, "base": base})
 
 
 def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
@@ -515,28 +529,13 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
     """
     if n < 1:
         raise SpecError("truncation degree must be at least 1")
-    bo = base.order
-    order = _power(bo, n)
-    label = f"{base.label}[x]/(x^{n})"
-    _check_cap(order, resolve_max_order(max_order), label)
-    radices = (bo,) * n
-    ops = _digit_ops(radices, (base,) * n,
-                     [[(u, t - u) for u in range(t + 1)] for t in range(n)])
-
-    one = None
-    if base.unital:
-        digits = [base.zero] * n
-        digits[0] = base.one
-        one = pack_digits(radices, digits)
-
     is_zn = base.meta.get("kind") == "zn"
 
-    def elabel(i):
-        d = unpack_digits(radices, i)
+    def elabel(d):
         if not is_zn:
-            return "poly(" + ",".join(base.element_label(c) for c in d) + ")"
+            return "poly(" + ",".join(base.element_label(c) for c in d.values()) + ")"
         terms = []
-        for t, c in enumerate(d):
+        for t, c in d.items():
             if c == base.zero:
                 continue
             if t == 0:
@@ -547,9 +546,9 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
                 terms.append(f"x^{t}" if c == 1 else f"{c}x^{t}")
         return "+".join(terms) if terms else "0"
 
-    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
-                      element_label=elabel,
-                      meta={"kind": "polymod", "n": n, "base": base, "radices": radices}, **ops)
+    return _digit_ring(f"{base.label}[x]/(x^{n})", _power(base.order, n), max_order, spec,
+                       repeat(base), range(n), lambda t: [(u, t - u) for u in range(t + 1)],
+                       lambda t: t == 0, elabel, {"kind": "polymod", "n": n, "base": base})
 
 
 def trivial_ext_ring(base: FiniteRing, spec: Optional[RingSpec] = None,
@@ -559,42 +558,11 @@ def trivial_ext_ring(base: FiniteRing, spec: Optional[RingSpec] = None,
     Elements are pairs (a, x); products are (a, x)(b, y) = (ab, ay + xb), so the
     module part squares to zero.
     """
-    bo = base.order
-    order = bo * bo
-    label = f"Triv({base.label})"
-    _check_cap(order, resolve_max_order(max_order), label)
-    radices = (bo, bo)
-    ops = _digit_ops(radices, (base, base), [[(0, 0)], [(0, 1), (1, 0)]])
-    badd = base.add
-    bmul = base.mul
-    bneg = base.neg
-
-    # scalar operations on divmod, cheaper than the generic digit loops
-    def add(i, j):
-        a, x = divmod(i, bo)
-        b, y = divmod(j, bo)
-        return badd(a, b) * bo + badd(x, y)
-
-    def mul(i, j):
-        a, x = divmod(i, bo)
-        b, y = divmod(j, bo)
-        return bmul(a, b) * bo + badd(bmul(a, y), bmul(x, b))
-
-    def neg(i):
-        a, x = divmod(i, bo)
-        return bneg(a) * bo + bneg(x)
-
-    ops.update(add=add, mul=mul, neg=neg)
-
-    one = base.one * bo + base.zero if base.unital else None
-
-    def elabel(i):
-        a, x = divmod(i, bo)
-        return f"({base.element_label(a)}|{base.element_label(x)})"
-
-    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
-                      element_label=elabel,
-                      meta={"kind": "trivext", "base": base, "radices": radices}, **ops)
+    terms = {"a": [("a", "a")], "x": [("a", "x"), ("x", "a")]}  # digits a and x of (a, x)
+    return _digit_ring(f"Triv({base.label})", base.order * base.order, max_order, spec,
+                       repeat(base), "ax", terms.get, lambda key: key == "a",
+                       lambda d: f"({base.element_label(d['a'])}|{base.element_label(d['x'])})",
+                       {"kind": "trivext", "base": base}, ops=_triv_ops)
 
 
 def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None) -> FiniteRing:
@@ -649,7 +617,7 @@ def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = Non
                       spec=spec,
                       label=label or f"Sub({parent.label})",
                       element_label=lambda i, _m=tuple(mem): parent.element_label(_m[i]),
-                      meta={"kind": "subring", "base": parent, "members": tuple(mem)})
+                      meta={"kind": "subring", "base": parent})
     ring.members = tuple(mem)
     return ring
 
@@ -710,8 +678,7 @@ def quotient(parent: FiniteRing, ideal,
     ring = FiniteRing(len(reps), add_t, mul_t, neg_t, zero=proj[parent.zero], one=one,
                       spec=spec, label=f"{parent.label}/I{len(ideal.members)}",
                       element_label=lambda i, _r=tuple(reps): f"[{parent.element_label(_r[i])}]",
-                      meta={"kind": "quotient", "base": parent,
-                            "reps": tuple(reps), "projection": tuple(proj)})
+                      meta={"kind": "quotient", "base": parent})
     ring.reps = tuple(reps)
     ring.projection = tuple(proj)
     return ring, proj

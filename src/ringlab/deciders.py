@@ -218,21 +218,11 @@ def pi_regular_witness(ring: FiniteRing, a: int) -> Optional[PiRegularWitness]:
     return None
 
 
-def _cycle_idempotent(ring: FiniteRing, powers, i: int, p: int) -> int:
-    """The unique idempotent among the eventual cycle of powers."""
-    mul = ring.mul
-    lo = max(i, 1)
-    for t in range(lo, lo + p):
-        e = power_from_seq(powers, i, p, t)
-        if mul(e, e) == e:
-            return e
-    raise WitnessError("no idempotent in the power cycle")
-
-
 @memoized_per_element
 def strong_pi_witness(ring: FiniteRing, a: int) -> Optional[StrongPiWitness]:
-    """First (n, r) with a^n = a^(n+1) * r plus the cycle idempotent e;
-    all characterization clauses are verified before returning."""
+    """First (n, r) with a^n = a^(n+1) * r plus the cycle idempotent
+    e = a^m, m = _cycle_exponent(i, p): the power cycle holds exactly one
+    idempotent. All characterization clauses are verified before returning."""
     ring.require_unital("strong pi-regularity search")
     mul = ring.mul
     powers, i, p = power_seq(ring, a)
@@ -241,7 +231,9 @@ def strong_pi_witness(ring: FiniteRing, a: int) -> Optional[StrongPiWitness]:
         an1 = power_from_seq(powers, i, p, n + 1)
         for r in range(ring.order):
             if mul(an1, r) == an:
-                e = _cycle_idempotent(ring, powers, i, p)
+                e = power_from_seq(powers, i, p, _cycle_exponent(i, p))
+                if mul(e, e) != e:
+                    raise WitnessError(f"cycle power not idempotent at element {a}")
                 w = StrongPiWitness(n, r, e)
                 if not check_strong_pi(ring, a, w):
                     raise WitnessError(
@@ -694,39 +686,40 @@ def unique_nilpotent_wncl(ring: FiniteRing, a: int,
 # ring-level verdicts
 
 
-def _trajectory_verdict(ring: FiniteRing, name: str, scalar_chain) -> bool:
-    """True when the scalar trajectory chain passes on every element. Below
-    PASS_MIN_ORDER the chain runs on each element; from there on
-    kernel.first_failures checks every element in batches and the chain is
-    replayed on the smallest failing element, so that the error it raises
-    is the one the element-by-element loop would raise."""
-    if ring.order < PASS_MIN_ORDER:
-        for a in range(ring.order):
-            scalar_chain(a)
-        return True
-    a = kernel.first_failures(ring).get(name)
-    if a is None:
-        return True
-    scalar_chain(a)
-    raise WitnessError(f"batched {name} check failed at element {a} of "
-                       f"{ring.label} but the scalar chain passed")
+def _ring_verdict(ring: FiniteRing, key: str, holds, first_flagged=None,
+                  batched: str = "") -> bool:
+    """Whether holds(a) on every element a, memoized under ("ring_verdict",
+    key). Below PASS_MIN_ORDER, or with no first_flagged, holds runs on
+    each element in turn. From there on first_flagged() gives the smallest
+    element that a batched pass flags, or None, and holds is replayed on it
+    alone: the verdict is False when it fails there too, and a WitnessError
+    naming the batched pass when it holds. A scalar chain that raises
+    instead of failing raises its own error either way."""
+    def compute():
+        if ring.order < PASS_MIN_ORDER or first_flagged is None:
+            return all(holds(a) for a in range(ring.order))
+        a = first_flagged()
+        if a is None or not holds(a):
+            return a is None
+        raise WitnessError(f"batched {batched} failed at element {a} of "
+                           f"{ring.label} but the scalar search passed")
+    return ring.memo(("ring_verdict", key), compute)
 
 
-def _pass_verdict(ring: FiniteRing, name: str, bad, scalar_passes) -> bool:
-    """True when a kernel pass flags no element; otherwise the scalar search
-    is replayed on the smallest flagged element: the verdict is False when
-    the scalar search fails there too, and a WitnessError when it passes."""
-    if not bad.any():
-        return True
-    a = int(bad.argmax())
-    if not scalar_passes(a):
-        return False
-    raise WitnessError(f"batched {name} pass failed at element {a} of "
-                       f"{ring.label} but the scalar search passed")
+def _first(bad) -> Optional[int]:
+    """The smallest element flagged in a boolean array, or None."""
+    return int(bad.argmax()) if bad.any() else None
 
 
-def _wncl_pass(ring: FiniteRing):
-    return kernel.wncl_pass(ring, st.idempotents(ring), st.nilpotents(ring))
+def _wncl_pass_flagged(ring: FiniteRing, count: Optional[str] = None) -> Optional[int]:
+    """The smallest element of kernel.wncl_pass without a checked witness,
+    or, given count ("idempotents" or "nilpotents"), also with a number of
+    them other than one over its witnesses."""
+    found = kernel.wncl_pass(ring, st.idempotents(ring), st.nilpotents(ring))
+    bad = ~found["checked"]
+    if count is not None:
+        bad |= found[count] != 1
+    return _first(bad)
 
 
 def ring_weakly_nil_clean(ring: FiniteRing) -> bool:
@@ -735,100 +728,91 @@ def ring_weakly_nil_clean(ring: FiniteRing) -> bool:
     element's witness is memoized already. Large rings use the constructive
     route through pi-regularity, checked on every element in one batched
     pass (see kernel)."""
-    def compute():
-        n = ring.order
-        if n <= BRUTE_ORDER_LIMIT:
-            if n < PASS_MIN_ORDER or all(("wncl_witness", a) in ring.cache
-                                         for a in range(n)):
-                return all(wncl_witness(ring, a) is not None for a in range(n))
-            found = _wncl_pass(ring)
-            return _pass_verdict(ring, "wncl", ~found["checked"],
-                                 lambda a: wncl_witness(ring, a) is not None)
+    n = ring.order
+    if n > BRUTE_ORDER_LIMIT:
         ring.require_unital("large-ring weakly nil clean verdict")
-        return _trajectory_verdict(ring, "wncl", lambda a: wncl_from_pi_regular(
-            ring, a, pi_regular_witness_fast(ring, a)))
-    return ring.memo(("ring_verdict", "wncl"), compute)
+        return _ring_verdict(
+            ring, "wncl", lambda a: wncl_from_pi_regular(ring, a, pi_regular_witness_fast(ring, a)),
+            lambda: kernel.first_failures(ring).get("wncl"), "wncl check")
+
+    def first_flagged():
+        if all(("wncl_witness", a) in ring.cache for a in range(n)):
+            return next((a for a in range(n) if wncl_witness(ring, a) is None), None)
+        return _wncl_pass_flagged(ring)
+    return _ring_verdict(ring, "wncl", lambda a: wncl_witness(ring, a) is not None,
+                         first_flagged, "wncl pass")
 
 
 def ring_nil_clean(ring: FiniteRing) -> bool:
-    return ring.memo(("ring_verdict", "nil_clean"), lambda: all(
-        nil_clean_witness(ring, a) is not None for a in range(ring.order)))
+    return _ring_verdict(ring, "nil_clean", lambda a: nil_clean_witness(ring, a) is not None)
 
 
 def ring_clean(ring: FiniteRing) -> bool:
-    return ring.memo(("ring_verdict", "clean"), lambda: all(
-        clean_witness(ring, a) is not None for a in range(ring.order)))
+    return _ring_verdict(ring, "clean", lambda a: clean_witness(ring, a) is not None)
 
 
 def ring_exchange(ring: FiniteRing) -> bool:
-    def compute():
-        if ring.order < PASS_MIN_ORDER:
-            return all(exchange_witness(ring, a) is not None
-                       for a in range(ring.order))
-        ring.require_unital("exchange search")
-        found = kernel.exchange_pass(ring, st.idempotents(ring))
-        return _pass_verdict(ring, "exchange", ~found["checked"],
-                             lambda a: exchange_witness(ring, a) is not None)
-    return ring.memo(("ring_verdict", "exchange"), compute)
+    ring.require_unital("exchange search")
+    return _ring_verdict(
+        ring, "exchange", lambda a: exchange_witness(ring, a) is not None,
+        lambda: _first(~kernel.exchange_pass(ring, st.idempotents(ring))["checked"]),
+        "exchange pass")
 
 
 def ring_pi_regular(ring: FiniteRing) -> bool:
-    return ring.memo(("ring_verdict", "pi_regular"), lambda: _trajectory_verdict(
-        ring, "pi_regular", lambda a: pi_regular_witness_fast(ring, a)))
+    return _ring_verdict(ring, "pi_regular", lambda a: pi_regular_witness_fast(ring, a),
+                         lambda: kernel.first_failures(ring).get("pi_regular"), "pi_regular check")
 
 
 def ring_strongly_pi_regular(ring: FiniteRing) -> bool:
     """Every element solves a^n = a^(n+1)*r; unital rings also get the full
     characterization verified through the witness constructor."""
     chain = strong_pi_witness_fast if ring.unital else strong_pi_core_fast
-    return ring.memo(("ring_verdict", "strongly_pi_regular"), lambda: _trajectory_verdict(
-        ring, "strongly_pi_regular", lambda a: chain(ring, a)))
+    return _ring_verdict(ring, "strongly_pi_regular", lambda a: chain(ring, a),
+                         lambda: kernel.first_failures(ring).get("strongly_pi_regular"),
+                         "strongly_pi_regular check")
 
 
 def ring_strongly_regular(ring: FiniteRing) -> bool:
-    return ring.memo(("ring_verdict", "strongly_regular"), lambda: all(
-        strongly_regular_witness(ring, a) is not None
-        for a in range(ring.order)))
-
-
-def _unique_verdict(ring: FiniteRing, name: str, count) -> bool:
-    """Every element has exactly one distinct idempotent (name "idempotents",
-    count unique_idempotent_wncl) or nilpotent (name "nilpotents", count
-    unique_nilpotent_wncl) over its primal triples."""
-    if ring.order < PASS_MIN_ORDER:
-        return all(count(ring, a, limit=2)[0] == 1 for a in range(ring.order))
-    found = _wncl_pass(ring)
-    return _pass_verdict(ring, f"{name} uniqueness",
-                         (found[name] != 1) | ~found["checked"],
-                         lambda a: count(ring, a, limit=2)[0] == 1)
+    return _ring_verdict(ring, "strongly_regular",
+                         lambda a: strongly_regular_witness(ring, a) is not None)
 
 
 def ring_unique_idempotent(ring: FiniteRing) -> bool:
-    return ring.memo(("ring_verdict", "unique_idempotent"), lambda: _unique_verdict(
-        ring, "idempotents", unique_idempotent_wncl))
+    """Every element has one distinct idempotent over its primal triples."""
+    return _ring_verdict(
+        ring, "unique_idempotent", lambda a: unique_idempotent_wncl(ring, a, limit=2)[0] == 1,
+        lambda: _wncl_pass_flagged(ring, "idempotents"), "idempotents uniqueness pass")
 
 
 def ring_unique_nilpotent(ring: FiniteRing) -> bool:
-    return ring.memo(("ring_verdict", "unique_nilpotent"), lambda: _unique_verdict(
-        ring, "nilpotents", unique_nilpotent_wncl))
+    """Every element has one distinct nilpotent over its primal triples."""
+    return _ring_verdict(
+        ring, "unique_nilpotent", lambda a: unique_nilpotent_wncl(ring, a, limit=2)[0] == 1,
+        lambda: _wncl_pass_flagged(ring, "nilpotents"), "nilpotents uniqueness pass")
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-PROPERTY_ORDER = (
-    "weakly_nil_clean",
-    "clean",
-    "nil_clean",
-    "exchange",
-    "pi_regular",
-    "strongly_pi_regular",
-    "strongly_regular",
-    "abelian",
-    "unique_idempotent_all",
-    "unique_nilpotent_all",
-)
+# property -> (verdict, needs a unity, decided above BRUTE_ORDER_LIMIT). The
+# verdicts call through module names at call time, so that wrappers
+# installed on the modules (perfbench/tracer.py) see the calls.
+_PROPERTIES = {
+    "weakly_nil_clean": (lambda ring: ring_weakly_nil_clean(ring), False, True),
+    "clean": (lambda ring: ring_clean(ring), True, False),
+    "nil_clean": (lambda ring: ring_nil_clean(ring), False, False),
+    "exchange": (lambda ring: ring_exchange(ring), True, False),
+    "pi_regular": (lambda ring: ring_pi_regular(ring), True, True),
+    "strongly_pi_regular": (lambda ring: ring_strongly_pi_regular(ring), True, True),
+    "strongly_regular": (lambda ring: ring_strongly_regular(ring), True, False),
+    "abelian": (lambda ring: st.is_abelian(ring), True, False),
+    "unique_idempotent_all": (lambda ring: ring_unique_idempotent(ring), True, False),
+    "unique_nilpotent_all": (lambda ring: ring_unique_nilpotent(ring), True, False),
+}
+
+PROPERTY_ORDER = tuple(_PROPERTIES)
 
 
 @dataclass
@@ -857,42 +841,24 @@ def classify(ring: FiniteRing, with_timings: bool = False) -> ClassificationRepo
 
     Non-unital rings report only the two properties defined without a unity
     (weakly_nil_clean and nil_clean); the rest are None. Rings larger than
-    the exhaustive-scan limit report the three trajectory-decidable
-    properties and leave counts unset."""
+    the exhaustive-scan limit report, with a unity, the three
+    trajectory-decidable properties (none without) and leave counts unset.
+    The verdicts run in PROPERTY_ORDER."""
     timings: Dict[str, float] = {}
 
     def run(name, fn):
         t0 = time.perf_counter()
-        out = fn()
+        out = fn(ring)
         timings[name] = time.perf_counter() - t0
         return out
 
     small = ring.order <= BRUTE_ORDER_LIMIT
-    props: Dict[str, Optional[bool]] = {name: None for name in PROPERTY_ORDER}
-    if ring.unital:
-        props["weakly_nil_clean"] = run("weakly_nil_clean",
-                                        lambda: ring_weakly_nil_clean(ring))
-        props["pi_regular"] = run("pi_regular", lambda: ring_pi_regular(ring))
-        props["strongly_pi_regular"] = run(
-            "strongly_pi_regular", lambda: ring_strongly_pi_regular(ring))
-        if small:
-            props["clean"] = run("clean", lambda: ring_clean(ring))
-            props["nil_clean"] = run("nil_clean", lambda: ring_nil_clean(ring))
-            props["exchange"] = run("exchange", lambda: ring_exchange(ring))
-            props["strongly_regular"] = run(
-                "strongly_regular", lambda: ring_strongly_regular(ring))
-            props["abelian"] = run("abelian", lambda: st.is_abelian(ring))
-            props["unique_idempotent_all"] = run(
-                "unique_idempotent_all", lambda: ring_unique_idempotent(ring))
-            props["unique_nilpotent_all"] = run(
-                "unique_nilpotent_all", lambda: ring_unique_nilpotent(ring))
-    elif small:
-        props["weakly_nil_clean"] = run("weakly_nil_clean",
-                                        lambda: ring_weakly_nil_clean(ring))
-        props["nil_clean"] = run("nil_clean", lambda: ring_nil_clean(ring))
-
-    counts = run("counts", lambda: st.structure_counts(ring)) if small else None
-    bidx = run("bounded_index", lambda: st.bounded_index(ring)) if small else None
+    props: Dict[str, Optional[bool]] = {}
+    for name, (verdict, needs_unity, above_limit) in _PROPERTIES.items():
+        decided = (ring.unital and (small or above_limit)) or (small and not needs_unity)
+        props[name] = run(name, verdict) if decided else None
+    counts = run("counts", st.structure_counts) if small else None
+    bidx = run("bounded_index", st.bounded_index) if small else None
     return ClassificationReport(
         spec=str(ring.spec) if ring.spec is not None else ring.label,
         order=ring.order,

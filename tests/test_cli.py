@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -405,6 +406,19 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "witness:" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["witness", "T2(Z16)", "5", "wnc"], ["census"]])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ringlab", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 # --- one parser per process -----------------------------------------------------------

@@ -193,6 +193,41 @@ def test_trivial_ext_multiplication():
         assert ring.mul(x, x) == 0
 
 
+# (spec, {element: label}): a few elements and the unity of each digit
+# constructor, over Zn bases and over a non-Zn base
+DIGIT_LABELS = [
+    ("Z2xZ3xZ4", {17: "(1,1,1)", 1: "(0,0,1)", 13: "(1,0,1)", 23: "(1,2,3)"}),
+    ("M2(Z3)", {28: "[[1,0],[0,1]]", 1: "[[0,0],[0,1]]", 41: "[[1,1],[1,2]]",
+                80: "[[2,2],[2,2]]"}),
+    ("M3(Z2)", {273: "[[1,0,0],[0,1,0],[0,0,1]]", 1: "[[0,0,0],[0,0,0],[0,0,1]]",
+                257: "[[1,0,0],[0,0,0],[0,0,1]]", 511: "[[1,1,1],[1,1,1],[1,1,1]]"}),
+    ("T2(Z4)", {17: "[[1,0],[0,1]]", 1: "[[0,0],[0,1]]", 33: "[[2,0],[0,1]]",
+                63: "[[3,3],[0,3]]"}),
+    ("T3(Z3)", {253: "[[1,0,0],[0,1,0],[0,0,1]]", 1: "[[0,0,0],[0,0,0],[0,0,1]]",
+                365: "[[1,1,1],[0,1,1],[0,0,2]]", 728: "[[2,2,2],[0,2,2],[0,0,2]]"}),
+    ("Z4[x]/(x^3)", {16: "1", 0: "0", 1: "x^2", 33: "2+x^2", 63: "3+3x+3x^2"}),
+    ("T2(Z2)[x]/(x^2)", {40: "poly([[1,0],[0,1]],[[0,0],[0,0]])",
+                         1: "poly([[0,0],[0,0]],[[0,0],[0,1]])",
+                         63: "poly([[1,1],[0,1]],[[1,1],[0,1]])"}),
+    ("Triv(Z4)", {4: "(1|0)", 1: "(0|1)", 9: "(2|1)", 15: "(3|3)"}),
+    ("Triv(T2(Z2))", {40: "([[1,0],[0,1]]|[[0,0],[0,0]])",
+                      33: "([[1,0],[0,0]]|[[0,0],[0,1]])"}),
+]
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["tabled", "lazy"])
+@pytest.mark.parametrize("text,labels", DIGIT_LABELS, ids=[t for t, _ in DIGIT_LABELS])
+def test_digit_ring_labels_and_unity(text, labels, lazy):
+    if lazy:
+        with lazy_rings():
+            ring = rl.build(rl.parse_spec(text))
+        assert ring.mul_table is None
+    else:
+        ring = rl.build(rl.parse_spec(text))
+    assert ring.one == next(iter(labels))
+    assert {i: ring.element_label(i) for i in labels} == labels
+
+
 def test_opposite_reverses_multiplication(corpus):
     t2 = corpus["T2(Z2)"]
     op = rl.opposite(t2)

@@ -489,6 +489,16 @@ def test_classify_large_ring_shape():
     assert report.bounded_index is None
 
 
+def test_classify_non_unital_ring_above_the_limit():
+    ring = rl.build(rl.parse_spec("Ideal(Z4,2)xM2(Z6)"))  # order 2592
+    assert not ring.unital and ring.order > rl.BRUTE_ORDER_LIMIT
+    report = rl.classify(ring, with_timings=True)
+    assert report.properties == {name: None for name in rl.PROPERTY_ORDER}
+    assert report.counts is None
+    assert report.bounded_index is None
+    assert report.timings == {}
+
+
 def test_classify_as_dict_schema(corpus):
     d = rl.classify(corpus["Z4"]).as_dict()
     assert list(d) == ["spec", "order", "properties", "counts",
