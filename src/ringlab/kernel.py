@@ -14,7 +14,10 @@ is done. Each step
 mirrors its scalar counterpart: the same products of the same factors,
 the same identities, the same independent recomputations (a^n by repeated
 squaring, nilpotency by power sequence). A value the scalar code computes
-twice is computed once. Failures come back as boolean arrays of failed rows
+twice is computed once: mu's nilpotency, which the mu-power loop of the
+composition already shows, and 0*0, one value for every row. A step on a
+subset of rows selects them by an index array (``np.flatnonzero``), not by
+a boolean mask. Failures come back as boolean arrays of failed rows
 instead of a raised WitnessError; ``deciders`` replays the scalar chain on
 the smallest failing element to raise it.
 
@@ -70,13 +73,15 @@ def trajectories(ring: FiniteRing, x: np.ndarray):
         cur = mul(cur, base)
         k += 1
         seen = P[rows, :k - 1] == cur[:, None]
-        hit = seen.any(axis=1)
-        if hit.any():
-            first = seen[hit].argmax(axis=1) + 1
-            pre[rows[hit]] = first
-            per[rows[hit]] = k - first
-            live = ~hit
-            rows, base, cur = rows[live], base[live], cur[live]
+        found = seen.any(axis=1)
+        hit = np.flatnonzero(found)
+        if hit.size:
+            first = seen.take(hit, axis=0).argmax(axis=1) + 1
+            done = rows.take(hit)
+            pre[done] = first
+            per[done] = k - first
+            live = np.flatnonzero(~found)
+            rows, base, cur = rows.take(live), base.take(live), cur.take(live)
         if k > P.shape[1]:
             grown = np.zeros((n, 2 * P.shape[1]), dtype=P.dtype)
             grown[:, :P.shape[1]] = P
@@ -93,13 +98,32 @@ def power_at(traj, t: np.ndarray) -> np.ndarray:
 
 
 def nil_index(ring: FiniteRing, x: np.ndarray) -> np.ndarray:
-    """core.nil_index_of on every element of x, with 0 where it is None."""
-    P, pre, per = trajectories(ring, x)
-    rows = np.arange(len(x))
-    # a row's first zero column is in its trajectory when any column there is
-    col = (P == ring.zero).argmax(axis=1)
-    zero = (P[rows, col] == ring.zero) & (col < pre + per - 1)
-    return np.where(x == ring.zero, 1, np.where(zero, col + 1, 0))
+    """core.nil_index_of on every element of x, with 0 where it is None.
+
+    The powers x^k = x^(k-1)*x of core.power_seq are multiplied for at most
+    ring.order.bit_length() steps, and only rows not yet 0 get a trajectory.
+    Each power is a function of the one before, so powers that first reach 0
+    at step k repeat no earlier power: this is exact for any product."""
+    mul = ring.mul_vec
+    index = np.where(x == ring.zero, 1, 0)
+    live = np.flatnonzero(x != ring.zero)
+    base = x.take(live)
+    cur = base
+    for k in range(2, ring.order.bit_length() + 2):
+        if not live.size:
+            return index
+        cur = mul(cur, base)
+        zero = cur == ring.zero
+        index[live.take(np.flatnonzero(zero))] = k
+        keep = np.flatnonzero(~zero)
+        live, base, cur = live.take(keep), base.take(keep), cur.take(keep)
+    if live.size:
+        P, pre, per = trajectories(ring, base)
+        # a row's first zero column is in its trajectory when any column there is
+        col = (P == ring.zero).argmax(axis=1)
+        zero = (P[np.arange(len(base)), col] == ring.zero) & (col < pre + per - 1)
+        index[live] = np.where(zero, col + 1, 0)
+    return index
 
 
 def power(ring: FiniteRing, x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -111,17 +135,18 @@ def power(ring: FiniteRing, x: np.ndarray, k: np.ndarray) -> np.ndarray:
     started = np.zeros(len(k), dtype=bool)
     while True:
         odd = (k & 1).astype(bool)
-        both = odd & started
-        if both.any():
-            result[both] = mul(result[both], base[both])
-        fresh = odd & ~started
-        result[fresh] = base[fresh]
+        both = np.flatnonzero(odd & started)
+        if both.size:
+            result[both] = mul(result.take(both), base.take(both))
+        fresh = np.flatnonzero(odd & ~started)
+        result[fresh] = base.take(fresh)
         started |= odd
         k >>= 1
-        live = k > 0
-        if not live.any():
+        live = np.flatnonzero(k)
+        if not live.size:
             return result
-        base[live] = mul(base[live], base[live])
+        half = base.take(live)
+        base[live] = mul(half, half)
 
 
 def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
@@ -140,8 +165,9 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     e = mul(am, an)
     del an
     c = am.copy()
-    longer = m > 1
-    c[longer] = mul(am[longer], power(ring, a[longer], m[longer] - 1))
+    longer = np.flatnonzero(m > 1)
+    c[longer] = mul(am.take(longer),
+                    power(ring, a.take(longer), m.take(longer) - 1))
     f = sub(one, e)
     fa = mul(f, a)
     faf = mul(fa, f)
@@ -154,7 +180,8 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     bad |= mul(c, a) != e
     bad |= mul(mul(f, zero), f) != zero
     bad |= mul(mul(f, faf), f) != faf
-    gx = mul(zero, zero)
+    # g*x = 0*0 is one value for every row
+    gx = np.full(n, mul(zero[:1], zero[:1])[0], dtype=np.int64)
     bad |= gx != zero
     bad |= sub(sub(faf, zero), faf) != mul(gx, faf)
     fae = mul(fa, e)
@@ -178,9 +205,10 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     bad |= mu_pow != zero
     del mu_pow
     bad |= mul(sub(one, pi), sub(a, mu)) != zero
-    # check_wncl of (pi, mu, x_out)
+    # check_wncl of (pi, mu, x_out); mu is nilpotent on every row not yet
+    # failed, since the loop above found mu^(qn+1) = 0 along the powers of
+    # core.power_seq
     bad |= mul(pi, pi) != pi
-    bad |= nil_index(ring, mu) == 0
     bad |= sub(sub(a, pi), mu) != mul(mul(pi, x_out), a)
     return bad
 

@@ -9,6 +9,7 @@ import pytest
 
 import ringlab as rl
 from ringlab import deciders as dc, kernel, structure as st
+from ringlab.core import power_from_seq
 from ringlab.deciders import strong_pi_core_fast
 
 import oracles
@@ -619,23 +620,6 @@ def test_corrupted_ring_pi_regularity_verdicts_raise_the_scalar_error(name, pair
         assert _outcome(lambda: _BATCHED[prop](ring)) == expected, prop
 
 
-def test_batched_trajectory_helpers_match_the_scalar_ones():
-    ring = rl.build_cached(rl.parse_spec("M2(Z6)"))
-    a = np.arange(ring.order)
-    traj = kernel.trajectories(ring, a)
-    P, pre, per = traj
-    exps = (np.arange(ring.order) % 13) + 1
-    at = kernel.power_at(traj, exps).tolist()
-    sq = kernel.power(ring, a, exps).tolist()
-    nil = kernel.nil_index(ring, a).tolist()
-    for x in range(ring.order):
-        powers, i, p = rl.power_seq(ring, x)
-        assert (pre[x], per[x]) == (i, p)
-        assert P[x, :len(powers)].tolist() == powers
-        assert at[x] == sq[x] == rl.power(ring, x, int(exps[x]))
-        assert nil[x] == (rl.nil_index_of(ring, x) or 0)
-
-
 def _corrupted(ring, pair, value):
     """A lazy copy of ring whose product at one pair is value; its vector
     product is the default one, which maps the corrupted scalar product."""
@@ -687,6 +671,61 @@ _LATE_CORRUPTIONS = [
     (((3, 3, 3, 3), (3, 3, 3, 3)), (0, 0, 0, 1)),
     (((5, 5, 5, 5), (5, 5, 5, 5)), (0, 0, 0, 1)),
 ]
+
+
+def test_batched_trajectory_helpers_match_the_scalar_ones():
+    # plain M2(Z6); Triv(Z17), with trajectories up to 273 long; M2(Z6) with
+    # 1*1 = 0, where the powers of the unity reach 0 and repeated squaring
+    # meets the corrupted pair; and M2(Z6) with u^12*u = 0 for the unit
+    # u = [[0, 1], [1, 1]] of period 24, so u has nil index 13, past the 11
+    # steps that nil_index multiplies before it reads a trajectory
+    rings = [rl.build_cached(rl.parse_spec("M2(Z6)")),
+             rl.build_cached(rl.parse_spec("Triv(Z17)")),
+             _corrupted_m2z6(*_CORRUPTIONS[0]),
+             _corrupted_m2z6(((5, 0, 0, 5), (0, 1, 1, 1)), (0, 0, 0, 0))]
+    for ring in rings:
+        a = np.arange(ring.order)
+        traj = kernel.trajectories(ring, a)
+        P, pre, per = traj
+        # exponents 1 to 601, so rows finish their squaring at different bits
+        exps = (a * 37) % 601 + 1
+        at = kernel.power_at(traj, exps).tolist()
+        sq = kernel.power(ring, a, exps).tolist()
+        nil = kernel.nil_index(ring, a).tolist()
+        for x in range(ring.order):
+            seq = rl.power_seq(ring, x)
+            powers, i, p = seq
+            assert (pre[x], per[x]) == (i, p), (ring.label, x)
+            assert P[x, :len(powers)].tolist() == powers, (ring.label, x)
+            assert at[x] == power_from_seq(*seq, int(exps[x])), (ring.label, x)
+            assert sq[x] == rl.power(ring, x, int(exps[x])), (ring.label, x)
+            assert nil[x] == (rl.nil_index_of(ring, x) or 0), (ring.label, x)
+
+
+# the scalar chain behind each row of chunk_failures
+_CHAINS = {
+    "pi_regular": dc.pi_regular_witness_fast,
+    "strongly_pi_regular": dc.strong_pi_witness_fast,
+    "wncl": lambda ring, a: dc.wncl_from_pi_regular(
+        ring, a, dc.pi_regular_witness_fast(ring, a)),
+}
+
+
+@pytest.mark.parametrize("corruption", [None] + _CORRUPTIONS + _LATE_CORRUPTIONS)
+def test_every_row_of_a_batch_fails_where_its_scalar_chain_raises(corruption):
+    ring = (rl.build_cached(rl.parse_spec("M2(Z6)")) if corruption is None
+            else _corrupted_m2z6(*corruption))
+    failed = kernel.chunk_failures(ring, np.arange(ring.order))
+    assert failed.keys() == _CHAINS.keys()
+    for name, chain in _CHAINS.items():
+        raises = []
+        for a in range(ring.order):
+            try:
+                chain(ring, a)
+                raises.append(False)
+            except rl.WitnessError:
+                raises.append(True)
+        assert failed[name].tolist() == raises, name
 
 
 @pytest.mark.parametrize("elements", [100, 256])
