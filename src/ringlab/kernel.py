@@ -15,11 +15,16 @@ mirrors its scalar counterpart: the same products of the same factors,
 the same identities, the same independent recomputations (a^n by repeated
 squaring, nilpotency by power sequence). A value the scalar code computes
 twice is computed once: mu's nilpotency, which the mu-power loop of the
-composition already shows, and 0*0, one value for every row. A step on a
+composition already shows, 0*0, one value for every row, and the square of
+e = a^m, which both the pi-regular and the strong-pi check take. A step on a
 subset of rows selects them by an index array (``np.flatnonzero``), not by
-a boolean mask. Failures come back as boolean arrays of failed rows
-instead of a raised WitnessError; ``deciders`` replays the scalar chain on
-the smallest failing element to raise it.
+a boolean mask. ``trajectories`` builds the powers in a table kept by
+exponent, so a step compares one contiguous row of new powers with the
+block of earlier ones and gathers no rows; finished rows are masked, copied
+once into the row-major result, and dropped from the table in one take
+when at most half of it is live. Failures come back as boolean arrays of
+failed rows instead of a raised WitnessError; ``deciders`` replays the
+scalar chain on the smallest failing element to raise it.
 
 From the same order up to the limit, ``wncl_pass`` and
 ``exchange_pass`` do the exhaustive witness searches of ``deciders`` for
@@ -56,37 +61,57 @@ _PASS_CELLS = 1 << 18
 def trajectories(ring: FiniteRing, x: np.ndarray):
     """core.power_seq of every element of x, as (P, pre, per): row r holds
     P[r, t-1] = x[r]^t for t up to pre[r] + per[r] - 1 (later columns of the
-    row are unused), and pre[r], per[r] are its preperiod and period. The
-    table doubles its width by copying itself into the left half of a new
-    one, so a growth step holds the old and the new table only."""
+    row are unused), and pre[r], per[r] are its preperiod and period.
+
+    The powers are built in a working table kept by exponent, W[t-1, s] for
+    the row of slot s, so the new powers are one contiguous row of W and a
+    step compares the block W[:k-1] with it, reducing over exponents; no
+    step gathers rows. Only live slots are multiplied, as in power_seq. A
+    finished slot is masked and its row copied once into P; the slots stay
+    in W until at most half of them are live, and then one take compacts W
+    to the live ones. W and P double their exponent capacity by copying
+    themselves into a new table, so a growth step holds the old and the new
+    one only."""
     mul = ring.mul_vec
     n = len(x)
-    P = np.zeros((n, 8), dtype=index_dtype(ring.order))
-    P[:, 0] = x
+    dtype = index_dtype(ring.order)
+    P = np.zeros((n, 8), dtype=dtype)
     pre = np.zeros(n, dtype=np.int64)
     per = np.zeros(n, dtype=np.int64)
-    rows = np.arange(n)
-    base = x
-    cur = x
+    W = np.empty((8, n), dtype=dtype)
+    W[0] = x
+    slot_row = np.arange(n)  # the row of x in each slot of W
+    live = slot_row  # the live slots, ascending; base and cur follow them
+    base = cur = x
     k = 1
-    while rows.size:
+    while live.size:
         cur = mul(cur, base)
         k += 1
-        seen = P[rows, :k - 1] == cur[:, None]
-        found = seen.any(axis=1)
+        if k > W.shape[0]:
+            grown = np.empty((2 * W.shape[0], W.shape[1]), dtype=dtype)
+            grown[:W.shape[0]] = W
+            W = grown
+        W[k - 1, live] = cur
+        seen = W[:k - 1] == W[k - 1]
+        found = seen.any(axis=0).take(live)
         hit = np.flatnonzero(found)
-        if hit.size:
-            first = seen.take(hit, axis=0).argmax(axis=1) + 1
-            done = rows.take(hit)
-            pre[done] = first
-            per[done] = k - first
-            live = np.flatnonzero(~found)
-            rows, base, cur = rows.take(live), base.take(live), cur.take(live)
-        if k > P.shape[1]:
-            grown = np.zeros((n, 2 * P.shape[1]), dtype=P.dtype)
+        if not hit.size:
+            continue
+        slots = live.take(hit)
+        done = slot_row.take(slots)
+        pre[done] = seen.take(slots, axis=1).argmax(axis=0) + 1
+        per[done] = k - pre[done]
+        if k - 1 > P.shape[1]:
+            grown = np.zeros((n, W.shape[0]), dtype=dtype)
             grown[:, :P.shape[1]] = P
             P = grown
-        P[rows, k - 1] = cur
+        P[done, :k - 1] = W[:k - 1].take(slots, axis=1).T
+        keep = np.flatnonzero(~found)
+        live, base, cur = live.take(keep), base.take(keep), cur.take(keep)
+        if 2 * live.size <= W.shape[1]:
+            W = W.take(live, axis=1)
+            slot_row = slot_row.take(live)
+            live = np.arange(live.size)
     return P, pre, per
 
 
@@ -224,7 +249,9 @@ def _trajectory_failures(ring: FiniteRing, a: np.ndarray):
     lo = pre  # power_seq gives a preperiod of at least 1
     m = per * ((lo + per - 1) // per)
     am = power_at(traj, m)
-    bad_pi = mul(mul(am, am), am) != am
+    # e*e = e of the strong-pi chain squares the same e = a^m
+    am2 = mul(am, am)
+    bad_pi = mul(am2, am) != am
     r = np.where(per >= 2, power_at(traj, np.maximum(per - 1, 1)), a)
     an = power_at(traj, lo)
     bad_spi = mul(power_at(traj, lo + 1), r) != an
@@ -233,7 +260,8 @@ def _trajectory_failures(ring: FiniteRing, a: np.ndarray):
         return m, am, out
     del r, an
     e = am
-    bad_spi |= mul(e, e) != e
+    bad_spi |= am2 != e
+    del am2
     # the corner inverse of a*e is a^mp with mp = -1 mod the period
     z = power_at(traj, np.where(per == 1, lo, lo + (per - 1 - lo) % per))
     del traj, pre, per, lo

@@ -612,7 +612,7 @@ def test_batched_pass_runs_the_wncl_chain_only_above_the_brute_limit(name, chain
 @pytest.mark.parametrize("name,pair,value", [
     ("Z12", (1, 1), 0), ("Z12", (2, 2), 2), ("T2(Z4)", (1, 1), 0), ("T2(Z4)", (3, 3), 0)])
 def test_corrupted_ring_pi_regularity_verdicts_raise_the_scalar_error(name, pair, value):
-    ring = _corrupted(rl.build_cached(rl.parse_spec(name)), pair, value)
+    ring = _corrupted(rl.build_cached(rl.parse_spec(name)), {pair: value})
     scalar = _scalar_verdicts(ring)
     outcomes = [_outcome(scalar[prop]) for prop in _PI_VERDICTS]
     assert any(out is not True for out in outcomes)
@@ -620,16 +620,17 @@ def test_corrupted_ring_pi_regularity_verdicts_raise_the_scalar_error(name, pair
         assert _outcome(lambda: _BATCHED[prop](ring)) == expected, prop
 
 
-def _corrupted(ring, pair, value):
-    """A lazy copy of ring whose product at one pair is value; its vector
-    product is the default one, which maps the corrupted scalar product."""
+def _corrupted(ring, cells):
+    """A lazy copy of ring whose product at each pair of cells is the value
+    cells gives it; its vector product is the default one, which maps the
+    corrupted scalar product."""
     mul = ring.mul
 
     def bad_mul(a, b):
-        return value if (a, b) == pair else mul(a, b)
+        return cells[a, b] if (a, b) in cells else mul(a, b)
 
     return rl.FiniteRing(ring.order, ring.add, bad_mul, ring.neg, one=ring.one,
-                         label=f"{ring.label} corrupted at {pair}", table_cap=0,
+                         label=f"{ring.label} corrupted at {sorted(cells)}", table_cap=0,
                          add_vec=ring.add_vec, neg_vec=ring.neg_vec)
 
 
@@ -649,19 +650,18 @@ _CORRUPTIONS = [
 
 @pytest.mark.parametrize("pair,value", _CORRUPTIONS)
 def test_corrupted_product_raises_the_scalar_error(pair, value):
-    base = rl.build_cached(rl.parse_spec("M2(Z6)"))
-    ring = _corrupted(base, tuple(rl.ring_pack(base, d) for d in pair),
-                      rl.ring_pack(base, value))
+    ring = _corrupted_m2z6((pair, value))
     scalar = {prop: _outcome(run) for prop, run in _scalar_verdicts(ring).items()}
     assert any(outcome is not True for outcome in scalar.values())
     for prop, expected in scalar.items():
         assert _outcome(lambda: _BATCHED[prop](ring)) == expected, prop
 
 
-def _corrupted_m2z6(pair, value):
+def _corrupted_m2z6(*cells):
+    """M2(Z6) corrupted at the (pair, value) cells, given in digits."""
     base = rl.build_cached(rl.parse_spec("M2(Z6)"))
-    return _corrupted(base, tuple(rl.ring_pack(base, d) for d in pair),
-                      rl.ring_pack(base, value))
+    return _corrupted(base, {tuple(rl.ring_pack(base, d) for d in pair):
+                             rl.ring_pack(base, value) for pair, value in cells})
 
 
 # (pair, value) in M2(Z6) digits whose chains first fail past element 256:
@@ -681,8 +681,8 @@ def test_batched_trajectory_helpers_match_the_scalar_ones():
     # steps that nil_index multiplies before it reads a trajectory
     rings = [rl.build_cached(rl.parse_spec("M2(Z6)")),
              rl.build_cached(rl.parse_spec("Triv(Z17)")),
-             _corrupted_m2z6(*_CORRUPTIONS[0]),
-             _corrupted_m2z6(((5, 0, 0, 5), (0, 1, 1, 1)), (0, 0, 0, 0))]
+             _corrupted_m2z6(_CORRUPTIONS[0]),
+             _corrupted_m2z6((((5, 0, 0, 5), (0, 1, 1, 1)), (0, 0, 0, 0)))]
     for ring in rings:
         a = np.arange(ring.order)
         traj = kernel.trajectories(ring, a)
@@ -711,7 +711,18 @@ _CHAINS = {
 }
 
 
-@pytest.mark.parametrize("corruption", [None] + _CORRUPTIONS + _LATE_CORRUPTIONS)
+# M2(Z6) cells, in digits, where the wncl chain of the unit u = [[1, 1], [0, 1]]
+# fails only at its last power of mu. With e = 1 and f = 0, fae = 0*1 is set
+# to w = E11, so mu = w; 0*w = w*w keeps mu^2 = q^2 + q*fae with q = 0; and
+# (1 - u^-1)*u = u - 1 - w keeps the primal identity of the composed witness.
+# Every other identity of the chain holds at u, but mu^2 = w is not 0.
+_MU_NOT_NILPOTENT = [(((0, 0, 0, 0), (1, 0, 0, 1)), (1, 0, 0, 0)),
+                     (((0, 0, 0, 0), (1, 0, 0, 0)), (1, 0, 0, 0)),
+                     (((0, 1, 0, 0), (1, 1, 0, 1)), (5, 1, 0, 0))]
+
+
+@pytest.mark.parametrize("corruption", [None] + [[cell] for cell in _CORRUPTIONS]
+                         + [[cell] for cell in _LATE_CORRUPTIONS] + [_MU_NOT_NILPOTENT])
 def test_every_row_of_a_batch_fails_where_its_scalar_chain_raises(corruption):
     ring = (rl.build_cached(rl.parse_spec("M2(Z6)")) if corruption is None
             else _corrupted_m2z6(*corruption))
@@ -728,11 +739,52 @@ def test_every_row_of_a_batch_fails_where_its_scalar_chain_raises(corruption):
         assert failed[name].tolist() == raises, name
 
 
+# (spec, first element, end): whole rings, with Triv(Z17)'s trajectories up
+# to 273 long (several growths and compactions of the working table) and
+# Z2^6's all finishing at the second power, the first batch of M2(Z12), one
+# row (a 273-long trajectory) and no row; None is the ring's order
+_TRAJECTORY_BATCHES = [("Triv(Z17)", 0, None), ("Triv(Z64)", 0, None), ("M2(Z12)", 0, 8192),
+                       ("Z2xZ2xZ2xZ2xZ2xZ2", 0, None), ("Triv(Z17)", 52, 53), ("M2(Z6)", 0, 0)]
+
+
+@pytest.mark.parametrize("name,start,stop", _TRAJECTORY_BATCHES)
+def test_trajectories_equal_power_seq_with_its_products(name, start, stop):
+    ring = rl.build_cached(rl.parse_spec(name))
+    x = np.arange(start, ring.order if stop is None else stop, dtype=np.int64)
+    assert_trajectories_equal_power_seq(ring, x)
+
+
+@pytest.mark.parametrize("cells", [[_CORRUPTIONS[0]], [_LATE_CORRUPTIONS[1]], _MU_NOT_NILPOTENT])
+def test_trajectories_equal_power_seq_on_corrupted_rings(cells):
+    ring = _corrupted_m2z6(*cells)
+    assert_trajectories_equal_power_seq(ring, np.arange(ring.order, dtype=np.int64))
+
+
+def assert_trajectories_equal_power_seq(ring, x):
+    """Every row of trajectories(ring, x) holds core.power_seq of its
+    element, and the elements that reach the ring's mul_vec are the
+    pre + per - 1 products of those power sequences."""
+    products = []
+
+    def counted(a, b, _mul=ring.mul_vec):
+        products.append(len(a))
+        return _mul(a, b)
+
+    with mock.patch.object(ring, "mul_vec", counted):
+        P, pre, per = kernel.trajectories(ring, x)
+    assert len(pre) == len(per) == P.shape[0] == len(x)
+    assert sum(products) == int((pre + per - 1).sum())
+    for r, a in enumerate(x.tolist()):
+        powers, i, p = rl.power_seq(ring, a)
+        assert (pre[r], per[r]) == (i, p), (ring.label, a)
+        assert P[r, :len(powers)].tolist() == powers, (ring.label, a)
+
+
 @pytest.mark.parametrize("elements", [100, 256])
 def test_first_failures_do_not_depend_on_the_batch_size(monkeypatch, elements):
     def rings():
         return ([rl.build(rl.parse_spec(name)) for name in ("M2(Z6)", "M2(Z8)")]
-                + [_corrupted_m2z6(pair, value) for pair, value in _LATE_CORRUPTIONS])
+                + [_corrupted_m2z6(cell) for cell in _LATE_CORRUPTIONS])
 
     one_batch = rings()
     assert all(ring.order <= kernel._PASS_CELLS // 32 for ring in one_batch)
@@ -749,7 +801,7 @@ def test_first_failures_do_not_depend_on_the_batch_size(monkeypatch, elements):
 def test_corrupted_product_past_the_first_batch_raises_the_scalar_error(
         monkeypatch, pair, value):
     monkeypatch.setattr(kernel, "_PASS_CELLS", 32 * 256)
-    ring = _corrupted_m2z6(pair, value)
+    ring = _corrupted_m2z6((pair, value))
     scalar = {prop: _outcome(run) for prop, run in _scalar_verdicts(ring).items()}
     assert any(outcome is not True for outcome in scalar.values())
     for prop, expected in scalar.items():
