@@ -4,7 +4,7 @@
 Every idempotent e of the ambient ring yields a corner ring eRe with
 unity e. The script lists each corner with its order and whether it is
 weakly nil clean, which makes it easy to spot how the property passes
-from a ring to its corners.
+from a ring to its corners. The rows are ringlab.corner_verdicts, less e = 0.
 
 Usage:
     python3 scripts/corner_scan.py "M2(Z2)" "T2(Z4)"
@@ -15,18 +15,6 @@ import argparse
 import sys
 
 import ringlab as rl
-
-
-def scan(spec: rl.RingSpec) -> list[tuple[int, int, bool]]:
-    """Return (idempotent, corner order, corner weakly nil clean) rows."""
-    ring = rl.build_cached(spec)
-    rows = []
-    for e in rl.idempotents(ring):
-        if e == ring.zero:
-            continue
-        corner = rl.corner_ring(ring, e)
-        rows.append((e, corner.order, rl.ring_weakly_nil_clean(corner)))
-    return rows
 
 
 def main(argv=None) -> int:
@@ -59,7 +47,9 @@ def main(argv=None) -> int:
             continue
         ambient = rl.ring_weakly_nil_clean(ring)
         print(f"{spec}: order {ring.order}, weakly nil clean: {ambient}")
-        for e, corder, wnc in scan(spec):
+        for e, corder, wnc in rl.corner_verdicts(ring):
+            if e == ring.zero:
+                continue
             tag = "ambient unity" if e == ring.one else f"e={e}"
             print(f"    corner at {tag}: order {corder}, "
                   f"weakly nil clean: {wnc}")

@@ -5,6 +5,7 @@ For every element of each requested ring the script decides whether a
 weakly nil clean decomposition exists, does the same in the opposite
 ring, and tabulates how often the two answers agree. Disagreement would
 mean the property is sensitive to the side multiplication is read from.
+Each row is ringlab.opposite_agreement, which the Q_SYMMETRY check sums.
 
 Usage:
     python3 scripts/opposite_symmetry.py            # default corpus
@@ -15,22 +16,6 @@ import argparse
 import sys
 
 import ringlab as rl
-
-
-def survey(spec: rl.RingSpec) -> tuple[int, int, int]:
-    """Return (agreeing elements, certified elements, order)."""
-    ring = rl.build_cached(spec)
-    opp = rl.build_cached(rl.Opposite(spec))
-    agree = 0
-    certified = 0
-    for a in range(ring.order):
-        here = rl.wncl_witness(ring, a) is not None
-        there = rl.wncl_witness(opp, a) is not None
-        if here == there:
-            agree += 1
-        if here:
-            certified += 1
-    return agree, certified, ring.order
 
 
 def main(argv=None) -> int:
@@ -53,14 +38,15 @@ def main(argv=None) -> int:
     total_order = 0
     for spec in specs:
         try:
-            agree, certified, order = survey(spec)
+            ring = rl.build_cached(spec)
+            agree, certified = rl.opposite_agreement(ring)
         except rl.RingLabError as exc:
             print(f"{str(spec):<{width}}  error: {exc}")
             continue
         total_agree += agree
-        total_order += order
-        print(f"{str(spec):<{width}}  {order:>5}  {certified:>5}  "
-              f"{agree}/{order}")
+        total_order += ring.order
+        print(f"{str(spec):<{width}}  {ring.order:>5}  {certified:>5}  "
+              f"{agree}/{ring.order}")
     if total_order:
         pct = 100.0 * total_agree / total_order
         print(f"\noverall agreement: {total_agree}/{total_order} ({pct:.1f}%)")

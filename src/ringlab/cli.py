@@ -12,6 +12,7 @@ reader before the output was written.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -440,10 +441,10 @@ def _cmd_census(args, out) -> int:
         rows = [hn.CensusRow(text, None, str(spec)) if isinstance(spec, SpecParseError)
                 else hn.census([spec])[0] for _, text, spec in _read_spec_file(args.specs)]
     table = [_census_cells(row) for row in rows]
-    if args.csv:
-        print(CSV_HEADER, file=out)
-        for cells in table:
-            print(",".join(cells), file=out)
+    if args.csv:  # quoted where a cell holds a comma, as in Ideal(Z4,2)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows(table)
     else:
         header = CSV_HEADER.split(",")
         widths = [max(len(header[i]), *(len(r[i]) for r in table)) if table

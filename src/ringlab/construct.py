@@ -20,6 +20,7 @@ from .core import (
     SpecError,
     index_dtype,
     lazy_lists,
+    row_blocks,
 )
 
 DEFAULT_MAX_ORDER = 65536
@@ -654,7 +655,7 @@ def quotient(parent: FiniteRing, ideal,
     (parent index -> quotient index); the ring also carries ``reps`` and
     ``projection`` attributes.
     """
-    from .structure import Ideal, _row_blocks, make_ideal
+    from .structure import Ideal, make_ideal
 
     if not isinstance(ideal, Ideal):
         ideal = make_ideal(parent, ideal)
@@ -664,7 +665,7 @@ def quotient(parent: FiniteRing, ideal,
     elements = np.arange(n)
     members = np.array(ideal.members, dtype=np.int64)
     smallest = np.empty(n, dtype=np.int64)  # the smallest element of x + I
-    for s in _row_blocks(parent, n):
+    for s in row_blocks(n, n):
         smallest[s] = parent.add_vec(elements[s, None], members).min(axis=1)
     rep = np.flatnonzero(smallest == elements)
     number = np.empty(n, dtype=np.int64)

@@ -13,7 +13,24 @@ DEFAULT_TABLE_CAP = 1024
 _AXIOM_CHUNK = 1 << 19  # tensor entries compared per block during validation
 _FILL_CHUNK = 1 << 16  # pairs per vector call when a table is filled
 
+# Cells per block of the blocked array passes (row_blocks): (row, element) of
+# the structure scans and of construct.quotient, (idempotent, x, element) of
+# kernel.wncl_pass, (r, element) of kernel.exchange_pass. It bounds the
+# products, membership masks and differences of one block to a few megabytes.
+# A batch of kernel.first_failures holds _PASS_CELLS // 32 elements:
+# chunk_failures keeps at most 32 element-sized int64 arrays live at its peak
+# (trajectory table, chain temporaries and vector-op scratch together), so a
+# batch's working set stays under _PASS_CELLS int64 values, 2 MiB.
+_PASS_CELLS = 1 << 18
+
 VecOp = Callable[..., np.ndarray]
+
+
+def row_blocks(count: int, row_cells: int) -> list:
+    """Slices of range(count), each of at most _PASS_CELLS cells when a row
+    holds row_cells of them, and of one row at least."""
+    width = max(1, _PASS_CELLS // row_cells)
+    return [slice(start, start + width) for start in range(0, count, width)]
 
 
 def index_dtype(order: int):

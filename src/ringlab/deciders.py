@@ -576,7 +576,7 @@ def center_witness(ring: FiniteRing, a: int, w: WnclWitness) -> WnclWitness:
     ring.require_unital("center extraction")
     mul, sub, add = ring.mul, ring.sub, ring.add
     one = ring.one
-    if any(mul(a, b) != mul(b, a) for b in range(ring.order)):
+    if a not in st.center(ring):
         raise WitnessError(f"element {a} is not central")
     if w.form != "primal" or not check_wncl(ring, a, w):
         raise WitnessError("witness is invalid for a")
@@ -604,7 +604,7 @@ def center_witness(ring: FiniteRing, a: int, w: WnclWitness) -> WnclWitness:
     b = mul(sub(one, e), a)
     if nil_index_of(ring, b) is None:
         raise WitnessError("(1-e)a is not nilpotent")
-    if any(mul(e, r) != mul(r, e) for r in range(ring.order)):
+    if e not in st.center(ring):
         raise WitnessError("witness idempotent is not central")
     z = one if m == 1 else power_from_seq(powers, i, p, m - 1)
     x_c = sub(one, z)
@@ -715,7 +715,7 @@ def _wncl_pass_flagged(ring: FiniteRing, count: Optional[str] = None) -> Optiona
     """The smallest element of kernel.wncl_pass without a checked witness,
     or, given count ("idempotents" or "nilpotents"), also with a number of
     them other than one over its witnesses."""
-    found = kernel.wncl_pass(ring, st.idempotents(ring), st.nilpotents(ring))
+    found = kernel.wncl_pass(ring)
     bad = ~found["checked"]
     if count is not None:
         bad |= found[count] != 1
@@ -724,23 +724,16 @@ def _wncl_pass_flagged(ring: FiniteRing, count: Optional[str] = None) -> Optiona
 
 def ring_weakly_nil_clean(ring: FiniteRing) -> bool:
     """Every element has a primal witness. From PASS_MIN_ORDER on, the
-    witnesses come from one array pass (kernel.wncl_pass), unless every
-    element's witness is memoized already. Large rings use the constructive
-    route through pi-regularity, checked on every element in one batched
-    pass (see kernel)."""
-    n = ring.order
-    if n > BRUTE_ORDER_LIMIT:
+    witnesses come from one array pass (kernel.wncl_pass). Large rings use
+    the constructive route through pi-regularity, checked on every element
+    in one batched pass (see kernel)."""
+    if ring.order > BRUTE_ORDER_LIMIT:
         ring.require_unital("large-ring weakly nil clean verdict")
         return _ring_verdict(
             ring, "wncl", lambda a: wncl_from_pi_regular(ring, a, pi_regular_witness_fast(ring, a)),
             lambda: kernel.first_failures(ring).get("wncl"), "wncl check")
-
-    def first_flagged():
-        if all(("wncl_witness", a) in ring.cache for a in range(n)):
-            return next((a for a in range(n) if wncl_witness(ring, a) is None), None)
-        return _wncl_pass_flagged(ring)
     return _ring_verdict(ring, "wncl", lambda a: wncl_witness(ring, a) is not None,
-                         first_flagged, "wncl pass")
+                         lambda: _wncl_pass_flagged(ring), "wncl pass")
 
 
 def ring_nil_clean(ring: FiniteRing) -> bool:
@@ -755,7 +748,7 @@ def ring_exchange(ring: FiniteRing) -> bool:
     ring.require_unital("exchange search")
     return _ring_verdict(
         ring, "exchange", lambda a: exchange_witness(ring, a) is not None,
-        lambda: _first(~kernel.exchange_pass(ring, st.idempotents(ring))["checked"]),
+        lambda: _first(~kernel.exchange_pass(ring)["checked"]),
         "exchange pass")
 
 

@@ -169,9 +169,8 @@ def _check_nilideal(built):
                 return ("fail", f"projected witness invalid at {a} of {spec}",
                         (str(spec), (a,)))
             lifted += 1
-        mem = set(ideal.members)
         for x in range(ring.order):
-            if ring.sub(ring.mul(x, x), x) in mem:
+            if ring.sub(ring.mul(x, x), x) in ideal.member_set:
                 escan = dc.lift_idempotent(ring, ideal, x, "scan")
                 enewt = dc.lift_idempotent(ring, ideal, x, "newton")
                 if escan != enewt:
@@ -381,9 +380,7 @@ def _check_center(built):
             if not dc.check_wncl(cring, index_of[a], cw):
                 return ("fail", f"center witness invalid at {a} of {spec}",
                         (str(spec), (a,)))
-            e_parent = cring.members[cw.e]
-            if any(ring.mul(e_parent, r) != ring.mul(r, e_parent)
-                   for r in range(ring.order)):
+            if cring.members[cw.e] not in st.center(ring):
                 return ("fail", f"extracted idempotent not central at {a} of "
                         f"{spec}", (str(spec), (a,)))
             elements += 1
@@ -417,16 +414,33 @@ def _check_unq2(built):
     return ("pass", f"verdicts equal on {rings} unital rings", None)
 
 
+def opposite_agreement(ring: FiniteRing) -> Tuple[int, int]:
+    """(agree, certified): how many elements a have a weakly nil clean
+    witness in the ring exactly when they have one in its opposite, and how
+    many have one in the ring. The opposite is kept in the ring's cache."""
+    opp = ring.memo("opposite", lambda: ct.opposite(ring))
+    agree = certified = 0
+    for a in range(ring.order):
+        here = dc.wncl_witness(ring, a) is not None
+        agree += here == (dc.wncl_witness(opp, a) is not None)
+        certified += here
+    return agree, certified
+
+
+def corner_verdicts(ring: FiniteRing) -> List[Tuple[int, int, bool]]:
+    """(e, order of eRe, eRe weakly nil clean) for every idempotent e,
+    ascending. Each corner ring is kept in the ring's cache."""
+    rows = []
+    for e in st.idempotents(ring):
+        corner = ring.memo(("corner", e), lambda: ct.corner_ring(ring, e))
+        rows.append((e, corner.order, dc.ring_weakly_nil_clean(corner)))
+    return rows
+
+
 def _check_symmetry(built):
     """Experiment: elementwise witness presence in R versus opposite(R)."""
-    total = 0
-    agree = 0
-    for spec, ring in built:
-        opp = ring.memo("opposite", lambda: ct.opposite(ring))
-        for a in range(ring.order):
-            total += 1
-            if (dc.wncl_witness(ring, a) is None) == (dc.wncl_witness(opp, a) is None):
-                agree += 1
+    total = sum(ring.order for _, ring in built)
+    agree = sum(opposite_agreement(ring)[0] for _, ring in built)
     pct = 100.0 * agree / total if total else 100.0
     return ("experiment",
             f"opposite-ring agreement {agree}/{total} elements ({pct:.1f}%)",
@@ -436,16 +450,9 @@ def _check_symmetry(built):
 def _check_qcorner(built):
     """Experiment: are corners eRe of weakly nil clean rings weakly nil
     clean? Observed per idempotent across unital members."""
-    corners = 0
-    wncl = 0
-    for spec, ring in built:
-        if not ring.unital:
-            continue
-        for e in st.idempotents(ring):
-            corner = ring.memo(("corner", e), lambda: ct.corner_ring(ring, e))
-            corners += 1
-            if dc.ring_weakly_nil_clean(corner):
-                wncl += 1
+    rows = [row for _, ring in built if ring.unital for row in corner_verdicts(ring)]
+    corners = len(rows)
+    wncl = sum(wnc for _, _, wnc in rows)
     pct = 100.0 * wncl / corners if corners else 100.0
     return ("experiment",
             f"corner rings weakly nil clean {wncl}/{corners} ({pct:.1f}%)",
@@ -469,12 +476,8 @@ def _check_expireg(built):
             seen.add(ideal.members)
             sub = ring.memo(("ideal_ring", ideal.members),
                             lambda: ct.ideal_subring(ring, ideal.members))
-            ideal_pireg = all(dc.pi_regular_witness(sub, b) is not None
-                              for b in range(sub.order))
             qring = ct.quotient_cached(ring, ideal)
-            quot_pireg = all(dc.pi_regular_witness(qring, b) is not None
-                             for b in range(qring.order))
-            if ideal_pireg and quot_pireg:
+            if dc.ring_pi_regular(sub) and dc.ring_pi_regular(qring):
                 if not dc.ring_weakly_nil_clean(ring):
                     return ("fail", f"hypotheses hold for ideal of {x} in "
                             f"{spec} but ring is not weakly nil clean",

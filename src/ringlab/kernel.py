@@ -6,8 +6,8 @@ above the exhaustive-scan limit, run the trajectory witnesses of
 ``strong_pi_core_fast``, and ``wncl_from_pi_regular``) on every element.
 From ``deciders.PASS_MIN_ORDER`` on, ``first_failures`` does the same
 work on arrays of elements through the ring's vector operations, in batches
-of ``_PASS_CELLS // 32`` elements. A batch keeps its working set under
-``_PASS_CELLS`` int64 values (about 200 bytes an element at its peak on
+of ``core._PASS_CELLS // 32`` elements. A batch keeps its working set under
+``core._PASS_CELLS`` int64 values (about 200 bytes an element at its peak on
 M2(Z12)): the trajectory table and the strong-pi temporaries are dropped
 before the wncl chain runs, and each chain temporary once its last check
 is done. Each step
@@ -28,9 +28,9 @@ scalar chain on the smallest failing element to raise it.
 
 From the same order up to the limit, ``wncl_pass`` and
 ``exchange_pass`` do the exhaustive witness searches of ``deciders`` for
-every element at once, over blocks of idempotents and elements, and check
-each witness they find again; ``deciders`` replays the scalar search on the
-smallest element they flag.
+every element at once, over blocks of idempotents and elements
+(``core.row_blocks``), and check each witness they find again; ``deciders``
+replays the scalar search on the smallest element they flag.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from typing import Dict
 
 import numpy as np
 
-from .core import FiniteRing, index_dtype
+from .core import FiniteRing, index_dtype, row_blocks
+from . import structure as st
 
 # Up to this order classify reports every property and the structure counts,
 # and the wncl verdict searches for witnesses (wncl_pass from
@@ -47,15 +48,6 @@ from .core import FiniteRing, index_dtype
 # that the trajectory witnesses decide, wncl through pi-regularity. The
 # pi-regularity verdicts use the trajectory witnesses at every order.
 BRUTE_ORDER_LIMIT = 256
-
-# Cells (idempotent, x, element) per block of wncl_pass, (r, element) per
-# block of exchange_pass, and (row, element) per block of the structure scans.
-# It bounds the products, membership masks and differences of one block to a
-# few megabytes. A batch of first_failures holds _PASS_CELLS // 32 elements:
-# chunk_failures keeps at most 32 element-sized int64 arrays live at its peak
-# (trajectory table, chain temporaries and vector-op scratch together), so a
-# batch's working set stays under _PASS_CELLS int64 values, 2 MiB.
-_PASS_CELLS = 1 << 18
 
 
 def trajectories(ring: FiniteRing, x: np.ndarray):
@@ -290,16 +282,16 @@ def chunk_failures(ring: FiniteRing, a: np.ndarray) -> Dict[str, np.ndarray]:
 
 def first_failures(ring: FiniteRing) -> Dict[str, int]:
     """The smallest element failing each chain of chunk_failures, from one
-    pass over the ring in batches of _PASS_CELLS // 32 elements, each
-    within a working set of _PASS_CELLS int64 values; cached on the ring."""
+    pass over the ring in batches of core._PASS_CELLS // 32 elements, each
+    within a working set of core._PASS_CELLS int64 values; cached on the
+    ring."""
     def scan():
-        step = max(1, _PASS_CELLS // 32)
+        X = np.arange(ring.order, dtype=np.int64)
         first: Dict[str, int] = {}
-        for start in range(0, ring.order, step):
-            a = np.arange(start, min(start + step, ring.order), dtype=np.int64)
-            for name, bad in chunk_failures(ring, a).items():
+        for s in row_blocks(ring.order, 32):
+            for name, bad in chunk_failures(ring, X[s]).items():
                 if name not in first and bad.any():
-                    first[name] = start + int(bad.argmax())
+                    first[name] = s.start + int(bad.argmax())
         return first
     return ring.memo(("large_ring_failures",), scan)
 
@@ -308,40 +300,38 @@ def first_failures(ring: FiniteRing) -> Dict[str, int]:
 # small-ring passes over idempotents
 
 
-def wncl_pass(ring: FiniteRing, idems, nils) -> Dict[str, np.ndarray]:
+def wncl_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
     """The primal weakly nil clean triples (e, q, x) of every element a, with
-    e from idems and q from nils: a - e - q = (e*x)*a.
+    e idempotent and q nilpotent: a - e - q = (e*x)*a.
 
     Returns arrays indexed by element: "e", "q", "x", the first triple of
     deciders.wncl_witness in its lexicographic order (e, q, then the smallest
     x), or -1 where there is none; "checked", that a first triple exists and
     passes e*e = e, q nilpotent and a - e - q = e*x*a, recomputed from the
-    ring's operations; "idempotents" and "nilpotents", how many of idems and
-    of nils occur in some triple of a (the counts of
+    ring's operations; "idempotents" and "nilpotents", how many idempotents
+    and nilpotents occur in some triple of a (the counts of
     deciders.unique_idempotent_wncl and unique_nilpotent_wncl without a
     limit). Cached on the ring.
 
     One pass over blocks of (idempotent, x, element) cells: gather
     (e*x)*a over the distinct values of e*x, scatter the membership masks of
     eRa, and look up a - e - q in them for every q."""
-    return ring.memo(("wncl_pass",), lambda: _wncl_pass(ring, idems, nils))
+    return ring.memo(("wncl_pass",), lambda: _wncl_pass(ring))
 
 
-def _wncl_pass(ring: FiniteRing, idems, nils) -> Dict[str, np.ndarray]:
+def _wncl_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
     mul, sub = ring.mul_vec, ring.sub_vec
     n = ring.order
-    E = np.asarray(idems, dtype=np.int64)
-    Q = np.asarray(nils, dtype=np.int64)
+    E = np.asarray(st.idempotents(ring), dtype=np.int64)
+    Q = np.asarray(st.nilpotents(ring), dtype=np.int64)
     X = np.arange(n, dtype=np.int64)
     first = {name: np.full(n, -1, dtype=np.int64) for name in "eqx"}
     e_count = np.zeros(n, dtype=np.int64)
     q_seen = np.zeros((len(Q), n), dtype=bool)
-    width = min(n, max(1, _PASS_CELLS // n))
-    for a0 in range(0, n, width):
-        A = X[a0:a0 + width]
-        depth = max(1, _PASS_CELLS // (n * len(A)))
-        for e0 in range(0, len(E), depth):
-            Eb = E[e0:e0 + depth]
+    for s in row_blocks(n, n):
+        A = X[s]
+        for t in row_blocks(len(E), n * len(A)):
+            Eb = E[t]
             # eR as pairs (row of e in Eb, value w = e*x), rows ascending
             eR = np.zeros((len(Eb), n), dtype=bool)
             eR[np.arange(len(Eb))[:, None], mul(Eb[:, None], X)] = True
@@ -376,32 +366,31 @@ def _wncl_pass(ring: FiniteRing, idems, nils) -> Dict[str, np.ndarray]:
                 nilpotents=q_seen.sum(axis=0))
 
 
-def exchange_pass(ring: FiniteRing, idems) -> Dict[str, np.ndarray]:
+def exchange_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
     """The exchange triples (e, r, s) of every element a of a unital ring,
-    with e from idems: e = r*a and 1 - e = s*(1 - a).
+    with e idempotent: e = r*a and 1 - e = s*(1 - a).
 
     Returns arrays indexed by element: "e", "r", "s", the first triple of
-    deciders.exchange_witness (the first e in idems order, then the smallest
-    r and s), or -1 where there is none, and "checked", that it passes
-    e*e = e, r*a = e and s*(1 - a) = 1 - e, recomputed from the ring's
-    operations. Cached on the ring.
+    deciders.exchange_witness (the smallest e, then the smallest r and s),
+    or -1 where there is none, and "checked", that it passes e*e = e,
+    r*a = e and s*(1 - a) = 1 - e, recomputed from the ring's operations.
+    Cached on the ring.
 
     One pass over blocks of elements: gather r*a and r*(1 - a) for every r,
     scatter the membership masks of Ra and R(1 - a), and read them at e and
     1 - e for every idempotent."""
-    return ring.memo(("exchange_pass",), lambda: _exchange_pass(ring, idems))
+    return ring.memo(("exchange_pass",), lambda: _exchange_pass(ring))
 
 
-def _exchange_pass(ring: FiniteRing, idems) -> Dict[str, np.ndarray]:
+def _exchange_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
     mul, sub = ring.mul_vec, ring.sub_vec
     n = ring.order
-    E = np.asarray(idems, dtype=np.int64)
+    E = np.asarray(st.idempotents(ring), dtype=np.int64)
     X = np.arange(n, dtype=np.int64)
     F = sub(np.full(len(E), ring.one, dtype=np.int64), E)
     first = {name: np.full(n, -1, dtype=np.int64) for name in "ers"}
-    width = min(n, max(1, _PASS_CELLS // n))
-    for a0 in range(0, n, width):
-        A = X[a0:a0 + width]
+    for block in row_blocks(n, n):
+        A = X[block]
         rows = np.arange(len(A))
         RA = mul(X[:, None], A)  # (r, a)
         RB = mul(X[:, None], sub(np.full(len(A), ring.one, dtype=np.int64), A))

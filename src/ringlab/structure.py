@@ -4,8 +4,8 @@ repeated queries against the same ring object are cheap.
 
 The O(n^2) scans (units, center, is_abelian, the radical) and the ideal
 closures read only the ring's vector operations, in row blocks of at most
-kernel._PASS_CELLS (row, element) cells, so tabled and lazy rings take the
-same path."""
+core._PASS_CELLS (row, element) cells (core.row_blocks), so tabled and lazy
+rings take the same path."""
 
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from .core import FiniteRing, _axioms_hold, memoized, nil_index_of
-from .kernel import _PASS_CELLS
+from .core import FiniteRing, _axioms_hold, memoized, nil_index_of, row_blocks
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ def _closure(ring: FiniteRing, gens: Iterable[int], two_sided: bool) -> tuple:
     under negation, addition and multiplication by the ring on the left, and
     on the right too when two_sided. Frontier rounds on a membership mask:
     each adds R*F (and F*R), F + members and -F for the frontier F of the
-    elements new in the round before, F in row blocks of kernel._PASS_CELLS
+    elements new in the round before, F in row blocks of core._PASS_CELLS
     (row, element) cells."""
     n = ring.order
     X = np.arange(n, dtype=np.int64)
@@ -80,7 +79,7 @@ def _closure(ring: FiniteRing, gens: Iterable[int], two_sided: bool) -> tuple:
         members = np.flatnonzero(inside)
         before = inside.copy()
         inside[ring.neg_vec(frontier)] = True
-        for s in _row_blocks(ring, len(frontier)):
+        for s in row_blocks(len(frontier), ring.order):
             F = frontier[s, None]
             inside[ring.mul_vec(X, F)] = True
             if two_sided:
@@ -129,13 +128,6 @@ def nil_index_map(ring: FiniteRing) -> Dict[int, int]:
     return index
 
 
-def _row_blocks(ring: FiniteRing, count: int) -> list:
-    """Slices of range(count), each of at most kernel._PASS_CELLS
-    (row, element) cells."""
-    width = max(1, _PASS_CELLS // ring.order)
-    return [slice(start, start + width) for start in range(0, count, width)]
-
-
 @memoized("units")
 def units(ring: FiniteRing) -> tuple:
     """All two-sided invertible elements, ascending. Requires a unity."""
@@ -149,7 +141,7 @@ def inverse_map(ring: FiniteRing) -> Dict[int, int]:
     one = ring.require_unital("units")
     X = np.arange(ring.order, dtype=np.int64)
     found, inverse = [], []
-    for s in _row_blocks(ring, ring.order):
+    for s in row_blocks(ring.order, ring.order):
         A = X[s]
         # candidates b with a*b = 1, rows ascending and b ascending in a row
         i, b = np.nonzero(ring.mul_vec(A[:, None], X) == one)
@@ -165,7 +157,7 @@ def _commuting(ring: FiniteRing, rows) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
     X = np.arange(ring.order, dtype=np.int64)
     ok = np.empty(len(rows), dtype=bool)
-    for s in _row_blocks(ring, len(rows)):
+    for s in row_blocks(len(rows), ring.order):
         A = rows[s, None]
         ok[s] = (ring.mul_vec(A, X) == ring.mul_vec(X, A)).all(axis=1)
     return ok
@@ -197,17 +189,17 @@ def _radical_members(ring: FiniteRing) -> tuple:
     if ring.unital:
         unit = np.zeros(n, dtype=bool)
         unit[list(units(ring))] = True
-        for s in _row_blocks(ring, n):
+        for s in row_blocks(n, n):
             RA = mul(X, X[s, None])  # (a, r) -> r*a
             good[s] = unit[sub(np.full(RA.shape, ring.one, dtype=np.int64), RA)].all(axis=1)
         return tuple(np.flatnonzero(good).tolist())
     regular = np.empty(n, dtype=bool)
-    for s in _row_blocks(ring, n):
+    for s in row_blocks(n, n):
         A = X[s, None]
         regular[s] = (add(X, sub(A, mul(X, A))) == ring.zero).any(axis=1)
     if ring.add_table is not None and not ring.validated and not _axioms_hold(ring):
         return tuple(a for a in range(n) if regular[list(left_ideal_generated(ring, a))].all())
-    for s in _row_blocks(ring, n):
+    for s in row_blocks(n, n):
         A = X[s, None]
         RA = mul(X, A)  # (a, r) -> r*a
         KA = np.full(A.shape, ring.zero, dtype=np.int64)  # k*a, for k = 0, 1, ...

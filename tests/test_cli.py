@@ -1,6 +1,8 @@
 """Spec expression parser and the four CLI subcommands."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -162,7 +164,7 @@ def test_orders_past_the_int_text_limit_are_cap_errors(text, tmp_path, capsys):
     assert rl.main(["census", "--csv", "--specs", str(path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["Z2", text, "Z3"]
-    assert lines[2] == f"{text},error: {message}" + "," * 15
+    assert lines[2] == f'{text},"error: {message}"' + "," * 15
     # the exact order of M3000(Z99) takes tens of seconds to compute
     assert time.perf_counter() - start < 5
 
@@ -361,8 +363,8 @@ def test_census_csv_from_file(tmp_path, capsys):
     assert rl.main(["census", "--csv", "--specs", str(path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4
-    assert lines[2].startswith("Z1000000,error: ")
-    assert lines[2].endswith("," * 15)
+    assert lines[2].startswith('Z1000000,"error: ')
+    assert lines[2].endswith('"' + "," * 15)
 
 
 def test_census_human_table(capsys):
@@ -391,7 +393,24 @@ def test_bad_spec_is_a_usage_error(text, message, tmp_path, capsys):
     path.write_text(f"Z2\n{text}\n")
     assert rl.main(["census", "--csv", "--specs", str(path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[2] == f"{text},error: {message}" + "," * 15
+    quoted = [f'"{cell}"' if "," in cell else cell for cell in (text, f"error: {message}")]
+    assert lines[2] == ",".join(quoted) + "," * 15
+
+
+def test_census_csv_reads_back_cell_for_cell(tmp_path, capsys):
+    # cells that hold a comma (specs, error messages) are quoted
+    specs = [str(spec) for spec in rl.DEFAULT_CORPUS] + ["Corner(Z4,3)", "Quot(Z4,9)",
+                                                          "Z1000000"]
+    path = tmp_path / "specs.txt"
+    path.write_text("\n".join(specs) + "\n")
+    assert rl.main(["census", "--csv", "--specs", str(path)]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == CSV_HEADER.split(",")
+    assert all(len(row) == 17 for row in rows), rows
+    assert [row[0] for row in rows[1:]] == specs
+    assert rows[-3][1:] == ["error: corner needs an idempotent, 3 is not one"] + [""] * 15
+    assert '"Ideal(Z4,2)",2,true,,true,,,,,,,,1,2,,2,2' in out.splitlines()
 
 
 def test_main_requires_subcommand():

@@ -7,7 +7,7 @@ import pytest
 
 import ringlab as rl
 from ringlab import construct as ct
-from ringlab import structure as st
+from ringlab import core, structure as st
 
 import oracles
 from conftest import (all_pairs, fresh_build_cache, lazy_rings, list_rows, sample_pairs,
@@ -357,7 +357,7 @@ def test_quotient_reads_its_parent_in_row_blocks(monkeypatch):
     m2 = rl.build(rl.parse_spec("M2(Z3)"))
     ideal = rl.ideal_generated(m2, (1,))
     whole = rl.quotient(m2, ideal)[1]
-    monkeypatch.setattr(st, "_PASS_CELLS", 8 * m2.order)
+    monkeypatch.setattr(core, "_PASS_CELLS", 8 * m2.order)
     with mock.patch.object(m2, "add_vec", wraps=m2.add_vec) as add:
         assert rl.quotient(m2, ideal)[1] == whole
     assert add.call_count == m2.order // 8 + 1 + 1  # row blocks, then the table

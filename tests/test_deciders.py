@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import deciders as dc, kernel, structure as st
+from ringlab import core, deciders as dc, kernel, structure as st
 from ringlab.core import power_from_seq
 from ringlab.deciders import strong_pi_core_fast
 
@@ -787,9 +787,9 @@ def test_first_failures_do_not_depend_on_the_batch_size(monkeypatch, elements):
                 + [_corrupted_m2z6(cell) for cell in _LATE_CORRUPTIONS])
 
     one_batch = rings()
-    assert all(ring.order <= kernel._PASS_CELLS // 32 for ring in one_batch)
+    assert all(ring.order <= core._PASS_CELLS // 32 for ring in one_batch)
     whole = [kernel.first_failures(ring) for ring in one_batch]
-    monkeypatch.setattr(kernel, "_PASS_CELLS", 32 * elements)
+    monkeypatch.setattr(core, "_PASS_CELLS", 32 * elements)
     for ring, expected in zip(rings(), whole):
         with mock.patch.object(kernel, "chunk_failures",
                                wraps=kernel.chunk_failures) as batch:
@@ -800,7 +800,7 @@ def test_first_failures_do_not_depend_on_the_batch_size(monkeypatch, elements):
 @pytest.mark.parametrize("pair,value", _LATE_CORRUPTIONS)
 def test_corrupted_product_past_the_first_batch_raises_the_scalar_error(
         monkeypatch, pair, value):
-    monkeypatch.setattr(kernel, "_PASS_CELLS", 32 * 256)
+    monkeypatch.setattr(core, "_PASS_CELLS", 32 * 256)
     ring = _corrupted_m2z6((pair, value))
     scalar = {prop: _outcome(run) for prop, run in _scalar_verdicts(ring).items()}
     assert any(outcome is not True for outcome in scalar.values())
@@ -813,14 +813,14 @@ def test_one_verdict_batch_stays_within_its_working_set():
     """The tracemalloc peak of one batch of chunk_failures on the order-20736
     M2(Z12) stays under the _PASS_CELLS int64 values the batch rule allows."""
     ring = rl.build_cached(rl.parse_spec("M2(Z12)"))
-    a = np.arange(kernel._PASS_CELLS // 32, dtype=np.int64)
+    a = np.arange(core._PASS_CELLS // 32, dtype=np.int64)
     tracemalloc.start()
     try:
         kernel.chunk_failures(ring, a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < kernel._PASS_CELLS * np.dtype(np.int64).itemsize, peak / len(a)
+    assert peak < core._PASS_CELLS * np.dtype(np.int64).itemsize, peak / len(a)
 
 
 # --- batched small-ring passes ----------------------------------------------------
@@ -863,7 +863,7 @@ def test_corrupted_small_ring_gets_the_scalar_verdicts(name, cell, value):
 
 def test_pass_disagreeing_with_the_scalar_search_raises():
     ring = rl.build(rl.parse_spec("Z2xZ2xZ2xZ2xZ2"))
-    found = kernel.wncl_pass(ring, rl.idempotents(ring), rl.nilpotents(ring))
+    found = kernel.wncl_pass(ring)
     found["checked"][5] = False
     found["idempotents"][7] = 2
     with pytest.raises(rl.WitnessError, match="batched wncl pass failed at element 5"):
@@ -871,22 +871,44 @@ def test_pass_disagreeing_with_the_scalar_search_raises():
     with pytest.raises(rl.WitnessError, match="idempotents uniqueness pass failed at "
                                               "element 5"):
         rl.ring_unique_idempotent(ring)
-    found = kernel.exchange_pass(ring, rl.idempotents(ring))
+    found = kernel.exchange_pass(ring)
     found["checked"][3] = False
     with pytest.raises(rl.WitnessError, match="exchange pass failed at element 3"):
         rl.ring_exchange(ring)
 
 
-def test_memoized_witnesses_decide_wncl_without_the_pass():
+def test_memoized_witnesses_still_run_the_wncl_pass():
+    # the verdict has one path from PASS_MIN_ORDER on, whatever is memoized
     ring = rl.build(rl.parse_spec("T2(Z4)"))
     for a in range(ring.order):
         rl.wncl_witness(ring, a)
-    with mock.patch.object(kernel, "wncl_pass") as wncl_pass:
+    with mock.patch.object(kernel, "wncl_pass", wraps=kernel.wncl_pass) as wncl_pass:
         assert rl.ring_weakly_nil_clean(ring) is True
-    wncl_pass.assert_not_called()
-    fresh = rl.build(rl.parse_spec("T2(Z4)"))
-    assert rl.ring_weakly_nil_clean(fresh) is True
-    assert ("wncl_pass",) in fresh.cache
+    wncl_pass.assert_called_once_with(ring)
+
+
+@pytest.mark.parametrize("name", ["T2(Z4)", "M2(Z3)", "Z2xZ2xZ2xZ2xZ2xZ2", "Triv(Z16)"])
+def test_small_ring_passes_do_not_depend_on_the_block_size(monkeypatch, name):
+    spec = rl.parse_spec(name)
+    ring = rl.build(spec)
+    whole = [kernel.wncl_pass(ring), kernel.exchange_pass(ring)]
+    # blocks of 4 elements, and of one idempotent in wncl_pass
+    monkeypatch.setattr(core, "_PASS_CELLS", 4 * ring.order)
+    blocks = []
+
+    def counting(count, row_cells):
+        out = core.row_blocks(count, row_cells)
+        blocks.append(len(out))
+        return out
+
+    monkeypatch.setattr(kernel, "row_blocks", counting)
+    ring = rl.build(spec)
+    split = [kernel.wncl_pass(ring), kernel.exchange_pass(ring)]
+    assert len(blocks) > 2 and min(blocks) > 1, blocks
+    for expected, got in zip(whole, split):
+        assert expected.keys() == got.keys()
+        for key in expected:
+            assert np.array_equal(expected[key], got[key]), key
 
 
 def test_tiny_rings_keep_the_scalar_loops():

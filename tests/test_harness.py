@@ -226,6 +226,24 @@ def test_bench_workloads_list_the_harness_check_ids():
     assert copy == rl.CHECK_IDS
 
 
+_T2Z2_SCRIPT_OUTPUT = {
+    "opposite_symmetry.py": [
+        "ring    order    wnc    agree",
+        "T2(Z2)      8      8  8/8",
+        "",
+        "overall agreement: 8/8 (100.0%)",
+    ],
+    "corner_scan.py": [
+        "T2(Z2): order 8, weakly nil clean: True",
+        "    corner at e=1: order 2, weakly nil clean: True",
+        "    corner at e=3: order 2, weakly nil clean: True",
+        "    corner at e=4: order 2, weakly nil clean: True",
+        "    corner at ambient unity: order 8, weakly nil clean: True",
+        "    corner at e=6: order 2, weakly nil clean: True",
+    ],
+}
+
+
 @pytest.mark.parametrize("script", ["opposite_symmetry.py", "corner_scan.py"])
 def test_scripts_run(script):
     env = dict(os.environ)
@@ -234,4 +252,18 @@ def test_scripts_run(script):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "T2(Z2)"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "T2(Z2)" in proc.stdout
+    assert proc.stdout.splitlines() == _T2Z2_SCRIPT_OUTPUT[script]
+
+
+def test_experiment_rows_sum_to_the_experiment_details():
+    built = [(spec, ct.build_cached(spec)) for spec in rl.DEFAULT_CORPUS]
+    agree = sum(rl.opposite_agreement(ring)[0] for _, ring in built)
+    total = sum(ring.order for _, ring in built)
+    assert (f"opposite-ring agreement {agree}/{total} elements"
+            in hn.run_check("Q_SYMMETRY").detail)
+    rows = [row for _, ring in built if ring.unital for row in rl.corner_verdicts(ring)]
+    wncl = sum(wnc for _, _, wnc in rows)
+    assert (f"corner rings weakly nil clean {wncl}/{len(rows)}"
+            in hn.run_check("Q_CORNER").detail)
+    # every idempotent gives one row, the zero corner included
+    assert len(rows) == sum(len(rl.idempotents(ring)) for _, ring in built if ring.unital)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import structure as st
+from ringlab import core, structure as st
 
 import oracles
 from conftest import assert_scans_match_oracles, lazy_rings, with_cell
@@ -118,7 +118,7 @@ def test_closures_match_the_worklist(corpus, pass_cells, monkeypatch):
     cells a block, the frontier of a ring of order 16 or more spans several
     row blocks."""
     if pass_cells:
-        monkeypatch.setattr(st, "_PASS_CELLS", pass_cells)
+        monkeypatch.setattr(core, "_PASS_CELLS", pass_cells)
     rings = [ring for ring in corpus.values() if ring.order <= 64]
     rings += [rl.build(rl.parse_spec(s)) for s in
               ("Ideal(Z8,2)", "Ideal(Z2[x]/(x^3),2)", "Ideal(T2(Z4),2)", "Ideal(M2(Z2),1)")]
@@ -230,7 +230,7 @@ def test_scans_match_the_oracles(corpus):
         rings += [rl.build(rl.parse_spec(s)) for s in
                   ("Z12", "Z2xZ4", "Triv(Z4)", "T2(Z2)", "T2(Z3)", "M2(Z2)", "M2(Z3)",
                    "Z2[x]/(x^3)", "Op(T2(Z2))")]
-    # n^2 = 2^20 cells: the scans run in four blocks of kernel._PASS_CELLS
+    # n^2 = 2^20 cells: the scans run in four blocks of core._PASS_CELLS
     rings.append(rl.build(rl.parse_spec("x".join(["Z2"] * 10))))
     # unvalidated corruptions: in Z4, 2*3 = 1 but 3*2 = 2, so 2 has a right
     # inverse only; in Ideal(T2(Z2),1), 1*0 = 1 puts 1 in the left ideal of 0
