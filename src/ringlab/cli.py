@@ -393,7 +393,7 @@ def _read_spec_file(path: str) -> List[Tuple[int, str, Union[ct.RingSpec, SpecPa
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RingLabError(f"cannot read spec file {path}: {exc}") from None
     specs = []
     for lineno, line in enumerate(lines, 1):

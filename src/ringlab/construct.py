@@ -586,7 +586,8 @@ def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = Non
     """Ring on a subset of the parent closed under its operations.
 
     Elements are reindexed 0..k-1 in parent index order; the tuple of parent
-    indices is kept on the result as ``members``.
+    indices is kept on the result as ``members``, and its inverse, a dict
+    from parent index to subring index, as ``index``.
     """
     mem = sorted(set(members))
     idx = np.array(mem, dtype=np.int64)
@@ -620,23 +621,31 @@ def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = Non
                       element_label=lambda i, _m=tuple(mem): parent.element_label(_m[i]),
                       meta={"kind": "subring", "base": parent})
     ring.members = tuple(mem)
+    ring.index = {m: i for i, m in enumerate(mem)}
     return ring
 
 
 def corner_ring(parent: FiniteRing, e: int, spec: Optional[RingSpec] = None) -> FiniteRing:
-    """Corner e*R*e for an idempotent e; unital with unity e."""
+    """Corner e*R*e for an idempotent e; unital with unity e. At e = 1 it is
+    the parent itself, or with a spec a new ring on the parent's operations."""
     if not 0 <= e < parent.order:
         raise SpecError(f"element {e} out of range")
     er = parent.mul_vec(e, np.arange(parent.order))  # e*r for every r
     if er[e] != e:
         raise SpecError(f"corner needs an idempotent, {e} is not one")
+    label = f"Corner({parent.label},{e})"
     if parent.unital and e == parent.one:
-        return parent
+        if spec is None:
+            return parent
+        # a subring would tabulate order^2 cells, even above the table cap
+        return FiniteRing(parent.order, parent.add, parent.mul, parent.neg, zero=parent.zero,
+                          one=e, spec=spec, label=label, element_label=parent.element_label,
+                          meta={"kind": "corner", "base": parent}, add_vec=parent.add_vec,
+                          mul_vec=parent.mul_vec, neg_vec=parent.neg_vec)
     members = parent.mul_vec(er, e).tolist()
     if spec is None and parent.spec is not None:
         spec = Corner(parent.spec, e)
-    return subring(parent, members, one=e, spec=spec,
-                   label=f"Corner({parent.label},{e})")
+    return subring(parent, members, one=e, spec=spec, label=label)
 
 
 def ideal_subring(parent: FiniteRing, members: Iterable[int],

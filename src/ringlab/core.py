@@ -304,7 +304,7 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
     first offending element tuple in lexicographic order.
 
     The check costs n^2 |G| + O(n^2) gathers, where G is the additive
-    generating set of ``_additive_generators`` (|G| <= log2 n when (R, +) is
+    generating set of ``_generator_tree`` (|G| <= log2 n when (R, +) is
     a group), whose walk reaches each x != 0 as x = p + g, g in G, from an
     element p reached before x. After the O(n^2) checks (closure,
     commutativity of +, zero, negation, zero rows, unity), it verifies
@@ -346,9 +346,14 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
 
 
 def _generator_tree(add_table: np.ndarray, zero: int):
-    """The walk of ``_additive_generators``: (gens, tree), or None where that
-    returns None. tree lists the n - 1 edges (x, p, g) with x = p + g and g
-    in gens, one for each x != zero, p reached before x."""
+    """Greedy additive generating set and its walk: (gens, tree), or None.
+
+    The smallest element not yet reached is the next generator, where
+    reached means a left-bracketed sum (...((0 + g1) + g2) + ...) + gk of
+    generators. In a group each generator at least doubles the subgroup
+    reached, so more than log2 n generators prove (R, +) is no group; None
+    is returned then. tree lists the n - 1 edges (x, p, g) with x = p + g
+    and g in gens, one for each x != zero, p reached before x."""
     add_table = np.asarray(add_table)
     n = len(add_table)
     seen = [False] * n
@@ -375,16 +380,6 @@ def _generator_tree(add_table: np.ndarray, zero: int):
                     reached.append(y)
                     tree.append((y, x, g))
     return gens, tree
-
-
-def _additive_generators(add_table: np.ndarray, zero: int) -> Optional[list[int]]:
-    """Greedy additive generating set: the smallest element not yet reached
-    is the next generator, where reached means a left-bracketed sum
-    (...((0 + g1) + g2) + ...) + gk of generators. In a group each generator
-    at least doubles the subgroup reached, so more than log2 n generators
-    prove (R, +) is no group; None is returned then."""
-    walk = _generator_tree(add_table, zero)
-    return None if walk is None else walk[0]
 
 
 def _axioms_hold(ring: FiniteRing) -> bool:

@@ -301,7 +301,7 @@ def strongly_regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
 def _cycle_exponent(i: int, p: int) -> int:
     """The smallest multiple m >= 1 of the period p at or past the preperiod
     i of a power trajectory: a^m is the idempotent of the cycle."""
-    return p * ((max(i, 1) + p - 1) // p)
+    return p * ((i + p - 1) // p)
 
 
 def pi_regular_witness_fast(ring: FiniteRing, a: int,
@@ -332,7 +332,7 @@ def strong_pi_witness_fast(ring: FiniteRing, a: int,
     if mul(e, e) != e:
         raise WitnessError(f"cycle power not idempotent at element {a}")
     # corner inverse of a*e: the power a^m' with m' = -1 mod period, m' >= n
-    mp = n if p == 1 else n + ((p - 1 - n) % p)
+    mp = n + ((p - 1 - n) % p)
     z = power_from_seq(powers, i, p, mp)
     ae = mul(a, e)
     if mul(mul(e, z), e) != z or mul(ae, z) != e or mul(z, ae) != e:
@@ -344,15 +344,14 @@ def strong_pi_witness_fast(ring: FiniteRing, a: int,
 
 
 def strong_pi_core_fast(ring: FiniteRing, a: int, seq=None) -> Tuple[int, int]:
-    """Fast (n, r) for the bare power equation, n = max(preperiod, 1) and r
-    a power of a; works without a unity."""
+    """Fast (n, r) for the bare power equation, n the preperiod (at least 1)
+    and r a power of a; works without a unity."""
     powers, i, p = power_seq(ring, a) if seq is None else seq
-    n = max(i, 1)
     r = power_from_seq(powers, i, p, p - 1) if p >= 2 else a
-    an = power_from_seq(powers, i, p, n)
-    if ring.mul(power_from_seq(powers, i, p, n + 1), r) != an:
+    an = power_from_seq(powers, i, p, i)
+    if ring.mul(power_from_seq(powers, i, p, i + 1), r) != an:
         raise WitnessError(f"power equation failed at element {a} of {ring.label}")
-    return (n, r)
+    return (i, r)
 
 
 # ---------------------------------------------------------------------------
@@ -609,25 +608,22 @@ def center_witness(ring: FiniteRing, a: int, w: WnclWitness) -> WnclWitness:
     z = one if m == 1 else power_from_seq(powers, i, p, m - 1)
     x_c = sub(one, z)
     cring = center_ring(ring)
-    index_of = cring.cache["parent_index"]
     try:
-        wc = WnclWitness(index_of[e], index_of[b], index_of[x_c], "primal")
+        wc = WnclWitness(cring.index[e], cring.index[b], cring.index[x_c], "primal")
     except KeyError:
         raise WitnessError("decomposition left the center") from None
-    if not check_wncl(cring, index_of[a], wc):
+    if not check_wncl(cring, cring.index[a], wc):
         raise WitnessError("center witness fails the primal identity")
     return wc
 
 
 def center_ring(ring: FiniteRing) -> FiniteRing:
     """The center as a unital subring, cached per ring; element indices map
-    through its ``members`` tuple, with the reverse map in its cache."""
+    through its ``members`` tuple and back through its ``index`` dict."""
     def make():
         ring.require_unital("center ring")
-        cring = ct.subring(ring, st.center(ring), one=ring.one,
-                           label=f"Center({ring.label})")
-        cring.cache["parent_index"] = {m: i for i, m in enumerate(cring.members)}
-        return cring
+        return ct.subring(ring, st.center(ring), one=ring.one,
+                          label=f"Center({ring.label})")
     return ring.memo("center_ring", make)
 
 

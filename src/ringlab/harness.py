@@ -1,9 +1,9 @@
 """Named ring-theoretic checks over a declared corpus.
 
-Each check exercises one statement elementwise across the corpus and yields a
-pass/fail verdict with a replayable counterexample on failure. Two checks
-(Q_SYMMETRY, Q_CORNER) probe open questions: they report observed agreement
-statistics and can never fail.
+Each check exercises one statement elementwise across the corpus and returns
+its detail line, or raises with a replayable counterexample on failure;
+``run_check`` alone sets the status. Two checks (Q_SYMMETRY, Q_CORNER) probe
+open questions: they report observed agreement statistics and can never fail.
 """
 
 from __future__ import annotations
@@ -88,7 +88,12 @@ def canonical_nil_ideal(spec: ct.RingSpec,
 
 
 # ---------------------------------------------------------------------------
-# individual checks: each returns (status, detail, counterexample)
+# individual checks: each returns its detail line, or raises _Fail
+
+
+class _Fail(Exception):
+    """Raised as _Fail(detail, spec, *elements) by a failing check; the
+    element indices replay the failure in the ring of spec."""
 
 
 def _check_osnove(built):
@@ -104,10 +109,9 @@ def _check_osnove(built):
                 continue
             w = dc.exchange_witness(ring, a)
             if w is None or not dc.check_exchange(ring, a, w):
-                return ("fail", f"no exchange witness for element {a} of {spec}",
-                        (str(spec), (a,)))
+                raise _Fail(f"no exchange witness for element {a} of {spec}", spec, a)
             elements += 1
-    return ("pass", f"{elements} elements across {rings} unital rings", None)
+    return f"{elements} elements across {rings} unital rings"
 
 
 def _check_prva(built):
@@ -122,17 +126,14 @@ def _check_prva(built):
             w = dc.wncl_witness(ring, a)
             alt = dc.wncl_witness_alt(ring, a)
             if (w is None) != (alt is None):
-                return ("fail",
-                        f"form mismatch at element {a} of {spec}: "
-                        f"primal={'present' if w else 'absent'}, "
-                        f"alternate={'present' if alt else 'absent'}",
-                        (str(spec), (a,)))
+                raise _Fail(f"form mismatch at element {a} of {spec}: "
+                            f"primal={'present' if w else 'absent'}, "
+                            f"alternate={'present' if alt else 'absent'}", spec, a)
             if w is not None and not (dc.check_wncl(ring, a, w)
                                       and dc.check_wncl(ring, a, alt)):
-                return ("fail", f"witness failed re-validation at {a} of {spec}",
-                        (str(spec), (a,)))
+                raise _Fail(f"witness failed re-validation at {a} of {spec}", spec, a)
             elements += 1
-    return ("pass", f"{elements} elements across {rings} unital rings", None)
+    return f"{elements} elements across {rings} unital rings"
 
 
 def _check_nilideal(built):
@@ -147,40 +148,32 @@ def _check_nilideal(built):
             continue
         members.append(str(spec))
         if not st.is_nil_ideal(ring, ideal):
-            return ("fail", f"canonical ideal of {spec} is not nil",
-                    (str(spec), ()))
+            raise _Fail(f"canonical ideal of {spec} is not nil", spec)
         qring = ct.quotient_cached(ring, ideal)
         proj = qring.projection
         if dc.ring_weakly_nil_clean(ring) != dc.ring_weakly_nil_clean(qring):
-            return ("fail", f"verdict differs between {spec} and its quotient",
-                    (str(spec), ()))
+            raise _Fail(f"verdict differs between {spec} and its quotient", spec)
         for a in range(ring.order):
             qw = dc.wncl_witness(qring, proj[a])
             if qw is None:
-                return ("fail", f"coset of {a} has no witness in {spec}/I",
-                        (str(spec), (a,)))
+                raise _Fail(f"coset of {a} has no witness in {spec}/I", spec, a)
             lw = dc.lift_wncl_witness(ring, ideal, a, qw)
             if not dc.check_wncl(ring, a, lw):
-                return ("fail", f"lifted witness invalid at {a} of {spec}",
-                        (str(spec), (a,)))
+                raise _Fail(f"lifted witness invalid at {a} of {spec}", spec, a)
             w = dc.wncl_witness(ring, a)
             pw = dc.WnclWitness(proj[w.e], proj[w.q], proj[w.x], "primal")
             if not dc.check_wncl(qring, proj[a], pw):
-                return ("fail", f"projected witness invalid at {a} of {spec}",
-                        (str(spec), (a,)))
+                raise _Fail(f"projected witness invalid at {a} of {spec}", spec, a)
             lifted += 1
         for x in range(ring.order):
             if ring.sub(ring.mul(x, x), x) in ideal.member_set:
                 escan = dc.lift_idempotent(ring, ideal, x, "scan")
                 enewt = dc.lift_idempotent(ring, ideal, x, "newton")
                 if escan != enewt:
-                    return ("fail",
-                            f"lift paths disagree at {x} of {spec}: "
-                            f"scan={escan}, newton={enewt}",
-                            (str(spec), (x,)))
-    return ("pass",
-            f"{lifted} cosets lifted on {', '.join(members)}; "
-            "lift paths agree on all liftable elements", None)
+                    raise _Fail(f"lift paths disagree at {x} of {spec}: "
+                                f"scan={escan}, newton={enewt}", spec, x)
+    return (f"{lifted} cosets lifted on {', '.join(members)}; "
+            "lift paths agree on all liftable elements")
 
 
 def _check_radikal(built):
@@ -189,15 +182,14 @@ def _check_radikal(built):
     for spec, ring in built:
         jac = st.jacobson_radical(ring)
         if not st.is_nil_ideal(ring, jac):
-            return ("fail", f"radical of {spec} is not nil", (str(spec), ()))
+            raise _Fail(f"radical of {spec} is not nil", spec)
         qring = ct.quotient_cached(ring, jac)
         if not dc.ring_weakly_nil_clean(qring):
-            return ("fail", f"{spec} modulo its radical is not weakly nil clean",
-                    (str(spec), ()))
+            raise _Fail(f"{spec} modulo its radical is not weakly nil clean", spec)
         if st.jacobson_radical(qring).members != (qring.zero,):
-            return ("fail", f"radical of {spec}/J is nonzero", (str(spec), ()))
+            raise _Fail(f"radical of {spec}/J is nonzero", spec)
         rings += 1
-    return ("pass", f"radical verified on {rings} rings", None)
+    return f"radical verified on {rings} rings"
 
 
 def _check_mocna(built):
@@ -222,22 +214,21 @@ def _check_mocna(built):
                 if corner is ring:
                     cw = dc.wncl_witness(corner, faf)
                 else:
-                    index = {m: i for i, m in enumerate(corner.members)}
-                    local = dc.wncl_witness(corner, index[faf])
+                    local = dc.wncl_witness(corner, corner.index[faf])
                     cw = dc.corner_to_parent(corner, local) if local else None
                 if cw is None:
-                    return ("fail", f"no corner witness at a={a}, e={e} of {spec}",
-                            (str(spec), (a, e)))
+                    raise _Fail(f"no corner witness at a={a}, e={e} of {spec}",
+                                spec, a, e)
                 try:
                     w = dc.wncl_from_corner(ring, a, e, c, cw)
                 except RingLabError as exc:
-                    return ("fail", f"composition failed at a={a}, e={e} of "
-                            f"{spec}: {exc}", (str(spec), (a, e)))
+                    raise _Fail(f"composition failed at a={a}, e={e} of {spec}: {exc}",
+                                spec, a, e)
                 if not dc.check_wncl(ring, a, w):
-                    return ("fail", f"composed witness invalid at a={a}, e={e} "
-                            f"of {spec}", (str(spec), (a, e)))
+                    raise _Fail(f"composed witness invalid at a={a}, e={e} of {spec}",
+                                spec, a, e)
                 triples += 1
-    return ("pass", f"{triples} (a, e) pairs across {rings} rings", None)
+    return f"{triples} (a, e) pairs across {rings} rings"
 
 
 def _check_pireg(built):
@@ -252,18 +243,16 @@ def _check_pireg(built):
         for a in range(ring.order):
             pw = dc.pi_regular_witness(ring, a)
             if pw is None:
-                return ("fail", f"no pi-regular witness at {a} of {spec}",
-                        (str(spec), (a,)))
+                raise _Fail(f"no pi-regular witness at {a} of {spec}", spec, a)
             try:
                 w = dc.wncl_from_pi_regular(ring, a, pw)
             except RingLabError as exc:
-                return ("fail", f"construction failed at {a} of {spec}: {exc}",
-                        (str(spec), (a,)))
+                raise _Fail(f"construction failed at {a} of {spec}: {exc}",
+                            spec, a)
             if not dc.check_wncl(ring, a, w):
-                return ("fail", f"constructed witness invalid at {a} of {spec}",
-                        (str(spec), (a,)))
+                raise _Fail(f"constructed witness invalid at {a} of {spec}", spec, a)
             elements += 1
-    return ("pass", f"{elements} elements across {rings} unital rings", None)
+    return f"{elements} elements across {rings} unital rings"
 
 
 def _check_abel(built):
@@ -275,9 +264,8 @@ def _check_abel(built):
             continue
         rings += 1
         if dc.ring_weakly_nil_clean(ring) != dc.ring_strongly_pi_regular(ring):
-            return ("fail", f"verdicts differ on abelian ring {spec}",
-                    (str(spec), ()))
-    return ("pass", f"{rings} abelian rings agree", None)
+            raise _Fail(f"verdicts differ on abelian ring {spec}", spec)
+    return f"{rings} abelian rings agree"
 
 
 def _check_bounded(built):
@@ -286,13 +274,11 @@ def _check_bounded(built):
     rings = 0
     for spec, ring in built:
         if st.bounded_index(ring) is None:
-            return ("fail", f"unbounded nilpotency index on {spec}",
-                    (str(spec), ()))
+            raise _Fail(f"unbounded nilpotency index on {spec}", spec)
         if dc.ring_weakly_nil_clean(ring) and not dc.ring_strongly_pi_regular(ring):
-            return ("fail", f"{spec} weakly nil clean but not strongly "
-                    "pi-regular", (str(spec), ()))
+            raise _Fail(f"{spec} weakly nil clean but not strongly pi-regular", spec)
         rings += 1
-    return ("pass", f"index bounded on {rings} rings, implication holds", None)
+    return f"index bounded on {rings} rings, implication holds"
 
 
 def _check_cpi(built):
@@ -316,13 +302,12 @@ def _check_cpi(built):
             dc.ring_strongly_pi_regular(mat),
         )
         if len(set(verdicts)) != 1:
-            return ("fail", f"verdicts disagree on {spec}: {verdicts}",
-                    (str(spec), ()))
+            raise _Fail(f"verdicts disagree on {spec}: {verdicts}", spec)
         agreed += 1
     detail = f"six verdicts agree on {agreed} rings"
     if skipped:
         detail += f"; matrix ring over cap for: {', '.join(skipped)}"
-    return ("pass", detail, None)
+    return detail
 
 
 def _check_koti(built):
@@ -342,18 +327,16 @@ def _check_koti(built):
             amat = ct.pack_digits(radices, digits)
             mw = dc.wncl_witness_alt(mat, amat)
             if mw is None:
-                return ("fail", f"no matrix witness for diag({a},0) over {spec}",
-                        (str(spec), (a,)))
+                raise _Fail(f"no matrix witness for diag({a},0) over {spec}", spec, a)
             try:
                 bw = dc.extract_from_matrix(ring, 2, a, mw)
             except RingLabError as exc:
-                return ("fail", f"extraction failed at {a} of {spec}: {exc}",
-                        (str(spec), (a,)))
+                raise _Fail(f"extraction failed at {a} of {spec}: {exc}",
+                            spec, a)
             if not dc.check_wncl(ring, a, bw):
-                return ("fail", f"extracted witness invalid at {a} of {spec}",
-                        (str(spec), (a,)))
+                raise _Fail(f"extracted witness invalid at {a} of {spec}", spec, a)
             elements += 1
-    return ("pass", f"{elements} elements on {', '.join(members)}", None)
+    return f"{elements} elements on {', '.join(members)}"
 
 
 def _check_center(built):
@@ -366,25 +349,22 @@ def _check_center(built):
             continue
         rings += 1
         cring = dc.center_ring(ring)
-        index_of = cring.cache["parent_index"]
         for a in st.center(ring):
             w = dc.wncl_witness(ring, a)
             if w is None:
-                return ("fail", f"no witness for central element {a} of {spec}",
-                        (str(spec), (a,)))
+                raise _Fail(f"no witness for central element {a} of {spec}", spec, a)
             try:
                 cw = dc.center_witness(ring, a, w)
             except RingLabError as exc:
-                return ("fail", f"center extraction failed at {a} of {spec}: "
-                        f"{exc}", (str(spec), (a,)))
-            if not dc.check_wncl(cring, index_of[a], cw):
-                return ("fail", f"center witness invalid at {a} of {spec}",
-                        (str(spec), (a,)))
+                raise _Fail(f"center extraction failed at {a} of {spec}: {exc}",
+                            spec, a)
+            if not dc.check_wncl(cring, cring.index[a], cw):
+                raise _Fail(f"center witness invalid at {a} of {spec}", spec, a)
             if cring.members[cw.e] not in st.center(ring):
-                return ("fail", f"extracted idempotent not central at {a} of "
-                        f"{spec}", (str(spec), (a,)))
+                raise _Fail(f"extracted idempotent not central at {a} of "
+                            f"{spec}", spec, a)
             elements += 1
-    return ("pass", f"{elements} central elements across {rings} rings", None)
+    return f"{elements} central elements across {rings} rings"
 
 
 def _check_unq1(built):
@@ -395,9 +375,8 @@ def _check_unq1(built):
             continue
         rings += 1
         if dc.ring_unique_idempotent(ring) != st.is_abelian(ring):
-            return ("fail", f"uniqueness/abelian mismatch on {spec}",
-                    (str(spec), ()))
-    return ("pass", f"verdicts equal on {rings} unital rings", None)
+            raise _Fail(f"uniqueness/abelian mismatch on {spec}", spec)
+    return f"verdicts equal on {rings} unital rings"
 
 
 def _check_unq2(built):
@@ -409,9 +388,8 @@ def _check_unq2(built):
             continue
         rings += 1
         if dc.ring_unique_nilpotent(ring) != dc.ring_strongly_regular(ring):
-            return ("fail", f"uniqueness/strong-regularity mismatch on {spec}",
-                    (str(spec), ()))
-    return ("pass", f"verdicts equal on {rings} unital rings", None)
+            raise _Fail(f"uniqueness/strong-regularity mismatch on {spec}", spec)
+    return f"verdicts equal on {rings} unital rings"
 
 
 def opposite_agreement(ring: FiniteRing) -> Tuple[int, int]:
@@ -442,9 +420,7 @@ def _check_symmetry(built):
     total = sum(ring.order for _, ring in built)
     agree = sum(opposite_agreement(ring)[0] for _, ring in built)
     pct = 100.0 * agree / total if total else 100.0
-    return ("experiment",
-            f"opposite-ring agreement {agree}/{total} elements ({pct:.1f}%)",
-            None)
+    return f"opposite-ring agreement {agree}/{total} elements ({pct:.1f}%)"
 
 
 def _check_qcorner(built):
@@ -454,9 +430,7 @@ def _check_qcorner(built):
     corners = len(rows)
     wncl = sum(wnc for _, _, wnc in rows)
     pct = 100.0 * wncl / corners if corners else 100.0
-    return ("experiment",
-            f"corner rings weakly nil clean {wncl}/{corners} ({pct:.1f}%)",
-            None)
+    return f"corner rings weakly nil clean {wncl}/{corners} ({pct:.1f}%)"
 
 
 def _check_expireg(built):
@@ -479,11 +453,10 @@ def _check_expireg(built):
             qring = ct.quotient_cached(ring, ideal)
             if dc.ring_pi_regular(sub) and dc.ring_pi_regular(qring):
                 if not dc.ring_weakly_nil_clean(ring):
-                    return ("fail", f"hypotheses hold for ideal of {x} in "
-                            f"{spec} but ring is not weakly nil clean",
-                            (str(spec), (x,)))
+                    raise _Fail(f"hypotheses hold for ideal of {x} in {spec} "
+                                "but ring is not weakly nil clean", spec, x)
                 ideals += 1
-    return ("pass", f"{ideals} principal ideals across {rings} rings", None)
+    return f"{ideals} principal ideals across {rings} rings"
 
 
 _CHECKS: Dict[str, Callable] = {
@@ -506,6 +479,7 @@ _CHECKS: Dict[str, Callable] = {
 }
 
 CHECK_IDS = tuple(_CHECKS)
+_EXPERIMENTS = frozenset({"Q_SYMMETRY", "Q_CORNER"})
 
 
 def run_check(check_id: str,
@@ -516,7 +490,12 @@ def run_check(check_id: str,
         raise ValueError(f"unknown check id {check_id!r}")
     specs = tuple(DEFAULT_CORPUS if corpus is None else corpus)
     built, failures = _build_corpus(specs)
-    status, detail, cx = _CHECKS[check_id](built)
+    status, cx = "experiment" if check_id in _EXPERIMENTS else "pass", None
+    try:
+        detail = _CHECKS[check_id](built)
+    except _Fail as fail:
+        detail, spec, *elements = fail.args
+        status, cx = "fail", (str(spec), tuple(elements))
     if failures:
         detail += "; build failures: " + "; ".join(failures)
     return PropositionCheck(

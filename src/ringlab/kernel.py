@@ -255,7 +255,7 @@ def _trajectory_failures(ring: FiniteRing, a: np.ndarray):
     bad_spi |= am2 != e
     del am2
     # the corner inverse of a*e is a^mp with mp = -1 mod the period
-    z = power_at(traj, np.where(per == 1, lo, lo + (per - 1 - lo) % per))
+    z = power_at(traj, lo + (per - 1 - lo) % per)
     del traj, pre, per, lo
     ae = mul(a, e)
     bad_spi |= mul(mul(e, z), e) != z

@@ -55,6 +55,13 @@ def lazy_rings():
         yield
 
 
+def assert_index_inverts_members(sub: rl.FiniteRing) -> None:
+    """A subring's ``index`` maps each parent index in ``members`` to its
+    position there, and holds nothing else."""
+    assert len(sub.index) == sub.order == len(sub.members)
+    assert [sub.index[m] for m in sub.members] == list(range(sub.order))
+
+
 def all_pairs(n: int):
     """Every pair (x, y) of elements 0..n-1, as two index arrays."""
     return np.divmod(np.arange(n * n), n)

@@ -190,7 +190,7 @@ def test_criterion_10_center_restriction():
     for name in ("M2(Z2)", "M2(Z3)", "M2(Z4)", "T2(Z2)"):
         ring = rl.build_cached(rl.parse_spec(name))
         cring = dc.center_ring(ring)
-        index_of = cring.cache["parent_index"]
+        index_of = cring.index
         for a in rl.center(ring):
             w = rl.wncl_witness(ring, a)
             assert w is not None, (name, a)

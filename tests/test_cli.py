@@ -8,11 +8,12 @@ import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
 import ringlab as rl
-from ringlab import cli
+from ringlab import cli, deciders as dc
 from ringlab.cli import CSV_HEADER, parse_spec, SpecParseError
 
 from conftest import fresh_build_cache
@@ -124,6 +125,11 @@ def test_classify_show_elements(capsys):
     assert "elements:" in out
     assert "  0: " in out
     assert "  7: " in out
+
+
+def test_classify_corner_at_unity_keeps_its_spec(capsys):
+    assert rl.main(["classify", "Corner(Z4,1)"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "spec: Corner(Z4,1)"
 
 
 def test_classify_parse_error(capsys):
@@ -341,6 +347,36 @@ def test_verify_corpus_file_parse_error(tmp_path, capsys):
 def test_verify_missing_corpus_file(capsys):
     assert rl.main(["verify", "--corpus", "/nonexistent/rings.txt"]) == 2
     assert "cannot read spec file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["census", "--specs"], ["verify", "--corpus"]])
+def test_spec_file_not_in_utf8_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"Z4\n\xff\n")
+    assert rl.main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read spec file {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_prints_each_failure_with_its_counterexample(tmp_path, capsys):
+    # one failure with one element, one with two, and one of the whole ring
+    path = tmp_path / "rings.txt"
+    path.write_text("Z2\n")
+    with mock.patch.object(dc, "exchange_witness", return_value=None), \
+            mock.patch.object(dc, "wncl_from_corner", side_effect=rl.WitnessError("boom")), \
+            mock.patch.object(dc, "ring_unique_idempotent", return_value=False):
+        assert rl.main(["verify", "--props", "P_OSNOVE,L_MOCNA,P_UNQ1,P_ABEL",
+                        "--corpus", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "P_OSNOVE    fail        no exchange witness for element 0 of Z2",
+        "  counterexample: spec=Z2 elements=(0,)",
+        "L_MOCNA     fail        composition failed at a=0, e=0 of Z2: boom",
+        "  counterexample: spec=Z2 elements=(0, 0)",
+        "P_UNQ1      fail        uniqueness/abelian mismatch on Z2",
+        "  counterexample: spec=Z2 elements=()",
+        "P_ABEL      pass        1 abelian rings agree",
+    ]
 
 
 # --- census -------------------------------------------------------------------------

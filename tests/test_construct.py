@@ -10,8 +10,8 @@ from ringlab import construct as ct
 from ringlab import core, structure as st
 
 import oracles
-from conftest import (all_pairs, fresh_build_cache, lazy_rings, list_rows, sample_pairs,
-                      vector_mismatches)
+from conftest import (all_pairs, assert_index_inverts_members, fresh_build_cache,
+                      lazy_rings, list_rows, sample_pairs, vector_mismatches)
 
 
 # --- digit packing ------------------------------------------------------------
@@ -264,6 +264,16 @@ def test_corner_ring_at_unity_is_parent(corpus):
     assert rl.corner_ring(m2, m2.one) is m2
 
 
+def test_built_corner_at_unity_is_a_new_ring():
+    spec = rl.parse_spec("Corner(Z4,1)")
+    first, second = rl.build(spec), rl.build(spec)
+    assert first is not second
+    assert rl.build_cached(rl.Zn(4)) not in (first, second)
+    assert first.spec == spec and first.label == "Corner(Z4,1)"
+    assert first.add_table.tolist() == rl.build_cached(rl.Zn(4)).add_table.tolist()
+    assert first.mul_table.tolist() == rl.build_cached(rl.Zn(4)).mul_table.tolist()
+
+
 def test_corner_ring_of_matrix_unit(corpus):
     m2 = corpus["M2(Z2)"]
     e11 = rl.ring_pack(m2, (1, 0, 0, 0))
@@ -289,7 +299,10 @@ def _corner_outcome(parent, e):
         corner = rl.corner_ring(parent, e)
     except rl.SpecError as exc:
         return str(exc)
-    return tuple(range(parent.order)) if corner is parent else corner.members
+    if corner is parent:
+        return tuple(range(parent.order))
+    assert_index_inverts_members(corner)
+    return corner.members
 
 
 def test_corner_ring_matches_scalar_products(corpus):
@@ -631,6 +644,7 @@ def _subring_outcome(parent, members, detect_one=False):
     except ValueError as exc:
         return str(exc)
     assert sub.members == tuple(sorted(set(members)))
+    assert_index_inverts_members(sub)
     for name in ("add_table", "mul_table", "neg_table"):
         assert sub.cache[name].tolist() == np.ravel(getattr(sub, name)).tolist()
     return sub.add_table.tolist(), sub.mul_table.tolist(), sub.neg_table.tolist(), sub.one

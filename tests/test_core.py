@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab.core import (_AXIOM_CHUNK, _additive_generators, _generator_tree, index_dtype,
-                          power_from_seq)
+from ringlab.core import _AXIOM_CHUNK, _generator_tree, index_dtype, power_from_seq
 
 import oracles
 from conftest import (agrees_with_cubic, all_pairs, corpus_ring, list_rows, op_rows,
@@ -186,7 +185,7 @@ _OFF_GENERATOR_CELLS = [
 @pytest.mark.parametrize("name,table,cell", _OFF_GENERATOR_CELLS)
 def test_generator_validator_catches_off_generator_corruptions(name, table, cell):
     ring = corpus_ring(name)
-    assert not set(cell) & set(_additive_generators(ring.add_table, ring.zero))
+    assert not set(cell) & set(_generator_tree(ring.add_table, ring.zero)[0])
     x, y = cell
     current = {"mul": ring.mul(x, y), "add-sym": ring.add(x, y), "neg": ring.neg(x)}[table]
     report = agrees_with_cubic(with_cell(ring, table, cell, (current + 1) % ring.order))
@@ -197,7 +196,7 @@ def test_generator_validator_catches_off_generator_corruptions(name, table, cell
     "M3(Z2)", "T2(Z7)", "Triv(Z17)", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"])
 def test_additive_generators_generate_by_left_bracketed_sums(name):
     ring = rl.build_cached(rl.parse_spec(name))
-    gens = _additive_generators(ring.add_table, ring.zero)
+    gens = _generator_tree(ring.add_table, ring.zero)[0]
     assert len(gens) <= ring.order.bit_length() - 1  # |G| <= log2 n
     reached, todo = {ring.zero}, [ring.zero]
     while todo:
@@ -210,14 +209,14 @@ def test_additive_generators_generate_by_left_bracketed_sums(name):
 
 
 def test_additive_generators_of_matrix_ring_are_matrix_units():
-    assert _additive_generators(corpus_ring("M2(Z3)").add_table, 0) == [1, 3, 9, 27]
+    assert _generator_tree(corpus_ring("M2(Z3)").add_table, 0)[0] == [1, 3, 9, 27]
 
 
 def test_additive_generators_give_up_on_a_non_group():
     # 1 + 1 = 1 + 2 = 2 + 2 = 0: from 0, the sums of 1 and 2 reach {0, 1, 2}
     # and 3 would be a third generator of a set of 4
     table = [[0, 1, 2, 3], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0]]
-    assert _additive_generators(table, 0) is None
+    assert _generator_tree(table, 0) is None
 
 
 def test_sub_matches_add_neg(corpus):

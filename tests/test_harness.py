@@ -69,10 +69,11 @@ def test_run_check_reports_build_failures():
 def test_check_failure_carries_counterexample():
     ring = ct.build(ct.Zn(2))  # fresh object, private cache
     ring.cache[("ring_verdict", "unique_idempotent")] = False
-    status, detail, cx = hn._check_unq1([(ct.Zn(2), ring)])
-    assert status == "fail"
-    assert "mismatch" in detail
-    assert cx == ("Z2", ())
+    with mock.patch.object(hn, "_build_corpus", return_value=([(ct.Zn(2), ring)], [])):
+        chk = hn.run_check("P_UNQ1", [ct.Zn(2)])
+    assert chk.status == "fail"
+    assert "mismatch" in chk.detail
+    assert chk.counterexample == ("Z2", ())
 
 
 def test_experiments_never_fail_on_odd_corpora():
