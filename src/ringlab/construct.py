@@ -199,6 +199,12 @@ def _check_cap(order: int, cap: int, what: str) -> None:
         raise OrderCapError(f"{what} has order {size}, over the cap {cap}")
 
 
+def _check_table_cap(order: int, what) -> None:
+    # a derived ring is always tabulated, and no table above the cap is validated
+    if order > DEFAULT_TABLE_CAP:
+        raise OrderCapError(f"{what} has order {order}, over the table cap {DEFAULT_TABLE_CAP}")
+
+
 # ---------------------------------------------------------------------------
 # digit packing shared by product / matrix / triangular / polynomial / trivext
 
@@ -590,6 +596,8 @@ def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = Non
     from parent index to subring index, as ``index``.
     """
     mem = sorted(set(members))
+    label = label or f"Sub({parent.label})"
+    _check_table_cap(len(mem), spec or label)
     idx = np.array(mem, dtype=np.int64)
     index_of = np.full(parent.order, -1, dtype=np.int64)
     index_of[idx] = np.arange(len(mem))
@@ -617,7 +625,7 @@ def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = Non
                       zero=int(index_of[parent.zero]),
                       one=int(index_of[one]) if one is not None else None,
                       spec=spec,
-                      label=label or f"Sub({parent.label})",
+                      label=label,
                       element_label=lambda i, _m=tuple(mem): parent.element_label(_m[i]),
                       meta={"kind": "subring", "base": parent})
     ring.members = tuple(mem)
@@ -671,6 +679,8 @@ def quotient(parent: FiniteRing, ideal,
     if ideal.ring is not parent:
         raise ValueError("ideal belongs to a different ring")
     n = parent.order
+    label = f"{parent.label}/I{len(ideal.members)}"
+    _check_table_cap(n // len(ideal.members), spec or label)
     elements = np.arange(n)
     members = np.array(ideal.members, dtype=np.int64)
     smallest = np.empty(n, dtype=np.int64)  # the smallest element of x + I
@@ -686,7 +696,7 @@ def quotient(parent: FiniteRing, ideal,
     neg_t = cosets[parent.neg_vec(rep)]
     one = proj[parent.one] if parent.unital else None
     ring = FiniteRing(len(reps), add_t, mul_t, neg_t, zero=proj[parent.zero], one=one,
-                      spec=spec, label=f"{parent.label}/I{len(ideal.members)}",
+                      spec=spec, label=label,
                       element_label=lambda i, _r=tuple(reps): f"[{parent.element_label(_r[i])}]",
                       meta={"kind": "quotient", "base": parent})
     ring.reps = tuple(reps)

@@ -96,14 +96,15 @@ class _Fail(Exception):
     element indices replay the failure in the ring of spec."""
 
 
+def _unital(built):
+    return [(spec, ring) for spec, ring in built if ring.unital]
+
+
 def _check_osnove(built):
     """Weakly nil clean elements admit exchange witnesses (unital members)."""
+    members = _unital(built)
     elements = 0
-    rings = 0
-    for spec, ring in built:
-        if not ring.unital:
-            continue
-        rings += 1
+    for spec, ring in members:
         for a in range(ring.order):
             if dc.wncl_witness(ring, a) is None:
                 continue
@@ -111,17 +112,13 @@ def _check_osnove(built):
             if w is None or not dc.check_exchange(ring, a, w):
                 raise _Fail(f"no exchange witness for element {a} of {spec}", spec, a)
             elements += 1
-    return f"{elements} elements across {rings} unital rings"
+    return f"{elements} elements across {len(members)} unital rings"
 
 
 def _check_prva(built):
     """Primal and alternate witnesses exist for the same elements."""
-    elements = 0
-    rings = 0
-    for spec, ring in built:
-        if not ring.unital:
-            continue
-        rings += 1
+    members = _unital(built)
+    for spec, ring in members:
         for a in range(ring.order):
             w = dc.wncl_witness(ring, a)
             alt = dc.wncl_witness_alt(ring, a)
@@ -132,8 +129,8 @@ def _check_prva(built):
             if w is not None and not (dc.check_wncl(ring, a, w)
                                       and dc.check_wncl(ring, a, alt)):
                 raise _Fail(f"witness failed re-validation at {a} of {spec}", spec, a)
-            elements += 1
-    return f"{elements} elements across {rings} unital rings"
+    elements = sum(ring.order for _, ring in members)
+    return f"{elements} elements across {len(members)} unital rings"
 
 
 def _check_nilideal(built):
@@ -178,7 +175,6 @@ def _check_nilideal(built):
 
 def _check_radikal(built):
     """J(R) is nil, R/J(R) is weakly nil clean, and J(R/J(R)) vanishes."""
-    rings = 0
     for spec, ring in built:
         jac = st.jacobson_radical(ring)
         if not st.is_nil_ideal(ring, jac):
@@ -188,20 +184,17 @@ def _check_radikal(built):
             raise _Fail(f"{spec} modulo its radical is not weakly nil clean", spec)
         if st.jacobson_radical(qring).members != (qring.zero,):
             raise _Fail(f"radical of {spec}/J is nonzero", spec)
-        rings += 1
-    return f"radical verified on {rings} rings"
+    return f"radical verified on {len(built)} rings"
 
 
 def _check_mocna(built):
     """Corner decompositions compose: for every a and idempotent e realized
     as e = c*a, a witness for faf in the corner fRf composes to a valid
     witness for a. Small members only (nested scans)."""
+    members = [(spec, ring) for spec, ring in _unital(built)
+               if ring.order <= PAIR_SCAN_LIMIT]
     triples = 0
-    rings = 0
-    for spec, ring in built:
-        if not ring.unital or ring.order > PAIR_SCAN_LIMIT:
-            continue
-        rings += 1
+    for spec, ring in members:
         for a in range(ring.order):
             for e in st.idempotents(ring):
                 c = next((c for c in range(ring.order)
@@ -228,18 +221,14 @@ def _check_mocna(built):
                     raise _Fail(f"composed witness invalid at a={a}, e={e} of {spec}",
                                 spec, a, e)
                 triples += 1
-    return f"{triples} (a, e) pairs across {rings} rings"
+    return f"{triples} (a, e) pairs across {len(members)} rings"
 
 
 def _check_pireg(built):
     """The constructive route through pi-regularity reproduces the brute
     verdict on every element of every unital member."""
-    elements = 0
-    rings = 0
-    for spec, ring in built:
-        if not ring.unital:
-            continue
-        rings += 1
+    members = _unital(built)
+    for spec, ring in members:
         for a in range(ring.order):
             pw = dc.pi_regular_witness(ring, a)
             if pw is None:
@@ -251,34 +240,29 @@ def _check_pireg(built):
                             spec, a)
             if not dc.check_wncl(ring, a, w):
                 raise _Fail(f"constructed witness invalid at {a} of {spec}", spec, a)
-            elements += 1
-    return f"{elements} elements across {rings} unital rings"
+    elements = sum(ring.order for _, ring in members)
+    return f"{elements} elements across {len(members)} unital rings"
 
 
 def _check_abel(built):
     """On abelian members the weakly nil clean and strongly pi-regular
     verdicts coincide (computed independently, then compared)."""
-    rings = 0
-    for spec, ring in built:
-        if not st.is_abelian(ring):
-            continue
-        rings += 1
+    members = [(spec, ring) for spec, ring in built if st.is_abelian(ring)]
+    for spec, ring in members:
         if dc.ring_weakly_nil_clean(ring) != dc.ring_strongly_pi_regular(ring):
             raise _Fail(f"verdicts differ on abelian ring {spec}", spec)
-    return f"{rings} abelian rings agree"
+    return f"{len(members)} abelian rings agree"
 
 
 def _check_bounded(built):
     """Bounded nilpotency index plus weakly nil clean forces strong
     pi-regularity."""
-    rings = 0
     for spec, ring in built:
         if st.bounded_index(ring) is None:
             raise _Fail(f"unbounded nilpotency index on {spec}", spec)
         if dc.ring_weakly_nil_clean(ring) and not dc.ring_strongly_pi_regular(ring):
             raise _Fail(f"{spec} weakly nil clean but not strongly pi-regular", spec)
-        rings += 1
-    return f"index bounded on {rings} rings, implication holds"
+    return f"index bounded on {len(built)} rings, implication holds"
 
 
 def _check_cpi(built):
@@ -313,12 +297,10 @@ def _check_cpi(built):
 def _check_koti(built):
     """Alternate witnesses for diag(a, 0) in M_2 extract to valid base-ring
     witnesses over small abelian unital members."""
+    members = [(spec, ring) for spec, ring in _unital(built)
+               if ring.order <= 6 and st.is_abelian(ring)]
     elements = 0
-    members = []
-    for spec, ring in built:
-        if not ring.unital or ring.order > 6 or not st.is_abelian(ring):
-            continue
-        members.append(str(spec))
+    for spec, ring in members:
         mat = ct.build_cached(ct.Matrix(2, spec))
         radices = mat.meta["radices"]
         for a in range(ring.order):
@@ -336,18 +318,14 @@ def _check_koti(built):
             if not dc.check_wncl(ring, a, bw):
                 raise _Fail(f"extracted witness invalid at {a} of {spec}", spec, a)
             elements += 1
-    return f"{elements} elements on {', '.join(members)}"
+    return f"{elements} elements on {', '.join(str(spec) for spec, _ in members)}"
 
 
 def _check_center(built):
     """Central elements restrict to valid witnesses in the center ring, with
     a central idempotent."""
-    elements = 0
-    rings = 0
-    for spec, ring in built:
-        if not ring.unital:
-            continue
-        rings += 1
+    members = _unital(built)
+    for spec, ring in members:
         cring = dc.center_ring(ring)
         for a in st.center(ring):
             w = dc.wncl_witness(ring, a)
@@ -363,33 +341,27 @@ def _check_center(built):
             if cring.members[cw.e] not in st.center(ring):
                 raise _Fail(f"extracted idempotent not central at {a} of "
                             f"{spec}", spec, a)
-            elements += 1
-    return f"{elements} central elements across {rings} rings"
+    elements = sum(len(st.center(ring)) for _, ring in members)
+    return f"{elements} central elements across {len(members)} rings"
 
 
 def _check_unq1(built):
     """Unique witness idempotents exactly on abelian members (unital)."""
-    rings = 0
-    for spec, ring in built:
-        if not ring.unital:
-            continue
-        rings += 1
+    members = _unital(built)
+    for spec, ring in members:
         if dc.ring_unique_idempotent(ring) != st.is_abelian(ring):
             raise _Fail(f"uniqueness/abelian mismatch on {spec}", spec)
-    return f"verdicts equal on {rings} unital rings"
+    return f"verdicts equal on {len(members)} unital rings"
 
 
 def _check_unq2(built):
     """Unique witness nilpotents exactly on strongly regular members
     (unital)."""
-    rings = 0
-    for spec, ring in built:
-        if not ring.unital:
-            continue
-        rings += 1
+    members = _unital(built)
+    for spec, ring in members:
         if dc.ring_unique_nilpotent(ring) != dc.ring_strongly_regular(ring):
             raise _Fail(f"uniqueness/strong-regularity mismatch on {spec}", spec)
-    return f"verdicts equal on {rings} unital rings"
+    return f"verdicts equal on {len(members)} unital rings"
 
 
 def opposite_agreement(ring: FiniteRing) -> Tuple[int, int]:
@@ -426,7 +398,7 @@ def _check_symmetry(built):
 def _check_qcorner(built):
     """Experiment: are corners eRe of weakly nil clean rings weakly nil
     clean? Observed per idempotent across unital members."""
-    rows = [row for _, ring in built if ring.unital for row in corner_verdicts(ring)]
+    rows = [row for _, ring in _unital(built) for row in corner_verdicts(ring)]
     corners = len(rows)
     wncl = sum(wnc for _, _, wnc in rows)
     pct = 100.0 * wncl / corners if corners else 100.0
@@ -436,12 +408,9 @@ def _check_qcorner(built):
 def _check_expireg(built):
     """A pi-regular ideal with pi-regular quotient forces weakly nil clean;
     verified over all distinct principal ideals of small members."""
+    members = [(spec, ring) for spec, ring in built if ring.order <= PAIR_SCAN_LIMIT]
     ideals = 0
-    rings = 0
-    for spec, ring in built:
-        if ring.order > PAIR_SCAN_LIMIT:
-            continue
-        rings += 1
+    for spec, ring in members:
         seen = set()
         for x in range(ring.order):
             ideal = st.ideal_generated(ring, (x,))
@@ -456,7 +425,7 @@ def _check_expireg(built):
                     raise _Fail(f"hypotheses hold for ideal of {x} in {spec} "
                                 "but ring is not weakly nil clean", spec, x)
                 ideals += 1
-    return f"{ideals} principal ideals across {rings} rings"
+    return f"{ideals} principal ideals across {len(members)} rings"
 
 
 _CHECKS: Dict[str, Callable] = {

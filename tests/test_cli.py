@@ -158,6 +158,15 @@ def test_cap_errors_show_the_exact_order(text, order, capsys):
     assert capsys.readouterr().err == f"error: {text} has order {order}, over the cap 65536\n"
 
 
+@pytest.mark.parametrize("text,order", [
+    ("Quot(Triv(Z40),0)", 1600),
+    ("Corner(" + "x".join(["Z2"] * 12) + ",4094)", 2048),
+])
+def test_derived_rings_over_the_table_cap_exit_3(text, order, capsys):
+    assert rl.main(["classify", text]) == 3
+    assert capsys.readouterr().err == f"error: {text} has order {order}, over the table cap 1024\n"
+
+
 @pytest.mark.parametrize("text", ["M300(Z2)", "Z2[x]/(x^99999)", "Z2[x]/(x^14285)",
                                   "M3000(Z99)", "T3000(Z99)"])
 def test_orders_past_the_int_text_limit_are_cap_errors(text, tmp_path, capsys):

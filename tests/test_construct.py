@@ -504,6 +504,34 @@ def test_cap_applies_to_intermediate_rings(monkeypatch):
         rl.build(rl.Corner(rl.Matrix(2, rl.Zn(4)), 65))
 
 
+def _z2_power(k):
+    return "x".join(["Z2"] * k)  # above the table cap from k = 11 on, so lazy
+
+
+@pytest.mark.parametrize("text,order", [
+    ("Quot(Triv(Z40),0)", 1600),
+    (f"Corner({_z2_power(12)},4094)", 2048),
+])
+def test_derived_rings_stop_at_the_table_cap(text, order):
+    # a subring or quotient is always tabulated, and a table above the cap
+    # would go unvalidated
+    with pytest.raises(rl.OrderCapError) as exc:
+        rl.build(rl.parse_spec(text))
+    assert str(exc.value) == f"{text} has order {order}, over the table cap 1024"
+
+
+def test_derived_rings_without_a_spec_stop_at_the_table_cap():
+    ring = rl.build_cached(rl.parse_spec(_z2_power(11)))
+    with pytest.raises(rl.OrderCapError) as exc:
+        rl.center_ring(ring)
+    assert str(exc.value) == f"Center({ring.label}) has order 2048, over the table cap 1024"
+    with pytest.raises(rl.OrderCapError) as exc:
+        rl.quotient(ring, [0])
+    assert str(exc.value) == f"{ring.label}/I1 has order 2048, over the table cap 1024"
+    corner = rl.build(rl.parse_spec(f"Corner({_z2_power(11)},2046)"))
+    assert (corner.order, corner.validated) == (1024, True)  # at the cap
+
+
 # --- vector operations ----------------------------------------------------------
 #
 # Built inside lazy_rings(), a ring keeps its constructor's closures at every

@@ -48,6 +48,31 @@ def test_run_all_passes():
     assert "T2(Z4)" in by_id["C_PI"].detail
 
 
+def test_run_all_details_on_a_mixed_corpus():
+    # one member without a unity (Ideal(Z4,2)), one above PAIR_SCAN_LIMIT and
+    # with an over-cap matrix ring (M2(Z3)), two non-abelian (T2(Z2), M2(Z3))
+    corpus = [rl.parse_spec(text) for text in ("Z6", "T2(Z2)", "M2(Z3)", "Ideal(Z4,2)")]
+    assert [(c.id, c.status, c.detail) for c in rl.run_all(corpus)] == [
+        ("P_OSNOVE", "pass", "95 elements across 3 unital rings"),
+        ("P_PRVA", "pass", "95 elements across 3 unital rings"),
+        ("P_NILIDEAL", "pass",
+         "8 cosets lifted on T2(Z2); lift paths agree on all liftable elements"),
+        ("P_RADIKAL", "pass", "radical verified on 4 rings"),
+        ("L_MOCNA", "pass", "39 (a, e) pairs across 2 rings"),
+        ("P_PIREG", "pass", "95 elements across 3 unital rings"),
+        ("P_ABEL", "pass", "2 abelian rings agree"),
+        ("P_BOUNDED", "pass", "index bounded on 4 rings, implication holds"),
+        ("C_PI", "pass", "six verdicts agree on 3 rings; matrix ring over cap for: M2(Z3)"),
+        ("P_KOTI", "pass", "6 elements on Z6"),
+        ("P_CENTER", "pass", "11 central elements across 3 rings"),
+        ("P_UNQ1", "pass", "verdicts equal on 3 unital rings"),
+        ("P_UNQ2", "pass", "verdicts equal on 3 unital rings"),
+        ("Q_SYMMETRY", "experiment", "opposite-ring agreement 97/97 elements (100.0%)"),
+        ("Q_CORNER", "experiment", "corner rings weakly nil clean 24/24 (100.0%)"),
+        ("P_EXPIREG", "pass", "11 principal ideals across 3 rings"),
+    ]
+
+
 def test_run_all_is_deterministic():
     first = rl.run_all(ids=("P_ABEL", "P_RADIKAL", "Q_SYMMETRY"))
     second = rl.run_all(ids=("P_ABEL", "P_RADIKAL", "Q_SYMMETRY"))

@@ -1,5 +1,13 @@
 """Property-based checks over randomly drawn rings, elements, and specs."""
 
+import contextlib
+import csv
+import io
+import os
+import tempfile
+from datetime import timedelta
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as hs
 
@@ -70,6 +78,50 @@ _specs = hs.recursive(
 @given(spec=_specs)
 def test_spec_string_round_trips(spec):
     assert rl.parse_spec(str(spec)) == spec
+
+
+# --- the error contract: a result, or one error line and exit 2 or 3 ------------
+
+_GRAMMAR_CHARS = "".join(sorted(set("ZMTTrivOpCornerIdealQuot x[]/()^,0123456789")))
+
+
+@hs.composite
+def _mutated_spec_texts(draw):
+    """str() of a drawn spec with one character inserted, deleted or replaced."""
+    text = str(draw(_specs))
+    i = draw(hs.integers(0, len(text)))
+    c = draw(hs.sampled_from(_GRAMMAR_CHARS))
+    return draw(hs.sampled_from((text[:i] + c + text[i:],
+                                 text[:i] + text[i + 1:],
+                                 text[:i] + c + text[i + 1:])))
+
+
+def _main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = rl.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=150)
+@given(text=hs.one_of(_mutated_spec_texts(), hs.text(_GRAMMAR_CHARS, max_size=12)))
+def test_spec_texts_end_in_a_result_or_one_error_line(text):
+    code, _, err = _main("classify", text, "--max-order", "64")
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"RINGLAB_MAX_ORDER": "64"}):
+        path = os.path.join(tmp, "specs.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"Z2\n{text}\nZ3\n")
+        code, out, err = _main("census", "--csv", "--specs", path)
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert (rows[1][0], rows[-1][0]) == ("Z2", "Z3")
+    assert {len(row) for row in rows} == {17}
 
 
 @SETTINGS
