@@ -408,13 +408,13 @@ def _read_spec_file(path: str) -> List[Tuple[int, str, Union[ct.RingSpec, SpecPa
 
 
 def _cmd_verify(args, out) -> int:
-    if args.props == "all":
-        ids = hn.CHECK_IDS
-    else:
-        ids = tuple(p.strip() for p in args.props.split(",") if p.strip())
-        unknown = [i for i in ids if i not in hn.CHECK_IDS]
-        if unknown:
-            raise RingLabError(f"unknown check ids: {', '.join(unknown)}")
+    ids = hn.CHECK_IDS if args.props == "all" else tuple(
+        p.strip() for p in args.props.split(",") if p.strip())
+    if not ids:
+        raise RingLabError("no check ids given")
+    unknown = [i for i in ids if i not in hn.CHECK_IDS]
+    if unknown:
+        raise RingLabError(f"unknown check ids: {', '.join(unknown)}")
     corpus = None
     if args.corpus != "default":
         corpus = []

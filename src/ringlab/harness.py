@@ -100,6 +100,10 @@ def _unital(built):
     return [(spec, ring) for spec, ring in built if ring.unital]
 
 
+def _names(specs) -> str:
+    return ", ".join(map(str, specs)) or "no rings"
+
+
 def _check_osnove(built):
     """Weakly nil clean elements admit exchange witnesses (unital members)."""
     members = _unital(built)
@@ -143,7 +147,7 @@ def _check_nilideal(built):
         ideal = canonical_nil_ideal(spec, ring)
         if ideal is None:
             continue
-        members.append(str(spec))
+        members.append(spec)
         if not st.is_nil_ideal(ring, ideal):
             raise _Fail(f"canonical ideal of {spec} is not nil", spec)
         qring = ct.quotient_cached(ring, ideal)
@@ -169,17 +173,18 @@ def _check_nilideal(built):
                 if escan != enewt:
                     raise _Fail(f"lift paths disagree at {x} of {spec}: "
                                 f"scan={escan}, newton={enewt}", spec, x)
-    return (f"{lifted} cosets lifted on {', '.join(members)}; "
+    return (f"{lifted} cosets lifted on {_names(members)}; "
             "lift paths agree on all liftable elements")
 
 
 def _check_radikal(built):
-    """J(R) is nil, R/J(R) is weakly nil clean, and J(R/J(R)) vanishes."""
+    """J(R) is nil, R/J(R) is weakly nil clean, and J(R/J(R)) vanishes.
+    The quotient by J = {0} has R's own tables, so R stands in for it."""
     for spec, ring in built:
         jac = st.jacobson_radical(ring)
         if not st.is_nil_ideal(ring, jac):
             raise _Fail(f"radical of {spec} is not nil", spec)
-        qring = ct.quotient_cached(ring, jac)
+        qring = ring if len(jac) == 1 else ct.quotient_cached(ring, jac)
         if not dc.ring_weakly_nil_clean(qring):
             raise _Fail(f"{spec} modulo its radical is not weakly nil clean", spec)
         if st.jacobson_radical(qring).members != (qring.zero,):
@@ -268,14 +273,17 @@ def _check_bounded(built):
 def _check_cpi(built):
     """Six-way agreement: weakly nil clean / pi-regular / strongly
     pi-regular for R and for M_2(R). Members whose matrix ring exceeds the
-    build cap are skipped and named."""
-    agreed = 0
-    skipped = []
+    build cap, or is too large to decide without a unity, are skipped and
+    named."""
+    over_cap, no_unity = [], []
     for spec, ring in built:
         try:
             mat = ct.build_cached(ct.Matrix(2, spec))
         except OrderCapError:
-            skipped.append(str(spec))
+            over_cap.append(spec)
+            continue
+        if not mat.unital and mat.order > dc.BRUTE_ORDER_LIMIT:
+            no_unity.append(spec)
             continue
         verdicts = (
             dc.ring_weakly_nil_clean(ring),
@@ -287,10 +295,11 @@ def _check_cpi(built):
         )
         if len(set(verdicts)) != 1:
             raise _Fail(f"verdicts disagree on {spec}: {verdicts}", spec)
-        agreed += 1
-    detail = f"six verdicts agree on {agreed} rings"
-    if skipped:
-        detail += f"; matrix ring over cap for: {', '.join(skipped)}"
+    detail = f"six verdicts agree on {len(built) - len(over_cap) - len(no_unity)} rings"
+    if over_cap:
+        detail += f"; matrix ring over cap for: {_names(over_cap)}"
+    if no_unity:
+        detail += f"; large matrix ring without a unity for: {_names(no_unity)}"
     return detail
 
 
@@ -318,7 +327,7 @@ def _check_koti(built):
             if not dc.check_wncl(ring, a, bw):
                 raise _Fail(f"extracted witness invalid at {a} of {spec}", spec, a)
             elements += 1
-    return f"{elements} elements on {', '.join(str(spec) for spec, _ in members)}"
+    return f"{elements} elements on {_names(spec for spec, _ in members)}"
 
 
 def _check_center(built):

@@ -176,7 +176,7 @@ def is_abelian(ring: FiniteRing) -> bool:
 
 
 def _radical_members(ring: FiniteRing) -> tuple:
-    """Raw quasi-regularity scan, without validation or quotient re-check:
+    """Raw quasi-regularity scan, without the ideal validation:
     with a unity, the a with 1 - r*a a unit for every r; without one, the a
     whose left ideal R^1 a = {k*a + r*a} is left quasi-regular (b + x - b*x
     = 0 for some b). That form needs the axioms, so a table that fails them
@@ -216,19 +216,8 @@ def _radical_members(ring: FiniteRing) -> tuple:
 def jacobson_radical(ring: FiniteRing) -> Ideal:
     """Elements a such that every member of the left ideal of a is left
     quasi-regular; with a unity this is the usual 1 - r*a invertibility test.
-
-    The result is validated as a two-sided ideal, and the radical of the
-    quotient by it (construct.quotient_cached, so kept for later use) is
-    checked to vanish.
-    """
-    from .construct import quotient_cached
-
-    ideal = make_ideal(ring, _radical_members(ring))
-    q = quotient_cached(ring, ideal)
-    if _radical_members(q) != (q.zero,):
-        raise RuntimeError(
-            f"radical scan of {ring.label} left a nonzero residual radical")
-    return ideal
+    Validated as a two-sided ideal; P_RADIKAL checks that J(R/J) vanishes."""
+    return make_ideal(ring, _radical_members(ring))
 
 
 def is_nil_ideal(ring: FiniteRing, ideal) -> bool:

@@ -206,21 +206,17 @@ def assert_small_verdicts_match_scalar(make):
 
 def _oracle_radical(ring, members):
     """What jacobson_radical does with the oracle's radical members: their
-    ideal check, the quotient by them, and the check that its radical
-    vanishes."""
+    ideal check."""
     check = oracles.ideal_check(ring.order, ring.add, ring.mul, ring.neg, members)
     if isinstance(check, str):
         raise ValueError(check)
-    q, _ = ct.quotient(ring, members)
-    if oracles.radical_set(q.order, q.add, q.mul, q.neg, q.one) != [q.zero]:
-        raise RuntimeError(f"radical scan of {ring.label} left a nonzero residual radical")
     return check
 
 
 def _members_or_error(run):
     try:
         return run()
-    except (ValueError, RuntimeError, rl.RingLabError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 

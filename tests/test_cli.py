@@ -333,6 +333,12 @@ def test_verify_unknown_check(capsys):
     assert "unknown check ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("props", ["", ",", " , "])
+def test_verify_without_check_ids_is_a_usage_error(props, capsys):
+    assert rl.main(["verify", "--props", props]) == 2
+    assert capsys.readouterr() == ("", "error: no check ids given\n")
+
+
 def test_verify_custom_corpus_file(tmp_path, capsys):
     path = tmp_path / "rings.txt"
     path.write_text(

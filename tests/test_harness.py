@@ -73,6 +73,18 @@ def test_run_all_details_on_a_mixed_corpus():
     ]
 
 
+def test_empty_member_lists_and_large_non_unital_matrix_rings_are_named():
+    # Z6 carries no canonical nil ideal and Z8 is over P_KOTI's order bound;
+    # M2(T2(Ideal(Z4,2))), of order 4096, has no unity to decide it by
+    assert rl.run_check("P_NILIDEAL", [rl.Zn(6)]).detail == (
+        "0 cosets lifted on no rings; lift paths agree on all liftable elements")
+    assert rl.run_check("P_KOTI", [rl.Zn(8)]).detail == "0 elements on no rings"
+    chk = rl.run_check("C_PI", [rl.Zn(2), rl.parse_spec("T2(Ideal(Z4,2))")])
+    assert (chk.status, chk.detail) == (
+        "pass", "six verdicts agree on 1 rings; "
+        "large matrix ring without a unity for: T2(Ideal(Z4,2))")
+
+
 def test_run_all_is_deterministic():
     first = rl.run_all(ids=("P_ABEL", "P_RADIKAL", "Q_SYMMETRY"))
     second = rl.run_all(ids=("P_ABEL", "P_RADIKAL", "Q_SYMMETRY"))
@@ -217,8 +229,8 @@ def test_census_of_tabled_rings_makes_no_list_rows():
 
 @pytest.mark.parametrize("check_id", ["P_NILIDEAL", "P_RADIKAL"])
 def test_cold_checks_build_each_quotient_once(monkeypatch, check_id):
-    # the radical scan, the lift of quotient witnesses and the checks share
-    # one cached quotient per (ring, ideal)
+    # the lift of quotient witnesses and the checks share one cached
+    # quotient per (ring, ideal)
     specs = ["Z12", "T2(Z2)", "T2(Z4)", "Triv(Z2)", "Z2[x]/(x^2)", "M2(Z3)", "Ideal(Z4,2)"]
     # fresh rings, empty caches: new top rings, and bases (Z2, Z3, Z4) from
     # an empty build cache rather than the process's

@@ -9,9 +9,10 @@ from datetime import timedelta
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as hs
+from hypothesis import HealthCheck, example, given, settings, strategies as hs
 
 import ringlab as rl
+from ringlab import cli
 
 import oracles
 from conftest import (agrees_with_cubic, assert_passes_match_scalar,
@@ -103,15 +104,16 @@ def _main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 @settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=150)
 @given(text=hs.one_of(_mutated_spec_texts(), hs.text(_GRAMMAR_CHARS, max_size=12)))
 def test_spec_texts_end_in_a_result_or_one_error_line(text):
     code, _, err = _main("classify", text, "--max-order", "64")
     assert code in (0, 2, 3)
-    if code == 0:
-        assert err == ""
-    else:
-        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert err == "" if code == 0 else _one_error_line(err)
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.dict(os.environ, {"RINGLAB_MAX_ORDER": "64"}):
         path = os.path.join(tmp, "specs.txt")
@@ -122,6 +124,46 @@ def test_spec_texts_end_in_a_result_or_one_error_line(text):
     rows = list(csv.reader(io.StringIO(out)))
     assert (rows[1][0], rows[-1][0]) == ("Z2", "Z3")
     assert {len(row) for row in rows} == {17}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(text=_mutated_spec_texts(), data=hs.data())
+def test_witness_ends_in_a_result_or_one_error_line(text, data):
+    try:
+        order = rl.build_cached(rl.parse_spec(text), max_order=64).order
+    except rl.RingLabError:
+        order = 1
+    element = data.draw(hs.sampled_from((-1, order)) | hs.integers(0, order - 1))
+    for prop in cli._WITNESS_PROPS:
+        code, _, err = _main("witness", text, str(element), prop, "--max-order", "64")
+        assert code in (0, 1, 2, 3)
+        assert err == "" or _one_error_line(err)
+
+
+def _order_at_most_8(spec):
+    try:
+        rl.build_cached(spec, max_order=8)
+    except (rl.RingLabError, ValueError):
+        return False
+    return True
+
+
+# about one drawn spec in seven has order at most 8
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(specs=hs.lists(_specs.filter(_order_at_most_8), min_size=1, max_size=3))
+@example(specs=[rl.parse_spec("T2(Ideal(Z4,2))")])
+def test_verify_on_drawn_corpora_prints_every_result_line(specs):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"RINGLAB_MAX_ORDER": "4096"}):
+        path = os.path.join(tmp, "corpus.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{spec}\n" for spec in specs))
+        code, out, err = _main("verify", "--props", "all", "--corpus", path)
+    assert code in (0, 1) and err == "", err
+    lines = out.splitlines()
+    assert len([line for line in lines if not line.startswith("  ")]) == len(rl.CHECK_IDS)
+    assert not [line for line in lines if line != line.rstrip()]
 
 
 @SETTINGS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import core, structure as st
+from ringlab import construct as ct, core, harness as hn, structure as st
 
 import oracles
 from conftest import assert_scans_match_oracles, lazy_rings, with_cell
@@ -221,23 +221,43 @@ def test_make_ideal_and_center_match_the_scalar_scans(corpus):
                       "not closed under addition", "not absorbing"}
 
 
-def test_scans_match_the_oracles(corpus):
+def _scan_rings():
+    """Fresh builds of the valid rings the scan tests cover: the default
+    corpus, derived specs, lazy rings, and Z2^10."""
     specs = ["Corner(M2(Z2),8)", "Corner(T2(Z4),1)", "Quot(Z8,4)", "Quot(T2(Z4),2)",
              "Quot(M2(Z4),130)", "Ideal(Z8,2)", "Ideal(T2(Z2),1)", "Ideal(M2(Z2),1)",
              "Ideal(Z2[x]/(x^3),2)", "Op(T2(Z2))"]
-    rings = list(corpus.values()) + [rl.build(rl.parse_spec(s)) for s in specs]
+    rings = [rl.build(spec) for spec in rl.DEFAULT_CORPUS]
+    rings += [rl.build(rl.parse_spec(s)) for s in specs]
     with lazy_rings():
         rings += [rl.build(rl.parse_spec(s)) for s in
                   ("Z12", "Z2xZ4", "Triv(Z4)", "T2(Z2)", "T2(Z3)", "M2(Z2)", "M2(Z3)",
                    "Z2[x]/(x^3)", "Op(T2(Z2))")]
     # n^2 = 2^20 cells: the scans run in four blocks of core._PASS_CELLS
     rings.append(rl.build(rl.parse_spec("x".join(["Z2"] * 10))))
+    return rings
+
+
+def test_scans_match_the_oracles(corpus):
     # unvalidated corruptions: in Z4, 2*3 = 1 but 3*2 = 2, so 2 has a right
     # inverse only; in Ideal(T2(Z2),1), 1*0 = 1 puts 1 in the left ideal of 0
-    rings += [with_cell(corpus["Z4"], "mul", (2, 3), 1),
-              with_cell(rl.build(rl.parse_spec("Ideal(T2(Z2),1)")), "mul", (1, 0), 1)]
-    for ring in rings:
+    corrupted = [with_cell(corpus["Z4"], "mul", (2, 3), 1),
+                 with_cell(rl.build(rl.parse_spec("Ideal(T2(Z2),1)")), "mul", (1, 0), 1)]
+    for ring in _scan_rings() + corrupted:
         assert_scans_match_oracles(ring)
+
+
+def test_radical_of_the_quotient_by_the_radical_vanishes():
+    # J(R/J(R)) = 0 is stated here and in P_RADIKAL; the radical scan
+    # itself builds no quotient
+    for ring in _scan_rings():
+        jac = rl.jacobson_radical(ring)
+        assert not [key for key in ring.cache
+                    if isinstance(key, tuple) and key[0] == "quotient"], ring.label
+        q = ct.quotient(ring, jac)[0]
+        assert st._radical_members(q) == (q.zero,), ring.label
+    check = hn.run_check("P_RADIKAL", [rl.Zn(4), rl.Matrix(2, rl.Zn(6))])
+    assert (check.status, check.detail) == ("pass", "radical verified on 2 rings")
 
 
 @pytest.mark.parametrize("text", ["Ideal(Z8,2)", "Ideal(Z2[x]/(x^3),2)",
