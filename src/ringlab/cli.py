@@ -18,7 +18,7 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .core import FiniteRing, OrderCapError, RingLabError, nil_index_of, power
+from .core import FiniteRing, OrderCapError, RingLabError, SpecError, nil_index_of, power
 from . import construct as ct
 from . import structure as st
 from . import deciders as dc
@@ -97,6 +97,19 @@ class _Parser:
             self.fail(f"integer literal longer than {ct.MAX_INT_DIGITS} digits")
         return int(self.text[start:self.pos])
 
+    def size(self, kind: type) -> int:
+        """The integer parameter of the spec node kind; one outside its
+        domain (construct.check_size) fails at the integer's column."""
+        self.skip_ws()
+        start = self.pos
+        value = self.integer()
+        try:
+            ct.check_size(kind, value)
+        except SpecError as exc:
+            self.pos = start
+            self.fail(str(exc))
+        return value
+
     def intlist(self) -> Tuple[int, ...]:
         out = [self.integer()]
         while self.try_literal(","):
@@ -114,7 +127,7 @@ class _Parser:
         spec = self.primary()
         while self.peek() == "[":
             self.literal("[x]/(x^")
-            n = self.integer()
+            n = self.size(ct.PolyMod)
             self.literal(")")
             spec = ct.PolyMod(spec, n)
         return spec
@@ -128,14 +141,14 @@ class _Parser:
         ch = self.peek()
         if ch == "Z":
             self.pos += 1
-            return ct.Zn(self.integer())
+            return ct.Zn(self.size(ct.Zn))
         if ch in ("M", "T", "O", "C", "I", "Q"):
             self.depth += 1  # counted inline: a helper frame per level would cost depth
             if self.depth > MAX_SPEC_DEPTH:
                 self.fail(f"constructors nested more than {MAX_SPEC_DEPTH} deep")
         if ch == "M":
             self.pos += 1
-            k = self.integer()
+            k = self.size(ct.Matrix)
             self.literal("(")
             base = self.expr()
             self.close()
@@ -146,7 +159,7 @@ class _Parser:
                 self.close()
                 return ct.TrivialExt(base)
             self.pos += 1
-            k = self.integer()
+            k = self.size(ct.Triangular)
             self.literal("(")
             base = self.expr()
             self.close()

@@ -141,6 +141,20 @@ class IdealRing(RingSpec):
         return f"Ideal({self.base},{gens})"
 
 
+# The name and the least value of the integer parameter of each constructor
+# that has one; cli's parser checks them too, at the integer's column.
+_SIZES = {Zn: ("modulus", 1), Matrix: ("matrix size", 1),
+          Triangular: ("triangular size", 2), PolyMod: ("truncation degree", 1)}
+
+
+def check_size(kind: type, value: int) -> None:
+    """Raise SpecError when value is below the domain of the integer
+    parameter of the spec node kind (Zn, Matrix, Triangular or PolyMod)."""
+    what, least = _SIZES[kind]
+    if value < least:
+        raise SpecError(f"{what} must be at least {least}")
+
+
 def product(parts: Iterable[RingSpec]) -> RingSpec:
     """Product spec with nested products flattened; a singleton is unwrapped."""
     flat: list[RingSpec] = []
@@ -452,8 +466,7 @@ def ring_unpack(ring: FiniteRing, i: int) -> list[int]:
 def zn_ring(n: int, spec: Optional[RingSpec] = None,
             max_order: Optional[int] = None) -> FiniteRing:
     """Residue ring of integers modulo n."""
-    if n < 1:
-        raise SpecError("modulus must be at least 1")
+    check_size(Zn, n)
     _check_cap(n, resolve_max_order(max_order), f"Z{n}")
 
     def i64(a):
@@ -492,8 +505,7 @@ def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
 def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
                 max_order: Optional[int] = None) -> FiniteRing:
     """Full k x k matrix ring over the base, entries stored row-major."""
-    if k < 1:
-        raise SpecError("matrix size must be at least 1")
+    check_size(Matrix, k)
 
     def elabel(d):
         rows = ("[" + ",".join(base.element_label(d[(r, c)]) for c in range(k)) + "]"
@@ -511,8 +523,7 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
 def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
                     max_order: Optional[int] = None) -> FiniteRing:
     """Upper triangular k x k matrix ring; stored entries are (i, j) with i <= j."""
-    if k < 2:
-        raise SpecError("triangular size must be at least 2")
+    check_size(Triangular, k)
 
     def elabel(d):  # no digit below the diagonal: the base's zero
         rows = ("[" + ",".join(base.element_label(d.get((r, c), base.zero)) for c in range(k))
@@ -534,8 +545,7 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
     Elements are coefficient tuples with the constant term first; products are
     convolutions with terms of degree n or higher dropped.
     """
-    if n < 1:
-        raise SpecError("truncation degree must be at least 1")
+    check_size(PolyMod, n)
     is_zn = base.meta.get("kind") == "zn"
 
     def elabel(d):

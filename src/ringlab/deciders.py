@@ -188,8 +188,13 @@ def wncl_witness_alt(ring: FiniteRing, a: int) -> Optional[WnclWitness]:
     """Alternate-form witness: e = x*a idempotent, (1-e) = (1-e)(1+q)(1-a).
 
     Scans x ascending, then q over nilpotents ascending; first hit wins.
+    Above BRUTE_ORDER_LIMIT the same search runs on arrays
+    (kernel.wncl_alt_first).
     """
     ring.require_unital("alternate witness search")
+    if ring.order > BRUTE_ORDER_LIMIT:
+        found = kernel.wncl_alt_first(ring, a)
+        return WnclWitness(*found, "alternate") if found else None
     mul, sub, add = ring.mul, ring.sub, ring.add
     one = ring.one
     one_minus_a = sub(one, a)
@@ -292,6 +297,39 @@ def strongly_regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
     mul = ring.mul
     aa = mul(a, a)
     return next((r for r in range(ring.order) if mul(aa, r) == a), None)
+
+
+# ---------------------------------------------------------------------------
+# witness tables: the search of every element, in element order, for the
+# harness checks that walk all of them
+
+
+def _witness_table(ring: FiniteRing, search, batched, fields: str, make) -> list:
+    """search(ring, a) for every element a. From PASS_MIN_ORDER to
+    BRUTE_ORDER_LIMIT it is read off the array pass batched(ring), which
+    finds the same first witness, its fields in make's order, and kept in the
+    ring's cache; elsewhere search runs on each element, memoized per element
+    itself."""
+    if not PASS_MIN_ORDER <= ring.order <= BRUTE_ORDER_LIMIT:
+        return [search(ring, a) for a in range(ring.order)]
+
+    def read():
+        found = batched(ring)
+        rows = zip(*(found[name].tolist() for name in fields))
+        return [make(*row) if row[0] >= 0 else None for row in rows]
+    return ring.memo(("witness_table", fields), read)
+
+
+def wncl_table(ring: FiniteRing) -> List[Optional[WnclWitness]]:
+    """wncl_witness(ring, a) for every element a, in element order."""
+    return _witness_table(ring, wncl_witness, kernel.wncl_pass, "eqx", WnclWitness)
+
+
+def exchange_table(ring: FiniteRing) -> List[Optional[ExchangeWitness]]:
+    """exchange_witness(ring, a) for every element a, in element order."""
+    ring.require_unital("exchange search")
+    return _witness_table(ring, exchange_witness, kernel.exchange_pass, "ers",
+                          ExchangeWitness)
 
 
 # ---------------------------------------------------------------------------

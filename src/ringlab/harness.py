@@ -109,10 +109,11 @@ def _check_osnove(built):
     members = _unital(built)
     elements = 0
     for spec, ring in members:
-        for a in range(ring.order):
-            if dc.wncl_witness(ring, a) is None:
+        exchange = dc.exchange_table(ring)
+        for a, primal in enumerate(dc.wncl_table(ring)):
+            if primal is None:
                 continue
-            w = dc.exchange_witness(ring, a)
+            w = exchange[a]
             if w is None or not dc.check_exchange(ring, a, w):
                 raise _Fail(f"no exchange witness for element {a} of {spec}", spec, a)
             elements += 1
@@ -123,8 +124,7 @@ def _check_prva(built):
     """Primal and alternate witnesses exist for the same elements."""
     members = _unital(built)
     for spec, ring in members:
-        for a in range(ring.order):
-            w = dc.wncl_witness(ring, a)
+        for a, w in enumerate(dc.wncl_table(ring)):
             alt = dc.wncl_witness_alt(ring, a)
             if (w is None) != (alt is None):
                 raise _Fail(f"form mismatch at element {a} of {spec}: "
@@ -154,14 +154,13 @@ def _check_nilideal(built):
         proj = qring.projection
         if dc.ring_weakly_nil_clean(ring) != dc.ring_weakly_nil_clean(qring):
             raise _Fail(f"verdict differs between {spec} and its quotient", spec)
-        for a in range(ring.order):
+        for a, w in enumerate(dc.wncl_table(ring)):
             qw = dc.wncl_witness(qring, proj[a])
             if qw is None:
                 raise _Fail(f"coset of {a} has no witness in {spec}/I", spec, a)
             lw = dc.lift_wncl_witness(ring, ideal, a, qw)
             if not dc.check_wncl(ring, a, lw):
                 raise _Fail(f"lifted witness invalid at {a} of {spec}", spec, a)
-            w = dc.wncl_witness(ring, a)
             pw = dc.WnclWitness(proj[w.e], proj[w.q], proj[w.x], "primal")
             if not dc.check_wncl(qring, proj[a], pw):
                 raise _Fail(f"projected witness invalid at {a} of {spec}", spec, a)
@@ -200,6 +199,7 @@ def _check_mocna(built):
                if ring.order <= PAIR_SCAN_LIMIT]
     triples = 0
     for spec, ring in members:
+        primal = dc.wncl_table(ring)
         for a in range(ring.order):
             for e in st.idempotents(ring):
                 c = next((c for c in range(ring.order)
@@ -210,7 +210,7 @@ def _check_mocna(built):
                 corner = ring.memo(("corner", f), lambda: ct.corner_ring(ring, f))
                 faf = ring.mul(ring.mul(f, a), f)
                 if corner is ring:
-                    cw = dc.wncl_witness(corner, faf)
+                    cw = primal[faf]
                 else:
                     local = dc.wncl_witness(corner, corner.index[faf])
                     cw = dc.corner_to_parent(corner, local) if local else None
@@ -336,8 +336,9 @@ def _check_center(built):
     members = _unital(built)
     for spec, ring in members:
         cring = dc.center_ring(ring)
+        primal = dc.wncl_table(ring)
         for a in st.center(ring):
-            w = dc.wncl_witness(ring, a)
+            w = primal[a]
             if w is None:
                 raise _Fail(f"no witness for central element {a} of {spec}", spec, a)
             try:
@@ -378,12 +379,9 @@ def opposite_agreement(ring: FiniteRing) -> Tuple[int, int]:
     witness in the ring exactly when they have one in its opposite, and how
     many have one in the ring. The opposite is kept in the ring's cache."""
     opp = ring.memo("opposite", lambda: ct.opposite(ring))
-    agree = certified = 0
-    for a in range(ring.order):
-        here = dc.wncl_witness(ring, a) is not None
-        agree += here == (dc.wncl_witness(opp, a) is not None)
-        certified += here
-    return agree, certified
+    here = [w is not None for w in dc.wncl_table(ring)]
+    there = [w is not None for w in dc.wncl_table(opp)]
+    return sum(h == t for h, t in zip(here, there)), sum(here)
 
 
 def corner_verdicts(ring: FiniteRing) -> List[Tuple[int, int, bool]]:

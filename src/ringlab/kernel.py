@@ -30,16 +30,20 @@ From the same order up to the limit, ``wncl_pass`` and
 ``exchange_pass`` do the exhaustive witness searches of ``deciders`` for
 every element at once, over blocks of idempotents and elements
 (``core.row_blocks``), and check each witness they find again; ``deciders``
-replays the scalar search on the smallest element they flag.
+replays the scalar search on the smallest element they flag, and reads the
+first witness of every element off them for the harness walks. Above the
+limit, ``wncl_alt_first`` is the alternate-form search of one element on
+arrays, and ``nil_index`` serves ``structure.nil_index_map``.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .core import FiniteRing, index_dtype, row_blocks
+from . import core
 from . import structure as st
 
 # Up to this order classify reports every property and the structure counts,
@@ -141,6 +145,38 @@ def nil_index(ring: FiniteRing, x: np.ndarray) -> np.ndarray:
         zero = (P[np.arange(len(base)), col] == ring.zero) & (col < pre + per - 1)
         index[live] = np.where(zero, col + 1, 0)
     return index
+
+
+def wncl_alt_first(ring: FiniteRing, a: int) -> Optional[Tuple[int, int, int]]:
+    """The alternate weakly nil clean triple (e, q, x) of the element a that
+    deciders.wncl_witness_alt finds first, x ascending and then q over the
+    nilpotents ascending, or None: e = x*a is idempotent and
+    1 - e = ((1 - e)*(1 + q))*(1 - a), the same products in the same order.
+
+    e = x*a for every x at once, then the (x, q) table over the x with e
+    idempotent, in blocks of candidates that double in size from one, each
+    within core._PASS_CELLS // 32 cells, so an early hit stops the search."""
+    mul, add, sub = ring.mul_vec, ring.add_vec, ring.sub_vec
+    one = np.array([ring.one], dtype=np.int64)
+    X = np.arange(ring.order, dtype=np.int64)
+    E = mul(X, np.array([a], dtype=np.int64))
+    xs = np.flatnonzero(mul(E, E) == E)
+    E = E.take(xs)
+    F = sub(one, E)
+    Q = np.asarray(st.nilpotents(ring), dtype=np.int64)
+    one_q = add(one, Q)
+    one_a = sub(one, np.array([a], dtype=np.int64))
+    budget = max(1, core._PASS_CELLS // 32 // len(Q))
+    start, width = 0, 1
+    while start < len(xs):
+        stop = start + min(width, budget)
+        f = F[start:stop, None]
+        hit = mul(mul(f, one_q), one_a) == f
+        if hit.any():
+            i, k = divmod(int(hit.argmax()), len(Q))
+            return int(E[start + i]), int(Q[k]), int(xs[start + i])
+        start, width = stop, 2 * width
+    return None
 
 
 def power(ring: FiniteRing, x: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, Sequence
 import numpy as np
 
 from .core import FiniteRing, _axioms_hold, memoized, nil_index_of, row_blocks
+from . import kernel
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,16 @@ def nilpotents(ring: FiniteRing) -> tuple:
 
 @memoized("nil_index")
 def nil_index_map(ring: FiniteRing) -> Dict[int, int]:
-    """Map from each nilpotent, ascending, to its least vanishing exponent."""
+    """Map from each nilpotent, ascending, to its least vanishing exponent.
+    Above kernel.BRUTE_ORDER_LIMIT it is read off kernel.nil_index, in
+    batches of core.row_blocks(order, 32); up to there the scalar loop costs
+    less than the numpy calls."""
+    if ring.order > kernel.BRUTE_ORDER_LIMIT:
+        X = np.arange(ring.order, dtype=np.int64)
+        k = np.concatenate([kernel.nil_index(ring, X[s])
+                            for s in row_blocks(ring.order, 32)])
+        nil = np.flatnonzero(k)
+        return dict(zip(nil.tolist(), k.take(nil).tolist()))
     index: Dict[int, int] = {}
     for a in range(ring.order):
         k = nil_index_of(ring, a)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import construct as ct, kernel, structure as st
+from ringlab import construct as ct, deciders as dc, kernel, structure as st
 from ringlab.core import _axioms_hold, _validate_cubic
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -192,6 +192,28 @@ def assert_passes_match_scalar(ring):
             got = tuple(int(found[k][a]) for k in "ers")
             assert got == ((w.e, w.r, w.s) if w else (-1, -1, -1)), (ring.label, a)
             assert found["checked"][a] == (w is not None), (ring.label, a)
+    assert_tables_match_searches(ring)
+
+
+def assert_tables_match_searches(ring):
+    """deciders.wncl_table and exchange_table equal the per-element searches
+    they stand for."""
+    n = ring.order
+    assert dc.wncl_table(ring) == [rl.wncl_witness(ring, a) for a in range(n)], ring.label
+    if ring.unital:
+        assert (dc.exchange_table(ring)
+                == [rl.exchange_witness(ring, a) for a in range(n)]), ring.label
+
+
+def assert_alt_search_matches_scalar(ring, elements=None):
+    """kernel.wncl_alt_first finds the witness of the scalar loop of
+    wncl_witness_alt, which serves every order here, on each of the elements
+    (all by default)."""
+    with mock.patch.object(dc, "BRUTE_ORDER_LIMIT", ring.order):
+        for a in range(ring.order) if elements is None else elements:
+            w = rl.wncl_witness_alt(ring, a)
+            found = kernel.wncl_alt_first(ring, a)
+            assert found == ((w.e, w.q, w.x) if w else None), (ring.label, a)
 
 
 def assert_small_verdicts_match_scalar(make):

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 
 import ringlab as rl
-from ringlab import cli, deciders as dc
+from ringlab import cli, deciders as dc, kernel
 from ringlab.cli import CSV_HEADER, parse_spec, SpecParseError
 
 from conftest import fresh_build_cache
@@ -68,6 +68,12 @@ def test_parse_round_trip_is_stable():
     ("M2(Z4,3)", 6),
     ("Z\u00b2", 2),  # a digit (superscript two) that is not a decimal
     pytest.param("M2(Z" + "1" * 4301 + ")", 5, id="M2(Z1...1)-5"),
+    # an integer outside its constructor's domain, at the integer
+    ("Z0", 2),
+    ("M0(Z2)", 2),
+    ("T1(Z2)", 2),
+    ("Z2[x]/(x^0)", 10),
+    ("M2( T 1(Z2))", 7),
 ])
 def test_parse_errors_carry_columns(text, column):
     with pytest.raises(SpecParseError) as err:
@@ -394,6 +400,34 @@ def test_verify_prints_each_failure_with_its_counterexample(tmp_path, capsys):
     ]
 
 
+def _counting(module, name):
+    return mock.patch.object(module, name, wraps=getattr(module, name))
+
+
+def test_verify_reads_element_witnesses_off_the_passes(tmp_path, capsys):
+    path = tmp_path / "rings.txt"
+    path.write_text("T2(Z4)\n")
+    with fresh_build_cache(), _counting(kernel, "wncl_pass") as wncl_pass, \
+            _counting(kernel, "exchange_pass") as exchange_pass, \
+            _counting(dc, "unique_idempotent_wncl") as primal, \
+            _counting(dc, "exchange_witness") as exchange:
+        assert rl.main(["verify", "--props", "P_OSNOVE", "--corpus", str(path)]) == 0
+    assert capsys.readouterr().out == "P_OSNOVE    pass        64 elements across 1 unital rings\n"
+    assert (wncl_pass.call_count, exchange_pass.call_count) == (1, 1)
+    primal.assert_not_called()
+    exchange.assert_not_called()
+
+
+@pytest.mark.parametrize("argv", [["T2(Z4)", "5", "wnc"], ["M2(Z3)", "5", "exchange"]])
+def test_witness_of_one_element_runs_no_pass(argv, capsys):
+    with _counting(kernel, "wncl_pass") as wncl_pass, \
+            _counting(kernel, "exchange_pass") as exchange_pass:
+        assert rl.main(["witness", *argv]) == 0
+    assert "witness: " in capsys.readouterr().out
+    wncl_pass.assert_not_called()
+    exchange_pass.assert_not_called()
+
+
 # --- census -------------------------------------------------------------------------
 
 
@@ -427,6 +461,20 @@ def test_census_human_table(capsys):
     assert " - " in ideal_row  # empty cells render as dashes
 
 
+# the specs of test_bad_spec_is_a_usage_error that the parser refuses, with
+# the column of their integer
+DOMAIN_COLUMNS = {"Z0": 2, "M0(Z2)": 2, "T1(Z2)": 2, "Z2[x]/(x^0)": 10}
+
+
+def test_spec_nodes_built_directly_keep_their_domain_checks():
+    for spec, message in [(rl.Zn(0), "modulus must be at least 1"),
+                          (rl.Matrix(0, rl.Zn(2)), "matrix size must be at least 1"),
+                          (rl.Triangular(1, rl.Zn(2)), "triangular size must be at least 2"),
+                          (rl.PolyMod(rl.Zn(2), 0), "truncation degree must be at least 1")]:
+        with pytest.raises(rl.SpecError, match=message):
+            rl.build(spec)
+
+
 @pytest.mark.parametrize("text,message", [
     ("Z0", "modulus must be at least 1"),
     ("M0(Z2)", "matrix size must be at least 1"),
@@ -436,8 +484,14 @@ def test_census_human_table(capsys):
     ("Quot(Z4,9)", "generator 9 out of range for Z4"),
 ])
 def test_bad_spec_is_a_usage_error(text, message, tmp_path, capsys):
-    with pytest.raises(rl.SpecError, match=message):
-        rl.build(parse_spec(text))
+    column = DOMAIN_COLUMNS.get(text)
+    if column is None:  # the check needs the built ring
+        with pytest.raises(rl.SpecError, match=message):
+            rl.build(parse_spec(text))
+    else:
+        message = f"parse error at column {column}: {message}"
+        with pytest.raises(SpecParseError, match=message):
+            parse_spec(text)
     assert rl.main(["classify", text]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     path = tmp_path / "specs.txt"

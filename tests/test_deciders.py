@@ -13,8 +13,9 @@ from ringlab.core import power_from_seq
 from ringlab.deciders import strong_pi_core_fast
 
 import oracles
-from conftest import (SMALL_BATCHED, assert_index_inverts_members,
-                      assert_passes_match_scalar, assert_small_verdicts_match_scalar,
+from conftest import (SMALL_BATCHED, assert_alt_search_matches_scalar,
+                      assert_index_inverts_members, assert_passes_match_scalar,
+                      assert_small_verdicts_match_scalar, assert_tables_match_searches,
                       with_cell)
 from conftest import outcome as _outcome
 
@@ -611,8 +612,11 @@ def test_batched_pass_runs_the_wncl_chain_only_above_the_brute_limit(name, chain
 # (ring, product pair, value): unvalidated corruptions on both sides of
 # PASS_MIN_ORDER that make a trajectory chain raise, some first at an
 # element other than the pair's
-@pytest.mark.parametrize("name,pair,value", [
-    ("Z12", (1, 1), 0), ("Z12", (2, 2), 2), ("T2(Z4)", (1, 1), 0), ("T2(Z4)", (3, 3), 0)])
+_PI_CORRUPTIONS = [
+    ("Z12", (1, 1), 0), ("Z12", (2, 2), 2), ("T2(Z4)", (1, 1), 0), ("T2(Z4)", (3, 3), 0)]
+
+
+@pytest.mark.parametrize("name,pair,value", _PI_CORRUPTIONS)
 def test_corrupted_ring_pi_regularity_verdicts_raise_the_scalar_error(name, pair, value):
     ring = _corrupted(rl.build_cached(rl.parse_spec(name)), {pair: value})
     scalar = _scalar_verdicts(ring)
@@ -861,6 +865,7 @@ def test_corrupted_small_ring_gets_the_scalar_verdicts(name, cell, value):
     scalar = assert_small_verdicts_match_scalar(
         lambda: with_cell(base, "mul", cell, value))
     assert False in scalar.values()
+    assert_tables_match_searches(with_cell(base, "mul", cell, value))
 
 
 def test_pass_disagreeing_with_the_scalar_search_raises():
@@ -938,6 +943,74 @@ def test_classify_z2_to_the_8_stays_fast():
     elapsed = time.perf_counter() - t0
     assert all(report.properties.values())
     assert elapsed < 3.0, f"took {elapsed:.2f}s"
+
+
+# --- array searches above the limit -----------------------------------------------
+
+
+@pytest.mark.parametrize("name", _PASS_RINGS)
+def test_alternate_array_search_equals_the_scalar_loop(name):
+    # called directly: up to BRUTE_ORDER_LIMIT wncl_witness_alt keeps the loop
+    ring = rl.build(rl.parse_spec(name))
+    assert ring.order <= dc.BRUTE_ORDER_LIMIT
+    if not ring.unital:
+        with pytest.raises(rl.NonUnitalRingError):
+            rl.wncl_witness_alt(ring, 0)
+        return
+    assert_alt_search_matches_scalar(ring)
+
+
+def test_alternate_array_search_equals_the_scalar_loop_on_corrupted_rings():
+    rings = [with_cell(rl.build_cached(rl.parse_spec(name)), "mul", cell, value)
+             for name, cell, value in _SMALL_CORRUPTIONS]
+    rings += [_corrupted(rl.build_cached(rl.parse_spec(name)), {pair: value})
+              for name, pair, value in _PI_CORRUPTIONS]
+    for ring in rings:
+        assert_alt_search_matches_scalar(ring)
+    # M2(Z6): the elements diag(a, 0) of P_KOTI, the corrupted pair and a sample
+    m2z6 = rl.build_cached(rl.parse_spec("M2(Z6)"))
+    for pair, value in _CORRUPTIONS + _LATE_CORRUPTIONS:
+        elements = [rl.ring_pack(m2z6, digits) for digits in ([a, 0, 0, 0] for a in range(6))]
+        elements += [rl.ring_pack(m2z6, d) for d in pair] + list(range(0, 1296, 97))
+        assert_alt_search_matches_scalar(_corrupted_m2z6((pair, value)), elements)
+
+
+def test_alternate_search_above_the_limit_reads_arrays(monkeypatch):
+    ring = rl.build(rl.parse_spec("M2(Z6)"))
+    elements = [rl.ring_pack(ring, [a, 0, 0, 0]) for a in range(6)] + list(range(0, 1296, 61))
+    assert_alt_search_matches_scalar(rl.build(rl.parse_spec("M2(Z6)")), elements)
+    found = [kernel.wncl_alt_first(ring, a) for a in elements]
+    with mock.patch.object(ring, "mul", side_effect=AssertionError("scalar product")):
+        got = [rl.wncl_witness_alt(ring, a) for a in elements]
+    assert [(w.e, w.q, w.x, w.form) if w else None for w in got] == [
+        (*t, "alternate") if t else None for t in found]
+    # blocks of one candidate x each give the same first hits, and no
+    # block's (x, q) table is larger than its budget
+    nils = len(rl.nilpotents(ring))
+    monkeypatch.setattr(core, "_PASS_CELLS", 32 * nils)
+    sizes = []
+
+    def sized(x, y, _mul=ring.mul_vec):
+        out = _mul(x, y)
+        if out.ndim == 2:
+            sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(ring, "mul_vec", sized)
+    assert [kernel.wncl_alt_first(ring, a) for a in elements] == found
+    assert sizes and max(sizes) == nils
+
+
+@pytest.mark.parametrize("name,array", [
+    ("M2(Z6)", True), ("Triv(Z17)", True), ("T2(Z4)", False), ("M2(Z3)", False)])
+def test_nil_index_map_reads_the_array_pass_above_the_limit(name, array):
+    ring = rl.build(rl.parse_spec(name))
+    with mock.patch.object(kernel, "nil_index", wraps=kernel.nil_index) as batched:
+        got = st.nil_index_map(ring)
+    assert batched.called == array
+    scalar = {a: rl.nil_index_of(ring, a) for a in range(ring.order)}
+    assert got == {a: k for a, k in scalar.items() if k is not None}
+    assert list(got) == sorted(got)
 
 
 # --- memo keys -------------------------------------------------------------------------
