@@ -9,7 +9,7 @@ ascending order, so results are deterministic for a given ring.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -160,8 +160,8 @@ def check_strongly_regular(ring: FiniteRing, a: int, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# brute-force searches (ascending index order throughout), each memoized per
-# element under (name, a)
+# brute-force searches (ascending index order throughout); those the harness
+# walks read back are memoized per element under (name, a)
 
 
 def _exa_value_map(ring: FiniteRing, e: int, a: int) -> Dict[int, int]:
@@ -223,7 +223,6 @@ def pi_regular_witness(ring: FiniteRing, a: int) -> Optional[PiRegularWitness]:
     return None
 
 
-@memoized_per_element
 def strong_pi_witness(ring: FiniteRing, a: int) -> Optional[StrongPiWitness]:
     """First (n, r) with a^n = a^(n+1) * r plus the cycle idempotent
     e = a^m, m = _cycle_exponent(i, p): the power cycle holds exactly one
@@ -266,7 +265,6 @@ def exchange_witness(ring: FiniteRing, a: int) -> Optional[ExchangeWitness]:
     return None
 
 
-@memoized_per_element
 def clean_witness(ring: FiniteRing, a: int) -> Optional[SumWitness]:
     """First idempotent e (ascending) with a - e invertible."""
     ring.require_unital("clean search")
@@ -279,7 +277,6 @@ def clean_witness(ring: FiniteRing, a: int) -> Optional[SumWitness]:
     return None
 
 
-@memoized_per_element
 def nil_clean_witness(ring: FiniteRing, a: int) -> Optional[SumWitness]:
     """First idempotent e (ascending) with a - e nilpotent; no unity needed."""
     sub = ring.sub
@@ -291,7 +288,6 @@ def nil_clean_witness(ring: FiniteRing, a: int) -> Optional[SumWitness]:
     return None
 
 
-@memoized_per_element
 def strongly_regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
     """Smallest r with a = a*a*r, or None."""
     mul = ring.mul
@@ -305,15 +301,13 @@ def strongly_regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
 
 
 def _witness_table(ring: FiniteRing, search, batched, fields: str, make) -> list:
-    """search(ring, a) for every element a. From PASS_MIN_ORDER to
-    BRUTE_ORDER_LIMIT it is read off the array pass batched(ring), which
-    finds the same first witness, its fields in make's order, and kept in the
-    ring's cache; elsewhere search runs on each element, memoized per element
-    itself."""
-    if not PASS_MIN_ORDER <= ring.order <= BRUTE_ORDER_LIMIT:
-        return [search(ring, a) for a in range(ring.order)]
-
+    """search(ring, a) for every element a, kept in the ring's cache. From
+    PASS_MIN_ORDER to BRUTE_ORDER_LIMIT it is read off the array pass
+    batched(ring), which finds the same first witness, its fields in make's
+    order; elsewhere search runs on each element."""
     def read():
+        if not PASS_MIN_ORDER <= ring.order <= BRUTE_ORDER_LIMIT:
+            return [search(ring, a) for a in range(ring.order)]
         found = batched(ring)
         rows = zip(*(found[name].tolist() for name in fields))
         return [make(*row) if row[0] >= 0 else None for row in rows]
@@ -342,11 +336,10 @@ def _cycle_exponent(i: int, p: int) -> int:
     return p * ((i + p - 1) // p)
 
 
-def pi_regular_witness_fast(ring: FiniteRing, a: int,
-                            seq=None) -> PiRegularWitness:
+def pi_regular_witness_fast(ring: FiniteRing, a: int) -> PiRegularWitness:
     """Witness (m, a^m) where m is the smallest multiple of the period at or
     past the preperiod; verified before returning."""
-    powers, i, p = power_seq(ring, a) if seq is None else seq
+    powers, i, p = power_seq(ring, a)
     m = _cycle_exponent(i, p)
     am = power_from_seq(powers, i, p, m)
     w = PiRegularWitness(m, am)
@@ -355,14 +348,13 @@ def pi_regular_witness_fast(ring: FiniteRing, a: int,
     return w
 
 
-def strong_pi_witness_fast(ring: FiniteRing, a: int,
-                           seq=None) -> StrongPiWitness:
+def strong_pi_witness_fast(ring: FiniteRing, a: int) -> StrongPiWitness:
     """Witness built from the power trajectory: n is the preperiod, r a power
     of a, e the cycle idempotent a^m; every clause is verified numerically
     with a corner inverse that is itself a power of a."""
     ring.require_unital("strong pi-regularity search")
     mul, sub = ring.mul, ring.sub
-    seq = power_seq(ring, a) if seq is None else seq
+    seq = power_seq(ring, a)
     n, r = strong_pi_core_fast(ring, a, seq)
     powers, i, p = seq
     m = _cycle_exponent(i, p)
@@ -646,22 +638,26 @@ def center_witness(ring: FiniteRing, a: int, w: WnclWitness) -> WnclWitness:
     z = one if m == 1 else power_from_seq(powers, i, p, m - 1)
     x_c = sub(one, z)
     cring = center_ring(ring)
+    index = range(ring.order) if cring is ring else cring.index
     try:
-        wc = WnclWitness(cring.index[e], cring.index[b], cring.index[x_c], "primal")
+        wc = WnclWitness(index[e], index[b], index[x_c], "primal")
     except KeyError:
         raise WitnessError("decomposition left the center") from None
-    if not check_wncl(cring, cring.index[a], wc):
+    if not check_wncl(cring, index[a], wc):
         raise WitnessError("center witness fails the primal identity")
     return wc
 
 
 def center_ring(ring: FiniteRing) -> FiniteRing:
     """The center as a unital subring, cached per ring; element indices map
-    through its ``members`` tuple and back through its ``index`` dict."""
+    through its ``members`` tuple and back through its ``index`` dict. A
+    commutative ring is its own center and is returned itself."""
     def make():
         ring.require_unital("center ring")
-        return ct.subring(ring, st.center(ring), one=ring.one,
-                          label=f"Center({ring.label})")
+        members = st.center(ring)
+        if len(members) == ring.order:
+            return ring
+        return ct.subring(ring, members, one=ring.one, label=f"Center({ring.label})")
     return ring.memo("center_ring", make)
 
 
@@ -853,14 +849,7 @@ class ClassificationReport:
     timings: Optional[Dict[str, float]] = None
 
     def as_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "order": self.order,
-            "properties": dict(self.properties),
-            "counts": dict(self.counts) if self.counts is not None else None,
-            "bounded_index": self.bounded_index,
-            "timings": dict(self.timings) if self.timings is not None else None,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "unital"}
 
 
 def classify(ring: FiniteRing, with_timings: bool = False) -> ClassificationReport:

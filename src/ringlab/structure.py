@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class Ideal:
 
     ring: FiniteRing
     members: tuple
-    generators: tuple = ()
 
     def __len__(self) -> int:
         return len(self.members)
@@ -38,8 +37,7 @@ class Ideal:
         return x in self.member_set
 
 
-def make_ideal(ring: FiniteRing, members: Iterable[int],
-               generators: Sequence[int] = ()) -> Ideal:
+def make_ideal(ring: FiniteRing, members: Iterable[int]) -> Ideal:
     """Validate that a subset is a two-sided ideal and wrap it."""
     mem = sorted(set(members))
     idx = np.array(mem, dtype=np.int64)
@@ -61,7 +59,7 @@ def make_ideal(ring: FiniteRing, members: Iterable[int],
     if bad.any():
         i, r = divmod(int(bad.argmax()), ring.order)
         raise ValueError(f"not absorbing at ({r}, {mem[i]})")
-    return Ideal(ring, tuple(mem), tuple(generators))
+    return Ideal(ring, tuple(mem))
 
 
 def _closure(ring: FiniteRing, gens: Iterable[int], two_sided: bool) -> tuple:
@@ -96,8 +94,8 @@ def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
     for g in gens:
         if not 0 <= g < ring.order:
             raise ValueError(f"generator {g} out of range")
-    return ring.memo(("ideal_generated", gens), lambda: Ideal(
-        ring, _closure(ring, gens, two_sided=True), gens))
+    return ring.memo(("ideal_generated", gens),
+                     lambda: Ideal(ring, _closure(ring, gens, two_sided=True)))
 
 
 def left_ideal_generated(ring: FiniteRing, a: int) -> tuple:

@@ -384,7 +384,9 @@ def test_verify_prints_each_failure_with_its_counterexample(tmp_path, capsys):
     # one failure with one element, one with two, and one of the whole ring
     path = tmp_path / "rings.txt"
     path.write_text("Z2\n")
-    with mock.patch.object(dc, "exchange_witness", return_value=None), \
+    # a fresh build cache: a witness table kept on the shared Z2 would not
+    # call the patched search
+    with fresh_build_cache(), mock.patch.object(dc, "exchange_witness", return_value=None), \
             mock.patch.object(dc, "wncl_from_corner", side_effect=rl.WitnessError("boom")), \
             mock.patch.object(dc, "ring_unique_idempotent", return_value=False):
         assert rl.main(["verify", "--props", "P_OSNOVE,L_MOCNA,P_UNQ1,P_ABEL",
@@ -397,6 +399,35 @@ def test_verify_prints_each_failure_with_its_counterexample(tmp_path, capsys):
         "P_UNQ1      fail        uniqueness/abelian mismatch on Z2",
         "  counterexample: spec=Z2 elements=()",
         "P_ABEL      pass        1 abelian rings agree",
+    ]
+
+
+def test_verify_reports_every_failing_certificate_of_a_constructive_step(tmp_path, capsys):
+    # each of these checks builds a witness by a step that re-validates it,
+    # so a checker that rejects every witness fails every check, with its
+    # counterexample, and never ends the run
+    path = tmp_path / "rings.txt"
+    path.write_text("Z2\nT2(Z2)\n")
+    with mock.patch.object(dc, "check_wncl", return_value=False):
+        assert rl.main(["verify", "--props", "L_MOCNA,P_PIREG,P_KOTI,P_CENTER,P_NILIDEAL",
+                        "--corpus", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "L_MOCNA     fail        composition failed at a=0, e=0 of Z2: "
+        "composed witness fails the primal identity",
+        "  counterexample: spec=Z2 elements=(0, 0)",
+        "P_PIREG     fail        construction failed at 0 of Z2: "
+        "composed witness fails the primal identity",
+        "  counterexample: spec=Z2 elements=(0,)",
+        "P_KOTI      fail        extraction failed at 0 of Z2: "
+        "matrix witness is invalid for diag(a, 0, ..., 0)",
+        "  counterexample: spec=Z2 elements=(0,)",
+        "P_CENTER    fail        center extraction failed at 0 of Z2: witness is invalid for a",
+        "  counterexample: spec=Z2 elements=(0,)",
+        "P_NILIDEAL  fail        lift failed at 0 of T2(Z2): "
+        "quotient witness is invalid for the coset of a",
+        "  counterexample: spec=T2(Z2) elements=(0,)",
     ]
 
 

@@ -522,9 +522,11 @@ def test_derived_rings_stop_at_the_table_cap(text, order):
 
 def test_derived_rings_without_a_spec_stop_at_the_table_cap():
     ring = rl.build_cached(rl.parse_spec(_z2_power(11)))
+    assert rl.center_ring(ring) is ring  # a commutative ring is its own center
+    mixed = rl.build_cached(rl.parse_spec("T2(Z2)xZ513"))
     with pytest.raises(rl.OrderCapError) as exc:
-        rl.center_ring(ring)
-    assert str(exc.value) == f"Center({ring.label}) has order 2048, over the table cap 1024"
+        rl.center_ring(mixed)
+    assert str(exc.value) == "Center(T2(Z2)xZ513) has order 1026, over the table cap 1024"
     with pytest.raises(rl.OrderCapError) as exc:
         rl.quotient(ring, [0])
     assert str(exc.value) == f"{ring.label}/I1 has order 2048, over the table cap 1024"

@@ -1021,9 +1021,7 @@ SCAN_KEYS = {  # scan -> its ring.cache key
     st.center: "center", st.is_abelian: "is_abelian",
     st.jacobson_radical: "jacobson_radical", st.bounded_index: "bounded_index",
 }
-SEARCHES = ("wncl_witness", "wncl_witness_alt", "pi_regular_witness",
-            "strong_pi_witness", "exchange_witness", "clean_witness",
-            "nil_clean_witness", "strongly_regular_witness")
+SEARCHES = ("wncl_witness", "wncl_witness_alt", "pi_regular_witness", "exchange_witness")
 VERDICTS = ("wncl", "clean", "nil_clean", "exchange", "pi_regular",
             "strongly_pi_regular", "strongly_regular", "unique_idempotent",
             "unique_nilpotent")
@@ -1040,7 +1038,8 @@ def test_scans_and_searches_keep_their_results_under_fixed_keys(text):
         for a in range(ring.order):
             value = getattr(dc, name)(ring, a)
             assert (name, a) in ring.cache and ring.cache[name, a] is value, (name, a)
-    # None, for an element without a witness, is kept too
-    assert ring.cache["strongly_regular_witness", 2] is None
+    # None, for an element without a result, is kept too
+    nothing = core.memoized_per_element(lambda ring, a: None)
+    assert nothing(ring, 1) is None and ring.cache[nothing.__name__, 1] is None
     dc.classify(ring)
     assert {("ring_verdict", name) for name in VERDICTS} <= set(ring.cache)

@@ -250,6 +250,18 @@ def test_cold_checks_build_each_quotient_once(monkeypatch, check_id):
     assert calls and all(count == 1 for count in calls.values()), calls
 
 
+def test_radikal_names_members_whose_quotient_is_over_the_table_cap():
+    # J(Z2084) has order 2, so R/J is Z1042; its nil clause is still checked
+    check = hn.run_check("P_RADIKAL", [rl.Zn(2084)])
+    assert (check.status, check.detail) == (
+        "pass", "radical verified on 0 rings; R/J over the table cap for: Z2084")
+
+
+def test_center_of_a_commutative_member_over_the_table_cap_is_the_member():
+    check = hn.run_check("P_CENTER", [rl.Zn(1025)])
+    assert (check.status, check.detail) == ("pass", "1025 central elements across 1 rings")
+
+
 # --- tooling that calls the library ----------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
