@@ -26,9 +26,9 @@ from . import construct as ct
 from . import kernel
 from .kernel import BRUTE_ORDER_LIMIT
 
-# From this order on, the ring-level verdicts read the array passes of
-# kernel; below it one numpy call costs more than the element-by-element
-# scalar search or chain.
+# From this order on, the ring-level verdicts and the witness tables read the
+# array passes of kernel; below it one numpy call costs more than the
+# element-by-element scalar search or chain.
 PASS_MIN_ORDER = 32
 
 
@@ -301,12 +301,12 @@ def strongly_regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
 
 
 def _witness_table(ring: FiniteRing, search, batched, fields: str, make) -> list:
-    """search(ring, a) for every element a, kept in the ring's cache. From
-    PASS_MIN_ORDER to BRUTE_ORDER_LIMIT it is read off the array pass
-    batched(ring), which finds the same first witness, its fields in make's
-    order; elsewhere search runs on each element."""
+    """search(ring, a) for every element a, kept in the ring's cache. Below
+    PASS_MIN_ORDER search runs on each element, as in _ring_verdict; from
+    there on it is read off the cached array pass batched(ring) at every
+    order, which finds the same first witness, its fields in make's order."""
     def read():
-        if not PASS_MIN_ORDER <= ring.order <= BRUTE_ORDER_LIMIT:
+        if ring.order < PASS_MIN_ORDER:
             return [search(ring, a) for a in range(ring.order)]
         found = batched(ring)
         rows = zip(*(found[name].tolist() for name in fields))

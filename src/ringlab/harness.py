@@ -104,6 +104,11 @@ def _names(specs) -> str:
     return ", ".join(map(str, specs)) or "no rings"
 
 
+def _skipped(detail: str, *groups) -> str:
+    """detail, then "; <why> for: <specs>" per nonempty (why, specs) group of skipped members."""
+    return detail + "".join(f"; {why} for: {_names(specs)}" for why, specs in groups if specs)
+
+
 def _check_osnove(built):
     """Weakly nil clean elements admit exchange witnesses (unital members)."""
     members = _unital(built)
@@ -196,10 +201,8 @@ def _check_radikal(built):
             raise _Fail(f"{spec} modulo its radical is not weakly nil clean", spec)
         if st.jacobson_radical(qring).members != (qring.zero,):
             raise _Fail(f"radical of {spec}/J is nonzero", spec)
-    detail = f"radical verified on {len(built) - len(over_cap)} rings"
-    if over_cap:
-        detail += f"; R/J over the table cap for: {_names(over_cap)}"
-    return detail
+    return _skipped(f"radical verified on {len(built) - len(over_cap)} rings",
+                    ("R/J over the table cap", over_cap))
 
 
 def _check_mocna(built):
@@ -302,12 +305,9 @@ def _check_cpi(built):
         )
         if len(set(verdicts)) != 1:
             raise _Fail(f"verdicts disagree on {spec}: {verdicts}", spec)
-    detail = f"six verdicts agree on {len(built) - len(over_cap) - len(no_unity)} rings"
-    if over_cap:
-        detail += f"; matrix ring over cap for: {_names(over_cap)}"
-    if no_unity:
-        detail += f"; large matrix ring without a unity for: {_names(no_unity)}"
-    return detail
+    agree = len(built) - len(over_cap) - len(no_unity)
+    return _skipped(f"six verdicts agree on {agree} rings", ("matrix ring over cap", over_cap),
+                    ("large matrix ring without a unity", no_unity))
 
 
 def _check_koti(built):

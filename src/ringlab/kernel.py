@@ -26,12 +26,12 @@ when at most half of it is live. Failures come back as boolean arrays of
 failed rows instead of a raised WitnessError; ``deciders`` replays the
 scalar chain on the smallest failing element to raise it.
 
-From the same order up to the limit, ``wncl_pass`` and
+From the same order on, with no upper limit, ``wncl_pass`` and
 ``exchange_pass`` do the exhaustive witness searches of ``deciders`` for
 every element at once, over blocks of idempotents and elements
-(``core.row_blocks``), and check each witness they find again; ``deciders``
-replays the scalar search on the smallest element they flag, and reads the
-first witness of every element off them for the harness walks. Above the
+(``core.row_blocks``), and check each witness they find again. ``deciders``
+replays the scalar search on the smallest element they flag, and reads off
+them the first witness of every element for the harness walks. Above the
 limit, ``wncl_alt_first`` is the alternate-form search of one element on
 arrays, and ``nil_index`` serves ``structure.nil_index_map``.
 """
@@ -333,7 +333,7 @@ def first_failures(ring: FiniteRing) -> Dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# small-ring passes over idempotents
+# witness passes over idempotents
 
 
 def wncl_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
@@ -362,10 +362,10 @@ def _wncl_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
     Q = np.asarray(st.nilpotents(ring), dtype=np.int64)
     X = np.arange(n, dtype=np.int64)
     first = {name: np.full(n, -1, dtype=np.int64) for name in "eqx"}
-    e_count = np.zeros(n, dtype=np.int64)
-    q_seen = np.zeros((len(Q), n), dtype=bool)
+    e_count, q_count = np.zeros((2, n), dtype=np.int64)
     for s in row_blocks(n, n):
         A = X[s]
+        q_seen = np.zeros((len(A), len(Q)), dtype=bool)
         for t in row_blocks(len(E), n * len(A)):
             Eb = E[t]
             # eR as pairs (row of e in Eb, value w = e*x), rows ascending
@@ -380,7 +380,7 @@ def _wncl_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
             W = member[rows[:, :, None] + D]
             admit = W.any(axis=2)
             e_count[A] += admit.sum(axis=0)
-            q_seen[:, A] |= W.any(axis=0).T
+            q_seen |= W.any(axis=0)
             js = np.flatnonzero((first["e"][A] < 0) & admit.any(axis=0))
             if js.size:
                 i = admit[:, js].argmax(axis=0)
@@ -389,6 +389,7 @@ def _wncl_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
                 first["e"][A[js]] = Eb[i]
                 first["q"][A[js]] = Q[k]
                 first["x"][A[js]] = (exa == D[i, js, k][:, None]).argmax(axis=1)
+        q_count[A] = q_seen.sum(axis=1)
     found = np.flatnonzero(first["e"] >= 0)
     e, q, x = (first[name][found] for name in "eqx")
     nilpotent = np.zeros(n, dtype=bool)
@@ -398,8 +399,7 @@ def _wncl_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
     checked = np.zeros(n, dtype=bool)
     checked[found] = ((mul(e, e) == e) & nilpotent[q]
                       & (sub(sub(found, e), q) == mul(mul(e, x), found)))
-    return dict(first, checked=checked, idempotents=e_count,
-                nilpotents=q_seen.sum(axis=0))
+    return dict(first, checked=checked, idempotents=e_count, nilpotents=q_count)
 
 
 def exchange_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:

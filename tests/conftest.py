@@ -195,14 +195,16 @@ def assert_passes_match_scalar(ring):
     assert_tables_match_searches(ring)
 
 
-def assert_tables_match_searches(ring):
+def assert_tables_match_searches(ring, elements=None):
     """deciders.wncl_table and exchange_table equal the per-element searches
-    they stand for."""
-    n = ring.order
-    assert dc.wncl_table(ring) == [rl.wncl_witness(ring, a) for a in range(n)], ring.label
+    they stand for, on each of the elements (all by default)."""
+    elements = range(ring.order) if elements is None else elements
+    tables = [(dc.wncl_table, rl.wncl_witness)]
     if ring.unital:
-        assert (dc.exchange_table(ring)
-                == [rl.exchange_witness(ring, a) for a in range(n)]), ring.label
+        tables.append((dc.exchange_table, rl.exchange_witness))
+    for table, search in tables:
+        got = table(ring)
+        assert [got[a] for a in elements] == [search(ring, a) for a in elements], ring.label
 
 
 def assert_alt_search_matches_scalar(ring, elements=None):

@@ -1001,6 +1001,21 @@ def test_alternate_search_above_the_limit_reads_arrays(monkeypatch):
     assert sizes and max(sizes) == nils
 
 
+def test_witness_tables_above_the_limit_equal_the_scalar_searches():
+    # a seeded sample of each ring, since one scalar search takes some ms an
+    # element there; on the corrupted ring also its pair and 650, where its
+    # chains first fail
+    pair, value = _LATE_CORRUPTIONS[0]
+    rings = [(rl.build(rl.parse_spec(name)), []) for name in ("M2(Z6)", "Triv(Z64)")]
+    rings.append((_corrupted_m2z6((pair, value)),
+                  [rl.ring_pack(rings[0][0], d) for d in pair] + [650]))
+    rng = np.random.default_rng(24)
+    for ring, extra in rings:
+        assert ring.order > dc.BRUTE_ORDER_LIMIT
+        sample = rng.choice(ring.order, 16, replace=False).tolist()
+        assert_tables_match_searches(ring, sorted(set(sample + extra)))
+
+
 @pytest.mark.parametrize("name,array", [
     ("M2(Z6)", True), ("Triv(Z17)", True), ("T2(Z4)", False), ("M2(Z3)", False)])
 def test_nil_index_map_reads_the_array_pass_above_the_limit(name, array):

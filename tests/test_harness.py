@@ -262,6 +262,21 @@ def test_center_of_a_commutative_member_over_the_table_cap_is_the_member():
     assert (check.status, check.detail) == ("pass", "1025 central elements across 1 rings")
 
 
+@pytest.mark.parametrize("names,expected", [
+    (("Z4", "M2(Z6)"), [
+        ("P_OSNOVE", "pass", "1300 elements across 2 unital rings"),
+        ("P_PRVA", "pass", "1300 elements across 2 unital rings"),
+        ("P_CENTER", "pass", "10 central elements across 2 rings"),
+        ("Q_SYMMETRY", "experiment", "opposite-ring agreement 1300/1300 elements (100.0%)")]),
+    (("Z2", "Triv(Z64)"), [("P_CENTER", "pass", "4098 central elements across 2 rings")]),
+])
+def test_element_walks_over_lazy_members(names, expected):
+    # lazy members (order over 1024), whose witness tables are read off the passes
+    corpus = [rl.parse_spec(name) for name in names]
+    checks = rl.run_all(corpus, [cid for cid, _, _ in expected])
+    assert [(c.id, c.status, c.detail) for c in checks] == expected
+
+
 # --- tooling that calls the library ----------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
