@@ -10,13 +10,14 @@ import numpy as np
 
 DEFAULT_TABLE_CAP = 1024
 
-_AXIOM_CHUNK = 1 << 19  # tensor entries compared per block during validation
-_FILL_CHUNK = 1 << 16  # pairs per vector call when a table is filled
-
 # Cells per block of the blocked array passes (row_blocks): (row, element) of
 # the structure scans and of construct.quotient, (idempotent, x, element) of
-# kernel.wncl_pass, (r, element) of kernel.exchange_pass. It bounds the
-# products, membership masks and differences of one block to a few megabytes.
+# kernel.wncl_pass, (r, element) of kernel.exchange_pass, the (row, y) and
+# (row, g, y) cells of the identities validate_axioms compares and the (a, b,
+# c) cells of its cubic reporter; the table fill (_fill) takes a quarter of
+# that in (a, b) pairs, as a vector op holds a few int64 temporaries per
+# pair. It bounds the products, membership masks and differences of one
+# block to a few megabytes.
 # A batch of kernel.first_failures holds _PASS_CELLS // 32 elements:
 # chunk_failures keeps at most 32 element-sized int64 arrays live at its peak
 # (trajectory table, chain temporaries and vector-op scratch together), so a
@@ -81,17 +82,16 @@ TableLike = Union[Callable[[int, int], int], Sequence[Sequence[int]], np.ndarray
 
 
 def _fill(vec: VecOp, shape: tuple, dtype) -> np.ndarray:
-    """The table of a vector operation, filled over all elements or pairs at
-    once (row blocks of at most _FILL_CHUNK pairs)."""
+    """The table of a vector operation, filled over all elements at once or
+    over all pairs in row blocks of a quarter of _PASS_CELLS pairs."""
     n = shape[0]
     idx = np.arange(n)
     table = np.empty(shape, dtype=dtype)
     if len(shape) == 1:
         table[:] = vec(idx)
     else:
-        rows = max(1, _FILL_CHUNK // n)
-        for start in range(0, n, rows):
-            table[start:start + rows] = vec(idx[start:start + rows, None], idx)
+        for rows in row_blocks(n, 4 * n):
+            table[rows] = vec(idx[rows, None], idx)
     return table
 
 
@@ -275,16 +275,19 @@ def _map_vec(op: Callable[..., int]) -> VecOp:
     return vec
 
 
-def _first_mismatch(lhs, rhs, n: int) -> Optional[tuple[int, int, int]]:
-    """First differing index of two lazily-built (n, n, n) tensors, or None."""
-    chunk = max(1, _AXIOM_CHUNK // max(1, n * n))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        left = lhs(start, stop)
-        right = rhs(start, stop)
-        if not np.array_equal(left, right):
-            a, b, c = np.argwhere(left != right)[0]
-            return int(a) + start, int(b), int(c)
+def _first_true(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Index of the first True entry of mask in lexicographic order, or None."""
+    cells = np.argwhere(mask)
+    return tuple(int(e) for e in cells[0]) if len(cells) else None
+
+
+def _first_mismatch(mask: Callable[[slice], np.ndarray], n: int) -> Optional[tuple[int, ...]]:
+    """_first_true of an (n, n, n) boolean tensor, built in row blocks by
+    mask(rows)."""
+    for rows in row_blocks(n, n * n):
+        cell = _first_true(mask(rows))
+        if cell:
+            return (cell[0] + rows.start, *cell[1:])
     return None
 
 
@@ -384,7 +387,7 @@ def _generator_tree(add_table: np.ndarray, zero: int):
 
 def _axioms_hold(ring: FiniteRing) -> bool:
     """The axioms hold: the exact test of ``validate_axioms``, each identity
-    compared in blocks of at most _AXIOM_CHUNK cells."""
+    compared in row blocks of at most _PASS_CELLS cells (row_blocks)."""
     A, M, neg = _tables(ring)
     n = ring.order
     zero = ring.zero
@@ -411,11 +414,9 @@ def _axioms_hold(ring: FiniteRing) -> bool:
     rows = [(x * n, zero, p * n, g) for x, p, g in tree]
     rows += [(g * n, h, h * n, g) for i, g in enumerate(G) for h in G[:i]]
     Un, V, Pn, W = np.array(rows, dtype=np.intp).T
-    step = max(1, _AXIOM_CHUNK // n)
-    for s in range(0, len(rows), step):
-        t = s + step
-        if not (flat.take(Un[s:t, None] + A.take(V[s:t], axis=0))
-                == flat.take(Pn[s:t, None] + A.take(W[s:t], axis=0))).all():
+    for r in row_blocks(len(rows), n):
+        if not (flat.take(Un[r, None] + A.take(V[r], axis=0))
+                == flat.take(Pn[r, None] + A.take(W[r], axis=0))).all():
             return False
     # Each side below is one gather into an array indexed (row, g, column),
     # so that the compared arrays are contiguous. As + is commutative (checked
@@ -425,17 +426,14 @@ def _axioms_hold(ring: FiniteRing) -> bool:
     GM = M[G]  # GM[g, a] = ga
     GMn = GM * np.intp(n)  # flat row offsets of ga in A
     GG = GM[:, G]  # GG[g, h] = gh
-    step = max(1, _AXIOM_CHUNK // (n * len(G)))
-    for s in range(0, len(G), step):
-        t = s + step
-        if not (GM[s:t].take(GA, axis=1)
-                == flat.take(GMn[s:t, G][:, :, None] + GM[s:t, None, :])).all():
+    for r in row_blocks(len(G), n * len(G)):
+        if not (GM[r].take(GA, axis=1)
+                == flat.take(GMn[r, G][:, :, None] + GM[r, None, :])).all():
             return False
     AG = A[:, G]  # AG[x, g] = x + g
-    for s in range(0, n, step):
-        t = s + step
-        if not (M.take(AG[s:t], axis=0)
-                == flat.take(GMn[None, :, :] + M[s:t, None, :])).all():
+    for r in row_blocks(n, n * len(G)):
+        if not (M.take(AG[r], axis=0)
+                == flat.take(GMn[None, :, :] + M[r, None, :])).all():
             return False
     return bool((M.take(GG, axis=0)[:, :, G] == GM.take(GG, axis=1)).all())
 
@@ -447,69 +445,33 @@ def _validate_cubic(ring: FiniteRing) -> AxiomReport:
     A, M, neg = _tables(ring)
     n = ring.order
     idx = np.arange(n)
-    zero = ring.zero
-
-    def fail(axiom: str, elements) -> AxiomReport:
-        return AxiomReport(False, AxiomFailure(axiom, tuple(int(e) for e in elements)))
-
-    for name, T in (("add-closure", A), ("mul-closure", M)):
-        bad = np.argwhere(T >= n)
-        if len(bad):
-            return fail(name, bad[0])
-    if (neg >= n).any():
-        return fail("neg-closure", (int(np.argwhere(neg >= n)[0][0]),))
-
-    bad = np.argwhere(A != A.T)
-    if len(bad):
-        return fail("add-commutativity", bad[0])
-
-    tri = _first_mismatch(lambda s, t: A[A[s:t]], lambda s, t: A[s:t][:, A], n)
-    if tri:
-        return fail("add-associativity", tri)
-
-    bad = np.argwhere(A[zero] != idx)
-    if len(bad):
-        return fail("add-zero", (int(bad[0][0]),))
-
-    bad = np.argwhere(A[idx, neg] != zero)
-    if len(bad):
-        return fail("add-negation", (int(bad[0][0]),))
-
-    tri = _first_mismatch(lambda s, t: M[M[s:t]], lambda s, t: M[s:t][:, M], n)
-    if tri:
-        return fail("mul-associativity", tri)
-
-    tri = _first_mismatch(
-        lambda s, t: M[s:t][:, A],
-        lambda s, t: A[M[s:t][:, :, None], M[s:t][:, None, :]],
-        n,
-    )
-    if tri:
-        return fail("left-distributivity", tri)
-
-    tri = _first_mismatch(
-        lambda s, t: M[A[s:t]],
-        lambda s, t: A[M[s:t][:, None, :], M[None, :, :]],
-        n,
-    )
-    if tri:
-        return fail("right-distributivity", tri)
-
-    bad = np.argwhere(M[zero] != zero)
-    if len(bad):
-        return fail("mul-zero-left", (int(bad[0][0]),))
-    bad = np.argwhere(M[:, zero] != zero)
-    if len(bad):
-        return fail("mul-zero-right", (int(bad[0][0]),))
-
+    zero, one = ring.zero, ring.one
+    # (axiom, finder) in reporting order; a finder runs only once those
+    # before it found nothing, as the later ones index the tables by their
+    # own values
+    checks = [
+        ("add-closure", lambda: _first_true(A >= n)),
+        ("mul-closure", lambda: _first_true(M >= n)),
+        ("neg-closure", lambda: _first_true(neg >= n)),
+        ("add-commutativity", lambda: _first_true(A != A.T)),
+        ("add-associativity", lambda: _first_mismatch(lambda r: A[A[r]] != A[r][:, A], n)),
+        ("add-zero", lambda: _first_true(A[zero] != idx)),
+        ("add-negation", lambda: _first_true(A[idx, neg] != zero)),
+        ("mul-associativity", lambda: _first_mismatch(lambda r: M[M[r]] != M[r][:, M], n)),
+        ("left-distributivity", lambda: _first_mismatch(
+            lambda r: M[r][:, A] != A[M[r][:, :, None], M[r][:, None, :]], n)),
+        ("right-distributivity", lambda: _first_mismatch(
+            lambda r: M[A[r]] != A[M[r][:, None, :], M[None, :, :]], n)),
+        ("mul-zero-left", lambda: _first_true(M[zero] != zero)),
+        ("mul-zero-right", lambda: _first_true(M[:, zero] != zero)),
+    ]
     if ring.unital:
-        bad = np.argwhere(M[ring.one] != idx)
-        if len(bad):
-            return fail("unity-left", (int(bad[0][0]),))
-        bad = np.argwhere(M[:, ring.one] != idx)
-        if len(bad):
-            return fail("unity-right", (int(bad[0][0]),))
-
+        checks += [("unity-left", lambda: _first_true(M[one] != idx)),
+                   ("unity-right", lambda: _first_true(M[:, one] != idx))]
+    for axiom, find in checks:
+        elements = find()
+        if elements is not None:
+            return AxiomReport(False, AxiomFailure(axiom, elements))
     return AxiomReport(True)
 
 

@@ -481,13 +481,17 @@ def corner_to_parent(corner_ring: FiniteRing, w: WnclWitness) -> WnclWitness:
 
 
 def lift_idempotent(ring: FiniteRing, ideal: st.Ideal, x: int,
-                    method: str = "auto") -> int:
+                    method: str = "newton") -> int:
     """Idempotent e congruent to x modulo a nil ideal (x*x - x must lie in
     the ideal). An already idempotent x is returned unchanged.
 
     method "scan" returns the smallest congruent idempotent; "newton"
-    iterates y <- 3y^2 - 2y^3, which squares the defect each step; "auto"
-    tries the iteration and falls back to the scan.
+    iterates y <- 3y^2 - 2y^3. A step sends the defect d = y^2 - y, a
+    polynomial in y, to d^2(4d - 3), so after k steps the defect is a
+    multiple of d^(2^k). d lies in the nil ideal, and a nil element of a
+    ring of order n has nil index at most n (its powers before 0 are
+    distinct), so order.bit_length() steps reach an idempotent. Only a
+    product that is not associative can miss one: WitnessError then.
     """
     if not st.is_nil_ideal(ring, ideal):
         raise WitnessError("ideal is not nil")
@@ -498,34 +502,20 @@ def lift_idempotent(ring: FiniteRing, ideal: st.Ideal, x: int,
         raise WitnessError(f"x*x - x = {defect} is not in the ideal")
     if defect == ring.zero and mul(x, x) == x:
         return x
-
-    def by_scan() -> int:
-        for e in st.idempotents(ring):
-            if sub(e, x) in members:
-                return e
-        raise WitnessError("no congruent idempotent exists")  # unreachable for nil ideals
-
-    def by_newton() -> Optional[int]:
-        budget = ring.order.bit_length() + 1
-        y = x
-        for _ in range(budget):
-            t = mul(y, y)
-            if t == y:
-                return y
-            cube = mul(t, y)
-            y = sub(add(add(t, t), t), add(cube, cube))
-        return y if mul(y, y) == y else None
-
     if method == "scan":
-        return by_scan()
-    if method == "newton":
-        e = by_newton()
-        if e is None:
+        e = next((e for e in st.idempotents(ring) if sub(e, x) in members), None)
+        if e is None:  # unreachable for nil ideals
+            raise WitnessError("no congruent idempotent exists")
+    elif method == "newton":
+        e = x
+        for _ in range(ring.order.bit_length() + 1):
+            t = mul(e, e)
+            if t == e:
+                break
+            cube = mul(t, e)
+            e = sub(add(add(t, t), t), add(cube, cube))
+        if mul(e, e) != e:
             raise WitnessError("iteration did not reach an idempotent")
-    elif method == "auto":
-        e = by_newton()
-        if e is None:
-            e = by_scan()
     else:
         raise ValueError(f"unknown method {method!r}")
     if sub(e, x) not in members:
@@ -605,7 +595,9 @@ def center_witness(ring: FiniteRing, a: int, w: WnclWitness) -> WnclWitness:
     ring.require_unital("center extraction")
     mul, sub, add = ring.mul, ring.sub, ring.add
     one = ring.one
-    if a not in st.center(ring):
+    cring = center_ring(ring)
+    index = range(ring.order) if cring is ring else cring.index  # O(1) membership
+    if a not in index:
         raise WitnessError(f"element {a} is not central")
     if w.form != "primal" or not check_wncl(ring, a, w):
         raise WitnessError("witness is invalid for a")
@@ -633,12 +625,10 @@ def center_witness(ring: FiniteRing, a: int, w: WnclWitness) -> WnclWitness:
     b = mul(sub(one, e), a)
     if nil_index_of(ring, b) is None:
         raise WitnessError("(1-e)a is not nilpotent")
-    if e not in st.center(ring):
+    if e not in index:
         raise WitnessError("witness idempotent is not central")
     z = one if m == 1 else power_from_seq(powers, i, p, m - 1)
     x_c = sub(one, z)
-    cring = center_ring(ring)
-    index = range(ring.order) if cring is ring else cring.index
     try:
         wc = WnclWitness(index[e], index[b], index[x_c], "primal")
     except KeyError:

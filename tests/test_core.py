@@ -2,12 +2,13 @@
 
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab.core import _AXIOM_CHUNK, _generator_tree, index_dtype, power_from_seq
+from ringlab.core import _PASS_CELLS, _generator_tree, index_dtype, power_from_seq
 
 import oracles
 from conftest import (agrees_with_cubic, all_pairs, corpus_ring, list_rows, op_rows,
@@ -133,9 +134,63 @@ def test_generator_validator_rejects_a_non_associative_loop():
     assert agrees_with_cubic(ring).failure.axiom == "add-associativity"
 
 
+_AXIOM_REPORTS = Path(__file__).parent / "golden" / "axiom_reports.txt"
+
+
+def _golden_axiom_rings():
+    """The rings of the golden axiom reports: every one-cell corruption
+    (value + 1 mod n) of the add, mul and neg tables of Z4 and T2(Z2), an
+    out-of-range cell in each table of Z4, Z4 given the wrong zero 1 and the
+    wrong unity 3, the zero-product ring on Z4, which is not unital, as it
+    is and with each of its product cells corrupted, the zero-product ring
+    on Z128 with one product cell corrupted, the products of
+    _ONE_IDENTITY_BROKEN, and the ring of 2 x 2 matrices [[a, b], [0, 0]]
+    over Z2 (a + b at 2a + b) given its left unity [[1, 0], [0, 0]], which
+    is no right unity."""
+    for name in ("Z4", "T2(Z2)"):
+        ring = corpus_ring(name)
+        n = ring.order
+        for table, op in (("add", ring.add), ("mul", ring.mul)):
+            for x, y in itertools.product(range(n), repeat=2):
+                yield with_cell(ring, table, (x, y), (op(x, y) + 1) % n)
+        for x in range(n):
+            yield with_cell(ring, "neg", (x, x), (ring.neg(x) + 1) % n)
+    z4 = corpus_ring("Z4")
+    for table in ("add", "mul", "neg"):
+        yield with_cell(z4, table, (3, 2), 4)
+    yield rl.FiniteRing(4, z4.add_table, z4.mul_table, z4.neg_table, zero=1, one=1,
+                        label="Z4 with zero 1", validate=False)
+    yield rl.FiniteRing(4, z4.add_table, z4.mul_table, z4.neg_table, one=3,
+                        label="Z4 with unity 3", validate=False)
+    zero_product = rl.FiniteRing(4, z4.add_table, [[0] * 4] * 4, z4.neg_table,
+                                 label="Z4 with zero product", validate=False)
+    yield zero_product
+    for x, y in itertools.product(range(4), repeat=2):
+        yield with_cell(zero_product, "mul", (x, y), 1)
+    # its first failure lies in the last row block of the cubic reporter
+    z128 = rl.zn_ring(128)
+    yield rl.FiniteRing(128, z128.add_table, [[0] * 127 + [127 == x] for x in range(128)],
+                        z128.neg_table, label="Z128 with zero product but 127 * 127 = 1",
+                        validate=False)
+    group = corpus_ring("Z2xZ2")
+    for mul, axiom in _ONE_IDENTITY_BROKEN:
+        yield rl.FiniteRing(4, group.add_table, mul, group.neg_table,
+                            label=f"Z2xZ2 breaking {axiom}", validate=False)
+    rows = [[2 * (x >> 1) * (y >> 1) + (x >> 1) * (y & 1) for y in range(4)] for x in range(4)]
+    yield rl.FiniteRing(4, group.add_table, rows, group.neg_table, one=2,
+                        label="left unity of Z2xZ2", validate=False)
+
+
+def test_axiom_reports_match_their_golden():
+    # the reported axiom and tuple are the validator's contract: these
+    # strings are pinned, not only compared with the cubic check
+    reports = [f"{ring.label}: {rl.validate_axioms(ring)}" for ring in _golden_axiom_rings()]
+    assert reports == _AXIOM_REPORTS.read_text().splitlines()
+
+
 @pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "M3(Z2)"])
 def test_validation_memory_is_bounded_by_the_chunk(name):
-    # a block of _AXIOM_CHUNK compared cells holds one intp gather index per
+    # a block of _PASS_CELLS compared cells holds one intp gather index per
     # cell, the two gathered sides in the table dtype and their comparison:
     # less than two intp per cell, where a whole (n, |G|, n) index array
     # would take 84 MB for Z2^10
@@ -146,7 +201,7 @@ def test_validation_memory_is_bounded_by_the_chunk(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * np.dtype(np.intp).itemsize * _AXIOM_CHUNK
+    assert peak < 2 * np.dtype(np.intp).itemsize * _PASS_CELLS
 
 
 def test_generator_validator_needs_a_commutative_addition():
