@@ -163,6 +163,9 @@ class FiniteRing:
     ):
         if order < 1:
             raise ValueError("ring order must be at least 1")
+        for name, e in (("zero", zero), ("one", one)):
+            if e is not None and not 0 <= e < order:
+                raise ValueError(f"{name} {e} is not an element of a ring of order {order}")
         self.order = order
         self.zero = zero
         self.one = one
@@ -291,32 +294,21 @@ def _first_mismatch(mask: Callable[[slice], np.ndarray], n: int) -> Optional[tup
     return None
 
 
-def _tables(ring: FiniteRing):
-    """(add, mul, neg) as numpy arrays of shape (n, n), (n, n) and (n,)."""
-    if ring.add_table is None or ring.mul_table is None or ring.neg_table is None:
-        raise OrderCapError(
-            f"axiom validation needs materialized tables; {ring.label} has order {ring.order}"
-        )
-    return ring.add_table, ring.mul_table, ring.neg_table
-
-
 def validate_axioms(ring: FiniteRing) -> AxiomReport:
     """Check the ring axioms against the materialized tables, exactly.
-
-    Returns a verdict; on failure the report names the broken axiom and the
-    first offending element tuple in lexicographic order.
 
     The check costs n^2 |G| + O(n^2) gathers, where G is the additive
     generating set of ``_generator_tree`` (|G| <= log2 n when (R, +) is
     a group), whose walk reaches each x != 0 as x = p + g, g in G, from an
-    element p reached before x. After the O(n^2) checks (closure,
-    commutativity of +, zero, negation, zero rows, unity), it verifies
+    element p reached before x. It runs in phases, each only if those before
+    it held (``_proof``). Phase 0 is the O(n^2) checks (closure,
+    commutativity of +, zero, negation, zero rows, unity); then it verifies
 
-    * (p + g) + y = p + (g + y) for every such tree edge x = p + g and all y,
-      and g + (h + y) = h + (g + y) for g, h in G and all y;
-    * g(h + b) = gh + gb for g, h in G and all b;
-    * (b + g)a = ba + ga for all a, b and g in G;
-    * (gh)k = g(hk) for g, h, k in G.
+    1. (p + g) + y = p + (g + y) for every such tree edge x = p + g and all
+       y, and g + (h + y) = h + (g + y) for g, h in G and all y;
+    2. g(h + b) = gh + gb for g, h in G and all b, and (b + g)a = ba + ga
+       for all a, b and g in G;
+    3. (gh)k = g(hk) for g, h, k in G.
 
     Write L_x for the translation y -> x + y. The tree edges say
     L_{p+g} = L_p L_g, and L_0 is the identity, so every L_x is a product of
@@ -340,12 +332,13 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
     laws hold. Both sides of (ab)c = a(bc) are then additive in each of a, b
     and c, so agreement on G^3 extends to all of R^3, one argument at a time.
 
-    Any failure is reported by ``_validate_cubic``, the direct O(n^3) check,
-    so the axiom and tuple named are those of the first failure in its order.
+    So each phase proves its axioms given those before it. A failure is
+    reported by ``_validate_cubic``, the direct O(n^3) check, which skips the
+    axioms that the phases that held proved: it names the first failing axiom
+    and its first element tuple in lexicographic order, as its full run would.
     """
-    if _axioms_hold(ring):
-        return AxiomReport(True)
-    return _validate_cubic(ring)
+    held = _proof(ring)
+    return AxiomReport(True) if held == 4 else _validate_cubic(ring, held)
 
 
 def _generator_tree(add_table: np.ndarray, zero: int):
@@ -385,27 +378,28 @@ def _generator_tree(add_table: np.ndarray, zero: int):
     return gens, tree
 
 
-def _axioms_hold(ring: FiniteRing) -> bool:
-    """The axioms hold: the exact test of ``validate_axioms``, each identity
-    compared in row blocks of at most _PASS_CELLS cells (row_blocks)."""
-    A, M, neg = _tables(ring)
-    n = ring.order
-    zero = ring.zero
+def _proof(ring: FiniteRing) -> int:
+    """How many phases of the proof of ``validate_axioms`` held, run in order
+    up to the first that fails (4: the axioms hold), each identity compared
+    in row blocks of at most _PASS_CELLS cells (row_blocks)."""
+    A, M, neg = ring.add_table, ring.mul_table, ring.neg_table
+    n, zero = ring.order, ring.zero
+    if A is None or M is None or neg is None:
+        raise OrderCapError(f"axiom validation needs materialized tables; {ring.label} "
+                            f"has order {n}")
     idx = np.arange(n)
-    if max(A.max(), M.max(), neg.max()) >= n:
-        return False
-    if not ((A == A.T).all() and (A[zero] == idx).all()
-            and (A[idx, neg] == zero).all()
+    if max(A.max(), M.max(), neg.max()) >= n or not (
+            (A == A.T).all() and (A[zero] == idx).all() and (A[idx, neg] == zero).all()
             and (M[zero] == zero).all() and (M[:, zero] == zero).all()):
-        return False
+        return 0
     if ring.unital and not ((M[ring.one] == idx).all() and (M[:, ring.one] == idx).all()):
-        return False
+        return 0
     walk = _generator_tree(A, zero)
     if walk is None:
-        return False
+        return 1
     G, tree = walk
     if not G:
-        return True
+        return 4
     flat = A.ravel()
     # Translation identities L_u L_v = L_p L_w, one per row (u, v, p, w),
     # read u + (v + y) = p + (w + y) for all y: x + (0 + y) = p + (g + y) on
@@ -417,7 +411,7 @@ def _axioms_hold(ring: FiniteRing) -> bool:
     for r in row_blocks(len(rows), n):
         if not (flat.take(Un[r, None] + A.take(V[r], axis=0))
                 == flat.take(Pn[r, None] + A.take(W[r], axis=0))).all():
-            return False
+            return 1
     # Each side below is one gather into an array indexed (row, g, column),
     # so that the compared arrays are contiguous. As + is commutative (checked
     # above), g(h + b) is read for g(b + h) and gb + gh for gh + gb, and
@@ -425,51 +419,57 @@ def _axioms_hold(ring: FiniteRing) -> bool:
     GA = A[G]  # GA[g, y] = g + y
     GM = M[G]  # GM[g, a] = ga
     GMn = GM * np.intp(n)  # flat row offsets of ga in A
-    GG = GM[:, G]  # GG[g, h] = gh
     for r in row_blocks(len(G), n * len(G)):
         if not (GM[r].take(GA, axis=1)
                 == flat.take(GMn[r, G][:, :, None] + GM[r, None, :])).all():
-            return False
+            return 2
     AG = A[:, G]  # AG[x, g] = x + g
     for r in row_blocks(n, n * len(G)):
         if not (M.take(AG[r], axis=0)
                 == flat.take(GMn[None, :, :] + M[r, None, :])).all():
-            return False
-    return bool((M.take(GG, axis=0)[:, :, G] == GM.take(GG, axis=1)).all())
+            return 2
+    GG = GM[:, G]  # GG[g, h] = gh
+    return 4 if (M.take(GG, axis=0)[:, :, G] == GM.take(GG, axis=1)).all() else 3
 
 
-def _validate_cubic(ring: FiniteRing) -> AxiomReport:
-    """Direct O(n^3) check of the ring axioms, in a fixed order; the report
-    names the first failing axiom and its first failing tuple in
-    lexicographic order. ``validate_axioms`` reports through it."""
-    A, M, neg = _tables(ring)
+def _axioms_hold(ring: FiniteRing) -> bool:
+    """The axioms hold: every phase of ``_proof`` held."""
+    return _proof(ring) == 4
+
+
+def _axiom_checks(ring: FiniteRing) -> list:
+    """(axiom, phase, finder) in reporting order: the phase of ``_proof`` that
+    proves the axiom, and the O(n^3) search for its first failing tuple."""
+    A, M, neg = ring.add_table, ring.mul_table, ring.neg_table
     n = ring.order
     idx = np.arange(n)
     zero, one = ring.zero, ring.one
-    # (axiom, finder) in reporting order; a finder runs only once those
-    # before it found nothing, as the later ones index the tables by their
-    # own values
     checks = [
-        ("add-closure", lambda: _first_true(A >= n)),
-        ("mul-closure", lambda: _first_true(M >= n)),
-        ("neg-closure", lambda: _first_true(neg >= n)),
-        ("add-commutativity", lambda: _first_true(A != A.T)),
-        ("add-associativity", lambda: _first_mismatch(lambda r: A[A[r]] != A[r][:, A], n)),
-        ("add-zero", lambda: _first_true(A[zero] != idx)),
-        ("add-negation", lambda: _first_true(A[idx, neg] != zero)),
-        ("mul-associativity", lambda: _first_mismatch(lambda r: M[M[r]] != M[r][:, M], n)),
-        ("left-distributivity", lambda: _first_mismatch(
+        ("add-closure", 0, lambda: _first_true(A >= n)),
+        ("mul-closure", 0, lambda: _first_true(M >= n)),
+        ("neg-closure", 0, lambda: _first_true(neg >= n)),
+        ("add-commutativity", 0, lambda: _first_true(A != A.T)),
+        ("add-associativity", 1, lambda: _first_mismatch(lambda r: A[A[r]] != A[r][:, A], n)),
+        ("add-zero", 0, lambda: _first_true(A[zero] != idx)),
+        ("add-negation", 0, lambda: _first_true(A[idx, neg] != zero)),
+        ("mul-associativity", 3, lambda: _first_mismatch(lambda r: M[M[r]] != M[r][:, M], n)),
+        ("left-distributivity", 2, lambda: _first_mismatch(
             lambda r: M[r][:, A] != A[M[r][:, :, None], M[r][:, None, :]], n)),
-        ("right-distributivity", lambda: _first_mismatch(
+        ("right-distributivity", 2, lambda: _first_mismatch(
             lambda r: M[A[r]] != A[M[r][:, None, :], M[None, :, :]], n)),
-        ("mul-zero-left", lambda: _first_true(M[zero] != zero)),
-        ("mul-zero-right", lambda: _first_true(M[:, zero] != zero)),
     ]
     if ring.unital:
-        checks += [("unity-left", lambda: _first_true(M[one] != idx)),
-                   ("unity-right", lambda: _first_true(M[:, one] != idx))]
-    for axiom, find in checks:
-        elements = find()
+        checks += [("unity-left", 0, lambda: _first_true(M[one] != idx)),
+                   ("unity-right", 0, lambda: _first_true(M[:, one] != idx))]
+    return checks
+
+
+def _validate_cubic(ring: FiniteRing, held: int = 0) -> AxiomReport:
+    """Direct O(n^3) check of the axioms of _axiom_checks, in its order, but
+    for those the first ``held`` phases of ``_proof`` proved. A finder runs
+    only once those before it held, as later ones index by table values."""
+    for axiom, phase, find in _axiom_checks(ring):
+        elements = find() if phase >= held else None
         if elements is not None:
             return AxiomReport(False, AxiomFailure(axiom, elements))
     return AxiomReport(True)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab.core import _PASS_CELLS, _generator_tree, index_dtype, power_from_seq
+from ringlab import core
+from ringlab.core import (_PASS_CELLS, _generator_tree, _validate_cubic, index_dtype,
+                          power_from_seq)
 
 import oracles
 from conftest import (agrees_with_cubic, all_pairs, corpus_ring, list_rows, op_rows,
@@ -95,11 +97,14 @@ _ONE_IDENTITY_BROKEN = [
 ]
 
 
+def _one_identity_broken(mul):
+    group = corpus_ring("Z2xZ2")
+    return rl.FiniteRing(4, group.add_table, mul, group.neg_table, validate=False)
+
+
 @pytest.mark.parametrize("mul,axiom", _ONE_IDENTITY_BROKEN)
 def test_generator_validator_catches_each_identity(mul, axiom):
-    group = corpus_ring("Z2xZ2")
-    ring = rl.FiniteRing(4, group.add_table, mul, group.neg_table, validate=False)
-    assert agrees_with_cubic(ring).failure.axiom == axiom
+    assert agrees_with_cubic(_one_identity_broken(mul)).failure.axiom == axiom
 
 
 @pytest.mark.parametrize("name", ["Z4", "Z6", "Z2xZ2", "Triv(Z2)", "T2(Z2)"])
@@ -117,21 +122,28 @@ def test_generator_validator_matches_cubic_on_every_one_cell_corruption(name):
                 agrees_with_cubic(with_cell(ring, table, cell, value))
 
 
+# a commutative loop on 6 elements with zero 0 and inverses, whose
+# generator tree 0 -1-> 1, 0 -2-> 2 -2-> 4, 1 -2-> 3 -2-> 5 satisfies
+# (p + g) + y = p + (g + y) on every edge: only the commuting check
+# 1 + (2 + y) = 2 + (1 + y) on the generators shows it is no group
+_LOOP = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 4, 5, 2], [2, 3, 4, 5, 0, 1],
+         [3, 4, 5, 2, 1, 0], [4, 5, 0, 1, 2, 3], [5, 2, 1, 0, 3, 4]]
+
+
+def _loop_ring():
+    """The loop _LOOP with the zero product."""
+    return rl.FiniteRing(6, _LOOP, [[0] * 6] * 6, [row.index(0) for row in _LOOP],
+                         validate=False)
+
+
 def test_generator_validator_rejects_a_non_associative_loop():
-    # a commutative loop on 6 elements with zero 0 and inverses, whose
-    # generator tree 0 -1-> 1, 0 -2-> 2 -2-> 4, 1 -2-> 3 -2-> 5 satisfies
-    # (p + g) + y = p + (g + y) on every edge: only the commuting check
-    # 1 + (2 + y) = 2 + (1 + y) on the generators shows it is no group
-    add = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 4, 5, 2], [2, 3, 4, 5, 0, 1],
-           [3, 4, 5, 2, 1, 0], [4, 5, 0, 1, 2, 3], [5, 2, 1, 0, 3, 4]]
+    add = _LOOP
     assert all(sorted(row) == list(range(6)) for row in add)  # a Latin square
     assert add == [list(col) for col in zip(*add)]  # commutative
-    neg = [row.index(0) for row in add]
     gens, tree = _generator_tree(np.array(add), 0)
     assert gens == [1, 2]
     assert all(add[add[p][g]][y] == add[p][add[g][y]] for _, p, g in tree for y in range(6))
-    ring = rl.FiniteRing(6, add, [[0] * 6] * 6, neg, validate=False)
-    assert agrees_with_cubic(ring).failure.axiom == "add-associativity"
+    assert agrees_with_cubic(_loop_ring()).failure.axiom == "add-associativity"
 
 
 _AXIOM_REPORTS = Path(__file__).parent / "golden" / "axiom_reports.txt"
@@ -204,22 +216,80 @@ def test_validation_memory_is_bounded_by_the_chunk(name):
     assert peak < 2 * np.dtype(np.intp).itemsize * _PASS_CELLS
 
 
-def test_generator_validator_needs_a_commutative_addition():
-    # the symmetric group on 3 points has a zero and negatives and is
-    # associative, but not commutative; the product is zero
+def _s3_ring():
+    """The symmetric group on 3 points, which has a zero and negatives and
+    is associative, but not commutative, with the zero product."""
     perms = sorted(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(perms)}
     add = [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
     neg = [index[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]
-    ring = rl.FiniteRing(6, add, [[0] * 6] * 6, neg, validate=False)
-    assert agrees_with_cubic(ring).failure.axiom == "add-commutativity"
+    return rl.FiniteRing(6, add, [[0] * 6] * 6, neg, validate=False)
+
+
+def test_generator_validator_needs_a_commutative_addition():
+    assert agrees_with_cubic(_s3_ring()).failure.axiom == "add-commutativity"
+
+
+def _out_of_range(table):
+    ring = corpus_ring("M2(Z2)")
+    return with_cell(ring, table, (3, 5), ring.order)
 
 
 def test_generator_validator_catches_entries_out_of_range():
-    ring = corpus_ring("M2(Z2)")
     for table in ("add", "mul", "neg"):
-        report = agrees_with_cubic(with_cell(ring, table, (3, 5), ring.order))
+        report = agrees_with_cubic(_out_of_range(table))
         assert report.failure.axiom == f"{table}-closure"
+
+
+# (ring, the number of phases of the proof that held, the finders that the
+# report then runs): one ring for each phase that can fail
+_FAILED_PHASES = [
+    (lambda: _out_of_range("add"), 0, ["add-closure"]),
+    (_s3_ring, 0, ["add-closure", "mul-closure", "neg-closure", "add-commutativity"]),
+    (_loop_ring, 1, ["add-associativity"]),
+    (lambda: _one_identity_broken(_ONE_IDENTITY_BROKEN[0][0]), 2,
+     ["mul-associativity", "left-distributivity"]),
+    (lambda: _one_identity_broken(_ONE_IDENTITY_BROKEN[1][0]), 2,
+     ["mul-associativity", "left-distributivity", "right-distributivity"]),
+    (lambda: _one_identity_broken(_ONE_IDENTITY_BROKEN[2][0]), 3, ["mul-associativity"]),
+]
+
+
+@pytest.mark.parametrize("make,held,finders", _FAILED_PHASES)
+def test_report_runs_the_finders_of_the_axioms_left_unproved(monkeypatch, make, held, finders):
+    ring = make()
+    assert core._proof(ring) == held
+    ran, checks = [], core._axiom_checks
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_axiom_checks", lambda ring: [
+            (axiom, phase, lambda axiom=axiom, find=find: ran.append(axiom) or find())
+            for axiom, phase, find in checks(ring)])
+        report = rl.validate_axioms(ring)
+    assert ran == finders
+    assert report == _validate_cubic(ring)
+    assert report.failure.axiom == finders[-1]
+
+
+def test_a_failing_table_is_reported_without_the_finders_of_proved_axioms(monkeypatch):
+    # the proof of this Z1024 holds up to the distributive laws, so of the
+    # four cubic finders only that of mul-associativity runs: the one of
+    # add-associativity alone would walk all 2^30 cells
+    z1024 = rl.zn_ring(1024)
+    ring = with_cell(z1024, "mul", (3, 5), z1024.mul(3, 5) + 1)
+    calls, first_mismatch = [], core._first_mismatch
+    monkeypatch.setattr(core, "_first_mismatch",
+                        lambda *args: calls.append(args) or first_mismatch(*args))
+    assert str(rl.validate_axioms(ring)) == "mul-associativity fails at (2, 3, 5)"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("name,element", [("zero", 5), ("zero", -1), ("one", 7), ("one", -1)])
+def test_zero_and_one_must_be_elements(name, element, validate):
+    z4 = corpus_ring("Z4")
+    with pytest.raises(ValueError, match=f"^{name} {element} is not an element"):
+        rl.FiniteRing(4, z4.add_table, z4.mul_table, z4.neg_table, validate=validate,
+                      **{name: element})
 
 
 # (ring, table, cell): no element of a cell is in the ring's generating set
