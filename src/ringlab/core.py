@@ -11,13 +11,14 @@ import numpy as np
 DEFAULT_TABLE_CAP = 1024
 
 # Cells per block of the blocked array passes (row_blocks): (row, element) of
-# the structure scans and of construct.quotient, (idempotent, x, element) of
-# kernel.wncl_pass, (r, element) of kernel.exchange_pass, the (row, y) and
-# (row, g, y) cells of the identities validate_axioms compares and the (a, b,
-# c) cells of its cubic reporter; the table fill (_fill) takes a quarter of
-# that in (a, b) pairs, as a vector op holds a few int64 temporaries per
-# pair. It bounds the products, membership masks and differences of one
-# block to a few megabytes.
+# the structure scans and of construct.quotient; (r, element) of
+# kernel.witness_pass, whose r*a block both witness forms read, and its
+# (idempotent, x, element) cells of the wncl membership masks; the (row, y)
+# and (row, g, y) cells of the identities validate_axioms compares and the
+# (a, b, c) cells of its cubic reporter. The table fill (_fill) takes a
+# quarter of that in (a, b) pairs, as a vector op holds a few int64
+# temporaries per pair. It bounds the products, membership masks and
+# differences of one block to a few megabytes.
 # A batch of kernel.first_failures holds _PASS_CELLS // 32 elements:
 # chunk_failures keeps at most 32 element-sized int64 arrays live at its peak
 # (trajectory table, chain temporaries and vector-op scratch together), so a
@@ -302,13 +303,16 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
     a group), whose walk reaches each x != 0 as x = p + g, g in G, from an
     element p reached before x. It runs in phases, each only if those before
     it held (``_proof``). Phase 0 is the O(n^2) checks (closure,
-    commutativity of +, zero, negation, zero rows, unity); then it verifies
+    commutativity of +, zero, negation, zero rows); then it verifies
 
     1. (p + g) + y = p + (g + y) for every such tree edge x = p + g and all
        y, and g + (h + y) = h + (g + y) for g, h in G and all y;
     2. g(h + b) = gh + gb for g, h in G and all b, and (b + g)a = ba + ga
        for all a, b and g in G;
-    3. (gh)k = g(hk) for g, h, k in G.
+    3. (gh)k = g(hk) for g, h, k in G;
+    4. 1a = a = a1 for all a, when the ring has a unity. No phase before
+       uses the unity, so it comes last, and a wrong unity is reported
+       without a cubic finder.
 
     Write L_x for the translation y -> x + y. The tree edges say
     L_{p+g} = L_p L_g, and L_0 is the identity, so every L_x is a product of
@@ -338,7 +342,7 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
     and its first element tuple in lexicographic order, as its full run would.
     """
     held = _proof(ring)
-    return AxiomReport(True) if held == 4 else _validate_cubic(ring, held)
+    return AxiomReport(True) if held == 5 else _validate_cubic(ring, held)
 
 
 def _generator_tree(add_table: np.ndarray, zero: int):
@@ -380,7 +384,7 @@ def _generator_tree(add_table: np.ndarray, zero: int):
 
 def _proof(ring: FiniteRing) -> int:
     """How many phases of the proof of ``validate_axioms`` held, run in order
-    up to the first that fails (4: the axioms hold), each identity compared
+    up to the first that fails (5: the axioms hold), each identity compared
     in row blocks of at most _PASS_CELLS cells (row_blocks)."""
     A, M, neg = ring.add_table, ring.mul_table, ring.neg_table
     n, zero = ring.order, ring.zero
@@ -392,14 +396,12 @@ def _proof(ring: FiniteRing) -> int:
             (A == A.T).all() and (A[zero] == idx).all() and (A[idx, neg] == zero).all()
             and (M[zero] == zero).all() and (M[:, zero] == zero).all()):
         return 0
-    if ring.unital and not ((M[ring.one] == idx).all() and (M[:, ring.one] == idx).all()):
-        return 0
     walk = _generator_tree(A, zero)
     if walk is None:
         return 1
     G, tree = walk
     if not G:
-        return 4
+        return 5  # the zero ring, whose one is 0: phase 0 checked its row
     flat = A.ravel()
     # Translation identities L_u L_v = L_p L_w, one per row (u, v, p, w),
     # read u + (v + y) = p + (w + y) for all y: x + (0 + y) = p + (g + y) on
@@ -429,12 +431,16 @@ def _proof(ring: FiniteRing) -> int:
                 == flat.take(GMn[None, :, :] + M[r, None, :])).all():
             return 2
     GG = GM[:, G]  # GG[g, h] = gh
-    return 4 if (M.take(GG, axis=0)[:, :, G] == GM.take(GG, axis=1)).all() else 3
+    if not (M.take(GG, axis=0)[:, :, G] == GM.take(GG, axis=1)).all():
+        return 3
+    if ring.unital and not ((M[ring.one] == idx).all() and (M[:, ring.one] == idx).all()):
+        return 4
+    return 5
 
 
 def _axioms_hold(ring: FiniteRing) -> bool:
     """The axioms hold: every phase of ``_proof`` held."""
-    return _proof(ring) == 4
+    return _proof(ring) == 5
 
 
 def _axiom_checks(ring: FiniteRing) -> list:
@@ -459,8 +465,8 @@ def _axiom_checks(ring: FiniteRing) -> list:
             lambda r: M[A[r]] != A[M[r][:, None, :], M[None, :, :]], n)),
     ]
     if ring.unital:
-        checks += [("unity-left", 0, lambda: _first_true(M[one] != idx)),
-                   ("unity-right", 0, lambda: _first_true(M[:, one] != idx))]
+        checks += [("unity-left", 4, lambda: _first_true(M[one] != idx)),
+                   ("unity-right", 4, lambda: _first_true(M[:, one] != idx))]
     return checks
 
 

@@ -300,15 +300,16 @@ def strongly_regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
 # harness checks that walk all of them
 
 
-def _witness_table(ring: FiniteRing, search, batched, fields: str, make) -> list:
+def _witness_table(ring: FiniteRing, search, kind: str, fields: str, make) -> list:
     """search(ring, a) for every element a, kept in the ring's cache. Below
     PASS_MIN_ORDER search runs on each element, as in _ring_verdict; from
-    there on it is read off the cached array pass batched(ring) at every
-    order, which finds the same first witness, its fields in make's order."""
+    there on it is read off the triples of the cached kernel.witness_pass
+    under kind at every order, which finds the same first witness, its
+    fields in make's order."""
     def read():
         if ring.order < PASS_MIN_ORDER:
             return [search(ring, a) for a in range(ring.order)]
-        found = batched(ring)
+        found = kernel.witness_pass(ring)[kind]
         rows = zip(*(found[name].tolist() for name in fields))
         return [make(*row) if row[0] >= 0 else None for row in rows]
     return ring.memo(("witness_table", fields), read)
@@ -316,14 +317,13 @@ def _witness_table(ring: FiniteRing, search, batched, fields: str, make) -> list
 
 def wncl_table(ring: FiniteRing) -> List[Optional[WnclWitness]]:
     """wncl_witness(ring, a) for every element a, in element order."""
-    return _witness_table(ring, wncl_witness, kernel.wncl_pass, "eqx", WnclWitness)
+    return _witness_table(ring, wncl_witness, "wncl", "eqx", WnclWitness)
 
 
 def exchange_table(ring: FiniteRing) -> List[Optional[ExchangeWitness]]:
     """exchange_witness(ring, a) for every element a, in element order."""
     ring.require_unital("exchange search")
-    return _witness_table(ring, exchange_witness, kernel.exchange_pass, "ers",
-                          ExchangeWitness)
+    return _witness_table(ring, exchange_witness, "exchange", "ers", ExchangeWitness)
 
 
 # ---------------------------------------------------------------------------
@@ -726,25 +726,21 @@ def _ring_verdict(ring: FiniteRing, key: str, holds, first_flagged=None,
     return ring.memo(("ring_verdict", key), compute)
 
 
-def _first(bad) -> Optional[int]:
-    """The smallest element flagged in a boolean array, or None."""
-    return int(bad.argmax()) if bad.any() else None
-
-
-def _wncl_pass_flagged(ring: FiniteRing, count: Optional[str] = None) -> Optional[int]:
-    """The smallest element of kernel.wncl_pass without a checked witness,
-    or, given count ("idempotents" or "nilpotents"), also with a number of
-    them other than one over its witnesses."""
-    found = kernel.wncl_pass(ring)
+def _pass_flagged(ring: FiniteRing, kind: str, count: Optional[str] = None) -> Optional[int]:
+    """The smallest element without a checked witness among the triples of
+    kernel.witness_pass under kind ("wncl" or "exchange"), or, given count
+    ("idempotents" or "nilpotents" of "wncl"), also with a number of them
+    other than one over its witnesses."""
+    found = kernel.witness_pass(ring)[kind]
     bad = ~found["checked"]
     if count is not None:
         bad |= found[count] != 1
-    return _first(bad)
+    return int(bad.argmax()) if bad.any() else None
 
 
 def ring_weakly_nil_clean(ring: FiniteRing) -> bool:
     """Every element has a primal witness. From PASS_MIN_ORDER on, the
-    witnesses come from one array pass (kernel.wncl_pass). Large rings use
+    witnesses come from one array pass (kernel.witness_pass). Large rings use
     the constructive route through pi-regularity, checked on every element
     in one batched pass (see kernel)."""
     if ring.order > BRUTE_ORDER_LIMIT:
@@ -753,7 +749,7 @@ def ring_weakly_nil_clean(ring: FiniteRing) -> bool:
             ring, "wncl", lambda a: wncl_from_pi_regular(ring, a, pi_regular_witness_fast(ring, a)),
             lambda: kernel.first_failures(ring).get("wncl"), "wncl check")
     return _ring_verdict(ring, "wncl", lambda a: wncl_witness(ring, a) is not None,
-                         lambda: _wncl_pass_flagged(ring), "wncl pass")
+                         lambda: _pass_flagged(ring, "wncl"), "wncl pass")
 
 
 def ring_nil_clean(ring: FiniteRing) -> bool:
@@ -768,8 +764,7 @@ def ring_exchange(ring: FiniteRing) -> bool:
     ring.require_unital("exchange search")
     return _ring_verdict(
         ring, "exchange", lambda a: exchange_witness(ring, a) is not None,
-        lambda: _first(~kernel.exchange_pass(ring)["checked"]),
-        "exchange pass")
+        lambda: _pass_flagged(ring, "exchange"), "exchange pass")
 
 
 def ring_pi_regular(ring: FiniteRing) -> bool:
@@ -795,14 +790,14 @@ def ring_unique_idempotent(ring: FiniteRing) -> bool:
     """Every element has one distinct idempotent over its primal triples."""
     return _ring_verdict(
         ring, "unique_idempotent", lambda a: unique_idempotent_wncl(ring, a, limit=2)[0] == 1,
-        lambda: _wncl_pass_flagged(ring, "idempotents"), "idempotents uniqueness pass")
+        lambda: _pass_flagged(ring, "wncl", "idempotents"), "idempotents uniqueness pass")
 
 
 def ring_unique_nilpotent(ring: FiniteRing) -> bool:
     """Every element has one distinct nilpotent over its primal triples."""
     return _ring_verdict(
         ring, "unique_nilpotent", lambda a: unique_nilpotent_wncl(ring, a, limit=2)[0] == 1,
-        lambda: _wncl_pass_flagged(ring, "nilpotents"), "nilpotents uniqueness pass")
+        lambda: _pass_flagged(ring, "wncl", "nilpotents"), "nilpotents uniqueness pass")
 
 
 # ---------------------------------------------------------------------------

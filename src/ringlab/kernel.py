@@ -26,14 +26,15 @@ when at most half of it is live. Failures come back as boolean arrays of
 failed rows instead of a raised WitnessError; ``deciders`` replays the
 scalar chain on the smallest failing element to raise it.
 
-From the same order on, with no upper limit, ``wncl_pass`` and
-``exchange_pass`` do the exhaustive witness searches of ``deciders`` for
-every element at once, over blocks of idempotents and elements
-(``core.row_blocks``), and check each witness they find again. ``deciders``
-replays the scalar search on the smallest element they flag, and reads off
-them the first witness of every element for the harness walks. Above the
-limit, ``wncl_alt_first`` is the alternate-form search of one element on
-arrays, and ``nil_index`` serves ``structure.nil_index_map``.
+From the same order on, with no upper limit, ``witness_pass`` does the
+exhaustive wncl and exchange witness searches of ``deciders`` for every
+element at once. Both witness forms are left multiples of a, so one pass
+over blocks of elements (``core.row_blocks``) forms the products r*a of a
+block once and reads both off them; it checks each witness it finds again.
+``deciders`` replays the scalar search on the smallest element it flags,
+and reads off it the first witness of every element for the harness walks.
+Above the limit, ``wncl_alt_first`` is the alternate-form search of one
+element on arrays, and ``nil_index`` serves ``structure.nil_index_map``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from . import core
 from . import structure as st
 
 # Up to this order classify reports every property and the structure counts,
-# and the wncl verdict searches for witnesses (wncl_pass from
+# and the wncl verdict searches for witnesses (witness_pass from
 # deciders.PASS_MIN_ORDER on); above it classify reports only the verdicts
 # that the trajectory witnesses decide, wncl through pi-regularity. The
 # pi-regularity verdicts use the trajectory witnesses at every order.
@@ -307,7 +308,7 @@ def chunk_failures(ring: FiniteRing, a: np.ndarray) -> Dict[str, np.ndarray]:
     """Failed rows, on the elements a, of the scalar chain of each verdict:
     "pi_regular" runs pi_regular_witness_fast; "strongly_pi_regular" runs
     strong_pi_witness_fast, or strong_pi_core_fast without a unity; with a
-    unity and above BRUTE_ORDER_LIMIT (below it wncl_pass decides wncl),
+    unity and above BRUTE_ORDER_LIMIT (below it witness_pass decides wncl),
     "wncl" runs pi_regular_witness_fast then wncl_from_pi_regular. One
     trajectory pass serves all three."""
     m, am, out = _trajectory_failures(ring, a)
@@ -333,65 +334,96 @@ def first_failures(ring: FiniteRing) -> Dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# witness passes over idempotents
+# the witness pass over blocks of elements
 
 
-def wncl_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
-    """The primal weakly nil clean triples (e, q, x) of every element a, with
-    e idempotent and q nilpotent: a - e - q = (e*x)*a.
+def witness_pass(ring: FiniteRing) -> Dict[str, Dict[str, np.ndarray]]:
+    """The witness triples of every element a, as arrays indexed by element,
+    under "wncl" and, when the ring has a unity, "exchange". Cached on the
+    ring.
 
-    Returns arrays indexed by element: "e", "q", "x", the first triple of
-    deciders.wncl_witness in its lexicographic order (e, q, then the smallest
-    x), or -1 where there is none; "checked", that a first triple exists and
-    passes e*e = e, q nilpotent and a - e - q = e*x*a, recomputed from the
-    ring's operations; "idempotents" and "nilpotents", how many idempotents
-    and nilpotents occur in some triple of a (the counts of
+    "wncl" holds the primal weakly nil clean triples (e, q, x), e idempotent
+    and q nilpotent with a - e - q = (e*x)*a: "e", "q", "x", the first triple
+    of deciders.wncl_witness in its lexicographic order (e, q, then the
+    smallest x), or -1 where there is none; "checked", that a first triple
+    exists and passes e*e = e, q nilpotent and a - e - q = e*x*a, recomputed
+    from the ring's operations; "idempotents" and "nilpotents", how many
+    idempotents and nilpotents occur in some triple of a (the counts of
     deciders.unique_idempotent_wncl and unique_nilpotent_wncl without a
-    limit). Cached on the ring.
+    limit).
 
-    One pass over blocks of (idempotent, x, element) cells: gather
-    (e*x)*a over the distinct values of e*x, scatter the membership masks of
-    eRa, and look up a - e - q in them for every q."""
-    return ring.memo(("wncl_pass",), lambda: _wncl_pass(ring))
+    "exchange" holds the exchange triples (e, r, s), e idempotent with
+    e = r*a and 1 - e = s*(1 - a): "e", "r", "s", the first triple of
+    deciders.exchange_witness (the smallest e, then the smallest r and s),
+    or -1 where there is none, and "checked", that it passes e*e = e,
+    r*a = e and s*(1 - a) = 1 - e, recomputed from the ring's operations.
+
+    One pass over blocks of elements, each forming RA[r, a] = r*a once.
+    The exchange triples scatter the membership masks of Ra and R(1 - a)
+    and read them at e and 1 - e for every idempotent. The wncl triples
+    scatter, over blocks of idempotents, the membership masks of
+    {(e*x)*a : x in R} by reading RA at the distinct values of e*x, and look
+    up a - e - q in them for every q. That set is not eR ∩ Ra, which equals
+    it only for an associative product."""
+    return ring.memo(("witness_pass",), lambda: _witness_pass(ring))
 
 
-def _wncl_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
+def _witness_pass(ring: FiniteRing) -> Dict[str, Dict[str, np.ndarray]]:
     mul, sub = ring.mul_vec, ring.sub_vec
     n = ring.order
     E = np.asarray(st.idempotents(ring), dtype=np.int64)
     Q = np.asarray(st.nilpotents(ring), dtype=np.int64)
     X = np.arange(n, dtype=np.int64)
-    first = {name: np.full(n, -1, dtype=np.int64) for name in "eqx"}
+    wncl = {name: np.full(n, -1, dtype=np.int64) for name in "eqx"}
+    exchange = {name: np.full(n, -1, dtype=np.int64) for name in "ers"}
     e_count, q_count = np.zeros((2, n), dtype=np.int64)
-    for s in row_blocks(n, n):
-        A = X[s]
+    if ring.unital:
+        F = sub(np.full(len(E), ring.one, dtype=np.int64), E)
+    for block in row_blocks(n, n):
+        A = X[block]
+        RA = mul(X[:, None], A)  # (r, a)
+        if ring.unital:
+            RB = mul(X[:, None], sub(np.full(len(A), ring.one, dtype=np.int64), A))
+            in_ra = np.zeros((len(A), n), dtype=bool)
+            in_rb = np.zeros((len(A), n), dtype=bool)
+            in_ra[np.arange(len(A)), RA] = True
+            in_rb[np.arange(len(A)), RB] = True
+            ok = in_ra[:, E] & in_rb[:, F]  # (a, e)
+            js = np.flatnonzero(ok.any(axis=1))
+            if js.size:
+                i = ok[js].argmax(axis=1)
+                exchange["e"][A[js]] = E[i]
+                exchange["r"][A[js]] = (RA[:, js] == E[i]).argmax(axis=0)
+                exchange["s"][A[js]] = (RB[:, js] == F[i]).argmax(axis=0)
+            del RB, in_ra, in_rb, ok
         q_seen = np.zeros((len(A), len(Q)), dtype=bool)
         for t in row_blocks(len(E), n * len(A)):
             Eb = E[t]
+            EX = mul(Eb[:, None], X)  # (e, x)
             # eR as pairs (row of e in Eb, value w = e*x), rows ascending
             eR = np.zeros((len(Eb), n), dtype=bool)
-            eR[np.arange(len(Eb))[:, None], mul(Eb[:, None], X)] = True
+            eR[np.arange(len(Eb))[:, None], EX] = True
             i, w = np.nonzero(eR)
             # member[e, a, v] is True when v = w*a for some w in eR
             rows = (np.arange(len(Eb))[:, None] * len(A) + np.arange(len(A))) * n
             member = np.zeros(len(Eb) * len(A) * n, dtype=bool)
-            member[rows[i] + mul(w[:, None], A)] = True
+            member[rows[i] + RA[w]] = True
             D = sub(sub(A, Eb[:, None])[:, :, None], Q)  # (e, a, q)
             W = member[rows[:, :, None] + D]
             admit = W.any(axis=2)
             e_count[A] += admit.sum(axis=0)
             q_seen |= W.any(axis=0)
-            js = np.flatnonzero((first["e"][A] < 0) & admit.any(axis=0))
+            js = np.flatnonzero((wncl["e"][A] < 0) & admit.any(axis=0))
             if js.size:
                 i = admit[:, js].argmax(axis=0)
                 k = W[i, js].argmax(axis=1)
-                exa = mul(mul(Eb[i, None], X), A[js, None])
-                first["e"][A[js]] = Eb[i]
-                first["q"][A[js]] = Q[k]
-                first["x"][A[js]] = (exa == D[i, js, k][:, None]).argmax(axis=1)
+                exa = RA[EX[i], js[:, None]]  # (e*x)*a for every x
+                wncl["e"][A[js]] = Eb[i]
+                wncl["q"][A[js]] = Q[k]
+                wncl["x"][A[js]] = (exa == D[i, js, k][:, None]).argmax(axis=1)
         q_count[A] = q_seen.sum(axis=1)
-    found = np.flatnonzero(first["e"] >= 0)
-    e, q, x = (first[name][found] for name in "eqx")
+    found = np.flatnonzero(wncl["e"] >= 0)
+    e, q, x = (wncl[name][found] for name in "eqx")
     nilpotent = np.zeros(n, dtype=bool)
     nilpotent[q] = True
     qs = np.flatnonzero(nilpotent)
@@ -399,52 +431,13 @@ def _wncl_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
     checked = np.zeros(n, dtype=bool)
     checked[found] = ((mul(e, e) == e) & nilpotent[q]
                       & (sub(sub(found, e), q) == mul(mul(e, x), found)))
-    return dict(first, checked=checked, idempotents=e_count, nilpotents=q_count)
-
-
-def exchange_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
-    """The exchange triples (e, r, s) of every element a of a unital ring,
-    with e idempotent: e = r*a and 1 - e = s*(1 - a).
-
-    Returns arrays indexed by element: "e", "r", "s", the first triple of
-    deciders.exchange_witness (the smallest e, then the smallest r and s),
-    or -1 where there is none, and "checked", that it passes e*e = e,
-    r*a = e and s*(1 - a) = 1 - e, recomputed from the ring's operations.
-    Cached on the ring.
-
-    One pass over blocks of elements: gather r*a and r*(1 - a) for every r,
-    scatter the membership masks of Ra and R(1 - a), and read them at e and
-    1 - e for every idempotent."""
-    return ring.memo(("exchange_pass",), lambda: _exchange_pass(ring))
-
-
-def _exchange_pass(ring: FiniteRing) -> Dict[str, np.ndarray]:
-    mul, sub = ring.mul_vec, ring.sub_vec
-    n = ring.order
-    E = np.asarray(st.idempotents(ring), dtype=np.int64)
-    X = np.arange(n, dtype=np.int64)
-    F = sub(np.full(len(E), ring.one, dtype=np.int64), E)
-    first = {name: np.full(n, -1, dtype=np.int64) for name in "ers"}
-    for block in row_blocks(n, n):
-        A = X[block]
-        rows = np.arange(len(A))
-        RA = mul(X[:, None], A)  # (r, a)
-        RB = mul(X[:, None], sub(np.full(len(A), ring.one, dtype=np.int64), A))
-        in_ra = np.zeros((len(A), n), dtype=bool)
-        in_rb = np.zeros((len(A), n), dtype=bool)
-        in_ra[rows, RA] = True
-        in_rb[rows, RB] = True
-        ok = in_ra[:, E] & in_rb[:, F]  # (a, e)
-        js = np.flatnonzero(ok.any(axis=1))
-        if js.size:
-            i = ok[js].argmax(axis=1)
-            first["e"][A[js]] = E[i]
-            first["r"][A[js]] = (RA[:, js] == E[i]).argmax(axis=0)
-            first["s"][A[js]] = (RB[:, js] == F[i]).argmax(axis=0)
-    found = np.flatnonzero(first["e"] >= 0)
-    e, r, s = (first[name][found] for name in "ers")
-    one = np.full(len(found), ring.one, dtype=np.int64)
-    checked = np.zeros(n, dtype=bool)
-    checked[found] = ((mul(e, e) == e) & (mul(r, found) == e)
-                      & (mul(s, sub(one, found)) == sub(one, e)))
-    return dict(first, checked=checked)
+    out = {"wncl": dict(wncl, checked=checked, idempotents=e_count, nilpotents=q_count)}
+    if ring.unital:
+        found = np.flatnonzero(exchange["e"] >= 0)
+        e, r, s = (exchange[name][found] for name in "ers")
+        one = np.full(len(found), ring.one, dtype=np.int64)
+        checked = np.zeros(n, dtype=bool)
+        checked[found] = ((mul(e, e) == e) & (mul(r, found) == e)
+                          & (mul(s, sub(one, found)) == sub(one, e)))
+        out["exchange"] = dict(exchange, checked=checked)
+    return out

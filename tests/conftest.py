@@ -175,9 +175,11 @@ SMALL_BATCHED = {
 
 
 def assert_passes_match_scalar(ring):
-    """kernel.wncl_pass and kernel.exchange_pass equal the scalar searches
-    element by element: first witnesses, checks and counts."""
-    found = kernel.wncl_pass(ring)
+    """The triples of kernel.witness_pass equal the scalar searches element
+    by element: first witnesses, checks and counts."""
+    passes = kernel.witness_pass(ring)
+    assert passes.keys() == ({"wncl", "exchange"} if ring.unital else {"wncl"})
+    found = passes["wncl"]
     for a in range(ring.order):
         w = rl.wncl_witness(ring, a)
         got = tuple(int(found[k][a]) for k in "eqx")
@@ -186,7 +188,7 @@ def assert_passes_match_scalar(ring):
         assert found["idempotents"][a] == rl.unique_idempotent_wncl(ring, a)[0], a
         assert found["nilpotents"][a] == rl.unique_nilpotent_wncl(ring, a)[0], a
     if ring.unital:
-        found = kernel.exchange_pass(ring)
+        found = passes["exchange"]
         for a in range(ring.order):
             w = rl.exchange_witness(ring, a)
             got = tuple(int(found[k][a]) for k in "ers")

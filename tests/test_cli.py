@@ -442,13 +442,12 @@ def _counting(module, name):
 def test_verify_reads_element_witnesses_off_the_passes(tmp_path, capsys, name, detail):
     path = tmp_path / "rings.txt"
     path.write_text(f"{name}\n")
-    with fresh_build_cache(), _counting(kernel, "wncl_pass") as wncl_pass, \
-            _counting(kernel, "exchange_pass") as exchange_pass, \
+    with fresh_build_cache(), _counting(kernel, "_witness_pass") as witness_pass, \
             _counting(dc, "unique_idempotent_wncl") as primal, \
             _counting(dc, "exchange_witness") as exchange:
         assert rl.main(["verify", "--props", "P_OSNOVE", "--corpus", str(path)]) == 0
     assert capsys.readouterr().out == f"P_OSNOVE    pass        {detail}\n"
-    assert (wncl_pass.call_count, exchange_pass.call_count) == (1, 1)
+    witness_pass.assert_called_once()
     primal.assert_not_called()
     exchange.assert_not_called()
 
@@ -456,24 +455,25 @@ def test_verify_reads_element_witnesses_off_the_passes(tmp_path, capsys, name, d
 def test_witness_table_and_uniqueness_verdict_share_one_pass(tmp_path, capsys):
     path = tmp_path / "rings.txt"
     path.write_text("M2(Z6)\n")
-    with fresh_build_cache(), _counting(kernel, "_wncl_pass") as wncl_pass, \
-            _counting(dc, "wncl_witness") as primal:
+    with fresh_build_cache(), _counting(kernel, "_witness_pass") as witness_pass, \
+            _counting(dc, "wncl_witness") as primal, \
+            _counting(dc, "exchange_witness") as exchange:
         assert rl.main(["verify", "--props", "P_OSNOVE,P_UNQ1", "--corpus", str(path)]) == 0
+        assert rl.ring_exchange(rl.build_cached(rl.parse_spec("M2(Z6)"))) is True
     assert capsys.readouterr().out.splitlines() == [
         "P_OSNOVE    pass        1296 elements across 1 unital rings",
         "P_UNQ1      pass        verdicts equal on 1 unital rings"]
-    wncl_pass.assert_called_once()
+    witness_pass.assert_called_once()
     primal.assert_not_called()
+    exchange.assert_not_called()
 
 
 @pytest.mark.parametrize("argv", [["T2(Z4)", "5", "wnc"], ["M2(Z3)", "5", "exchange"]])
 def test_witness_of_one_element_runs_no_pass(argv, capsys):
-    with _counting(kernel, "wncl_pass") as wncl_pass, \
-            _counting(kernel, "exchange_pass") as exchange_pass:
+    with _counting(kernel, "witness_pass") as witness_pass:
         assert rl.main(["witness", *argv]) == 0
     assert "witness: " in capsys.readouterr().out
-    wncl_pass.assert_not_called()
-    exchange_pass.assert_not_called()
+    witness_pass.assert_not_called()
 
 
 # --- census -------------------------------------------------------------------------

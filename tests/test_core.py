@@ -241,6 +241,13 @@ def test_generator_validator_catches_entries_out_of_range():
         assert report.failure.axiom == f"{table}-closure"
 
 
+def _wrong_unity(ring):
+    """An unvalidated copy of a tabled ring given the unity 3, which is no
+    unity of Z4 or Z1024."""
+    return rl.FiniteRing(ring.order, ring.add_table, ring.mul_table, ring.neg_table, one=3,
+                         label=f"{ring.label} with unity 3", validate=False)
+
+
 # (ring, the number of phases of the proof that held, the finders that the
 # report then runs): one ring for each phase that can fail
 _FAILED_PHASES = [
@@ -252,6 +259,7 @@ _FAILED_PHASES = [
     (lambda: _one_identity_broken(_ONE_IDENTITY_BROKEN[1][0]), 2,
      ["mul-associativity", "left-distributivity", "right-distributivity"]),
     (lambda: _one_identity_broken(_ONE_IDENTITY_BROKEN[2][0]), 3, ["mul-associativity"]),
+    (lambda: _wrong_unity(rl.zn_ring(4)), 4, ["unity-left"]),
 ]
 
 
@@ -281,6 +289,17 @@ def test_a_failing_table_is_reported_without_the_finders_of_proved_axioms(monkey
                         lambda *args: calls.append(args) or first_mismatch(*args))
     assert str(rl.validate_axioms(ring)) == "mul-associativity fails at (2, 3, 5)"
     assert len(calls) == 1
+
+
+def test_a_wrong_unity_is_reported_without_a_cubic_finder(monkeypatch):
+    # the unity is the last phase of the proof, which every earlier phase
+    # of this Z1024 passes, so none of the four cubic finders runs
+    ring = _wrong_unity(rl.zn_ring(1024))
+    calls, first_mismatch = [], core._first_mismatch
+    monkeypatch.setattr(core, "_first_mismatch",
+                        lambda *args: calls.append(args) or first_mismatch(*args))
+    assert str(rl.validate_axioms(ring)) == "unity-left fails at (1)"
+    assert calls == []
 
 
 @pytest.mark.parametrize("validate", [True, False])
