@@ -140,8 +140,8 @@ class FiniteRing:
     (the scalar one mapped when no vector form is given). ``validated`` is
     True when the axioms were checked (and held) at construction. Instances
     are immutable by convention; ``cache`` holds the flat tables and data
-    derived from the ring, kept through ``memo``, ``memoized`` and
-    ``memoized_per_element``.
+    derived from the ring, kept through ``memo`` and the decorator
+    ``memoized``, which keeps scans and element searches alike.
     """
 
     def __init__(
@@ -235,38 +235,23 @@ class FiniteRing:
         return f"<FiniteRing {self.label} order={self.order}>"
 
 
-def memoized(key: str):
-    """Decorator keeping a scan ``fn(ring)`` in ``ring.cache[key]``. The
-    wrapper reads the cache itself, with no closure made per call, because
-    scans are called inside element loops."""
+def memoized(key: Hashable):
+    """Decorator keeping a scan ``fn(ring)`` in ``ring.cache[key]`` and a
+    search ``fn(ring, a)`` in ``ring.cache[(key, a)]``, None (nothing found)
+    included. The wrapper reads the cache itself, with no closure made per
+    call, because scans and searches are called inside element loops."""
     def decorate(fn):
         @functools.wraps(fn)
-        def scan(ring):
+        def cached(ring, a=None):
+            k = key if a is None else (key, a)
             try:
-                return ring.cache[key]
+                return ring.cache[k]
             except KeyError:
                 pass
-            value = ring.cache[key] = fn(ring)
+            value = ring.cache[k] = fn(ring) if a is None else fn(ring, a)
             return value
-        return scan
+        return cached
     return decorate
-
-
-def memoized_per_element(fn):
-    """Decorator keeping a search ``fn(ring, a)``, None (nothing found)
-    included, in ``ring.cache[(fn.__name__, a)]``, read as in ``memoized``."""
-    name = fn.__name__
-
-    @functools.wraps(fn)
-    def search(ring, a):
-        key = (name, a)
-        try:
-            return ring.cache[key]
-        except KeyError:
-            pass
-        value = ring.cache[key] = fn(ring, a)
-        return value
-    return search
 
 
 def _map_vec(op: Callable[..., int]) -> VecOp:
@@ -302,17 +287,20 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
     generating set of ``_generator_tree`` (|G| <= log2 n when (R, +) is
     a group), whose walk reaches each x != 0 as x = p + g, g in G, from an
     element p reached before x. It runs in phases, each only if those before
-    it held (``_proof``). Phase 0 is the O(n^2) checks (closure,
-    commutativity of +, zero, negation, zero rows); then it verifies
+    it held (``_proof``). Phase 0 is the O(n^2) checks: closure,
+    commutativity of +, an identity 0 of + (the ring's zero if its row is
+    one, else the first row that is) and the zero rows 0a = 0 = a0; the
+    tree is rooted at 0. Then it verifies
 
     1. (p + g) + y = p + (g + y) for every such tree edge x = p + g and all
        y, and g + (h + y) = h + (g + y) for g, h in G and all y;
     2. g(h + b) = gh + gb for g, h in G and all b, and (b + g)a = ba + ga
        for all a, b and g in G;
     3. (gh)k = g(hk) for g, h, k in G;
-    4. 1a = a = a1 for all a, when the ring has a unity. No phase before
-       uses the unity, so it comes last, and a wrong unity is reported
-       without a cubic finder.
+    4. 0 is the ring's zero, and x + (-x) = 0 for all x;
+    5. 1a = a = a1 for all a, when the ring has a unity. No phase before 4
+       uses the negation or the ring's zero, and none before 5 the unity, so
+       a wrong zero, negation or unity is reported without a cubic finder.
 
     Write L_x for the translation y -> x + y. The tree edges say
     L_{p+g} = L_p L_g, and L_0 is the identity, so every L_x is a product of
@@ -342,7 +330,7 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
     and its first element tuple in lexicographic order, as its full run would.
     """
     held = _proof(ring)
-    return AxiomReport(True) if held == 5 else _validate_cubic(ring, held)
+    return AxiomReport(True) if held == 6 else _validate_cubic(ring, held)
 
 
 def _generator_tree(add_table: np.ndarray, zero: int):
@@ -384,24 +372,28 @@ def _generator_tree(add_table: np.ndarray, zero: int):
 
 def _proof(ring: FiniteRing) -> int:
     """How many phases of the proof of ``validate_axioms`` held, run in order
-    up to the first that fails (5: the axioms hold), each identity compared
+    up to the first that fails (6: the axioms hold), each identity compared
     in row blocks of at most _PASS_CELLS cells (row_blocks)."""
     A, M, neg = ring.add_table, ring.mul_table, ring.neg_table
-    n, zero = ring.order, ring.zero
+    n = ring.order
     if A is None or M is None or neg is None:
         raise OrderCapError(f"axiom validation needs materialized tables; {ring.label} "
                             f"has order {n}")
     idx = np.arange(n)
-    if max(A.max(), M.max(), neg.max()) >= n or not (
-            (A == A.T).all() and (A[zero] == idx).all() and (A[idx, neg] == zero).all()
-            and (M[zero] == zero).all() and (M[:, zero] == zero).all()):
+    if max(A.max(), M.max(), neg.max()) >= n or not (A == A.T).all():
+        return 0
+    zero = ring.zero
+    if not (A[zero] == idx).all():  # then the identity of +, if any, is elsewhere
+        zeros = np.flatnonzero((A == idx).all(axis=1))
+        zero = int(zeros[0]) if len(zeros) else None
+    if zero is None or not ((M[zero] == zero).all() and (M[:, zero] == zero).all()):
         return 0
     walk = _generator_tree(A, zero)
     if walk is None:
         return 1
     G, tree = walk
     if not G:
-        return 5  # the zero ring, whose one is 0: phase 0 checked its row
+        return 6  # the zero ring: its zero, negation and one are all 0
     flat = A.ravel()
     # Translation identities L_u L_v = L_p L_w, one per row (u, v, p, w),
     # read u + (v + y) = p + (w + y) for all y: x + (0 + y) = p + (g + y) on
@@ -433,14 +425,16 @@ def _proof(ring: FiniteRing) -> int:
     GG = GM[:, G]  # GG[g, h] = gh
     if not (M.take(GG, axis=0)[:, :, G] == GM.take(GG, axis=1)).all():
         return 3
-    if ring.unital and not ((M[ring.one] == idx).all() and (M[:, ring.one] == idx).all()):
+    if not (ring.zero == zero and (A[idx, neg] == zero).all()):
         return 4
-    return 5
+    if ring.unital and not ((M[ring.one] == idx).all() and (M[:, ring.one] == idx).all()):
+        return 5
+    return 6
 
 
 def _axioms_hold(ring: FiniteRing) -> bool:
     """The axioms hold: every phase of ``_proof`` held."""
-    return _proof(ring) == 5
+    return _proof(ring) == 6
 
 
 def _axiom_checks(ring: FiniteRing) -> list:
@@ -456,8 +450,8 @@ def _axiom_checks(ring: FiniteRing) -> list:
         ("neg-closure", 0, lambda: _first_true(neg >= n)),
         ("add-commutativity", 0, lambda: _first_true(A != A.T)),
         ("add-associativity", 1, lambda: _first_mismatch(lambda r: A[A[r]] != A[r][:, A], n)),
-        ("add-zero", 0, lambda: _first_true(A[zero] != idx)),
-        ("add-negation", 0, lambda: _first_true(A[idx, neg] != zero)),
+        ("add-zero", 4, lambda: _first_true(A[zero] != idx)),
+        ("add-negation", 4, lambda: _first_true(A[idx, neg] != zero)),
         ("mul-associativity", 3, lambda: _first_mismatch(lambda r: M[M[r]] != M[r][:, M], n)),
         ("left-distributivity", 2, lambda: _first_mismatch(
             lambda r: M[r][:, A] != A[M[r][:, :, None], M[r][:, None, :]], n)),
@@ -465,8 +459,8 @@ def _axiom_checks(ring: FiniteRing) -> list:
             lambda r: M[A[r]] != A[M[r][:, None, :], M[None, :, :]], n)),
     ]
     if ring.unital:
-        checks += [("unity-left", 4, lambda: _first_true(M[one] != idx)),
-                   ("unity-right", 4, lambda: _first_true(M[:, one] != idx))]
+        checks += [("unity-left", 5, lambda: _first_true(M[one] != idx)),
+                   ("unity-right", 5, lambda: _first_true(M[:, one] != idx))]
     return checks
 
 

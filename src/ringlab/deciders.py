@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from .core import (
     FiniteRing,
     WitnessError,
-    memoized_per_element,
+    memoized,
     nil_index_of,
     power,
     power_from_seq,
@@ -161,7 +161,7 @@ def check_strongly_regular(ring: FiniteRing, a: int, r: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # brute-force searches (ascending index order throughout); those the harness
-# walks read back are memoized per element under (name, a)
+# walks read back keep each element's result under (name, a) by core.memoized
 
 
 def _exa_value_map(ring: FiniteRing, e: int, a: int) -> Dict[int, int]:
@@ -173,7 +173,7 @@ def _exa_value_map(ring: FiniteRing, e: int, a: int) -> Dict[int, int]:
     return ea
 
 
-@memoized_per_element
+@memoized("wncl_witness")
 def wncl_witness(ring: FiniteRing, a: int) -> Optional[WnclWitness]:
     """Smallest primal witness in lexicographic (e, q, x) order, or None.
 
@@ -183,7 +183,7 @@ def wncl_witness(ring: FiniteRing, a: int) -> Optional[WnclWitness]:
     return samples[0] if samples else None
 
 
-@memoized_per_element
+@memoized("wncl_witness_alt")
 def wncl_witness_alt(ring: FiniteRing, a: int) -> Optional[WnclWitness]:
     """Alternate-form witness: e = x*a idempotent, (1-e) = (1-e)(1+q)(1-a).
 
@@ -210,7 +210,7 @@ def wncl_witness_alt(ring: FiniteRing, a: int) -> Optional[WnclWitness]:
     return None
 
 
-@memoized_per_element
+@memoized("pi_regular_witness")
 def pi_regular_witness(ring: FiniteRing, a: int) -> Optional[PiRegularWitness]:
     """First (n, r) with a^n * r * a^n = a^n, n scanned over the trajectory."""
     mul = ring.mul
@@ -247,7 +247,7 @@ def strong_pi_witness(ring: FiniteRing, a: int) -> Optional[StrongPiWitness]:
     return None
 
 
-@memoized_per_element
+@memoized("exchange_witness")
 def exchange_witness(ring: FiniteRing, a: int) -> Optional[ExchangeWitness]:
     """First (e, r, s) with e = r*a idempotent and 1-e = s*(1-a)."""
     ring.require_unital("exchange search")
@@ -638,17 +638,16 @@ def center_witness(ring: FiniteRing, a: int, w: WnclWitness) -> WnclWitness:
     return wc
 
 
+@memoized("center_ring")
 def center_ring(ring: FiniteRing) -> FiniteRing:
     """The center as a unital subring, cached per ring; element indices map
     through its ``members`` tuple and back through its ``index`` dict. A
     commutative ring is its own center and is returned itself."""
-    def make():
-        ring.require_unital("center ring")
-        members = st.center(ring)
-        if len(members) == ring.order:
-            return ring
-        return ct.subring(ring, members, one=ring.one, label=f"Center({ring.label})")
-    return ring.memo("center_ring", make)
+    ring.require_unital("center ring")
+    members = st.center(ring)
+    if len(members) == ring.order:
+        return ring
+    return ct.subring(ring, members, one=ring.one, label=f"Center({ring.label})")
 
 
 # ---------------------------------------------------------------------------

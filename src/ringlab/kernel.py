@@ -43,7 +43,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import FiniteRing, index_dtype, row_blocks
+from .core import FiniteRing, index_dtype, memoized, row_blocks
 from . import core
 from . import structure as st
 
@@ -317,20 +317,19 @@ def chunk_failures(ring: FiniteRing, a: np.ndarray) -> Dict[str, np.ndarray]:
     return out
 
 
+@memoized(("large_ring_failures",))
 def first_failures(ring: FiniteRing) -> Dict[str, int]:
     """The smallest element failing each chain of chunk_failures, from one
     pass over the ring in batches of core._PASS_CELLS // 32 elements, each
     within a working set of core._PASS_CELLS int64 values; cached on the
     ring."""
-    def scan():
-        X = np.arange(ring.order, dtype=np.int64)
-        first: Dict[str, int] = {}
-        for s in row_blocks(ring.order, 32):
-            for name, bad in chunk_failures(ring, X[s]).items():
-                if name not in first and bad.any():
-                    first[name] = s.start + int(bad.argmax())
-        return first
-    return ring.memo(("large_ring_failures",), scan)
+    X = np.arange(ring.order, dtype=np.int64)
+    first: Dict[str, int] = {}
+    for s in row_blocks(ring.order, 32):
+        for name, bad in chunk_failures(ring, X[s]).items():
+            if name not in first and bad.any():
+                first[name] = s.start + int(bad.argmax())
+    return first
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Structure scans over a finite ring: special element sets, ideals and the
-radical. Results are memoized in the ring's cache (core.memoized), so
-repeated queries against the same ring object are cheap.
+radical. Results are memoized in the ring's cache (core.memoized, which also
+keeps the element searches of deciders), so repeated queries are cheap.
 
 The O(n^2) scans (units, center, is_abelian, the radical) and the ideal
 closures read only the ring's vector operations, in row blocks of at most

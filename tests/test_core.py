@@ -248,6 +248,18 @@ def _wrong_unity(ring):
                          label=f"{ring.label} with unity 3", validate=False)
 
 
+def _wrong_zero(ring):
+    """An unvalidated copy of a tabled ring given the zero 1."""
+    return rl.FiniteRing(ring.order, ring.add_table, ring.mul_table, ring.neg_table, zero=1,
+                         one=ring.one, label=f"{ring.label} with zero 1", validate=False)
+
+
+def _wrong_negation(ring):
+    """An unvalidated copy of a tabled ring of order at least 8 whose
+    negation table sends 5 to 7."""
+    return with_cell(ring, "neg", (5, 0), 7)
+
+
 # (ring, the number of phases of the proof that held, the finders that the
 # report then runs): one ring for each phase that can fail
 _FAILED_PHASES = [
@@ -255,11 +267,15 @@ _FAILED_PHASES = [
     (_s3_ring, 0, ["add-closure", "mul-closure", "neg-closure", "add-commutativity"]),
     (_loop_ring, 1, ["add-associativity"]),
     (lambda: _one_identity_broken(_ONE_IDENTITY_BROKEN[0][0]), 2,
-     ["mul-associativity", "left-distributivity"]),
+     ["add-zero", "add-negation", "mul-associativity", "left-distributivity"]),
     (lambda: _one_identity_broken(_ONE_IDENTITY_BROKEN[1][0]), 2,
-     ["mul-associativity", "left-distributivity", "right-distributivity"]),
-    (lambda: _one_identity_broken(_ONE_IDENTITY_BROKEN[2][0]), 3, ["mul-associativity"]),
-    (lambda: _wrong_unity(rl.zn_ring(4)), 4, ["unity-left"]),
+     ["add-zero", "add-negation", "mul-associativity", "left-distributivity",
+      "right-distributivity"]),
+    (lambda: _one_identity_broken(_ONE_IDENTITY_BROKEN[2][0]), 3,
+     ["add-zero", "add-negation", "mul-associativity"]),
+    (lambda: _wrong_unity(rl.zn_ring(4)), 5, ["unity-left"]),
+    (lambda: _wrong_zero(rl.zn_ring(8)), 4, ["add-zero"]),
+    (lambda: _wrong_negation(rl.zn_ring(8)), 4, ["add-zero", "add-negation"]),
 ]
 
 
@@ -289,6 +305,20 @@ def test_a_failing_table_is_reported_without_the_finders_of_proved_axioms(monkey
                         lambda *args: calls.append(args) or first_mismatch(*args))
     assert str(rl.validate_axioms(ring)) == "mul-associativity fails at (2, 3, 5)"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make,line", [(_wrong_zero, "add-zero fails at (0)"),
+                                       (_wrong_negation, "add-negation fails at (5)")])
+def test_a_wrong_zero_or_negation_is_reported_without_a_cubic_finder(monkeypatch, make, line):
+    # the proof takes the identity of + off the add table and checks the
+    # zero and negation after the phases that use it, so a wrong zero or
+    # negation of this Z1024 runs none of the four cubic finders
+    ring = make(rl.zn_ring(1024))
+    calls, first_mismatch = [], core._first_mismatch
+    monkeypatch.setattr(core, "_first_mismatch",
+                        lambda *args: calls.append(args) or first_mismatch(*args))
+    assert str(rl.validate_axioms(ring)) == line
+    assert calls == []
 
 
 def test_a_wrong_unity_is_reported_without_a_cubic_finder(monkeypatch):

@@ -1071,7 +1071,12 @@ def test_scans_and_searches_keep_their_results_under_fixed_keys(text):
             value = getattr(dc, name)(ring, a)
             assert (name, a) in ring.cache and ring.cache[name, a] is value, (name, a)
     # None, for an element without a result, is kept too
-    nothing = core.memoized_per_element(lambda ring, a: None)
-    assert nothing(ring, 1) is None and ring.cache[nothing.__name__, 1] is None
+    nothing = core.memoized("nothing")(lambda ring, a: None)
+    assert nothing(ring, 1) is None and ring.cache["nothing", 1] is None
+    center = dc.center_ring(ring)
+    assert ring.cache["center_ring"] is center is dc.center_ring(ring)
     dc.classify(ring)
     assert {("ring_verdict", name) for name in VERDICTS} <= set(ring.cache)
+    large = rl.build(rl.parse_spec("M2(Z3)"))  # order 81, where the verdicts read it
+    first = kernel.first_failures(large)
+    assert large.cache[("large_ring_failures",)] is first is kernel.first_failures(large)
