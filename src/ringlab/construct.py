@@ -214,7 +214,7 @@ def _check_cap(order: int, cap: int, what: str) -> None:
 
 
 def _check_table_cap(order: int, what) -> None:
-    # a derived ring is always tabulated, and no table above the cap is validated
+    # a derived ring is always tabulated and validated, at a cost quadratic in its order
     if order > DEFAULT_TABLE_CAP:
         raise OrderCapError(f"{what} has order {order}, over the table cap {DEFAULT_TABLE_CAP}")
 

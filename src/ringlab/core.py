@@ -138,7 +138,8 @@ class FiniteRing:
     of add and mul made on their first call.
     Above the cap the table attributes are None and the closures given serve
     (the scalar one mapped when no vector form is given). ``validated`` is
-    True when the axioms were checked (and held) at construction. Instances
+    True when the axioms were checked (and held) at construction, by default
+    for every ring with tables, given ones at any order included. Instances
     are immutable by convention; ``cache`` holds the flat tables and data
     derived from the ring, kept through ``memo`` and the decorator
     ``memoized``, which keeps scans and element searches alike.
@@ -206,7 +207,7 @@ class FiniteRing:
         self._element_label = element_label
 
         if validate is None:
-            validate = self.add_table is not None and order <= DEFAULT_TABLE_CAP
+            validate = self.add_table is not None
         if validate:
             report = validate_axioms(self)
             if not report.ok:

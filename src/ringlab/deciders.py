@@ -305,11 +305,15 @@ def _witness_table(ring: FiniteRing, search, kind: str, fields: str, make) -> li
     PASS_MIN_ORDER search runs on each element, as in _ring_verdict; from
     there on it is read off the triples of the cached kernel.witness_pass
     under kind at every order, which finds the same first witness, its
-    fields in make's order."""
+    fields in make's order; a triple there that fails the pass's own check
+    raises WitnessError."""
     def read():
         if ring.order < PASS_MIN_ORDER:
             return [search(ring, a) for a in range(ring.order)]
         found = kernel.witness_pass(ring)[kind]
+        bad = (found[fields[0]] >= 0) & ~found["checked"]
+        if bad.any():
+            raise WitnessError(f"batched {kind} pass failed its check at element {int(bad.argmax())}")
         rows = zip(*(found[name].tolist() for name in fields))
         return [make(*row) if row[0] >= 0 else None for row in rows]
     return ring.memo(("witness_table", fields), read)

@@ -15,7 +15,8 @@ mirrors its scalar counterpart: the same products of the same factors,
 the same identities, the same independent recomputations (a^n by repeated
 squaring, nilpotency by power sequence). A value the scalar code computes
 twice is computed once: mu's nilpotency, which the mu-power loop of the
-composition already shows, 0*0, one value for every row, and the square of
+composition already shows; faf's nil index, which that loop reads off the
+powers of q = faf it forms; 0*0, one value for every row; and the square of
 e = a^m, which both the pi-regular and the strong-pi check take. A step on a
 subset of rows selects them by an index array (``np.flatnonzero``), not by
 a boolean mask. ``trajectories`` builds the powers in a table kept by
@@ -120,32 +121,14 @@ def power_at(traj, t: np.ndarray) -> np.ndarray:
 
 
 def nil_index(ring: FiniteRing, x: np.ndarray) -> np.ndarray:
-    """core.nil_index_of on every element of x, with 0 where it is None.
-
-    The powers x^k = x^(k-1)*x of core.power_seq are multiplied for at most
-    ring.order.bit_length() steps, and only rows not yet 0 get a trajectory.
-    Each power is a function of the one before, so powers that first reach 0
-    at step k repeat no earlier power: this is exact for any product."""
-    mul = ring.mul_vec
-    index = np.where(x == ring.zero, 1, 0)
-    live = np.flatnonzero(x != ring.zero)
-    base = x.take(live)
-    cur = base
-    for k in range(2, ring.order.bit_length() + 2):
-        if not live.size:
-            return index
-        cur = mul(cur, base)
-        zero = cur == ring.zero
-        index[live.take(np.flatnonzero(zero))] = k
-        keep = np.flatnonzero(~zero)
-        live, base, cur = live.take(keep), base.take(keep), cur.take(keep)
-    if live.size:
-        P, pre, per = trajectories(ring, base)
-        # a row's first zero column is in its trajectory when any column there is
-        col = (P == ring.zero).argmax(axis=1)
-        zero = (P[np.arange(len(base)), col] == ring.zero) & (col < pre + per - 1)
-        index[live] = np.where(zero, col + 1, 0)
-    return index
+    """core.nil_index_of on every element of x, with 0 where it is None: one
+    plus the first column of the row's trajectory that holds 0. A product
+    that is not associative may have 0*x != 0, so a trajectory can hold 0
+    and go on; its first 0 is the one read."""
+    P, pre, per = trajectories(ring, x)
+    col = (P == ring.zero).argmax(axis=1)
+    zero = (P[np.arange(len(x)), col] == ring.zero) & (col < pre + per - 1)
+    return np.where(zero, col + 1, 0)
 
 
 def wncl_alt_first(ring: FiniteRing, a: int) -> Optional[Tuple[int, int, int]]:
@@ -225,8 +208,6 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     f = sub(one, e)
     fa = mul(f, a)
     faf = mul(fa, f)
-    qn = nil_index(ring, faf)
-    bad |= qn == 0
     # wncl_from_corner: its preconditions, then the corner witness
     # (g, q, x) = (0, faf, 0) lies in fRf, g is idempotent and
     # faf - g - q = g*x*faf
@@ -246,22 +227,29 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     # factors are dropped first
     x_out = sub(one, sub(add(c, f), mul(gx, sub(f, mul(fa, c)))))
     del c, f, fa, gx
-    # mu^k = q^k + q^(k-1)*fae for k up to the nil index of q
+    # mu^k = q^k + q^(k-1)*fae for k up to the nil index of q: a row takes
+    # the first step and goes on while the power q^(k-1) it multiplied is not
+    # 0, the steps of nil_index_of(q). A nilpotent's powers before 0 are
+    # distinct, so a row still live after ring.order steps is not nilpotent.
     mu_pow = mu.copy()
     q_pow = faf.copy()
-    for step in range(int(qn.max(initial=0))):
-        rows = np.flatnonzero(qn > step)
+    rows = np.arange(n)
+    for _ in range(ring.order):
         prev = q_pow[rows]
         mu_pow[rows] = mul(mu_pow[rows], mu[rows])
         q_pow[rows] = mul(prev, faf[rows])
         bad[rows] |= mu_pow[rows] != add(q_pow[rows], mul(prev, fae[rows]))
-    del qn, q_pow, faf, fae
+        rows = rows.take(np.flatnonzero(prev != ring.zero))
+        if not rows.size:
+            break
+    bad[rows] = True
+    del q_pow, faf, fae
     bad |= mu_pow != zero
     del mu_pow
     bad |= mul(sub(one, pi), sub(a, mu)) != zero
     # check_wncl of (pi, mu, x_out); mu is nilpotent on every row not yet
-    # failed, since the loop above found mu^(qn+1) = 0 along the powers of
-    # core.power_seq
+    # failed, since the loop above found mu^(k+1) = 0 for the nil index k of
+    # q along the powers of core.power_seq
     bad |= mul(pi, pi) != pi
     bad |= sub(sub(a, pi), mu) != mul(mul(pi, x_out), a)
     return bad

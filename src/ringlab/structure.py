@@ -38,27 +38,30 @@ class Ideal:
 
 
 def make_ideal(ring: FiniteRing, members: Iterable[int]) -> Ideal:
-    """Validate that a subset is a two-sided ideal and wrap it."""
+    """Validate that a subset of k members is a two-sided ideal and wrap it,
+    in member blocks of row_blocks(k, k) for sums, row_blocks(k, 2 * order) for products."""
     mem = sorted(set(members))
     idx = np.array(mem, dtype=np.int64)
     inside = np.zeros(ring.order, dtype=bool)
     inside[idx] = True
     if not inside[ring.zero]:
         raise ValueError("ideal must contain zero")
-    bad_neg = ~inside[ring.neg_vec(idx)]
-    bad_add = ~inside[ring.add_vec(idx[:, None], idx)]
-    bad = bad_neg | bad_add.any(axis=1)
-    if bad.any():
-        i = int(bad.argmax())
-        if bad_neg[i]:
-            raise ValueError(f"not closed under negation at {mem[i]}")
-        j = int(bad_add[i].argmax())
-        raise ValueError(f"not closed under addition at ({mem[i]}, {mem[j]})")
+    for s in row_blocks(len(mem), len(mem)):
+        bad_neg = ~inside[ring.neg_vec(idx[s])]
+        bad_add = ~inside[ring.add_vec(idx[s, None], idx)]
+        bad = bad_neg | bad_add.any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            if bad_neg[i]:
+                raise ValueError(f"not closed under negation at {mem[s.start + i]}")
+            j = int(bad_add[i].argmax())
+            raise ValueError(f"not closed under addition at ({mem[s.start + i]}, {mem[j]})")
     X = np.arange(ring.order)
-    bad = ~inside[ring.mul_vec(X, idx[:, None])] | ~inside[ring.mul_vec(idx[:, None], X)]
-    if bad.any():
-        i, r = divmod(int(bad.argmax()), ring.order)
-        raise ValueError(f"not absorbing at ({r}, {mem[i]})")
+    for s in row_blocks(len(mem), 2 * ring.order):
+        bad = ~inside[ring.mul_vec(X, idx[s, None])] | ~inside[ring.mul_vec(idx[s, None], X)]
+        if bad.any():
+            i, r = divmod(int(bad.argmax()), ring.order)
+            raise ValueError(f"not absorbing at ({r}, {mem[s.start + i]})")
     return Ideal(ring, tuple(mem))
 
 

@@ -55,6 +55,16 @@ def test_validate_axioms_failure_message_names_elements():
     assert report.failure.axiom in text
 
 
+def test_every_ring_with_tables_is_validated_by_default():
+    # Z1100 is over the table cap, but tables given as arrays are kept
+    X = np.arange(1100)
+    add, mul, neg = (X[:, None] + X) % 1100, (X[:, None] * X) % 1100, -X % 1100
+    assert rl.FiniteRing(1100, add, mul, neg, one=1).validated
+    mul[3][5] += 1
+    with pytest.raises(rl.RingLabError, match=r"mul-associativity fails at \(2, 3, 5\)"):
+        rl.FiniteRing(1100, add, mul, neg, one=1)
+
+
 def test_validate_axioms_needs_tables():
     big = rl.build(rl.Matrix(2, rl.Zn(8)))  # order 4096, no tables
     assert big.mul_table is None

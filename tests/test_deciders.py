@@ -698,8 +698,8 @@ def test_batched_trajectory_helpers_match_the_scalar_ones():
     # plain M2(Z6); Triv(Z17), with trajectories up to 273 long; M2(Z6) with
     # 1*1 = 0, where the powers of the unity reach 0 and repeated squaring
     # meets the corrupted pair; and M2(Z6) with u^12*u = 0 for the unit
-    # u = [[0, 1], [1, 1]] of period 24, so u has nil index 13, past the 11
-    # steps that nil_index multiplies before it reads a trajectory
+    # u = [[0, 1], [1, 1]] of period 24, so u has nil index 13, the last
+    # column of its trajectory
     rings = [rl.build_cached(rl.parse_spec("M2(Z6)")),
              rl.build_cached(rl.parse_spec("Triv(Z17)")),
              _corrupted_m2z6(_CORRUPTIONS[0]),
@@ -758,6 +758,38 @@ def test_every_row_of_a_batch_fails_where_its_scalar_chain_raises(corruption):
             except rl.WitnessError:
                 raises.append(True)
         assert failed[name].tolist() == raises, name
+
+
+# M2(Z6) cells, in digits, where the wncl chain of a = [[1, 0], [1, 1]] with
+# the witness (1, E11) has the corner part q = E22, idempotent and so not
+# nilpotent: (a*E11)*a = a, mu*mu = 0 for mu = [[0, 0], [1, 1]], and
+# E22*E21 = -E22 keeps mu^k = q^k + q^(k-1)*fae = 0 at every step. Every
+# other identity of the chain holds; only the flag on a q whose powers are
+# still live after ring.order steps fails the row.
+_Q_NOT_NILPOTENT = [(((1, 0, 1, 0), (1, 0, 1, 1)), (1, 0, 1, 1)),
+                    (((0, 0, 1, 1), (0, 0, 1, 1)), (0, 0, 0, 0)),
+                    (((0, 0, 0, 1), (0, 0, 1, 0)), (0, 0, 0, 5))]
+
+
+@pytest.mark.parametrize("name,cells,n,element",
+                         [("M2(Z4)", [], 2, None), ("M2(Z6)", _Q_NOT_NILPOTENT, 1, (1, 0, 1, 1))])
+def test_wncl_chain_fails_where_the_scalar_chain_raises_on_any_witness(name, cells, n, element):
+    # the witnesses (n, r) for every r, not only the powers chunk_failures
+    # passes: on M2(Z4) some rows have mu^n != 0 = mu^(n+1), so the mu-power
+    # loop must take the step that multiplies q's power 0
+    base = rl.build_cached(rl.parse_spec(name))
+    ring = _corrupted_m2z6(*cells) if cells else base
+    elements = range(base.order) if element is None else [rl.ring_pack(base, element)]
+    a, r = (w.ravel() for w in np.meshgrid(elements, np.arange(base.order), indexing="ij"))
+    failed = kernel.wncl_chain_failures(ring, a, np.full(len(a), n), r)
+    raises = []
+    for x, y in zip(a.tolist(), r.tolist()):
+        try:
+            dc.wncl_from_pi_regular(ring, x, dc.PiRegularWitness(n, y))
+            raises.append(False)
+        except rl.WitnessError:
+            raises.append(True)
+    assert failed.tolist() == raises
 
 
 # (spec, first element, end): whole rings, with Triv(Z17)'s trajectories up
@@ -899,6 +931,10 @@ def test_pass_disagreeing_with_the_scalar_search_raises():
     found["checked"][3] = False
     with pytest.raises(rl.WitnessError, match="exchange pass failed at element 3"):
         rl.ring_exchange(ring)
+    with pytest.raises(rl.WitnessError, match="batched wncl pass failed its check at element 5"):
+        dc.wncl_table(ring)
+    with pytest.raises(rl.WitnessError, match="batched exchange pass failed its check at element 3"):
+        dc.exchange_table(ring)
 
 
 def test_memoized_witnesses_still_run_the_wncl_pass():

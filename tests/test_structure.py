@@ -1,5 +1,7 @@
 """Structure scans: special element sets, ideals, radical, and counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,7 +196,7 @@ def test_scans_against_generic_oracles(corpus):
             assert list(rl.units(ring)) == oracles.unit_set(ring.order, ring.mul, ring.one), name
 
 
-def test_make_ideal_and_center_match_the_scalar_scans(corpus):
+def test_make_ideal_and_center_match_the_scalar_scans(corpus, monkeypatch):
     draw = np.random.default_rng(11)
     errors = set()
     for name, ring in corpus.items():
@@ -209,16 +211,35 @@ def test_make_ideal_and_center_match_the_scalar_scans(corpus):
                     for size in (1, 2, 3, n // 2, n - 1)]
         for members in subsets:
             expected = oracles.ideal_check(n, ring.add, ring.mul, ring.neg, members)
-            try:
-                got = rl.make_ideal(ring, members)
-            except ValueError as exc:
-                assert str(exc) == expected, (name, members)
-                errors.add(expected.split(" at ")[0])
-            else:
-                assert got.members == expected, (name, members)
-                assert all((x in got) == (x in expected) for x in range(n))
+            # blocks of a few members too, so first failures are compared across blocks
+            for cells in (core._PASS_CELLS, 64):
+                with monkeypatch.context() as patch:
+                    patch.setattr(core, "_PASS_CELLS", cells)
+                    try:
+                        got = rl.make_ideal(ring, members)
+                    except ValueError as exc:
+                        assert str(exc) == expected, (name, members, cells)
+                        errors.add(expected.split(" at ")[0])
+                    else:
+                        assert got.members == expected, (name, members, cells)
+                        assert all((x in got) == (x in expected) for x in range(n))
     assert errors == {"ideal must contain zero", "not closed under negation",
                       "not closed under addition", "not absorbing"}
+
+
+def test_make_ideal_stays_within_its_block_budget():
+    # the 2,048 members of the radical of the order-4096 Triv(Z64): all
+    # (k, k) sums and (k, n) products at once would take about 180 MB
+    ring = rl.build_cached(rl.parse_spec("Triv(Z64)"))
+    members = [m for m in range(ring.order) if (m // 64) % 2 == 0]
+    tracemalloc.start()
+    try:
+        ideal = rl.make_ideal(ring, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ideal.members == tuple(members)
+    assert peak < 16 * 2**20, peak
 
 
 def _scan_rings():
