@@ -11,10 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .core import FiniteRing, RingLabError, OrderCapError
+import numpy as np
+
+from .core import FiniteRing, RingLabError, OrderCapError, WitnessError, memoized, row_blocks
 from . import construct as ct
 from . import structure as st
 from . import deciders as dc
+from . import kernel
 
 DEFAULT_CORPUS: Tuple[ct.RingSpec, ...] = (
     ct.Zn(2),
@@ -205,56 +208,154 @@ def _check_radikal(built):
                     ("R/J over the table cap", over_cap))
 
 
+def _replay_first(ring: FiniteRing, bad: np.ndarray, name: str, step, **columns) -> None:
+    """Replay step on the first row that a batched pass flags, with the
+    row's entry of each column as the keyword of that name. There step
+    raises _Fail, as in the scalar loop; a step that passes raises
+    WitnessError naming the pass."""
+    if bad.any():
+        i = int(bad.argmax())
+        args = {key: int(column[i]) for key, column in columns.items()}
+        step(**args)
+        where = ", ".join(f"{key}={value}" for key, value in args.items())
+        raise WitnessError(f"batched {name} failed at {where} of {ring.label} "
+                           "but the scalar step passed")
+
+
+def _mocna_step(spec, ring: FiniteRing, primal, a: int, e: int, c: int) -> None:
+    """L_MOCNA's scalar step at the pair (a, e) with multiplier c: raises
+    _Fail where it fails."""
+    f = ring.sub(ring.one, e)
+    corner = ring.memo(("corner", f), lambda: ct.corner_ring(ring, f))
+    faf = ring.mul(ring.mul(f, a), f)
+    if corner is ring:
+        cw = primal[faf]
+    else:
+        local = dc.wncl_witness(corner, corner.index[faf])
+        cw = dc.corner_to_parent(corner, local) if local else None
+    if cw is None:
+        raise _Fail(f"no corner witness at a={a}, e={e} of {spec}", spec, a, e)
+    try:
+        dc.wncl_from_corner(ring, a, e, c, cw)
+    except RingLabError as exc:
+        raise _Fail(f"composition failed at a={a}, e={e} of {spec}: {exc}", spec, a, e)
+
+
+def _corner_witnesses(ring: FiniteRing, f: int) -> np.ndarray:
+    """(g, q, x) rows, in parent indices, of the witness table of the corner
+    fRf kept in the ring's cache, indexed by parent element; -1 rows for the
+    elements outside fRf and those without a witness."""
+    corner = ring.memo(("corner", f), lambda: ct.corner_ring(ring, f))
+    rows = np.array([(-1, -1, -1) if w is None else (w.e, w.q, w.x)
+                     for w in dc.wncl_table(corner)], dtype=np.int64)
+    if corner is ring:
+        return rows
+    members = np.asarray(corner.members, dtype=np.int64)
+    out = np.full((ring.order, 3), -1, dtype=np.int64)
+    out[members] = np.where(rows >= 0, members[rows], -1)
+    return out
+
+
+@memoized(("mocna_failures",))
+def _mocna_failures(ring: FiniteRing):
+    """The pairs (a, e) of L_MOCNA's scalar loop over ring with their
+    multipliers c, as arrays a, e, c in the loop's order, and the pairs
+    where its step fails. The smallest c with c*a = e comes from one table
+    of the products r*a, the corner witnesses from each corner's witness
+    table, and one kernel.compose_failures composes every pair. A corner
+    that cannot be built or searched flags its pairs, so that the replay
+    raises what the scalar step raises."""
+    mul = ring.mul_vec
+    X = np.arange(ring.order, dtype=np.int64)
+    RA = mul(X[:, None], X)  # (r, a)
+    E = np.asarray(st.idempotents(ring), dtype=np.int64)
+    C = np.full((len(E), ring.order), -1, dtype=np.int64)  # (e, a)
+    W = np.full((len(E), ring.order, 3), -1, dtype=np.int64)  # (e, a, corner witness)
+    for k, e in enumerate(E.tolist()):
+        hit = RA == e
+        if not hit.any():
+            continue
+        C[k] = np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
+        f = ring.sub(ring.one, e)
+        try:
+            W[k] = _corner_witnesses(ring, f)[mul(mul(f, X), f)]
+        except (RingLabError, ValueError):
+            pass
+    a, k = np.nonzero(C.T >= 0)  # a ascending, then e
+    e, c, (g, q, x) = E[k], C[k, a], W[k, a].T
+    missing = g < 0
+    g, q, x = (np.where(missing, ring.zero, z) for z in (g, q, x))
+    return a, e, c, missing | kernel.compose_failures(ring, a, e, c, g, q, x)
+
+
 def _check_mocna(built):
     """Corner decompositions compose: for every a and idempotent e realized
     as e = c*a, a witness for faf in the corner fRf composes to a valid
-    witness for a. Small members only (nested scans)."""
+    witness for a. Small members only (nested scans). From PASS_MIN_ORDER
+    on, a member's pairs run as one kernel pass (_mocna_failures), and the
+    scalar step replays the first pair it flags."""
     members = [(spec, ring) for spec, ring in _unital(built)
                if ring.order <= PAIR_SCAN_LIMIT]
     triples = 0
     for spec, ring in members:
         primal = dc.wncl_table(ring)
+        if ring.order >= dc.PASS_MIN_ORDER:
+            a, e, c, bad = _mocna_failures(ring)
+            _replay_first(ring, bad, "L_MOCNA pass",
+                          lambda **pair: _mocna_step(spec, ring, primal, **pair), a=a, e=e, c=c)
+            triples += len(a)
+            continue
         for a in range(ring.order):
             # the smallest c with c*a = p, for every product p in Ra
             smallest = {ring.mul(c, a): c for c in reversed(range(ring.order))}
             for e in st.idempotents(ring):
                 c = smallest.get(e)
-                if c is None:
-                    continue
-                f = ring.sub(ring.one, e)
-                corner = ring.memo(("corner", f), lambda: ct.corner_ring(ring, f))
-                faf = ring.mul(ring.mul(f, a), f)
-                if corner is ring:
-                    cw = primal[faf]
-                else:
-                    local = dc.wncl_witness(corner, corner.index[faf])
-                    cw = dc.corner_to_parent(corner, local) if local else None
-                if cw is None:
-                    raise _Fail(f"no corner witness at a={a}, e={e} of {spec}",
-                                spec, a, e)
-                try:
-                    dc.wncl_from_corner(ring, a, e, c, cw)
-                except RingLabError as exc:
-                    raise _Fail(f"composition failed at a={a}, e={e} of {spec}: {exc}",
-                                spec, a, e)
-                triples += 1
+                if c is not None:
+                    _mocna_step(spec, ring, primal, a, e, c)
+                    triples += 1
     return f"{triples} (a, e) pairs across {len(members)} rings"
+
+
+def _pireg_step(spec, ring: FiniteRing, a: int) -> None:
+    """P_PIREG's scalar step at element a: raises _Fail where it fails."""
+    pw = dc.pi_regular_witness(ring, a)
+    if pw is None:
+        raise _Fail(f"no pi-regular witness at {a} of {spec}", spec, a)
+    try:
+        dc.wncl_from_pi_regular(ring, a, pw)
+    except RingLabError as exc:
+        raise _Fail(f"construction failed at {a} of {spec}: {exc}", spec, a)
+
+
+@memoized(("pireg_failures",))
+def _pireg_failures(ring: FiniteRing) -> np.ndarray:
+    """The elements where P_PIREG's scalar step fails: those without a
+    witness in deciders.pi_regular_table, and those whose witness (n, r)
+    kernel.wncl_chain_failures flags, in blocks of core._PASS_CELLS // 32
+    elements."""
+    n, r = np.array([(-1, -1) if w is None else (w.n, w.r)
+                     for w in dc.pi_regular_table(ring)], dtype=np.int64).T
+    bad = n < 0
+    rows = np.flatnonzero(~bad)
+    for s in row_blocks(len(rows), 32):
+        a = rows[s]
+        bad[a] = kernel.wncl_chain_failures(ring, a, n[a], r[a])
+    return bad
 
 
 def _check_pireg(built):
     """The constructive route through pi-regularity reproduces the brute
-    verdict on every element of every unital member."""
+    verdict on every element of every unital member. From PASS_MIN_ORDER
+    on, a member's elements run as one kernel pass (_pireg_failures), and
+    the scalar step replays the first element it flags."""
     members = _unital(built)
     for spec, ring in members:
+        if ring.order >= dc.PASS_MIN_ORDER:
+            _replay_first(ring, _pireg_failures(ring), "P_PIREG pass",
+                          lambda a: _pireg_step(spec, ring, a), a=range(ring.order))
+            continue
         for a in range(ring.order):
-            pw = dc.pi_regular_witness(ring, a)
-            if pw is None:
-                raise _Fail(f"no pi-regular witness at {a} of {spec}", spec, a)
-            try:
-                dc.wncl_from_pi_regular(ring, a, pw)
-            except RingLabError as exc:
-                raise _Fail(f"construction failed at {a} of {spec}: {exc}",
-                            spec, a)
+            _pireg_step(spec, ring, a)
     elements = sum(ring.order for _, ring in members)
     return f"{elements} elements across {len(members)} unital rings"
 

@@ -36,6 +36,14 @@ block once and reads both off them; it checks each witness it finds again.
 and reads off it the first witness of every element for the harness walks.
 Above the limit, ``wncl_alt_first`` is the alternate-form search of one
 element on arrays, and ``nil_index`` serves ``structure.nil_index_map``.
+
+The harness walks L_MOCNA and P_PIREG run, from the same order on, as one
+pass over a member each, with a scalar replay of the first flagged row:
+``compose_failures`` is the corner composition
+``deciders.wncl_from_corner`` on arrays of (a, e, c, g, q, x), and the one
+composition kernel, since ``wncl_chain_failures`` runs its corner step
+through it; ``pi_regular_pass`` is the search of
+``deciders.pi_regular_witness`` for every element.
 """
 
 from __future__ import annotations
@@ -186,16 +194,70 @@ def power(ring: FiniteRing, x: np.ndarray, k: np.ndarray) -> np.ndarray:
         base[live] = mul(half, half)
 
 
+def compose_failures(ring: FiniteRing, a: np.ndarray, e: np.ndarray, c: np.ndarray,
+                     g: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows where deciders.wncl_from_corner(ring, a, e, c, (g, q, x)) raises:
+    its preconditions, the corner witness (g, q, x) in fRf with g idempotent
+    and faf - g - q = g*x*faf, the mu-power loop up to q's nil index, and the
+    final check_wncl of the composed witness, through the same products. g
+    and x may be one-element arrays, one value for every row, as the corner
+    witness (0, faf, 0) of the pi-regular route; then their products g*g and
+    g*x are one value too. Each temporary is dropped once its last check is
+    done."""
+    mul, add, sub = ring.mul_vec, ring.add_vec, ring.sub_vec
+    one = np.array([ring.one], dtype=np.int64)
+    bad = mul(e, e) != e
+    bad |= mul(c, a) != e
+    f = sub(one, e)
+    for z in (g, q) if x is g else (g, q, x):  # x is g: the same check
+        bad |= mul(mul(f, z), f) != z
+    bad |= mul(g, g) != g
+    fa = mul(f, a)
+    faf = mul(fa, f)
+    gx = mul(g, x)
+    bad |= sub(sub(faf, g), q) != mul(gx, faf)
+    del faf
+    fae = mul(fa, e)
+    mu = add(q, fae)
+    pi = add(e, g)
+    # 1 - s of the composed witness, made before the power loop so that its
+    # factors are dropped first
+    x_out = sub(one, sub(add(c, f), mul(gx, sub(f, mul(fa, c)))))
+    del f, fa, gx
+    # mu^k = q^k + q^(k-1)*fae for k up to the nil index of q: a row takes
+    # the first step and goes on while the power q^(k-1) it multiplied is not
+    # 0, the steps of nil_index_of(q). A nilpotent's powers before 0 are
+    # distinct, so a row still live after ring.order steps is not nilpotent.
+    mu_pow = mu.copy()
+    q_pow = np.array(q, dtype=np.int64)
+    rows = np.arange(len(bad))
+    for _ in range(ring.order):
+        prev = q_pow[rows]
+        mu_pow[rows] = mul(mu_pow[rows], mu[rows])
+        q_pow[rows] = mul(prev, q[rows])
+        bad[rows] |= mu_pow[rows] != add(q_pow[rows], mul(prev, fae[rows]))
+        rows = rows.take(np.flatnonzero(prev != ring.zero))
+        if not rows.size:
+            break
+    bad[rows] = True
+    del q_pow, fae
+    bad |= mu_pow != ring.zero
+    del mu_pow
+    bad |= mul(sub(one, pi), sub(a, mu)) != ring.zero
+    # check_wncl of (pi, mu, x_out); mu is nilpotent on every row not yet
+    # failed, since the loop above found mu^(k+1) = 0 for the nil index k of
+    # q along the powers of core.power_seq
+    bad |= mul(pi, pi) != pi
+    bad |= sub(sub(a, pi), mu) != mul(mul(pi, x_out), a)
+    return bad
+
+
 def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
                         am: np.ndarray) -> np.ndarray:
     """Rows where deciders.wncl_from_pi_regular(ring, a, (m, am)) raises:
-    its pi-regularity check, wncl_from_corner with the corner witness
-    (0, faf, 0), and the final check_wncl of the composed witness. Each
-    temporary is dropped once its last check is done."""
-    mul, add, sub = ring.mul_vec, ring.add_vec, ring.sub_vec
-    n = len(a)
-    one = np.full(n, ring.one, dtype=np.int64)
-    zero = np.full(n, ring.zero, dtype=np.int64)
+    its pi-regularity check, then compose_failures with the corner witness
+    (0, faf, 0), whose nil index check is the one of faf."""
+    mul, sub = ring.mul_vec, ring.sub_vec
     # check_pi_regular
     an = power(ring, a, m)
     bad = mul(mul(an, am), an) != an
@@ -205,53 +267,11 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     longer = np.flatnonzero(m > 1)
     c[longer] = mul(am.take(longer),
                     power(ring, a.take(longer), m.take(longer) - 1))
-    f = sub(one, e)
-    fa = mul(f, a)
-    faf = mul(fa, f)
-    # wncl_from_corner: its preconditions, then the corner witness
-    # (g, q, x) = (0, faf, 0) lies in fRf, g is idempotent and
-    # faf - g - q = g*x*faf
-    bad |= mul(e, e) != e
-    bad |= mul(c, a) != e
-    bad |= mul(mul(f, zero), f) != zero
-    bad |= mul(mul(f, faf), f) != faf
-    # g*x = 0*0 is one value for every row
-    gx = np.full(n, mul(zero[:1], zero[:1])[0], dtype=np.int64)
-    bad |= gx != zero
-    bad |= sub(sub(faf, zero), faf) != mul(gx, faf)
-    fae = mul(fa, e)
-    mu = add(faf, fae)
-    pi = add(e, zero)
-    del e
-    # 1 - s of the composed witness, made before the power loop so that its
-    # factors are dropped first
-    x_out = sub(one, sub(add(c, f), mul(gx, sub(f, mul(fa, c)))))
-    del c, f, fa, gx
-    # mu^k = q^k + q^(k-1)*fae for k up to the nil index of q: a row takes
-    # the first step and goes on while the power q^(k-1) it multiplied is not
-    # 0, the steps of nil_index_of(q). A nilpotent's powers before 0 are
-    # distinct, so a row still live after ring.order steps is not nilpotent.
-    mu_pow = mu.copy()
-    q_pow = faf.copy()
-    rows = np.arange(n)
-    for _ in range(ring.order):
-        prev = q_pow[rows]
-        mu_pow[rows] = mul(mu_pow[rows], mu[rows])
-        q_pow[rows] = mul(prev, faf[rows])
-        bad[rows] |= mu_pow[rows] != add(q_pow[rows], mul(prev, fae[rows]))
-        rows = rows.take(np.flatnonzero(prev != ring.zero))
-        if not rows.size:
-            break
-    bad[rows] = True
-    del q_pow, faf, fae
-    bad |= mu_pow != zero
-    del mu_pow
-    bad |= mul(sub(one, pi), sub(a, mu)) != zero
-    # check_wncl of (pi, mu, x_out); mu is nilpotent on every row not yet
-    # failed, since the loop above found mu^(k+1) = 0 for the nil index k of
-    # q along the powers of core.power_seq
-    bad |= mul(pi, pi) != pi
-    bad |= sub(sub(a, pi), mu) != mul(mul(pi, x_out), a)
+    f = sub(np.array([ring.one], dtype=np.int64), e)
+    faf = mul(mul(f, a), f)
+    del f
+    zero = np.array([ring.zero], dtype=np.int64)
+    bad |= compose_failures(ring, a, e, c, zero, faf, zero)
     return bad
 
 
@@ -318,6 +338,37 @@ def first_failures(ring: FiniteRing) -> Dict[str, int]:
             if name not in first and bad.any():
                 first[name] = s.start + int(bad.argmax())
     return first
+
+
+def pi_regular_pass(ring: FiniteRing) -> Tuple[np.ndarray, np.ndarray]:
+    """The witness (n, r) of deciders.pi_regular_witness for every element,
+    as arrays n and r indexed by element, -1 where there is none: the
+    smallest n >= 1, and then the smallest r, with (a^n*r)*a^n = a^n.
+
+    Whether (v*r)*v = v has a solution, and its smallest r, depend on v = a^n
+    alone, and every power is an element. So one pass over blocks of
+    elements v (core.row_blocks) forms the block v*R*v once and keeps the
+    first r that hits. The powers of every element, from trajectories in
+    blocks of core._PASS_CELLS // 32 elements, then read it at each exponent
+    up to pre + per - 1 in turn; the scalar search's last exponent,
+    pre + per, gives the power at pre again."""
+    mul = ring.mul_vec
+    X = np.arange(ring.order, dtype=np.int64)
+    regular = np.full(ring.order, -1, dtype=np.int64)  # the smallest r for v
+    for s in row_blocks(ring.order, 2 * ring.order):
+        v = X[s, None]
+        hit = mul(mul(v, X), v) == v
+        regular[s] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    n, r = np.full((2, ring.order), -1, dtype=np.int64)
+    for s in row_blocks(ring.order, 32):
+        P, pre, per = trajectories(ring, X[s])
+        ok = (regular >= 0)[P]
+        ok &= np.arange(P.shape[1]) < (pre + per - 1)[:, None]
+        col = ok.argmax(axis=1)
+        rows = np.flatnonzero(ok[np.arange(len(col)), col])
+        n[s][rows] = col[rows] + 1
+        r[s][rows] = regular[P[rows, col[rows]]]
+    return n, r
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import core, deciders as dc, kernel, structure as st
+from ringlab import construct as ct, core, deciders as dc, kernel, structure as st
 from ringlab.core import power_from_seq
 from ringlab.deciders import strong_pi_core_fast
 
@@ -772,11 +772,15 @@ _Q_NOT_NILPOTENT = [(((1, 0, 1, 0), (1, 0, 1, 1)), (1, 0, 1, 1)),
 
 
 @pytest.mark.parametrize("name,cells,n,element",
-                         [("M2(Z4)", [], 2, None), ("M2(Z6)", _Q_NOT_NILPOTENT, 1, (1, 0, 1, 1))])
+                         [("M2(Z4)", [], 2, None), ("M2(Z6)", _Q_NOT_NILPOTENT, 1, (1, 0, 1, 1)),
+                          ("Triv(Z64)", [], 6, (2, 0)), ("Triv(Z64)", [], 6, (3, 1))])
 def test_wncl_chain_fails_where_the_scalar_chain_raises_on_any_witness(name, cells, n, element):
     # the witnesses (n, r) for every r, not only the powers chunk_failures
     # passes: on M2(Z4) some rows have mu^n != 0 = mu^(n+1), so the mu-power
-    # loop must take the step that multiplies q's power 0
+    # loop must take the step that multiplies q's power 0. On Triv(Z64) the
+    # smallest n of pi_regular_table goes up to 6: at a = (2, 0), where
+    # 2^n*r*2^n = 2^n mod 64 needs 2^n = 0, every r passes and the mu-power
+    # loop runs the 6 steps of q = a; at the unit (3, 1) one r passes
     base = rl.build_cached(rl.parse_spec(name))
     ring = _corrupted_m2z6(*cells) if cells else base
     elements = range(base.order) if element is None else [rl.ring_pack(base, element)]
@@ -790,6 +794,63 @@ def test_wncl_chain_fails_where_the_scalar_chain_raises_on_any_witness(name, cel
         except rl.WitnessError:
             raises.append(True)
     assert failed.tolist() == raises
+
+
+def _corner_triples(ring, primal, a, e, rng):
+    """Witnesses (g, q, x) to compose at the pair (a, e): the corner witness
+    of faf that L_MOCNA reads, where there is one and its corner can be
+    built; one drawn from the ring; and two with g an idempotent of fRf and
+    q in fRf, one with x in fRf and one with x drawn from the ring."""
+    f = ring.sub(ring.one, e)
+
+    def in_corner(z):
+        return ring.mul(ring.mul(f, z), f)
+
+    idempotents = [g for g in rl.idempotents(ring) if in_corner(g) == g]
+    g = idempotents[int(rng.integers(len(idempotents)))] if idempotents else 0
+    q, x, z = (int(z) for z in rng.integers(0, ring.order, 3))
+    triples = [(z, q, x), (g, in_corner(q), in_corner(x)), (g, in_corner(q), x)]
+    try:
+        corner = ring.memo(("corner", f), lambda: ct.corner_ring(ring, f))
+    except (rl.RingLabError, ValueError):
+        return triples
+    faf = in_corner(a)
+    if corner is ring:
+        cw = primal[faf]
+    elif faf in corner.index:
+        local = dc.wncl_witness(corner, corner.index[faf])
+        cw = dc.corner_to_parent(corner, local) if local else None
+    else:
+        cw = None
+    return triples + ([(cw.e, cw.q, cw.x)] if cw else [])
+
+
+@pytest.mark.parametrize("name,cell,value", [
+    ("T2(Z4)", None, None), ("Z2xZ2xZ2xZ2xZ2xZ2", None, None), ("T2(Z4)", (16, 43), 14)])
+def test_compose_failures_flag_where_the_corner_composition_raises(name, cell, value):
+    # every (a, e) pair of L_MOCNA's loop, with its corner witness and seeded
+    # draws; the corrupted order-64 table is an unvalidated copy
+    base = rl.build_cached(rl.parse_spec(name))
+    ring = base if cell is None else with_cell(base, "mul", cell, value)
+    primal = dc.wncl_table(ring)
+    rng = np.random.default_rng(31)
+    rows = []
+    for a in range(ring.order):
+        smallest = {ring.mul(c, a): c for c in reversed(range(ring.order))}
+        for e in rl.idempotents(ring):
+            if e in smallest:
+                rows += [(a, e, smallest[e], *w)
+                         for w in _corner_triples(ring, primal, a, e, rng)]
+    raises = []
+    for a, e, c, g, q, x in rows:
+        try:
+            dc.wncl_from_corner(ring, a, e, c, rl.WnclWitness(g, q, x))
+            raises.append(False)
+        except rl.WitnessError:
+            raises.append(True)
+    failed = kernel.compose_failures(ring, *np.array(rows, dtype=np.int64).T)
+    assert failed.tolist() == raises
+    assert any(raises) and not all(raises)
 
 
 # (spec, first element, end): whole rings, with Triv(Z17)'s trajectories up
@@ -1067,6 +1128,45 @@ def test_witness_tables_above_the_limit_equal_the_scalar_searches():
         assert ring.order > dc.BRUTE_ORDER_LIMIT
         sample = rng.choice(ring.order, 16, replace=False).tolist()
         assert_tables_match_searches(ring, sorted(set(sample + extra)))
+
+
+def _pi_rows(n, r):
+    return [dc.PiRegularWitness(k, s) if k > 0 else None for k, s in zip(n.tolist(), r.tolist())]
+
+
+@pytest.mark.parametrize("name", _PASS_RINGS)
+def test_pi_regular_table_equals_the_scalar_search(name):
+    ring = rl.build(rl.parse_spec(name))
+    expected = [rl.pi_regular_witness(ring, a) for a in range(ring.order)]
+    assert _pi_rows(*kernel.pi_regular_pass(ring)) == expected
+    assert dc.pi_regular_table(ring) == expected
+
+
+def test_pi_regular_table_equals_the_scalar_search_above_the_limit_and_on_corrupted_rings():
+    rings = [(rl.build(rl.parse_spec(name)), None) for name in ("Triv(Z64)", "M2(Z8)")]
+    rings += [(_corrupted(rl.build_cached(rl.parse_spec(name)), {pair: value}), pair)
+              for name, pair, value in _PI_CORRUPTIONS]
+    rng = np.random.default_rng(31)
+    for ring, pair in rings:
+        if pair is None:
+            # a seeded sample, and on Triv(Z64) a = (2, 0), whose n is 6
+            elements = sorted(set(rng.choice(ring.order, 16, replace=False).tolist()
+                                  + [rl.ring_pack(ring, (2, 0))]))
+        else:
+            elements = range(ring.order)
+        expected = [rl.pi_regular_witness(ring, a) for a in elements]
+        table = dc.pi_regular_table(ring)
+        assert [table[a] for a in elements] == expected, ring.label
+        assert _pi_rows(*kernel.pi_regular_pass(ring)) == table, ring.label
+    triv = rings[0][0]
+    assert dc.pi_regular_table(triv)[rl.ring_pack(triv, (2, 0))] == dc.PiRegularWitness(6, 0)
+
+
+def test_pi_regular_pass_does_not_depend_on_the_block_size(monkeypatch):
+    whole = kernel.pi_regular_pass(rl.build(rl.parse_spec("Triv(Z17)")))
+    monkeypatch.setattr(core, "_PASS_CELLS", 32 * 40)
+    split = kernel.pi_regular_pass(rl.build(rl.parse_spec("Triv(Z17)")))
+    assert all(np.array_equal(w, s) for w, s in zip(whole, split))
 
 
 @pytest.mark.parametrize("name,array", [

@@ -11,9 +11,9 @@ import pytest
 
 import ringlab as rl
 from ringlab import harness as hn
-from ringlab import construct as ct
+from ringlab import construct as ct, deciders as dc
 
-from conftest import fresh_build_cache, list_rows
+from conftest import fresh_build_cache, list_rows, with_cell
 
 
 def test_check_ids_exact_order():
@@ -268,13 +268,64 @@ def test_center_of_a_commutative_member_over_the_table_cap_is_the_member():
         ("P_PRVA", "pass", "1300 elements across 2 unital rings"),
         ("P_CENTER", "pass", "10 central elements across 2 rings"),
         ("Q_SYMMETRY", "experiment", "opposite-ring agreement 1300/1300 elements (100.0%)")]),
-    (("Z2", "Triv(Z64)"), [("P_CENTER", "pass", "4098 central elements across 2 rings")]),
+    (("Z2", "Triv(Z64)"), [("P_PIREG", "pass", "4098 elements across 2 unital rings"),
+                           ("P_CENTER", "pass", "4098 central elements across 2 rings")]),
 ])
 def test_element_walks_over_lazy_members(names, expected):
-    # lazy members (order over 1024), whose witness tables are read off the passes
+    # lazy members (order over 1024), whose witness tables are read off the
+    # passes; P_PIREG's witnesses come from pi_regular_table
     corpus = [rl.parse_spec(name) for name in names]
     checks = rl.run_all(corpus, [cid for cid, _, _ in expected])
     assert [(c.id, c.status, c.detail) for c in checks] == expected
+
+
+# T2(Z4) product cells, and the statuses of L_MOCNA and P_PIREG there: at
+# (16, 43) both first fail at a = 43, in the mu-power loop; at (13, 20) at
+# different elements; at (13, 31) the corner at f = 13 is not closed under
+# negation, and L_MOCNA raises ValueError where its scalar loop builds that
+# corner; at (5, 17) a later corner is not closed either, but L_MOCNA fails
+# at the pair (5, 0) before its loop reaches that corner
+_WALK_CORRUPTIONS = [((16, 43), 14, ("fail", "fail")), ((13, 20), 50, ("fail", "fail")),
+                     ((13, 31), 1, ("raised", "pass")), ((5, 17), 37, ("fail", "pass"))]
+
+
+@pytest.mark.parametrize("cell,value,statuses", _WALK_CORRUPTIONS)
+def test_batched_walks_fail_with_the_scalar_lines(cell, value, statuses):
+    base = ct.build_cached(ct.Triangular(2, ct.Zn(4)))
+
+    def run(min_order):
+        ring = with_cell(base, "mul", cell, value)
+        outcomes = []
+        with mock.patch.object(dc, "PASS_MIN_ORDER", min_order), \
+                mock.patch.object(hn, "_build_corpus", return_value=([(base.spec, ring)], [])):
+            for cid in ("L_MOCNA", "P_PIREG"):
+                try:
+                    check = hn.run_check(cid, [base.spec])
+                    outcomes.append((check.status, check.detail, check.counterexample))
+                except ValueError as exc:
+                    outcomes.append(("raised", str(exc)))
+        return outcomes, set(ring.cache)
+
+    scalar, scalar_keys = run(base.order + 1)
+    batched, batched_keys = run(dc.PASS_MIN_ORDER)
+    assert tuple(status for status, *_ in scalar) == statuses
+    assert batched == scalar
+    walks = {("mocna_failures",), ("pireg_failures",)}
+    assert walks <= batched_keys and not walks & scalar_keys
+
+
+def test_batched_walk_flags_that_the_scalar_step_passes_raise():
+    ring = ct.build(ct.Triangular(2, ct.Zn(4)))  # fresh object, private cache
+    hn._pireg_failures(ring)[5] = True
+    a, e, c, bad = hn._mocna_failures(ring)
+    bad[7] = True
+    pair = f"a={a[7]}, e={e[7]}, c={c[7]}"
+    with mock.patch.object(hn, "_build_corpus", return_value=([(ring.spec, ring)], [])):
+        with pytest.raises(rl.WitnessError, match=r"batched P_PIREG pass failed at a=5 of "
+                                                  r"T2\(Z4\) but the scalar step passed"):
+            hn.run_check("P_PIREG", [ring.spec])
+        with pytest.raises(rl.WitnessError, match=f"batched L_MOCNA pass failed at {pair} of"):
+            hn.run_check("L_MOCNA", [ring.spec])
 
 
 # --- tooling that calls the library ----------------------------------------------------
