@@ -330,18 +330,6 @@ def exchange_table(ring: FiniteRing) -> List[Optional[ExchangeWitness]]:
     return _witness_table(ring, exchange_witness, "exchange", "ers", ExchangeWitness)
 
 
-@memoized("pi_regular_table")
-def pi_regular_table(ring: FiniteRing) -> List[Optional[PiRegularWitness]]:
-    """pi_regular_witness(ring, a) for every element a, in element order, kept
-    in the ring's cache. Below PASS_MIN_ORDER the search runs on each
-    element; from there on the witnesses are read off
-    kernel.pi_regular_pass, which finds the same ones."""
-    if ring.order < PASS_MIN_ORDER:
-        return [pi_regular_witness(ring, a) for a in range(ring.order)]
-    n, r = kernel.pi_regular_pass(ring)
-    return [PiRegularWitness(*w) if w[0] > 0 else None for w in zip(n.tolist(), r.tolist())]
-
-
 # ---------------------------------------------------------------------------
 # trajectory witnesses: the scalar chains of the pi-regularity verdicts
 

@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FiniteRing, RingLabError, OrderCapError, WitnessError, memoized, row_blocks
+from .core import FiniteRing, RingLabError, OrderCapError, WitnessError, row_blocks
 from . import construct as ct
 from . import structure as st
 from . import deciders as dc
@@ -208,6 +208,21 @@ def _check_radikal(built):
                     ("R/J over the table cap", over_cap))
 
 
+def _kept(ring: FiniteRing, key, walk: Callable[[], object]):
+    """walk()'s result, or the _Fail it raised, kept in ring's cache under
+    key: a check run again over the same ring returns or raises the same
+    without walking again."""
+    def run():
+        try:
+            return walk(), None
+        except _Fail as exc:
+            return None, exc.args
+    result, fail = ring.memo(key, run)
+    if fail:
+        raise _Fail(*fail)
+    return result
+
+
 def _replay_first(ring: FiniteRing, bad: np.ndarray, name: str, step, **columns) -> None:
     """Replay step on the first row that a batched pass flags, with the
     row's entry of each column as the keyword of that name. There step
@@ -241,11 +256,10 @@ def _mocna_step(spec, ring: FiniteRing, primal, a: int, e: int, c: int) -> None:
         raise _Fail(f"composition failed at a={a}, e={e} of {spec}: {exc}", spec, a, e)
 
 
-def _corner_witnesses(ring: FiniteRing, f: int) -> np.ndarray:
-    """(g, q, x) rows, in parent indices, of the witness table of the corner
-    fRf kept in the ring's cache, indexed by parent element; -1 rows for the
-    elements outside fRf and those without a witness."""
-    corner = ring.memo(("corner", f), lambda: ct.corner_ring(ring, f))
+def _corner_witnesses(ring: FiniteRing, corner: FiniteRing) -> np.ndarray:
+    """(g, q, x) rows, in parent indices, of the witness table of a corner
+    of ring, indexed by parent element; -1 rows for the elements outside
+    the corner and those without a witness."""
     rows = np.array([(-1, -1, -1) if w is None else (w.e, w.q, w.x)
                      for w in dc.wncl_table(corner)], dtype=np.int64)
     if corner is ring:
@@ -256,15 +270,14 @@ def _corner_witnesses(ring: FiniteRing, f: int) -> np.ndarray:
     return out
 
 
-@memoized(("mocna_failures",))
 def _mocna_failures(ring: FiniteRing):
     """The pairs (a, e) of L_MOCNA's scalar loop over ring with their
     multipliers c, as arrays a, e, c in the loop's order, and the pairs
     where its step fails. The smallest c with c*a = e comes from one table
     of the products r*a, the corner witnesses from each corner's witness
-    table, and one kernel.compose_failures composes every pair. A corner
-    that cannot be built or searched flags its pairs, so that the replay
-    raises what the scalar step raises."""
+    table, and one kernel.compose_failures composes every pair. The pairs
+    of a corner that cannot be built are flagged, so that the replay raises
+    what the scalar step raises there."""
     mul = ring.mul_vec
     X = np.arange(ring.order, dtype=np.int64)
     RA = mul(X[:, None], X)  # (r, a)
@@ -278,9 +291,10 @@ def _mocna_failures(ring: FiniteRing):
         C[k] = np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
         f = ring.sub(ring.one, e)
         try:
-            W[k] = _corner_witnesses(ring, f)[mul(mul(f, X), f)]
+            corner = ring.memo(("corner", f), lambda: ct.corner_ring(ring, f))
         except (RingLabError, ValueError):
-            pass
+            continue
+        W[k] = _corner_witnesses(ring, corner)[mul(mul(f, X), f)]
     a, k = np.nonzero(C.T >= 0)  # a ascending, then e
     e, c, (g, q, x) = E[k], C[k, a], W[k, a].T
     missing = g < 0
@@ -288,31 +302,38 @@ def _mocna_failures(ring: FiniteRing):
     return a, e, c, missing | kernel.compose_failures(ring, a, e, c, g, q, x)
 
 
+def _mocna_pairs(spec, ring: FiniteRing) -> int:
+    """L_MOCNA's walk over one member: the number of (a, e) pairs, or the
+    _Fail of the first pair that does not compose. From PASS_MIN_ORDER on,
+    the pairs run as one kernel pass (_mocna_failures), and the scalar step
+    replays the first pair it flags."""
+    primal = dc.wncl_table(ring)
+    if ring.order >= dc.PASS_MIN_ORDER:
+        a, e, c, bad = _mocna_failures(ring)
+        _replay_first(ring, bad, "L_MOCNA pass",
+                      lambda **pair: _mocna_step(spec, ring, primal, **pair), a=a, e=e, c=c)
+        return len(a)
+    pairs = 0
+    for a in range(ring.order):
+        # the smallest c with c*a = p, for every product p in Ra
+        smallest = {ring.mul(c, a): c for c in reversed(range(ring.order))}
+        for e in st.idempotents(ring):
+            c = smallest.get(e)
+            if c is not None:
+                _mocna_step(spec, ring, primal, a, e, c)
+                pairs += 1
+    return pairs
+
+
 def _check_mocna(built):
     """Corner decompositions compose: for every a and idempotent e realized
     as e = c*a, a witness for faf in the corner fRf composes to a valid
-    witness for a. Small members only (nested scans). From PASS_MIN_ORDER
-    on, a member's pairs run as one kernel pass (_mocna_failures), and the
-    scalar step replays the first pair it flags."""
+    witness for a. Small members only (nested scans). Each member's outcome
+    is kept on the ring (_kept)."""
     members = [(spec, ring) for spec, ring in _unital(built)
                if ring.order <= PAIR_SCAN_LIMIT]
-    triples = 0
-    for spec, ring in members:
-        primal = dc.wncl_table(ring)
-        if ring.order >= dc.PASS_MIN_ORDER:
-            a, e, c, bad = _mocna_failures(ring)
-            _replay_first(ring, bad, "L_MOCNA pass",
-                          lambda **pair: _mocna_step(spec, ring, primal, **pair), a=a, e=e, c=c)
-            triples += len(a)
-            continue
-        for a in range(ring.order):
-            # the smallest c with c*a = p, for every product p in Ra
-            smallest = {ring.mul(c, a): c for c in reversed(range(ring.order))}
-            for e in st.idempotents(ring):
-                c = smallest.get(e)
-                if c is not None:
-                    _mocna_step(spec, ring, primal, a, e, c)
-                    triples += 1
+    triples = sum(_kept(ring, ("L_MOCNA",), lambda: _mocna_pairs(spec, ring))
+                  for spec, ring in members)
     return f"{triples} (a, e) pairs across {len(members)} rings"
 
 
@@ -327,14 +348,12 @@ def _pireg_step(spec, ring: FiniteRing, a: int) -> None:
         raise _Fail(f"construction failed at {a} of {spec}: {exc}", spec, a)
 
 
-@memoized(("pireg_failures",))
 def _pireg_failures(ring: FiniteRing) -> np.ndarray:
     """The elements where P_PIREG's scalar step fails: those without a
-    witness in deciders.pi_regular_table, and those whose witness (n, r)
+    witness (n, r) in kernel.pi_regular_pass, and those whose witness
     kernel.wncl_chain_failures flags, in blocks of core._PASS_CELLS // 32
     elements."""
-    n, r = np.array([(-1, -1) if w is None else (w.n, w.r)
-                     for w in dc.pi_regular_table(ring)], dtype=np.int64).T
+    n, r = kernel.pi_regular_pass(ring)
     bad = n < 0
     rows = np.flatnonzero(~bad)
     for s in row_blocks(len(rows), 32):
@@ -343,19 +362,25 @@ def _pireg_failures(ring: FiniteRing) -> np.ndarray:
     return bad
 
 
+def _pireg_walk(spec, ring: FiniteRing) -> None:
+    """P_PIREG's walk over one member: raises the _Fail of the first element
+    that fails. From PASS_MIN_ORDER on, the elements run as one kernel pass
+    (_pireg_failures), and the scalar step replays the first it flags."""
+    if ring.order >= dc.PASS_MIN_ORDER:
+        _replay_first(ring, _pireg_failures(ring), "P_PIREG pass",
+                      lambda a: _pireg_step(spec, ring, a), a=range(ring.order))
+        return
+    for a in range(ring.order):
+        _pireg_step(spec, ring, a)
+
+
 def _check_pireg(built):
     """The constructive route through pi-regularity reproduces the brute
-    verdict on every element of every unital member. From PASS_MIN_ORDER
-    on, a member's elements run as one kernel pass (_pireg_failures), and
-    the scalar step replays the first element it flags."""
+    verdict on every element of every unital member. Each member's outcome
+    is kept on the ring (_kept)."""
     members = _unital(built)
     for spec, ring in members:
-        if ring.order >= dc.PASS_MIN_ORDER:
-            _replay_first(ring, _pireg_failures(ring), "P_PIREG pass",
-                          lambda a: _pireg_step(spec, ring, a), a=range(ring.order))
-            continue
-        for a in range(ring.order):
-            _pireg_step(spec, ring, a)
+        _kept(ring, ("P_PIREG",), lambda: _pireg_walk(spec, ring))
     elements = sum(ring.order for _, ring in members)
     return f"{elements} elements across {len(members)} unital rings"
 

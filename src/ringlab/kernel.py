@@ -195,25 +195,29 @@ def power(ring: FiniteRing, x: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def compose_failures(ring: FiniteRing, a: np.ndarray, e: np.ndarray, c: np.ndarray,
-                     g: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+                     g: np.ndarray, q: Optional[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Rows where deciders.wncl_from_corner(ring, a, e, c, (g, q, x)) raises:
     its preconditions, the corner witness (g, q, x) in fRf with g idempotent
     and faf - g - q = g*x*faf, the mu-power loop up to q's nil index, and the
-    final check_wncl of the composed witness, through the same products. g
-    and x may be one-element arrays, one value for every row, as the corner
-    witness (0, faf, 0) of the pi-regular route; then their products g*g and
-    g*x are one value too. Each temporary is dropped once its last check is
-    done."""
+    final check_wncl of the composed witness, through the same products.
+
+    The corner witness (0, faf, 0) of the pi-regular route is passed as
+    one-element arrays g = x = 0 and q = None, which stands for faf: faf is
+    formed once, the products g*g and g*x are one value, and the check that
+    x lies in fRf, where x equals g, is the one of g and runs once. Each
+    temporary is dropped once its last check is done."""
     mul, add, sub = ring.mul_vec, ring.add_vec, ring.sub_vec
     one = np.array([ring.one], dtype=np.int64)
     bad = mul(e, e) != e
     bad |= mul(c, a) != e
     f = sub(one, e)
-    for z in (g, q) if x is g else (g, q, x):  # x is g: the same check
-        bad |= mul(mul(f, z), f) != z
-    bad |= mul(g, g) != g
     fa = mul(f, a)
     faf = mul(fa, f)
+    if q is None:
+        q = faf
+    for z in (g, q) if np.array_equal(g, x) else (g, q, x):
+        bad |= mul(mul(f, z), f) != z
+    bad |= mul(g, g) != g
     gx = mul(g, x)
     bad |= sub(sub(faf, g), q) != mul(gx, faf)
     del faf
@@ -257,7 +261,7 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     """Rows where deciders.wncl_from_pi_regular(ring, a, (m, am)) raises:
     its pi-regularity check, then compose_failures with the corner witness
     (0, faf, 0), whose nil index check is the one of faf."""
-    mul, sub = ring.mul_vec, ring.sub_vec
+    mul = ring.mul_vec
     # check_pi_regular
     an = power(ring, a, m)
     bad = mul(mul(an, am), an) != an
@@ -267,11 +271,8 @@ def wncl_chain_failures(ring: FiniteRing, a: np.ndarray, m: np.ndarray,
     longer = np.flatnonzero(m > 1)
     c[longer] = mul(am.take(longer),
                     power(ring, a.take(longer), m.take(longer) - 1))
-    f = sub(np.array([ring.one], dtype=np.int64), e)
-    faf = mul(mul(f, a), f)
-    del f
     zero = np.array([ring.zero], dtype=np.int64)
-    bad |= compose_failures(ring, a, e, c, zero, faf, zero)
+    bad |= compose_failures(ring, a, e, c, zero, None, zero)
     return bad
 
 

@@ -405,10 +405,11 @@ def test_verify_prints_each_failure_with_its_counterexample(tmp_path, capsys):
 def test_verify_reports_every_failing_certificate_of_a_constructive_step(tmp_path, capsys):
     # each of these checks builds a witness by a step that re-validates it,
     # so a checker that rejects every witness fails every check, with its
-    # counterexample, and never ends the run
+    # counterexample, and never ends the run. A fresh build cache: an
+    # outcome kept on the shared Z2 would not call the patched checker
     path = tmp_path / "rings.txt"
     path.write_text("Z2\nT2(Z2)\n")
-    with mock.patch.object(dc, "check_wncl", return_value=False):
+    with fresh_build_cache(), mock.patch.object(dc, "check_wncl", return_value=False):
         assert rl.main(["verify", "--props", "L_MOCNA,P_PIREG,P_KOTI,P_CENTER,P_NILIDEAL",
                         "--corpus", str(path)]) == 1
     out, err = capsys.readouterr()

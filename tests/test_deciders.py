@@ -778,7 +778,7 @@ def test_wncl_chain_fails_where_the_scalar_chain_raises_on_any_witness(name, cel
     # the witnesses (n, r) for every r, not only the powers chunk_failures
     # passes: on M2(Z4) some rows have mu^n != 0 = mu^(n+1), so the mu-power
     # loop must take the step that multiplies q's power 0. On Triv(Z64) the
-    # smallest n of pi_regular_table goes up to 6: at a = (2, 0), where
+    # smallest n of pi_regular_pass goes up to 6: at a = (2, 0), where
     # 2^n*r*2^n = 2^n mod 64 needs 2^n = 0, every r passes and the mu-power
     # loop runs the 6 steps of q = a; at the unit (3, 1) one r passes
     base = rl.build_cached(rl.parse_spec(name))
@@ -1135,14 +1135,13 @@ def _pi_rows(n, r):
 
 
 @pytest.mark.parametrize("name", _PASS_RINGS)
-def test_pi_regular_table_equals_the_scalar_search(name):
+def test_pi_regular_pass_equals_the_scalar_search(name):
     ring = rl.build(rl.parse_spec(name))
     expected = [rl.pi_regular_witness(ring, a) for a in range(ring.order)]
     assert _pi_rows(*kernel.pi_regular_pass(ring)) == expected
-    assert dc.pi_regular_table(ring) == expected
 
 
-def test_pi_regular_table_equals_the_scalar_search_above_the_limit_and_on_corrupted_rings():
+def test_pi_regular_pass_equals_the_scalar_search_above_the_limit_and_on_corrupted_rings():
     rings = [(rl.build(rl.parse_spec(name)), None) for name in ("Triv(Z64)", "M2(Z8)")]
     rings += [(_corrupted(rl.build_cached(rl.parse_spec(name)), {pair: value}), pair)
               for name, pair, value in _PI_CORRUPTIONS]
@@ -1155,11 +1154,11 @@ def test_pi_regular_table_equals_the_scalar_search_above_the_limit_and_on_corrup
         else:
             elements = range(ring.order)
         expected = [rl.pi_regular_witness(ring, a) for a in elements]
-        table = dc.pi_regular_table(ring)
-        assert [table[a] for a in elements] == expected, ring.label
-        assert _pi_rows(*kernel.pi_regular_pass(ring)) == table, ring.label
+        rows = _pi_rows(*kernel.pi_regular_pass(ring))
+        assert [rows[a] for a in elements] == expected, ring.label
     triv = rings[0][0]
-    assert dc.pi_regular_table(triv)[rl.ring_pack(triv, (2, 0))] == dc.PiRegularWitness(6, 0)
+    assert _pi_rows(*kernel.pi_regular_pass(triv))[rl.ring_pack(triv, (2, 0))] \
+        == dc.PiRegularWitness(6, 0)
 
 
 def test_pi_regular_pass_does_not_depend_on_the_block_size(monkeypatch):

@@ -273,54 +273,75 @@ def test_center_of_a_commutative_member_over_the_table_cap_is_the_member():
 ])
 def test_element_walks_over_lazy_members(names, expected):
     # lazy members (order over 1024), whose witness tables are read off the
-    # passes; P_PIREG's witnesses come from pi_regular_table
+    # passes; P_PIREG's witnesses come from kernel.pi_regular_pass
     corpus = [rl.parse_spec(name) for name in names]
     checks = rl.run_all(corpus, [cid for cid, _, _ in expected])
     assert [(c.id, c.status, c.detail) for c in checks] == expected
 
 
-# T2(Z4) product cells, and the statuses of L_MOCNA and P_PIREG there: at
-# (16, 43) both first fail at a = 43, in the mu-power loop; at (13, 20) at
-# different elements; at (13, 31) the corner at f = 13 is not closed under
-# negation, and L_MOCNA raises ValueError where its scalar loop builds that
-# corner; at (5, 17) a later corner is not closed either, but L_MOCNA fails
-# at the pair (5, 0) before its loop reaches that corner
-_WALK_CORRUPTIONS = [((16, 43), 14, ("fail", "fail")), ((13, 20), 50, ("fail", "fail")),
-                     ((13, 31), 1, ("raised", "pass")), ((5, 17), 37, ("fail", "pass"))]
+# Product cells of T2(Z4) and Z2^6, and the statuses of L_MOCNA and P_PIREG
+# there. On T2(Z4): at (16, 43) both first fail at a = 43, in the mu-power
+# loop; at (13, 20) at different elements; at (13, 31) the corner at f = 13
+# is not closed under negation, and L_MOCNA raises ValueError where its
+# scalar loop builds that corner; at (5, 17) a later corner is not closed
+# either, but L_MOCNA fails at the pair (5, 0) before its loop reaches that
+# corner. On Z2^6, whose corners fRf have order 32, and read the witness
+# pass, where e = 1 - f has one nonzero coordinate: at (37, 2) both fail,
+# L_MOCNA in its final check; at (61, 31) L_MOCNA fails in the mu-power
+# loop; at (48, 27) L_MOCNA raises where it builds a corner, and P_PIREG
+# fails at a = 48
+_WALK_CORRUPTIONS = [
+    ("T2(Z4)", (16, 43), 14, ("fail", "fail")), ("T2(Z4)", (13, 20), 50, ("fail", "fail")),
+    ("T2(Z4)", (13, 31), 1, ("raised", "pass")), ("T2(Z4)", (5, 17), 37, ("fail", "pass")),
+    ("Z2xZ2xZ2xZ2xZ2xZ2", (37, 2), 53, ("fail", "fail")),
+    ("Z2xZ2xZ2xZ2xZ2xZ2", (61, 31), 51, ("fail", "pass")),
+    ("Z2xZ2xZ2xZ2xZ2xZ2", (48, 27), 54, ("raised", "fail"))]
 
 
-@pytest.mark.parametrize("cell,value,statuses", _WALK_CORRUPTIONS)
-def test_batched_walks_fail_with_the_scalar_lines(cell, value, statuses):
-    base = ct.build_cached(ct.Triangular(2, ct.Zn(4)))
+@pytest.mark.parametrize("name,cell,value,statuses", _WALK_CORRUPTIONS)
+def test_batched_walks_fail_with_the_scalar_lines(name, cell, value, statuses):
+    base = rl.build_cached(rl.parse_spec(name))
 
-    def run(min_order):
-        ring = with_cell(base, "mul", cell, value)
+    def run(ring, ids=("L_MOCNA", "P_PIREG")):
         outcomes = []
-        with mock.patch.object(dc, "PASS_MIN_ORDER", min_order), \
-                mock.patch.object(hn, "_build_corpus", return_value=([(base.spec, ring)], [])):
-            for cid in ("L_MOCNA", "P_PIREG"):
+        with mock.patch.object(hn, "_build_corpus", return_value=([(base.spec, ring)], [])):
+            for cid in ids:
                 try:
                     check = hn.run_check(cid, [base.spec])
                     outcomes.append((check.status, check.detail, check.counterexample))
                 except ValueError as exc:
                     outcomes.append(("raised", str(exc)))
-        return outcomes, set(ring.cache)
+        return outcomes
 
-    scalar, scalar_keys = run(base.order + 1)
-    batched, batched_keys = run(dc.PASS_MIN_ORDER)
+    with mock.patch.object(dc, "PASS_MIN_ORDER", base.order + 1):
+        scalar = run(with_cell(base, "mul", cell, value))
     assert tuple(status for status, *_ in scalar) == statuses
-    assert batched == scalar
-    walks = {("mocna_failures",), ("pireg_failures",)}
-    assert walks <= batched_keys and not walks & scalar_keys
+    ring = with_cell(base, "mul", cell, value)
+    with mock.patch.object(hn, "_mocna_failures", wraps=hn._mocna_failures) as mocna, \
+            mock.patch.object(hn, "_pireg_failures", wraps=hn._pireg_failures) as pireg:
+        assert run(ring) == scalar
+    assert (mocna.call_count, pireg.call_count) == (1, 1)
+    # a pass or a fail is kept on the ring and read back without a walk; an
+    # error is not kept
+    kept = [cid for cid, status in zip(("L_MOCNA", "P_PIREG"), statuses) if status != "raised"]
+    assert {key for key in ring.cache if key in {("L_MOCNA",), ("P_PIREG",)}} \
+        == {(cid,) for cid in kept}
+    with mock.patch.object(hn, "_mocna_pairs", side_effect=AssertionError), \
+            mock.patch.object(hn, "_pireg_walk", side_effect=AssertionError):
+        assert run(ring, kept) == [outcome for outcome, status in zip(scalar, statuses)
+                                   if status != "raised"]
 
 
 def test_batched_walk_flags_that_the_scalar_step_passes_raise():
     ring = ct.build(ct.Triangular(2, ct.Zn(4)))  # fresh object, private cache
-    hn._pireg_failures(ring)[5] = True
     a, e, c, bad = hn._mocna_failures(ring)
     bad[7] = True
     pair = f"a={a[7]}, e={e[7]}, c={c[7]}"
-    with mock.patch.object(hn, "_build_corpus", return_value=([(ring.spec, ring)], [])):
+    pireg = hn._pireg_failures(ring)
+    pireg[5] = True
+    with mock.patch.object(hn, "_build_corpus", return_value=([(ring.spec, ring)], [])), \
+            mock.patch.object(hn, "_mocna_failures", return_value=(a, e, c, bad)), \
+            mock.patch.object(hn, "_pireg_failures", return_value=pireg):
         with pytest.raises(rl.WitnessError, match=r"batched P_PIREG pass failed at a=5 of "
                                                   r"T2\(Z4\) but the scalar step passed"):
             hn.run_check("P_PIREG", [ring.spec])
