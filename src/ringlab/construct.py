@@ -588,12 +588,13 @@ def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None) -> FiniteRing:
         spec = Opposite(ring.spec)
     label = f"Op({ring.label})"
     mul, mul_vec = ring.mul, ring.mul_vec
-    return FiniteRing(ring.order, ring.add, lambda a, b: mul(b, a), ring.neg,
-                      zero=ring.zero, one=ring.one, spec=spec, label=label,
+    ops = dict(add=ring.add, mul=lambda a, b: mul(b, a), neg=ring.neg, add_vec=ring.add_vec,
+               mul_vec=lambda x, y: mul_vec(y, x), neg_vec=ring.neg_vec)
+    if ring.mul_table is not None:  # given tables: no fill, and a core to share
+        ops = dict(add=ring.add_table, mul=ring.mul_table.T, neg=ring.neg_table)
+    return FiniteRing(ring.order, zero=ring.zero, one=ring.one, spec=spec, label=label,
                       element_label=ring.element_label,
-                      meta={"kind": "opposite", "base": ring},
-                      add_vec=ring.add_vec, mul_vec=lambda x, y: mul_vec(y, x),
-                      neg_vec=ring.neg_vec)
+                      meta={"kind": "opposite", "base": ring}, **ops)
 
 
 def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = None,
@@ -727,7 +728,10 @@ def build(spec: RingSpec, max_order: Optional[int] = None) -> FiniteRing:
     so each intermediate ring is built and validated once per process and
     shared; only the ring returned is built on every call. The cache is
     unbounded: every base stays in memory, with its tables and memo cache,
-    until the process ends (about 4 MB for a tabled base of order 1024)."""
+    until the process ends (about 4 MB for a tabled base of order 1024).
+    A ring given tables (ideal ring, quotient, corner, opposite of a tabled
+    base) is proved only when no live ring holds an equal table set; it
+    shares that ring's core otherwise (see FiniteRing)."""
     cap = resolve_max_order(max_order)
     known = spec_order(spec)
     if known is not None:

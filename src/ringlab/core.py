@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import weakref
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence, Union
 
@@ -124,6 +126,16 @@ def lazy_lists(op: Callable, *tables: np.ndarray) -> Callable:
     return op
 
 
+class _Core(dict):
+    """The store of results that depend on a ring's tables alone, with the
+    ``tables`` (add, mul, neg) it was proved on: one for each distinct table
+    set of the live rings given tables (see FiniteRing)."""
+
+
+# (order, zero, one, crc32 of the add and mul tables) -> live _Core
+_CORES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class FiniteRing:
     """A finite ring on elements 0..order-1.
 
@@ -139,10 +151,14 @@ class FiniteRing:
     Above the cap the table attributes are None and the closures given serve
     (the scalar one mapped when no vector form is given). ``validated`` is
     True when the axioms were checked (and held) at construction, by default
-    for every ring with tables, given ones at any order included. Instances
-    are immutable by convention; ``cache`` holds the flat tables and data
-    derived from the ring, kept through ``memo`` and the decorator
-    ``memoized``, which keeps scans and element searches alike.
+    for every ring with tables, given ones at any order included. A ring
+    given all three tables, unless ``validate=False``, shares the table core
+    of the live rings given equal tables, zero and unity: their tables, their
+    one proof and their ``shared`` store; every other ring's ``shared`` is its
+    ``cache``. Instances are immutable by convention; ``cache`` holds the flat
+    tables and what is tied to the ring object (derived rings, ideals, kept
+    outcomes), ``shared`` the scans, searches, verdicts and array passes,
+    kept through ``memo`` and the decorator ``memoized``.
     """
 
     def __init__(
@@ -178,15 +194,27 @@ class FiniteRing:
         self.cache: dict = {}
 
         dtype = index_dtype(order)
-        for name, op, vec, shape in (("add", add, add_vec, (order, order)),
-                                     ("mul", mul, mul_vec, (order, order)),
-                                     ("neg", neg, neg_vec, (order,))):
+        ops = (("add", add, add_vec, (order, order)), ("mul", mul, mul_vec, (order, order)),
+               ("neg", neg, neg_vec, (order,)))
+        tables = {}
+        for name, op, vec, shape in ops:
             if not callable(op):
-                table = np.array(op, dtype=dtype)
+                table = np.array(op, dtype=dtype, order="C")
                 if table.shape != shape:
                     raise ValueError(f"table must be {'x'.join(map(str, shape))}")
             else:
                 table = _fill(vec or _map_vec(op), shape, dtype) if order <= table_cap else None
+            tables[name] = table
+        key = core = None  # the core of a live ring given equal tables, if any
+        if validate is not False and not any(map(callable, (add, mul, neg))):
+            key = (order, zero, one, zlib.crc32(tables["add"]), zlib.crc32(tables["mul"]))
+            core = _CORES.get(key)
+            if core is not None and all(map(np.array_equal, core.tables.values(), tables.values())):
+                tables = core.tables
+            else:
+                core = None
+        for name, op, vec, _ in ops:
+            table = tables[name]
             setattr(self, f"{name}_table", table)
             if table is None:
                 setattr(self, name, op)
@@ -208,10 +236,14 @@ class FiniteRing:
 
         if validate is None:
             validate = self.add_table is not None
-        if validate:
+        if validate and core is None:
             report = validate_axioms(self)
             if not report.ok:
                 raise RingLabError(f"ring axioms violated in {self.label}: {report.failure}")
+            if key is not None:
+                core = _CORES[key] = _Core()
+                core.tables = tables
+        self.shared = self.cache if core is None else core
         self.validated = bool(validate)
 
     def element_label(self, i: int) -> str:
@@ -219,10 +251,11 @@ class FiniteRing:
             return self._element_label(i)
         return str(i)
 
-    def memo(self, key: Hashable, make: Callable[[], object]):
-        """``cache[key]``, made by ``make()`` on first use: derived rings,
-        ring verdicts and array passes."""
-        cache = self.cache
+    def memo(self, key: Hashable, make: Callable[[], object], shared: bool = False):
+        """``cache[key]``, made by ``make()`` on first use: derived rings and
+        kept outcomes; with ``shared``, ``shared[key]``: ring verdicts and
+        array passes, which depend on the tables alone."""
+        cache = self.shared if shared else self.cache
         if key not in cache:
             cache[key] = make()
         return cache[key]
@@ -236,20 +269,22 @@ class FiniteRing:
         return f"<FiniteRing {self.label} order={self.order}>"
 
 
-def memoized(key: Hashable):
-    """Decorator keeping a scan ``fn(ring)`` in ``ring.cache[key]`` and a
-    search ``fn(ring, a)`` in ``ring.cache[(key, a)]``, None (nothing found)
-    included. The wrapper reads the cache itself, with no closure made per
+def memoized(key: Hashable, shared: bool = True):
+    """Decorator keeping a scan ``fn(ring)`` in ``ring.shared[key]`` and a
+    search ``fn(ring, a)`` in ``ring.shared[(key, a)]``, None (nothing found)
+    included; in ``ring.cache`` when not ``shared``, for results tied to the
+    ring object. The wrapper reads the store itself, with no closure made per
     call, because scans and searches are called inside element loops."""
     def decorate(fn):
         @functools.wraps(fn)
         def cached(ring, a=None):
             k = key if a is None else (key, a)
+            store = ring.shared if shared else ring.cache
             try:
-                return ring.cache[k]
+                return store[k]
             except KeyError:
                 pass
-            value = ring.cache[k] = fn(ring) if a is None else fn(ring, a)
+            value = store[k] = fn(ring) if a is None else fn(ring, a)
             return value
         return cached
     return decorate
@@ -283,6 +318,8 @@ def _first_mismatch(mask: Callable[[slice], np.ndarray], n: int) -> Optional[tup
 
 def validate_axioms(ring: FiniteRing) -> AxiomReport:
     """Check the ring axioms against the materialized tables, exactly.
+    FiniteRing runs it once per table core: a ring given the tables of a
+    live proved ring is not checked again.
 
     The check costs n^2 |G| + O(n^2) gathers, where G is the additive
     generating set of ``_generator_tree`` (|G| <= log2 n when (R, +) is

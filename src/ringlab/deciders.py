@@ -301,7 +301,7 @@ def strongly_regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
 
 
 def _witness_table(ring: FiniteRing, search, kind: str, fields: str, make) -> list:
-    """search(ring, a) for every element a, kept in the ring's cache. Below
+    """search(ring, a) for every element a, kept in the ring's shared store. Below
     PASS_MIN_ORDER search runs on each element, as in _ring_verdict; from
     there on it is read off the triples of the cached kernel.witness_pass
     under kind at every order, which finds the same first witness, its
@@ -316,7 +316,7 @@ def _witness_table(ring: FiniteRing, search, kind: str, fields: str, make) -> li
             raise WitnessError(f"batched {kind} pass failed its check at element {int(bad.argmax())}")
         rows = zip(*(found[name].tolist() for name in fields))
         return [make(*row) if row[0] >= 0 else None for row in rows]
-    return ring.memo(("witness_table", fields), read)
+    return ring.memo(("witness_table", fields), read, shared=True)
 
 
 def wncl_table(ring: FiniteRing) -> List[Optional[WnclWitness]]:
@@ -642,7 +642,7 @@ def center_witness(ring: FiniteRing, a: int, w: WnclWitness) -> WnclWitness:
     return wc
 
 
-@memoized("center_ring")
+@memoized("center_ring", shared=False)
 def center_ring(ring: FiniteRing) -> FiniteRing:
     """The center as a unital subring, cached per ring; element indices map
     through its ``members`` tuple and back through its ``index`` dict. A
@@ -726,7 +726,7 @@ def _ring_verdict(ring: FiniteRing, key: str, holds, first_flagged=None,
             return a is None
         raise WitnessError(f"batched {batched} failed at element {a} of "
                            f"{ring.label} but the scalar search passed")
-    return ring.memo(("ring_verdict", key), compute)
+    return ring.memo(("ring_verdict", key), compute, shared=True)
 
 
 def _pass_flagged(ring: FiniteRing, kind: str, count: Optional[str] = None) -> Optional[int]:

@@ -239,9 +239,12 @@ def _replay_first(ring: FiniteRing, bad: np.ndarray, name: str, step, **columns)
 
 def _mocna_step(spec, ring: FiniteRing, primal, a: int, e: int, c: int) -> None:
     """L_MOCNA's scalar step at the pair (a, e) with multiplier c: raises
-    _Fail where it fails."""
+    _Fail where it fails, also where the corner at 1 - e cannot be built."""
     f = ring.sub(ring.one, e)
-    corner = ring.memo(("corner", f), lambda: ct.corner_ring(ring, f))
+    try:
+        corner = ring.memo(("corner", f), lambda: ct.corner_ring(ring, f))
+    except (RingLabError, ValueError) as exc:
+        raise _Fail(f"no corner ring at a={a}, e={e} of {spec}: {exc}", spec, a, e)
     faf = ring.mul(ring.mul(f, a), f)
     if corner is ring:
         cw = primal[faf]

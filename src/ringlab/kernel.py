@@ -404,7 +404,7 @@ def witness_pass(ring: FiniteRing) -> Dict[str, Dict[str, np.ndarray]]:
     {(e*x)*a : x in R} by reading RA at the distinct values of e*x, and look
     up a - e - q in them for every q. That set is not eR ∩ Ra, which equals
     it only for an associative product."""
-    return ring.memo(("witness_pass",), lambda: _witness_pass(ring))
+    return ring.memo(("witness_pass",), lambda: _witness_pass(ring), shared=True)
 
 
 def _witness_pass(ring: FiniteRing) -> Dict[str, Dict[str, np.ndarray]]:

@@ -1,6 +1,6 @@
 """Structure scans over a finite ring: special element sets, ideals and the
-radical. Results are memoized in the ring's cache (core.memoized, which also
-keeps the element searches of deciders), so repeated queries are cheap.
+radical. Results are memoized in the ring's shared store (core.memoized, which
+also keeps the element searches of deciders), so repeated queries are cheap.
 
 The O(n^2) scans (units, center, is_abelian, the radical) and the ideal
 closures read only the ring's vector operations, in row blocks of at most
@@ -223,7 +223,7 @@ def _radical_members(ring: FiniteRing) -> tuple:
     return tuple(np.flatnonzero(good).tolist())
 
 
-@memoized("jacobson_radical")
+@memoized("jacobson_radical", shared=False)
 def jacobson_radical(ring: FiniteRing) -> Ideal:
     """Elements a such that every member of the left ideal of a is left
     quasi-regular; with a unity this is the usual 1 - r*a invertibility test.

@@ -1,5 +1,6 @@
 import functools
 import sys
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import construct as ct, deciders as dc, kernel, structure as st
+from ringlab import construct as ct, core, deciders as dc, kernel, structure as st
 from ringlab.core import _axioms_hold, _validate_cubic
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -36,10 +37,12 @@ def unital_corpus(corpus):
 
 @contextmanager
 def fresh_build_cache():
-    """Builds inside use their own empty build cache, as in a new process:
-    their bases are built anew, and none of them is served outside."""
+    """Builds inside use their own empty build cache and table-core registry,
+    as in a new process: their bases are built anew, rings given tables are
+    proved anew, and none of them is served outside."""
     fresh = functools.lru_cache(maxsize=None)(ct._build_cached.__wrapped__)
-    with mock.patch.object(ct, "_build_cached", fresh):
+    with mock.patch.object(ct, "_build_cached", fresh), \
+            mock.patch.object(core, "_CORES", weakref.WeakValueDictionary()):
         yield
 
 

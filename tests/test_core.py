@@ -1,20 +1,23 @@
 """Ring container, axiom validation, and power trajectory machinery."""
 
+import gc
 import itertools
 import tracemalloc
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import core
+from ringlab import core, deciders as dc, structure as st
 from ringlab.core import (_PASS_CELLS, _generator_tree, _validate_cubic, index_dtype,
                           power_from_seq)
 
 import oracles
-from conftest import (agrees_with_cubic, all_pairs, corpus_ring, list_rows, op_rows,
-                      sample_pairs, vector_mismatches, with_cell)
+from conftest import (agrees_with_cubic, all_pairs, corpus_ring, fresh_build_cache, list_rows,
+                      op_rows, sample_pairs, vector_mismatches, with_cell)
 
 
 def test_validate_axioms_accepts_corpus(corpus):
@@ -600,3 +603,62 @@ def test_subring_and_quotient_vector_ops(corpus):
     quot, _ = rl.quotient(corpus["T2(Z4)"], rl.ideal_generated(corpus["T2(Z4)"], (1,)))
     for ring in (corner, ideal, quot):
         assert vector_mismatches(ring, *all_pairs(ring.order)) == [], ring.label
+
+
+# --- table cores ---------------------------------------------------------------------
+
+
+def _given(ring, **kwargs):
+    """A ring given the tables of ring, with its zero and unity unless kwargs
+    name others."""
+    return rl.FiniteRing(ring.order, ring.add_table, ring.mul_table, ring.neg_table,
+                         **{"zero": ring.zero, "one": ring.one, **kwargs})
+
+
+def test_rings_given_equal_tables_share_one_proved_core():
+    z4 = rl.zn_ring(4)
+    with fresh_build_cache(), mock.patch.object(core, "_proof", wraps=core._proof) as proof:
+        first = _given(z4)
+        second = rl.FiniteRing(4, z4.add_table.tolist(), z4.mul_table.tolist(),
+                               z4.neg_table.tolist(), one=1)
+        assert proof.call_count == 1 and first.validated and second.validated
+        for name in ("add_table", "mul_table", "neg_table"):
+            assert getattr(second, name) is getattr(first, name)
+            assert np.shares_memory(second.cache[name], first.cache[name])
+        assert second.shared is first.shared is not first.cache
+        # filled from closures, or unvalidated: never registered nor shared
+        assert z4.shared is z4.cache and z4.mul_table is not first.mul_table
+        unproved = _given(z4, validate=False)
+        assert unproved.mul_table is not first.mul_table and unproved.shared is unproved.cache
+        assert len(core._CORES) == 1 and proof.call_count == 1
+    # list rows are each ring's own; scans, searches and verdicts are made once
+    assert first.mul(2, 3) == 2 and list_rows(first) == {"mul"} and list_rows(second) == set()
+    assert st.idempotents(second) is st.idempotents(first)
+    assert dc.wncl_witness(second, 3) is dc.wncl_witness(first, 3)
+    assert dc.ring_weakly_nil_clean(first) and ("ring_verdict", "wncl") in second.shared
+
+
+def test_equal_tables_with_another_zero_or_unity_are_proved_apart():
+    z4 = rl.zn_ring(4)
+    with fresh_build_cache(), mock.patch.object(core, "_proof", wraps=core._proof) as proof:
+        unital, plain = _given(z4), _given(z4, one=None)
+        assert proof.call_count == 2 and plain.shared is not unital.shared
+        assert plain.mul_table is not unital.mul_table and not plain.unital
+        for wrong in ({"zero": 1}, {"one": 3}):
+            with pytest.raises(rl.RingLabError, match="axioms violated"):
+                _given(z4, **wrong)
+        assert proof.call_count == 4 and len(core._CORES) == 2
+
+
+def test_the_core_registry_keeps_no_ring_alive():
+    z4 = rl.zn_ring(4)
+    with fresh_build_cache(), mock.patch.object(core, "_proof", wraps=core._proof) as proof:
+        first, second = _given(z4), _given(z4)
+        st.idempotents(first)
+        gone = weakref.ref(first.shared)
+        assert proof.call_count == 1
+        proof.reset_mock()  # the mock's own record of calls holds the ring
+        del first, second
+        gc.collect()
+        assert gone() is None and len(core._CORES) == 0
+        assert _given(z4).validated and proof.call_count == 1

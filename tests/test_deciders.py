@@ -588,7 +588,7 @@ def test_pi_regularity_verdicts_equal_the_scalar_loops_at_every_order(name):
             assert _outcome(lambda: _BATCHED[prop](ring)) is True, prop
     brute.assert_not_called()
     strong_brute.assert_not_called()
-    assert (("large_ring_failures",) in ring.cache) == (ring.order >= dc.PASS_MIN_ORDER)
+    assert (("large_ring_failures",) in ring.shared) == (ring.order >= dc.PASS_MIN_ORDER)
 
 
 # (ring, batched wncl chain calls): up to BRUTE_ORDER_LIMIT witness_pass decides
@@ -605,7 +605,7 @@ def test_batched_pass_runs_the_wncl_chain_only_above_the_brute_limit(name, chain
         for prop, verdict in _BATCHED.items():
             assert _outcome(scalar[prop]) is True, prop
             assert _outcome(lambda: verdict(ring)) is True, prop
-    assert ("large_ring_failures",) in ring.cache
+    assert ("large_ring_failures",) in ring.shared
     assert chain.call_count == chain_calls
 
 
@@ -1182,36 +1182,46 @@ def test_nil_index_map_reads_the_array_pass_above_the_limit(name, array):
 
 # --- memo keys -------------------------------------------------------------------------
 
-SCAN_KEYS = {  # scan -> its ring.cache key
+SCAN_KEYS = {  # scan -> its key in ring.shared, or in ring.cache for OWN_KEYS
     st.idempotents: "idempotents", st.nilpotents: "nilpotents",
     st.nil_index_map: "nil_index", st.units: "units", st.inverse_map: "inverse",
     st.center: "center", st.is_abelian: "is_abelian",
     st.jacobson_radical: "jacobson_radical", st.bounded_index: "bounded_index",
 }
+OWN_KEYS = {"jacobson_radical", "center_ring"}  # an Ideal and a ring, tied to the ring
 SEARCHES = ("wncl_witness", "wncl_witness_alt", "pi_regular_witness", "exchange_witness")
 VERDICTS = ("wncl", "clean", "nil_clean", "exchange", "pi_regular",
             "strongly_pi_regular", "strongly_regular", "unique_idempotent",
             "unique_nilpotent")
 
 
-@pytest.mark.parametrize("text", ["T2(Z2)", "Z4"])
+@pytest.mark.parametrize("text", ["T2(Z2)", "Z4", "Op(T2(Z2))"])
 def test_scans_and_searches_keep_their_results_under_fixed_keys(text):
-    # the bench tracer counts memo hits by these keys
+    # the bench tracer counts memo hits by these keys. A ring filled from
+    # closures has one store (shared is cache); Op(T2(Z2)) is given tables,
+    # and keeps in its cache only what is tied to the ring object
     ring = rl.build(rl.parse_spec(text))  # a fresh ring, with an empty cache
+    assert (ring.shared is ring.cache) == (text != "Op(T2(Z2))")
+
+    def store(key):
+        return ring.cache if key in OWN_KEYS else ring.shared
+
     for scan, key in SCAN_KEYS.items():
         value = scan(ring)
-        assert ring.cache[key] is value is scan(ring), key
+        assert store(key)[key] is value is scan(ring), key
     for name in SEARCHES:
         for a in range(ring.order):
             value = getattr(dc, name)(ring, a)
-            assert (name, a) in ring.cache and ring.cache[name, a] is value, (name, a)
+            assert (name, a) in ring.shared and ring.shared[name, a] is value, (name, a)
     # None, for an element without a result, is kept too
     nothing = core.memoized("nothing")(lambda ring, a: None)
-    assert nothing(ring, 1) is None and ring.cache["nothing", 1] is None
+    assert nothing(ring, 1) is None and ring.shared["nothing", 1] is None
     center = dc.center_ring(ring)
-    assert ring.cache["center_ring"] is center is dc.center_ring(ring)
+    assert store("center_ring")["center_ring"] is center is dc.center_ring(ring)
     dc.classify(ring)
-    assert {("ring_verdict", name) for name in VERDICTS} <= set(ring.cache)
+    assert {("ring_verdict", name) for name in VERDICTS} <= set(ring.shared)
+    if ring.shared is not ring.cache:
+        assert set(ring.cache) == {"add_table", "mul_table", "neg_table", *OWN_KEYS}
     large = rl.build(rl.parse_spec("M2(Z3)"))  # order 81, where the verdicts read it
     first = kernel.first_failures(large)
-    assert large.cache[("large_ring_failures",)] is first is kernel.first_failures(large)
+    assert large.shared[("large_ring_failures",)] is first is kernel.first_failures(large)

@@ -11,7 +11,7 @@ import pytest
 
 import ringlab as rl
 from ringlab import harness as hn
-from ringlab import construct as ct, deciders as dc
+from ringlab import cli, construct as ct, core, deciders as dc, structure as st
 
 from conftest import fresh_build_cache, list_rows, with_cell
 
@@ -105,7 +105,7 @@ def test_run_check_reports_build_failures():
 
 def test_check_failure_carries_counterexample():
     ring = ct.build(ct.Zn(2))  # fresh object, private cache
-    ring.cache[("ring_verdict", "unique_idempotent")] = False
+    ring.shared[("ring_verdict", "unique_idempotent")] = False
     with mock.patch.object(hn, "_build_corpus", return_value=([(ct.Zn(2), ring)], [])):
         chk = hn.run_check("P_UNQ1", [ct.Zn(2)])
     assert chk.status == "fail"
@@ -282,54 +282,59 @@ def test_element_walks_over_lazy_members(names, expected):
 # Product cells of T2(Z4) and Z2^6, and the statuses of L_MOCNA and P_PIREG
 # there. On T2(Z4): at (16, 43) both first fail at a = 43, in the mu-power
 # loop; at (13, 20) at different elements; at (13, 31) the corner at f = 13
-# is not closed under negation, and L_MOCNA raises ValueError where its
-# scalar loop builds that corner; at (5, 17) a later corner is not closed
-# either, but L_MOCNA fails at the pair (5, 0) before its loop reaches that
-# corner. On Z2^6, whose corners fRf have order 32, and read the witness
-# pass, where e = 1 - f has one nonzero coordinate: at (37, 2) both fail,
-# L_MOCNA in its final check; at (61, 31) L_MOCNA fails in the mu-power
-# loop; at (48, 27) L_MOCNA raises where it builds a corner, and P_PIREG
-# fails at a = 48
+# is not closed under negation, and at (16, 16) f = 16 is no idempotent, so
+# L_MOCNA fails where its scalar loop builds that corner; at (5, 17) a later
+# corner is not closed either, but L_MOCNA fails at the pair (5, 0) before
+# its loop reaches that corner. On Z2^6, whose corners fRf have order 32, and
+# read the witness pass, where e = 1 - f has one nonzero coordinate: at
+# (37, 2) both fail, L_MOCNA in its final check; at (61, 31) L_MOCNA fails in
+# the mu-power loop; at (48, 27) L_MOCNA fails where it builds a corner, and
+# P_PIREG fails at a = 48
 _WALK_CORRUPTIONS = [
     ("T2(Z4)", (16, 43), 14, ("fail", "fail")), ("T2(Z4)", (13, 20), 50, ("fail", "fail")),
-    ("T2(Z4)", (13, 31), 1, ("raised", "pass")), ("T2(Z4)", (5, 17), 37, ("fail", "pass")),
+    ("T2(Z4)", (13, 31), 1, ("fail", "pass")), ("T2(Z4)", (5, 17), 37, ("fail", "pass")),
     ("Z2xZ2xZ2xZ2xZ2xZ2", (37, 2), 53, ("fail", "fail")),
     ("Z2xZ2xZ2xZ2xZ2xZ2", (61, 31), 51, ("fail", "pass")),
-    ("Z2xZ2xZ2xZ2xZ2xZ2", (48, 27), 54, ("raised", "fail"))]
+    ("Z2xZ2xZ2xZ2xZ2xZ2", (48, 27), 54, ("fail", "fail")),
+    ("T2(Z4)", (16, 16), 0, ("fail", "fail"))]
+
+# L_MOCNA's line where the corner at f = 1 - e cannot be built: the error of
+# construct.corner_ring, on the pair (a, e) that reaches it first
+_CORNER_BUILD_FAILS = {
+    ("T2(Z4)", (13, 31)): ("no corner ring at a=17, e=20 of T2(Z4): subset not closed under "
+                           "negation at 1", (17, 20)),
+    ("T2(Z4)", (16, 16)): ("no corner ring at a=1, e=1 of T2(Z4): corner needs an idempotent, "
+                           "16 is not one", (1, 1)),
+    ("Z2xZ2xZ2xZ2xZ2xZ2", (48, 27)): ("no corner ring at a=4, e=4 of Z2xZ2xZ2xZ2xZ2xZ2: subset "
+                                      "not closed under multiplication at (48, 27)", (4, 4)),
+}
 
 
 @pytest.mark.parametrize("name,cell,value,statuses", _WALK_CORRUPTIONS)
 def test_batched_walks_fail_with_the_scalar_lines(name, cell, value, statuses):
     base = rl.build_cached(rl.parse_spec(name))
 
-    def run(ring, ids=("L_MOCNA", "P_PIREG")):
-        outcomes = []
+    def run(ring):
         with mock.patch.object(hn, "_build_corpus", return_value=([(base.spec, ring)], [])):
-            for cid in ids:
-                try:
-                    check = hn.run_check(cid, [base.spec])
-                    outcomes.append((check.status, check.detail, check.counterexample))
-                except ValueError as exc:
-                    outcomes.append(("raised", str(exc)))
-        return outcomes
+            checks = [hn.run_check(cid, [base.spec]) for cid in ("L_MOCNA", "P_PIREG")]
+        return [(check.status, check.detail, check.counterexample) for check in checks]
 
     with mock.patch.object(dc, "PASS_MIN_ORDER", base.order + 1):
         scalar = run(with_cell(base, "mul", cell, value))
     assert tuple(status for status, *_ in scalar) == statuses
+    if (name, cell) in _CORNER_BUILD_FAILS:
+        detail, pair = _CORNER_BUILD_FAILS[name, cell]
+        assert scalar[0][1:] == (detail, (name, pair))
     ring = with_cell(base, "mul", cell, value)
     with mock.patch.object(hn, "_mocna_failures", wraps=hn._mocna_failures) as mocna, \
             mock.patch.object(hn, "_pireg_failures", wraps=hn._pireg_failures) as pireg:
         assert run(ring) == scalar
     assert (mocna.call_count, pireg.call_count) == (1, 1)
-    # a pass or a fail is kept on the ring and read back without a walk; an
-    # error is not kept
-    kept = [cid for cid, status in zip(("L_MOCNA", "P_PIREG"), statuses) if status != "raised"]
-    assert {key for key in ring.cache if key in {("L_MOCNA",), ("P_PIREG",)}} \
-        == {(cid,) for cid in kept}
+    # a pass or a fail is kept on the ring and read back without a walk
+    assert {("L_MOCNA",), ("P_PIREG",)} <= set(ring.cache)
     with mock.patch.object(hn, "_mocna_pairs", side_effect=AssertionError), \
             mock.patch.object(hn, "_pireg_walk", side_effect=AssertionError):
-        assert run(ring, kept) == [outcome for outcome, status in zip(scalar, statuses)
-                                   if status != "raised"]
+        assert run(ring) == scalar
 
 
 def test_batched_walk_flags_that_the_scalar_step_passes_raise():
@@ -354,13 +359,55 @@ def test_batched_walk_flags_that_the_scalar_step_passes_raise():
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _workloads_constant(name: str):
+    """A constant of perfbench/workloads.py, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name])
+
+
 def test_bench_workloads_list_the_harness_check_ids():
     # perfbench/workloads.py keeps its own copy, to make inputs without ringlab
-    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
-    copy = next(ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets] == ["CHECK_IDS"])
-    assert copy == rl.CHECK_IDS
+    assert _workloads_constant("CHECK_IDS") == rl.CHECK_IDS
+
+
+def test_a_cold_bench_verify_pass_proves_each_table_set_about_once(tmp_path, capsys, monkeypatch):
+    # the bench's verify workload: one verify call per check in one process.
+    # Its 42 table sets took 155 proofs before the rings given equal tables
+    # (ideal rings, quotients, corners, opposites) came to share one core.
+    path = tmp_path / "corpus.txt"
+    path.write_text("".join(f"{spec}\n" for spec in _workloads_constant("VERIFY_CORPUS")))
+    proofs = []  # orders only: a record holding the rings would keep their cores alive
+    monkeypatch.setattr(core, "_proof",
+                        lambda ring, _proof=core._proof: proofs.append(ring.order) or _proof(ring))
+    with fresh_build_cache():
+        assert [cli.main(["verify", "--props", cid, "--corpus", str(path)])
+                for cid in rl.CHECK_IDS] == [0] * len(rl.CHECK_IDS)
+    assert len(proofs) <= 60
+
+
+def test_twins_keep_their_own_outcomes_and_ideals():
+    # rings given equal tables share their scans, never what names one of them
+    base = rl.build_cached(rl.parse_spec("T2(Z2)"))
+    with fresh_build_cache():
+        first, second = (rl.FiniteRing(base.order, base.add_table, base.mul_table,
+                                       base.neg_table, one=base.one, label=label)
+                         for label in ("first", "second"))
+    assert first.shared is second.shared
+
+    def fail():
+        raise hn._Fail("first fails", "first")
+
+    with pytest.raises(hn._Fail):
+        hn._kept(first, ("L_MOCNA",), fail)
+    assert hn._kept(second, ("L_MOCNA",), lambda: 7) == 7
+    with pytest.raises(hn._Fail, match="first fails"):
+        hn._kept(first, ("L_MOCNA",), lambda: 7)
+    for ring in (first, second):
+        assert st.jacobson_radical(ring).ring is ring
+        assert st.ideal_generated(ring, (1,)).ring is ring
+        assert dc.center_ring(ring).meta["base"] is ring
+    assert st.idempotents(first) is st.idempotents(second)
 
 
 _T2Z2_SCRIPT_OUTPUT = {
