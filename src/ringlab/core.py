@@ -145,7 +145,11 @@ class FiniteRing:
     one read-only table in ``index_dtype(order)``, made at construction:
     ``add_table``/``mul_table`` (order, order) and ``neg_table`` (order,),
     flat in ``cache`` under the same names. Closures are filled through their
-    vector form; a list or array is converted. The vector ops gather from the
+    vector form, or made by ``tabulate(name)`` for "add", "mul" and "neg"
+    when it is given (a digit ring's tables, read off its digit form): a
+    ring so made is still one filled from closures. A list or array is
+    converted. ``tabulate`` is called only when the ring has tables, and the
+    ring keeps no reference to it. The vector ops gather from the
     flat tables; the scalar ops read Python lists (see ``lazy_lists``), those
     of add and mul made on their first call.
     Above the cap the table attributes are None and the closures given serve
@@ -178,6 +182,7 @@ class FiniteRing:
         add_vec: Optional[VecOp] = None,
         mul_vec: Optional[VecOp] = None,
         neg_vec: Optional[VecOp] = None,
+        tabulate: Optional[Callable[[str], np.ndarray]] = None,
     ):
         if order < 1:
             raise ValueError("ring order must be at least 1")
@@ -203,7 +208,9 @@ class FiniteRing:
                 if table.shape != shape:
                     raise ValueError(f"table must be {'x'.join(map(str, shape))}")
             else:
-                table = _fill(vec or _map_vec(op), shape, dtype) if order <= table_cap else None
+                table = None
+                if order <= table_cap:
+                    table = tabulate(name) if tabulate else _fill(vec or _map_vec(op), shape, dtype)
             tables[name] = table
         key = core = None  # the core of a live ring given equal tables, if any
         if validate is not False and not any(map(callable, (add, mul, neg))):
@@ -321,42 +328,58 @@ def validate_axioms(ring: FiniteRing) -> AxiomReport:
     FiniteRing runs it once per table core: a ring given the tables of a
     live proved ring is not checked again.
 
-    The check costs n^2 |G| + O(n^2) gathers, where G is the additive
-    generating set of ``_generator_tree`` (|G| <= log2 n when (R, +) is
-    a group), whose walk reaches each x != 0 as x = p + g, g in G, from an
-    element p reached before x. It runs in phases, each only if those before
-    it held (``_proof``). Phase 0 is the O(n^2) checks: closure,
-    commutativity of +, an identity 0 of + (the ring's zero if its row is
-    one, else the first row that is) and the zero rows 0a = 0 = a0; the
-    tree is rooted at 0. Then it verifies
+    The check costs O(n^2) gathers, about 2n (n + |G|^2) beyond the O(n^2)
+    checks of phase 0, where G is the additive generating set of
+    ``_generator_tree`` (|G| <= log2 n when (R, +) is a group), whose walk
+    reaches each x != 0 as x = p + g, g in G, from an element p reached
+    before x. Its edges are these n - 1 tree edges x = p + g, the sums
+    g + h and h + g (as x = p + g with p = g or h) of each pair of
+    generators, and the chain steps: for each g in G, the steps tg + g of
+    its chain g, 2g = g + g, 3g, ... (left-bracketed sums) up to the first
+    multiple mg in the subgroup H_g reached before g, where they are no tree
+    edge (``_chain_edges``; on the rings checked, only the closing step).
+    It runs in phases, each only if those before it held (``_proof``).
+    Phase 0 is the O(n^2) checks: closure, commutativity of +, an identity 0
+    of + (the ring's zero if its row is one, else the first row that is) and
+    the zero rows 0a = 0 = a0; the tree is rooted at 0. Then it verifies
 
-    1. (p + g) + y = p + (g + y) for every such tree edge x = p + g and all
-       y, and g + (h + y) = h + (g + y) for g, h in G and all y;
-    2. g(h + b) = gh + gb for g, h in G and all b, and (b + g)a = ba + ga
-       for all a, b and g in G;
+    1. x + y = p + (g + y) for every edge x = p + g and all y, and that each
+       chain reaches H_g;
+    2. g(h + b) = gh + gb for g, h in G and all b, and (p + g)a = pa + ga
+       for every edge x = p + g and all a;
     3. (gh)k = g(hk) for g, h, k in G;
     4. 0 is the ring's zero, and x + (-x) = 0 for all x;
     5. 1a = a = a1 for all a, when the ring has a unity. No phase before 4
        uses the negation or the ring's zero, and none before 5 the unity, so
        a wrong zero, negation or unity is reported without a cubic finder.
 
-    Write L_x for the translation y -> x + y. The tree edges say
-    L_{p+g} = L_p L_g, and L_0 is the identity, so every L_x is a product of
-    generator translations, which commute with each other: the L_x lie in a
-    commutative semigroup S of maps. S is transitive, as L_x(0) = x, so two of
-    its maps h, k that agree at 0 are equal: h(s(0)) = s(h(0)) = s(k(0))
-    = k(s(0)) for every s in S. L_x L_y and L_{x+y} both lie in S and send 0
-    to x + y, so they are equal: + is associative.
+    Write L_x for the translation y -> x + y, so that L_0 is the identity.
+    The edges say L_x = L_p L_g: so every L_x is a product of generator
+    translations, and these commute, as L_g L_h = L_{g+h} = L_{h+g} = L_h L_g:
+    the L_x lie in a commutative semigroup S of maps. S is transitive, as
+    L_x(0) = x, so two of its maps h, k that agree at 0 are equal:
+    h(s(0)) = s(h(0)) = s(k(0)) = k(s(0)) for every s in S. L_x L_y and
+    L_{x+y} both lie in S and send 0 to x + y, so they are equal: + is
+    associative. H_g is then the submonoid generated by the generators
+    before g; if it is a group and mg lies in it, g has an inverse, so the
+    chains make (R, +) a group, one generator at a time. In a group every
+    chain reaches H_g, at m = [H_g + <g> : H_g], the index.
 
-    Call an element good for a distributive law when the law holds with it in
-    the place of the generator. The good elements contain 0 (by the zero
-    checks) and are closed under +: on the right,
-    (b + (g + h))a = ((b + g) + h)a = (b + g)a + ha = (ba + ga) + ha
-    = ba + (g + h)a, and on the left, for a fixed g in G, likewise
-    g(b + (h + k)) = g(b + h) + gk = (gb + gh) + gk = gb + g(h + k). Every
-    element is a sum of generators, so right distributivity holds on all of
-    R^3, and g(b + c) = gb + gc for g in G and all b, c. The a with
-    a(b + c) = ab + ac for all b, c are closed under + too, by right
+    Fix a and let f(b) = ba; f(0) = 0 by the zero checks. The tree edges
+    give f(x) = f(p) + f(g), so f(x) is the sum of f over the walk word of x
+    (the generators on the walk from 0 to x), and the chain steps give
+    f(mg) = m f(g). The relations mg = (walk word of mg), one per generator,
+    present (R, +): the indices m multiply to n, and every element of the
+    abelian group they present is a sum of t_g g with 0 <= t_g < m, so that
+    group, which maps onto R, has at most n elements: it is R. The values
+    f(g) satisfy the relations, so they extend to an additive map on R,
+    which agrees with f on each walk word: f is additive, (b + c)a = ba + ca
+    for all a, b, c. No associativity of the product is used. On the left,
+    call h good when g(b + h) = gb + gh for every g in G and all b: the good
+    elements contain 0 and are closed under +, as g(b + (h + k))
+    = g(b + h) + gk = (gb + gh) + gk = gb + g(h + k), and every element is a
+    sum of generators, so g(b + c) = gb + gc for g in G and all b, c. The
+    a with a(b + c) = ab + ac for all b, c are closed under + too, by right
     distributivity: (a + a')(b + c) = a(b + c) + a'(b + c)
     = (ab + a'b) + (ac + a'c) = (a + a')b + (a + a')c. So both distributive
     laws hold. Both sides of (ab)c = a(bc) are then additive in each of a, b
@@ -408,6 +431,32 @@ def _generator_tree(add_table: np.ndarray, zero: int):
     return gens, tree
 
 
+def _chain_edges(add_table: np.ndarray, gens: list, tree: list) -> Optional[list]:
+    """The steps x = p + g, as (x, p, g), of each generator's chain of
+    multiples (p runs over g, 2g = g + g, 3g = 2g + g, ...) up to the first
+    multiple mg in the subgroup reached before g, that are no edge of the
+    walk tree; None when a chain never reaches it, which in a group it does.
+    The walk reaches g from 0 first in its round, so the subgroup is the
+    elements reached before g."""
+    n = len(add_table)
+    at = [0] * n  # at[x]: x's place in the walk's order, 0 for the root
+    for i, (x, _, _) in enumerate(tree, 1):
+        at[x] = i
+    steps = []
+    for g in gens:
+        p = g
+        for _ in range(n):
+            x = add_table.item(p, g)
+            if not at[x] or tree[at[x] - 1] != (x, p, g):
+                steps.append((x, p, g))
+            if at[x] < at[g]:
+                break
+            p = x
+        else:
+            return None
+    return steps
+
+
 def _proof(ring: FiniteRing) -> int:
     """How many phases of the proof of ``validate_axioms`` held, run in order
     up to the first that fails (6: the axioms hold), each identity compared
@@ -432,36 +481,52 @@ def _proof(ring: FiniteRing) -> int:
     G, tree = walk
     if not G:
         return 6  # the zero ring: its zero, negation and one are all 0
+    chains = _chain_edges(A, G, tree)
+    if chains is None:
+        return 1
     flat = A.ravel()
-    # Translation identities L_u L_v = L_p L_w, one per row (u, v, p, w),
-    # read u + (v + y) = p + (w + y) for all y: x + (0 + y) = p + (g + y) on
-    # the tree edges x = p + g, and g + (h + y) = h + (g + y) on the pairs of
-    # generators. Each side is one gather of (row, y) cells.
-    rows = [(x * n, zero, p * n, g) for x, p, g in tree]
-    rows += [(g * n, h, h * n, g) for i, g in enumerate(G) for h in G[:i]]
-    Un, V, Pn, W = np.array(rows, dtype=np.intp).T
-    for r in row_blocks(len(rows), n):
-        if not (flat.take(Un[r, None] + A.take(V[r], axis=0))
-                == flat.take(Pn[r, None] + A.take(W[r], axis=0))).all():
+    # Edges x = p + g with g in G, grouped by generator: those of the walk
+    # tree, g + h and h + g for each pair of generators, and the chain steps.
+    edges = tree + [(A.item(g, h), p, q) for i, g in enumerate(G) for h in G[:i]
+                    for p, q in ((g, h), (h, g))] + chains
+    X, P, W = np.array(edges, dtype=np.intp).T
+    by_gen = np.argsort(W, kind="stable")
+    X, P, W = X[by_gen], P[by_gen], W[by_gen]
+    # Translation identities L_x = L_p L_g, x + y = p + (g + y) for all y (as
+    # 0 + y = y), on every edge: each side is one gather of (edge, y) cells,
+    # the row g + y broadcast in a block of one generator (W is sorted).
+    for r in row_blocks(len(X), n):
+        w = W[r]
+        if not (A.take(X[r], axis=0) == flat.take(P[r, None] * n + (
+                A[w[0]] if w[0] == w[-1] else A.take(w, axis=0)))).all():
             return 1
     # Each side below is one gather into an array indexed (row, g, column),
     # so that the compared arrays are contiguous. As + is commutative (checked
     # above), g(h + b) is read for g(b + h) and gb + gh for gh + gb, and
     # likewise on the right.
-    GA = A[G]  # GA[g, y] = g + y
-    GM = M[G]  # GM[g, a] = ga
+    Gs = np.array(G, dtype=np.intp)  # indexing by a list would convert it each time
+    GA = A.take(Gs, axis=0)  # GA[g, y] = g + y
+    GM = M.take(Gs, axis=0)  # GM[g, a] = ga
     GMn = GM * np.intp(n)  # flat row offsets of ga in A
     for r in row_blocks(len(G), n * len(G)):
         if not (GM[r].take(GA, axis=1)
-                == flat.take(GMn[r, G][:, :, None] + GM[r, None, :])).all():
+                == flat.take(GMn[r].take(Gs, axis=1)[:, :, None] + GM[r, None, :])).all():
             return 2
-    AG = A[:, G]  # AG[x, g] = x + g
-    for r in row_blocks(n, n * len(G)):
-        if not (M.take(AG[r], axis=0)
-                == flat.take(GMn[None, :, :] + M[r, None, :])).all():
+    # (p + g)a = pa + ga on every edge, read as ga + pa at ga * n + pa: a
+    # block of one generator broadcasts its row of offsets, one of several
+    # gathers theirs.
+    for r in row_blocks(len(X), n):
+        w = W[r]
+        if w[0] == w[-1]:
+            sums = GMn[G.index(w[0])] + M.take(P[r], axis=0)
+        else:
+            sums = np.multiply(M.take(w, axis=0), n, dtype=np.intp)
+            sums += M.take(P[r], axis=0)
+        sums = flat.take(sums)  # the offsets go before the next block's are made
+        if not (M.take(X[r], axis=0) == sums).all():
             return 2
-    GG = GM[:, G]  # GG[g, h] = gh
-    if not (M.take(GG, axis=0)[:, :, G] == GM.take(GG, axis=1)).all():
+    GG = GM.take(Gs, axis=1)  # GG[g, h] = gh
+    if not (M.take(GG, axis=0).take(Gs, axis=2) == GM.take(GG, axis=1)).all():
         return 3
     if not (ring.zero == zero and (A[idx, neg] == zero).all()):
         return 4

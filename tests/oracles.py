@@ -280,3 +280,56 @@ def pi_regular_pairs(order, mul, a):
 
 def has_strongly_regular(order, mul, a):
     return any(mul(mul(a, a), r) == a for r in range(order))
+
+
+# --- the phases of the generator proof of the axioms, right law on n^2 |G| cells --
+
+def generator_proof_phases(add, mul, neg, zero, one=None):
+    """How many phases of the generator proof of the ring axioms hold, run in
+    order up to the first that fails (6: all), on tables given as lists of
+    rows (neg a list), with the right distributive law checked as it was
+    before the edge form: (b + g)a = ba + ga for every b, a and generator g,
+    n^2 |G| cells. Phase 0: closure, commutativity of +, an identity z of +
+    (zero if its row is one, else the first row that is), zb = 0 = bz; the
+    greedy generators (the smallest element not yet reached by adding
+    generators to z, at most log2 n of them, else phase 1 fails) and the
+    first edge x = p + g reaching each x. 1: x + y = p + (g + y) on those
+    edges and g + (h + y) = h + (g + y) for generators g, h. 2: both
+    distributive laws, the left one for generators g, h. 3: (gh)k = g(hk)
+    on generators. 4: z is zero and x + neg(x) = zero. 5: the unity."""
+    n = len(add)
+    E = range(n)
+    if any(v >= n for table in (add, mul) for row in table for v in row) or \
+            any(v >= n for v in neg) or any(add[x][y] != add[y][x] for x in E for y in E):
+        return 0
+    z = zero if add[zero] == list(E) else next((x for x in E if add[x] == list(E)), None)
+    if z is None or any(mul[z][b] != z or mul[b][z] != z for b in E):
+        return 0
+    gens, edges, reached = [], [], [z]
+    for c in E:
+        if c in reached:
+            continue
+        if 2 ** (len(gens) + 1) > n:
+            return 1
+        gens.append(c)
+        old = len(reached)
+        for j, x in enumerate(reached):  # grows as it goes
+            for g in (gens if j >= old else gens[-1:]):
+                if add[x][g] not in reached:
+                    reached.append(add[x][g])
+                    edges.append((add[x][g], x, g))
+    if not gens:
+        return 6
+    if any(add[x][y] != add[p][add[g][y]] for x, p, g in edges for y in E) or \
+            any(add[g][add[h][y]] != add[h][add[g][y]] for g in gens for h in gens for y in E):
+        return 1
+    if any(mul[g][add[h][b]] != add[mul[g][h]][mul[g][b]] for g in gens for h in gens for b in E) or \
+            any(mul[add[b][g]][a] != add[mul[b][a]][mul[g][a]] for b in E for g in gens for a in E):
+        return 2
+    if any(mul[mul[g][h]][k] != mul[g][mul[h][k]] for g in gens for h in gens for k in gens):
+        return 3
+    if z != zero or any(add[x][neg[x]] != zero for x in E):
+        return 4
+    if one is not None and any(mul[one][a] != a or mul[a][one] != a for a in E):
+        return 5
+    return 6

@@ -1,5 +1,6 @@
 """Ring constructors, spec algebra, digit packing, and the order cap."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -645,6 +646,104 @@ def test_filled_tables_match_scalar_closures(name):
     assert [add[x][y] for x, y in pairs] == [lazy.add(x, y) for x, y in pairs]
     assert [mul[x][y] for x, y in pairs] == [lazy.mul(x, y) for x, y in pairs]
     assert ring.neg_table.tolist() == [lazy.neg(x) for x in range(n)]
+
+
+# --- tables from the digit form ---------------------------------------------------
+#
+# From order _DIGIT_TABLE_MIN_ORDER a digit ring's tables are read off its
+# digit form by row blocks (construct._digit_tables), through a tabulate
+# callable that FiniteRing calls only when it makes tables. They must equal
+# the fill of the ring's own closures, and no fill runs for them.
+
+DIGIT_TABLE_SPECS = [
+    "Z3xZ4xZ11", "Z1xZ8xZ16", "M1(Z256)", "M2(Z4)", "M3(Z2)", "T2(Z6)", "T3(Z3)",
+    "Z3[x]/(x^5)", "Triv(Z12)",
+    "T2(T2(Z2))", "M2(Z5)", "T2(Z7)", "Triv(Z17)", "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2",
+]
+
+
+def _built_with(spec):
+    """The ring of spec, built anew on cached bases with core._fill watched:
+    the ring, the keyword arguments its constructor gave FiniteRing, a fresh
+    tabulate callable made from the same digit form (None if none was made)
+    and the fill mock."""
+    rl.build_cached(spec)  # its bases
+    with mock.patch.object(ct, "FiniteRing", wraps=ct.FiniteRing) as made, \
+            mock.patch.object(ct, "_digit_tables", wraps=ct._digit_tables) as tables, \
+            mock.patch.object(core, "_fill", wraps=core._fill) as fill:
+        ring = ct.build(spec)
+    tabulate = ct._digit_tables(*tables.call_args.args) if tables.called else None
+    return ring, made.call_args.kwargs, tabulate, fill
+
+
+def _table_shapes(n):
+    return (("add", (n, n)), ("mul", (n, n)), ("neg", (n,)))
+
+
+@pytest.mark.parametrize("name", DIGIT_TABLE_SPECS)
+def test_digit_tables_equal_the_fill_of_the_closures(name):
+    ring, kwargs, tabulate, fill = _built_with(rl.parse_spec(name))
+    fill.assert_not_called()
+    assert ring.order >= ct._DIGIT_TABLE_MIN_ORDER and ring.validated
+    dtype = core.index_dtype(ring.order)
+    for op, shape in _table_shapes(ring.order):
+        filled = core._fill(kwargs[f"{op}_vec"], shape, dtype)
+        table = tabulate(op)
+        assert table.dtype == dtype and np.array_equal(table, filled), op
+        assert np.array_equal(getattr(ring, f"{op}_table"), filled), op
+
+
+@pytest.mark.parametrize("name", ["M2(Z3)", "T2(Z4)", "Z2xZ2xZ2xZ2xZ2xZ2"])
+def test_digit_rings_below_the_cut_fill_through_their_closures(name):
+    ring, kwargs, _, fill = _built_with(rl.parse_spec(name))
+    assert ring.order < ct._DIGIT_TABLE_MIN_ORDER
+    assert kwargs["tabulate"] is None and fill.call_count == 3
+
+
+def test_lazy_digit_rings_never_tabulate():
+    calls, tables = [], ct._digit_tables
+
+    def recording(*args):
+        tabulate = tables(*args)
+        return lambda name: calls.append(name) or tabulate(name)
+
+    names = ("M2(Z5)", "Triv(Z17)", "T2(T2(Z2))")
+    with mock.patch.object(ct, "_digit_tables", recording):
+        with lazy_rings():
+            rings = [rl.build(rl.parse_spec(name)) for name in names]
+        assert all(ring.mul_table is None for ring in rings) and calls == []
+        assert ct.build(rl.parse_spec("M2(Z5)")).mul_table is not None
+    assert calls == ["add", "mul", "neg"]
+
+
+def test_a_tabulated_ring_neither_registers_nor_shares():
+    with fresh_build_cache():
+        ring = rl.build(rl.parse_spec("M2(Z5)"))
+        assert ring.validated and ring.mul_table is not None
+        assert len(core._CORES) == 0
+    assert ring.shared is ring.cache
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "M2(Z5)"])
+def test_digit_tables_trace_no_more_memory_than_the_fill(name):
+    # the fill peaks at 4.5 MB traced on Z2^10 and 2.1 MB on M2(Z5), the
+    # digit form at 2.4 and 1.1 MB: one block table of b^|block| n cells
+    # at a time, and row blocks of a quarter of _PASS_CELLS pairs
+    ring, kwargs, tabulate, _ = _built_with(rl.parse_spec(name))
+    dtype = core.index_dtype(ring.order)
+
+    def peak(make):
+        tracemalloc.start()
+        try:
+            make()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tabulated = [peak(lambda: tabulate(op)) for op, _ in _table_shapes(ring.order)]
+    filled = [peak(lambda: core._fill(kwargs[f"{op}_vec"], shape, dtype))
+              for op, shape in _table_shapes(ring.order)]
+    assert max(tabulated) <= max(filled)
 
 
 # --- derived-ring tables against the scalar construction ---------------------------

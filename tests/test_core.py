@@ -117,7 +117,10 @@ def _one_identity_broken(mul):
 
 @pytest.mark.parametrize("mul,axiom", _ONE_IDENTITY_BROKEN)
 def test_generator_validator_catches_each_identity(mul, axiom):
-    assert agrees_with_cubic(_one_identity_broken(mul)).failure.axiom == axiom
+    ring = _one_identity_broken(mul)
+    assert agrees_with_cubic(ring).failure.axiom == axiom
+    # as many phases hold as when the right law was checked on n^2 |G| cells
+    assert core._proof(ring) == _old_phases(ring)
 
 
 @pytest.mark.parametrize("name", ["Z4", "Z6", "Z2xZ2", "Triv(Z2)", "T2(Z2)"])
@@ -138,7 +141,8 @@ def test_generator_validator_matches_cubic_on_every_one_cell_corruption(name):
 # a commutative loop on 6 elements with zero 0 and inverses, whose
 # generator tree 0 -1-> 1, 0 -2-> 2 -2-> 4, 1 -2-> 3 -2-> 5 satisfies
 # (p + g) + y = p + (g + y) on every edge: only the commuting check
-# 1 + (2 + y) = 2 + (1 + y) on the generators shows it is no group
+# 1 + (2 + y) = 2 + (1 + y) on the generators, and the step 0 = 1 + 1 that
+# closes the chain of 1, show it is no group
 _LOOP = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 4, 5, 2], [2, 3, 4, 5, 0, 1],
          [3, 4, 5, 2, 1, 0], [4, 5, 0, 1, 2, 3], [5, 2, 1, 0, 3, 4]]
 
@@ -157,6 +161,69 @@ def test_generator_validator_rejects_a_non_associative_loop():
     assert gens == [1, 2]
     assert all(add[add[p][g]][y] == add[p][add[g][y]] for _, p, g in tree for y in range(6))
     assert agrees_with_cubic(_loop_ring()).failure.axiom == "add-associativity"
+
+
+def _old_phases(ring):
+    """The phases that the proof held before it checked the right law on the
+    walk's edges only: oracles.generator_proof_phases on the ring's tables."""
+    return oracles.generator_proof_phases(ring.add_table.tolist(), ring.mul_table.tolist(),
+                                          ring.neg_table.tolist(), ring.zero, ring.one)
+
+
+@pytest.mark.parametrize("name", ["Z2xZ4", "T2(Z2)", "M2(Z2)"])
+def test_edge_proof_holds_the_phases_of_the_full_right_law(name):
+    # _proof checks (p + g)a = pa + ga on the edges of the walk and chains
+    # alone, not on all n^2 |G| cells (b, g, a): on every one-cell mul and
+    # add-sym corruption it holds as many phases as the old sequence did
+    ring = corpus_ring(name)
+    n = ring.order
+    for table, op in (("mul", ring.mul), ("add-sym", ring.add)):
+        for x in range(n):
+            for y in range(x if table == "add-sym" else 0, n):
+                for value in range(n):
+                    if value != op(x, y):
+                        bad = with_cell(ring, table, (x, y), value)
+                        assert core._proof(bad) == _old_phases(bad), bad.label
+                        agrees_with_cubic(bad)
+
+
+def _closing_step_ring():
+    """Z2 x Z4, (u, v) at 4u + v, with the product (u, v)(u', v') = (0, uv'):
+    left additive, and right additive on every walk edge and generator pair,
+    but not on the closing step g + g = 0 of the generator g = (1, 0), as
+    u(g) + u(g) = 2 in Z4."""
+    z2z4 = corpus_ring("Z2xZ4")
+    mul = [[(x >> 2) * (a & 3) % 4 for a in range(8)] for x in range(8)]
+    return rl.FiniteRing(8, z2z4.add_table, mul, z2z4.neg_table, label="Z2xZ4 with uv'",
+                         validate=False)
+
+
+def test_the_chain_steps_carry_the_right_law_past_the_walk():
+    ring = _closing_step_ring()
+    G, tree = _generator_tree(ring.add_table, 0)
+    assert G == [1, 4] and core._chain_edges(ring.add_table, G, tree) == [(0, 3, 1), (0, 4, 4)]
+    # (4 + 4)1 = 0, but 4*1 + 4*1 = 2: the right law fails only on (0, 4, 4)
+    assert ring.mul(ring.add(4, 4), 1) == 0 and ring.add(ring.mul(4, 1), ring.mul(4, 1)) == 2
+    assert core._proof(ring) == _old_phases(ring) == 2
+    agrees_with_cubic(ring)
+
+
+def _max_monoid_ring():
+    """Z2 x ({0, 1}, max), (a, b) at 2a + b, with the zero product: + is
+    associative and commutative with the identity 0, but (0, 1) = 1 has no
+    inverse."""
+    add = [[2 * ((x ^ y) >> 1) + ((x | y) & 1) for y in range(4)] for x in range(4)]
+    return rl.FiniteRing(4, add, [[0] * 4] * 4, [0, 1, 2, 3], label="Z2 x ({0, 1}, max)",
+                         validate=False)
+
+
+def test_a_monoid_that_is_no_group_fails_phase_1():
+    ring = _max_monoid_ring()
+    assert _generator_tree(ring.add_table, 0)[0] == [1, 2]
+    assert _old_phases(ring) == 4  # the old sequence held up to the negation
+    assert core._chain_edges(ring.add_table, [1, 2], _generator_tree(ring.add_table, 0)[1]) is None
+    assert core._proof(ring) == 1  # 1, 1 + 1 = 1, ... never reaches 0
+    assert str(rl.validate_axioms(ring)) == str(_validate_cubic(ring)) == "add-negation fails at (1)"
 
 
 _AXIOM_REPORTS = Path(__file__).parent / "golden" / "axiom_reports.txt"
@@ -289,6 +356,7 @@ _FAILED_PHASES = [
     (lambda: _wrong_unity(rl.zn_ring(4)), 5, ["unity-left"]),
     (lambda: _wrong_zero(rl.zn_ring(8)), 4, ["add-zero"]),
     (lambda: _wrong_negation(rl.zn_ring(8)), 4, ["add-zero", "add-negation"]),
+    (_max_monoid_ring, 1, ["add-associativity", "add-zero", "add-negation"]),
 ]
 
 
