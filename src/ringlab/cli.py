@@ -25,7 +25,14 @@ from . import deciders as dc
 from . import harness as hn
 
 
-MAX_SPEC_DEPTH = 256  # constructors a spec may nest; each costs 3 parser frames
+MAX_SPEC_DEPTH = 256  # groups and constructors a spec may nest; each costs 3 parser frames
+
+# The spec nodes by the first character of their text (of two, the first is
+# tried: Triv( before T), and the postfix PolyMod by the first one after its base
+_PREFIX = {"Z": (ct.Zn,), "M": (ct.Matrix,), "T": (ct.TrivialExt, ct.Triangular),
+           "O": (ct.Opposite,), "C": (ct.Corner,), "I": (ct.IdealRing,), "Q": (ct.Quotient,)}
+_POSTFIX = {"[": ct.PolyMod}
+_NESTS = "(" + "".join(ch for ch, kinds in _PREFIX.items() if "%(base)s" in kinds[0].syntax)
 
 
 class SpecParseError(RingLabError):
@@ -40,20 +47,20 @@ class _Parser:
     """Recursive-descent parser for the spec expression grammar.
 
     expr    := atom ('x' atom)*
-    atom    := primary ('[x]/(x^' int ')')*
-    primary := 'Z' int | 'M' int '(' expr ')' | 'T' int '(' expr ')'
-             | 'Triv(' expr ')' | 'Op(' expr ')' | 'Corner(' expr ',' int ')'
-             | 'Ideal(' expr ',' intlist ')' | 'Quot(' expr ',' intlist ')'
+    atom    := primary postfix*
+    primary := '(' expr ')' | prefix
 
+    A prefix or postfix is a spec node's text, as its template
+    (construct.RingSpec.syntax) gives it; the postfix binds tighter than x.
     Whitespace is skipped everywhere; columns refer to the original text.
-    Constructors nest at most MAX_SPEC_DEPTH deep, so that parsing and
-    building stay well inside the interpreter's recursion limit.
+    Groups and constructors nest at most MAX_SPEC_DEPTH deep, so that parsing
+    and building stay well inside the interpreter's recursion limit.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.depth = 0  # constructors open at pos
+        self.depth = 0  # groups and constructors open at pos
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -63,11 +70,8 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def column(self) -> int:
-        return self.pos + 1
-
     def fail(self, message: str):
-        raise SpecParseError(message, self.column())
+        raise SpecParseError(message, self.pos + 1)
 
     def literal(self, s: str) -> None:
         for ch in s:
@@ -125,73 +129,40 @@ class _Parser:
 
     def atom(self) -> ct.RingSpec:
         spec = self.primary()
-        while self.peek() == "[":
-            self.literal("[x]/(x^")
-            n = self.size(ct.PolyMod)
-            self.literal(")")
-            spec = ct.PolyMod(spec, n)
+        while self.peek() in _POSTFIX:
+            spec = self.primary(_POSTFIX[self.peek()], spec)
         return spec
 
-    def close(self) -> None:
-        """The closing parenthesis of a constructor opened in primary."""
-        self.literal(")")
-        self.depth -= 1
-
-    def primary(self) -> ct.RingSpec:
-        ch = self.peek()
-        if ch == "Z":
-            self.pos += 1
-            return ct.Zn(self.size(ct.Zn))
-        if ch in ("M", "T", "O", "C", "I", "Q"):
-            self.depth += 1  # counted inline: a helper frame per level would cost depth
-            if self.depth > MAX_SPEC_DEPTH:
-                self.fail(f"constructors nested more than {MAX_SPEC_DEPTH} deep")
-        if ch == "M":
-            self.pos += 1
-            k = self.size(ct.Matrix)
-            self.literal("(")
-            base = self.expr()
-            self.close()
-            return ct.Matrix(k, base)
-        if ch == "T":
-            if self.try_literal("Triv("):
-                base = self.expr()
-                self.close()
-                return ct.TrivialExt(base)
-            self.pos += 1
-            k = self.size(ct.Triangular)
-            self.literal("(")
-            base = self.expr()
-            self.close()
-            return ct.Triangular(k, base)
-        if ch == "O":
-            self.literal("Op(")
-            base = self.expr()
-            self.close()
-            return ct.Opposite(base)
-        if ch == "C":
-            self.literal("Corner(")
-            base = self.expr()
-            self.literal(",")
-            e = self.integer()
-            self.close()
-            return ct.Corner(base, e)
-        if ch == "I":
-            self.literal("Ideal(")
-            base = self.expr()
-            self.literal(",")
-            gens = self.intlist()
-            self.close()
-            return ct.IdealRing(base, gens)
-        if ch == "Q":
-            self.literal("Quot(")
-            base = self.expr()
-            self.literal(",")
-            gens = self.intlist()
-            self.close()
-            return ct.Quotient(base, gens)
-        self.fail("expected a ring constructor (Z, M, T, Triv, Op, Corner, "
-                  "Ideal, Quot)")
+    def primary(self, kind: Optional[type] = None, base: Optional[ct.RingSpec] = None) -> ct.RingSpec:
+        """A group or a prefix node, or the postfix node of the kind on the base given,
+        read along its template in this one frame, as a frame per level costs depth."""
+        if kind is None:
+            ch = self.peek()
+            if ch in _NESTS:  # a group, or a node with a base
+                self.depth += 1
+                if self.depth > MAX_SPEC_DEPTH:
+                    self.fail(f"constructors nested more than {MAX_SPEC_DEPTH} deep")
+            if ch == "(":
+                self.pos += 1
+                spec = self.expr()
+                self.literal(")")
+                self.depth -= 1
+                return spec
+            kinds = _PREFIX.get(ch) or self.fail("expected a ring constructor (Z, M, T, Triv, "
+                                                 "Op, Corner, Ideal, Quot)")
+            kind = kinds[0] if len(kinds) > 1 and self.try_literal(kinds[0].lead) else kinds[-1]
+            if kind is kinds[-1]:  # read as it stands, so that a mismatch fails at its column
+                self.literal(kind.lead)
+        values = {} if base is None else {"base": base}
+        for field, text in kind.steps:
+            if field != "base":
+                values[field] = (self.intlist() if field == "generators" else
+                                 self.integer() if field == "e" else self.size(kind))
+            elif base is None:
+                values[field] = self.expr()
+                self.depth -= 1
+            self.literal(text)
+        return kind(**values)
 
     def parse(self) -> ct.RingSpec:
         spec = self.expr()

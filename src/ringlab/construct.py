@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
@@ -48,17 +49,32 @@ def resolve_max_order(max_order: Optional[int] = None) -> int:
 
 
 class RingSpec:
-    """Symbolic description of a ring construction; nodes are frozen dataclasses."""
+    """Symbolic description of a ring construction; nodes are frozen dataclasses.
+    A node's ``syntax`` is its text, with its fields as %(name)s: str() fills
+    it, cli's parser reads it and ring labels fill it. A product base that
+    opens the text is grouped, as x binds looser: (Z2xZ3)[x]/(x^2)."""
 
     __slots__ = ()
+    syntax = ""
+
+    def __init_subclass__(cls) -> None:
+        # the text before the first field, then (field, the text after it) pairs
+        cls.lead, *rest = re.split(r"%\((\w+)\)s", cls.syntax)
+        cls.steps = tuple(zip(rest[::2], rest[1::2]))
+
+    def __str__(self) -> str:
+        values = self.__dict__
+        if not self.lead or "generators" in values:
+            base = self.base
+            values = {**values, "generators": ",".join(map(str, values.get("generators", ()))),
+                      "base": f"({base})" if type(base) is Product and not self.lead else base}
+        return self.syntax % values
 
 
 @dataclass(frozen=True)
 class Zn(RingSpec):
     n: int
-
-    def __str__(self) -> str:
-        return f"Z{self.n}"
+    syntax = "Z%(n)s"
 
 
 @dataclass(frozen=True)
@@ -73,72 +89,60 @@ class Product(RingSpec):
 class Matrix(RingSpec):
     k: int
     base: RingSpec
-
-    def __str__(self) -> str:
-        return f"M{self.k}({self.base})"
+    syntax = "M%(k)s(%(base)s)"
 
 
 @dataclass(frozen=True)
 class Triangular(RingSpec):
     k: int
     base: RingSpec
-
-    def __str__(self) -> str:
-        return f"T{self.k}({self.base})"
+    syntax = "T%(k)s(%(base)s)"
 
 
 @dataclass(frozen=True)
 class PolyMod(RingSpec):
     base: RingSpec
     n: int
-
-    def __str__(self) -> str:
-        return f"{self.base}[x]/(x^{self.n})"
+    syntax = "%(base)s[x]/(x^%(n)s)"
 
 
 @dataclass(frozen=True)
 class TrivialExt(RingSpec):
     base: RingSpec
-
-    def __str__(self) -> str:
-        return f"Triv({self.base})"
+    syntax = "Triv(%(base)s)"
 
 
 @dataclass(frozen=True)
 class Opposite(RingSpec):
     base: RingSpec
-
-    def __str__(self) -> str:
-        return f"Op({self.base})"
+    syntax = "Op(%(base)s)"
 
 
 @dataclass(frozen=True)
 class Corner(RingSpec):
     base: RingSpec
     e: int
-
-    def __str__(self) -> str:
-        return f"Corner({self.base},{self.e})"
+    syntax = "Corner(%(base)s,%(e)s)"
 
 
 @dataclass(frozen=True)
 class Quotient(RingSpec):
     base: RingSpec
     generators: tuple
-
-    def __str__(self) -> str:
-        gens = ",".join(str(g) for g in self.generators)
-        return f"Quot({self.base},{gens})"
+    syntax = "Quot(%(base)s,%(generators)s)"
 
 
 @dataclass(frozen=True)
 class IdealRing(RingSpec):
     base: RingSpec
     generators: tuple
+    syntax = "Ideal(%(base)s,%(generators)s)"
 
-    def __str__(self) -> str:
-        gens = ",".join(str(g) for g in self.generators)
-        return f"Ideal({self.base},{gens})"
+
+def _label(kind: type, base: FiniteRing, **fields) -> str:
+    """The node kind's text with the base ring's label as its base."""
+    grouped = not kind.lead and base.meta.get("kind") == "product"
+    return kind.syntax % {**fields, "base": f"({base.label})" if grouped else base.label}
 
 
 # The name and the least value of the integer parameter of each constructor
@@ -177,6 +181,11 @@ def _power(base: int, exp: int) -> int:
     return min(base ** exp, _ORDER_LIMIT)
 
 
+# a node of these kinds over a base of order b has order b ** exponent(node)
+_EXPONENTS = {Matrix: lambda s: s.k * s.k, Triangular: lambda s: s.k * (s.k + 1) // 2,
+              PolyMod: lambda s: s.n, TrivialExt: lambda s: 2, Opposite: lambda s: 1}
+
+
 def spec_order(spec: RingSpec) -> Optional[int]:
     """Order denoted by the spec, or None when it depends on table contents.
     An order of more than MAX_INT_DIGITS digits reads as _ORDER_LIMIT."""
@@ -190,21 +199,11 @@ def spec_order(spec: RingSpec) -> Optional[int]:
                 return None
             n = min(n * sub, _ORDER_LIMIT)
         return n
-    if isinstance(spec, Matrix):
-        sub = spec_order(spec.base)
-        return None if sub is None else _power(sub, spec.k * spec.k)
-    if isinstance(spec, Triangular):
-        sub = spec_order(spec.base)
-        return None if sub is None else _power(sub, spec.k * (spec.k + 1) // 2)
-    if isinstance(spec, PolyMod):
-        sub = spec_order(spec.base)
-        return None if sub is None else _power(sub, spec.n)
-    if isinstance(spec, TrivialExt):
-        sub = spec_order(spec.base)
-        return None if sub is None else _power(sub, 2)
-    if isinstance(spec, Opposite):
-        return spec_order(spec.base)
-    return None  # quotient, corner, ideal: bounded by the base order
+    exponent = _EXPONENTS.get(type(spec))
+    if exponent is None:
+        return None  # quotient, corner, ideal: bounded by the base order
+    sub = spec_order(spec.base)
+    return None if sub is None else _power(sub, exponent(spec))
 
 
 def _check_cap(order: int, cap: int, what: str) -> None:
@@ -596,7 +595,7 @@ def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
                 for r in range(k))
         return "[" + ",".join(rows) + "]"
 
-    return _digit_ring(f"M{k}({base.label})", _power(base.order, k * k), max_order, spec,
+    return _digit_ring(_label(Matrix, base, k=k), _power(base.order, k * k), max_order, spec,
                        repeat(base), ((i, j) for i in range(k) for j in range(k)),
                        lambda ij: [((ij[0], l), (l, ij[1])) for l in range(k)],
                        lambda ij: ij[0] == ij[1], elabel,
@@ -614,7 +613,7 @@ def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
                 + "]" for r in range(k))
         return "[" + ",".join(rows) + "]"
 
-    return _digit_ring(f"T{k}({base.label})", _power(base.order, k * (k + 1) // 2),
+    return _digit_ring(_label(Triangular, base, k=k), _power(base.order, k * (k + 1) // 2),
                        max_order, spec, repeat(base),
                        ((i, j) for i in range(k) for j in range(i, k)),
                        lambda ij: [((ij[0], l), (l, ij[1])) for l in range(ij[0], ij[1] + 1)],
@@ -647,7 +646,7 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
                 terms.append(f"x^{t}" if c == 1 else f"{c}x^{t}")
         return "+".join(terms) if terms else "0"
 
-    return _digit_ring(f"{base.label}[x]/(x^{n})", _power(base.order, n), max_order, spec,
+    return _digit_ring(_label(PolyMod, base, n=n), _power(base.order, n), max_order, spec,
                        repeat(base), range(n), lambda t: [(u, t - u) for u in range(t + 1)],
                        lambda t: t == 0, elabel, {"kind": "polymod", "n": n, "base": base})
 
@@ -660,7 +659,7 @@ def trivial_ext_ring(base: FiniteRing, spec: Optional[RingSpec] = None,
     module part squares to zero.
     """
     terms = {"a": [("a", "a")], "x": [("a", "x"), ("x", "a")]}  # digits a and x of (a, x)
-    return _digit_ring(f"Triv({base.label})", base.order * base.order, max_order, spec,
+    return _digit_ring(_label(TrivialExt, base), base.order * base.order, max_order, spec,
                        repeat(base), "ax", terms.get, lambda key: key == "a",
                        lambda d: f"({base.element_label(d['a'])}|{base.element_label(d['x'])})",
                        {"kind": "trivext", "base": base}, ops=_triv_ops)
@@ -670,7 +669,7 @@ def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None) -> FiniteRing:
     """Same additive group with multiplication reversed."""
     if spec is None and ring.spec is not None:
         spec = Opposite(ring.spec)
-    label = f"Op({ring.label})"
+    label = _label(Opposite, ring)
     mul, mul_vec = ring.mul, ring.mul_vec
     ops = dict(add=ring.add, mul=lambda a, b: mul(b, a), neg=ring.neg, add_vec=ring.add_vec,
                mul_vec=lambda x, y: mul_vec(y, x), neg_vec=ring.neg_vec)
@@ -736,7 +735,7 @@ def corner_ring(parent: FiniteRing, e: int, spec: Optional[RingSpec] = None) -> 
     er = parent.mul_vec(e, np.arange(parent.order))  # e*r for every r
     if er[e] != e:
         raise SpecError(f"corner needs an idempotent, {e} is not one")
-    label = f"Corner({parent.label},{e})"
+    label = _label(Corner, parent, e=e)
     if parent.unital and e == parent.one:
         if spec is None:
             return parent

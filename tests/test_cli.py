@@ -41,6 +41,8 @@ def test_parse_round_trip_default_corpus():
     ("Quot(Z8,4,2)", rl.Quotient(rl.Zn(8), (4, 2))),
     ("M2(Z2xZ3)", rl.Matrix(2, rl.Product((rl.Zn(2), rl.Zn(3))))),
     ("Triv(Z2)xZ4", rl.Product((rl.TrivialExt(rl.Zn(2)), rl.Zn(4)))),
+    ("(Z2xZ3)[x]/(x^2)", rl.PolyMod(rl.Product((rl.Zn(2), rl.Zn(3))), 2)),
+    ("((Z4))", rl.Zn(4)),
 ])
 def test_parse_expressions(text, expected):
     assert parse_spec(text) == expected
@@ -217,6 +219,22 @@ def test_spec_nesting_is_bounded(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["Z2", _nested(2000), "Z3"]
     assert lines[2] == f"{_nested(2000)},error: {message}" + "," * 15
+
+
+def test_group_nesting_is_bounded():
+    for depth in (257, 2000):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec("(" * depth + "Z2" + ")" * depth)
+        assert str(err.value) == "parse error at column 257: constructors nested more than 256 deep"
+    assert parse_spec("(" * 256 + "Z2" + ")" * 256) == rl.Zn(2)
+
+
+def test_polynomial_ring_over_a_product_prints_its_group():
+    spec = rl.PolyMod(rl.product([rl.Zn(2), rl.Zn(3)]), 2)
+    assert str(spec) == "(Z2xZ3)[x]/(x^2)"
+    assert parse_spec(str(spec)) == spec
+    assert rl.build(spec).order == 36
+    assert rl.build(parse_spec("Z2xZ3[x]/(x^2)")).order == 18
 
 
 def test_spec_file_parse_errors_name_one_column(tmp_path, capsys):

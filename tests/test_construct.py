@@ -275,6 +275,19 @@ def test_built_corner_at_unity_is_a_new_ring():
     assert first.mul_table.tolist() == rl.build_cached(rl.Zn(4)).mul_table.tolist()
 
 
+# one spec of every node kind but Quot, whose label names the ideal's size,
+# over a nested and over a product base
+@pytest.mark.parametrize("text", [
+    "Z4", "Z2xT2(Z2)", "M2(Z2xZ2)", "M2(T2(Z2))", "T2(Z2xZ3)", "T2(Op(Z2))",
+    "(Z2xZ3)[x]/(x^2)", "T2(Z2)[x]/(x^2)", "Triv(Z2xZ2)", "Triv(M2(Z2))", "Op(Z2xZ3)",
+    "Op(T2(Z3))", "Corner(Z2xZ4,1)", "Corner(T2(Z2),4)", "Ideal(Z2xZ4,2)", "Ideal(T2(Z4),4)",
+])
+def test_labels_follow_the_spec_templates(text):
+    spec = rl.parse_spec(text)
+    assert str(spec) == text
+    assert rl.build(spec).label == text
+
+
 def test_corner_ring_of_matrix_unit(corpus):
     m2 = corpus["M2(Z2)"]
     e11 = rl.ring_pack(m2, (1, 0, 0, 0))

@@ -64,6 +64,7 @@ _specs = hs.recursive(
         hs.builds(rl.Opposite, inner),
         hs.builds(rl.Matrix, hs.integers(2, 3), inner),
         hs.builds(rl.Triangular, hs.integers(2, 3), inner),
+        hs.builds(rl.PolyMod, inner, hs.integers(1, 3)),
         hs.lists(inner, min_size=2, max_size=3).map(rl.product),
         hs.builds(rl.Corner, inner, hs.integers(0, 20)),
         hs.builds(lambda b, g: rl.IdealRing(b, tuple(g)),
@@ -77,6 +78,7 @@ _specs = hs.recursive(
 
 @SETTINGS
 @given(spec=_specs)
+@example(spec=rl.PolyMod(rl.product([rl.Zn(2), rl.Zn(3)]), 2))
 def test_spec_string_round_trips(spec):
     assert rl.parse_spec(str(spec)) == spec
 
