@@ -25,7 +25,7 @@ from . import deciders as dc
 from . import harness as hn
 
 
-MAX_SPEC_DEPTH = 256  # groups and constructors a spec may nest; each costs 3 parser frames
+MAX_SPEC_DEPTH = 256  # groups, constructors and products a spec may nest (see _Parser)
 
 # The spec nodes by the first character of their text (of two, the first is
 # tried: Triv( before T), and the postfix PolyMod by the first one after its base
@@ -53,14 +53,15 @@ class _Parser:
     A prefix or postfix is a spec node's text, as its template
     (construct.RingSpec.syntax) gives it; the postfix binds tighter than x.
     Whitespace is skipped everywhere; columns refer to the original text.
-    Groups and constructors nest at most MAX_SPEC_DEPTH deep, so that parsing
-    and building stay well inside the interpreter's recursion limit.
+    Groups, constructors and products (from their first x) nest at most
+    MAX_SPEC_DEPTH deep, so that parsing, building and printing stay well
+    inside the interpreter's recursion limit.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.depth = 0  # groups and constructors open at pos
+        self.depth = 0  # groups, constructors and products open at pos
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -120,12 +121,21 @@ class _Parser:
             out.append(self.integer())
         return tuple(out)
 
+    def nest(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_SPEC_DEPTH:
+            self.fail(f"constructors nested more than {MAX_SPEC_DEPTH} deep")
+
     def expr(self) -> ct.RingSpec:
         parts = [self.atom()]
+        if self.peek() != "x":
+            return parts[0]
+        self.nest()  # a product is one level, counted at its first x
         while self.peek() == "x":
             self.pos += 1
             parts.append(self.atom())
-        return parts[0] if len(parts) == 1 else ct.product(parts)
+        self.depth -= 1
+        return ct.product(parts)
 
     def atom(self) -> ct.RingSpec:
         spec = self.primary()
@@ -139,9 +149,7 @@ class _Parser:
         if kind is None:
             ch = self.peek()
             if ch in _NESTS:  # a group, or a node with a base
-                self.depth += 1
-                if self.depth > MAX_SPEC_DEPTH:
-                    self.fail(f"constructors nested more than {MAX_SPEC_DEPTH} deep")
+                self.nest()
             if ch == "(":
                 self.pos += 1
                 spec = self.expr()

@@ -7,7 +7,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -82,7 +82,7 @@ class Product(RingSpec):
     parts: tuple
 
     def __str__(self) -> str:
-        return "x".join(str(p) for p in self.parts)
+        return "x".join(map(str, self.parts))
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def spec_order(spec: RingSpec) -> Optional[int]:
     return None if sub is None else _power(sub, exponent(spec))
 
 
-def _check_cap(order: int, cap: int, what: str) -> None:
+def _check_cap(order: int, cap: int, what: object) -> None:
     if order > cap or order >= _ORDER_LIMIT:
         size = order if order < _ORDER_LIMIT else f"of more than {MAX_INT_DIGITS} digits"
         raise OrderCapError(f"{what} has order {size}, over the cap {cap}")
@@ -280,44 +280,29 @@ def _digit_ops(radices: Sequence[int], bases: Sequence[FiniteRing],
 
     Digit p lives in ``bases[p]``. Addition and negation act digit by digit;
     digit p of a product x*y is the sum, in the order listed, of the base
-    products x[s]*y[t] over the pairs (s, t) in ``terms[p]``. Returns the
-    add/mul/neg keyword arguments of FiniteRing and their ``*_vec`` forms.
+    products x[s]*y[t] over the pairs (s, t) in ``terms[p]``. One factory
+    makes both forms: the scalar one on pack_digits and the bases' add, mul
+    and neg, the vector one on _pack_vec and their ``*_vec`` forms. Returns
+    the add/mul/neg keyword arguments of FiniteRing and their ``*_vec`` forms.
     """
-    scalar = [(B.add, B.mul, B.neg) for B in bases]
-    vector = [(B.add_vec, B.mul_vec, B.neg_vec) for B in bases]
+    def digitwise(pack, unpack, ops):
+        def add(i, j):
+            return pack(radices, [badd(a, b) for (badd, _, _), a, b
+                                  in zip(ops, unpack(radices, i), unpack(radices, j))])
 
-    def digit_sums(ops, X, Y):
-        return [badd(a, b) for (badd, _, _), a, b in zip(ops, X, Y)]
+        def mul(i, j):
+            X, Y = unpack(radices, i), unpack(radices, j)
+            return pack(radices, [_digit_product(badd, bmul, entry, X, Y)
+                                  for (badd, bmul, _), entry in zip(ops, terms)])
 
-    def digit_negs(ops, X):
-        return [bneg(a) for (_, _, bneg), a in zip(ops, X)]
+        def neg(i):
+            return pack(radices, [bneg(a) for (_, _, bneg), a in zip(ops, unpack(radices, i))])
 
-    def digit_products(ops, X, Y):
-        return [_digit_product(badd, bmul, entry, X, Y)
-                for (badd, bmul, _), entry in zip(ops, terms)]
+        return add, mul, neg
 
-    def add(i, j):
-        return pack_digits(radices, digit_sums(
-            scalar, unpack_digits(radices, i), unpack_digits(radices, j)))
-
-    def mul(i, j):
-        return pack_digits(radices, digit_products(
-            scalar, unpack_digits(radices, i), unpack_digits(radices, j)))
-
-    def neg(i):
-        return pack_digits(radices, digit_negs(scalar, unpack_digits(radices, i)))
-
-    def add_vec(x, y):
-        return _pack_vec(radices, digit_sums(
-            vector, _unpack_vec(radices, x), _unpack_vec(radices, y)))
-
-    def mul_vec(x, y):
-        return _pack_vec(radices, digit_products(
-            vector, _unpack_vec(radices, x), _unpack_vec(radices, y)))
-
-    def neg_vec(x):
-        return _pack_vec(radices, digit_negs(vector, _unpack_vec(radices, x)))
-
+    add, mul, neg = digitwise(pack_digits, unpack_digits, [(B.add, B.mul, B.neg) for B in bases])
+    add_vec, mul_vec, neg_vec = digitwise(
+        _pack_vec, _unpack_vec, [(B.add_vec, B.mul_vec, B.neg_vec) for B in bases])
     return {"add": add, "mul": mul, "neg": neg,
             "add_vec": add_vec, "mul_vec": mul_vec, "neg_vec": neg_vec}
 
@@ -502,32 +487,33 @@ def _digit_ring(label: str, order: int, max_order: Optional[int], spec: Optional
     only after the cap check. Addition and negation act digit by digit; the
     digit at key k of a product x*y is the sum, in the order listed, of the
     base products x[s]*y[t] over the key pairs (s, t) in ``terms(k)`` (see
-    _digit_ops). When every base has a unity, so has the ring: the base's
-    one at the keys where ``unity(k)``, its zero elsewhere.
-    ``element_label`` formats the digits of an element, given as a dict
-    from key to digit. ``ops(base)``, if given, makes operations over the
-    first base that take the place of those of _digit_ops. ``meta`` gains
-    "radices" and "positions". The ring gets the closures, and from order
-    _DIGIT_TABLE_MIN_ORDER on a ``tabulate`` callable (_digit_tables) as
-    well, which FiniteRing calls only when it makes tables: they are then
-    read off the digit form, whichever closures serve."""
+    _digit_ops). The zero and the unity come from the bases: the zero holds
+    each base's zero, and the unity, when every base has one, the base's one
+    at the keys where ``unity(k)`` and its zero elsewhere; ``meta`` gains
+    these flags, in position order, as "unity", besides "radices" and
+    "positions". ``element_label`` formats the digits of an element, given
+    as a dict from key to digit. ``ops(base)``, if given, makes operations
+    over the first base that take the place of those of _digit_ops. The
+    ring gets the closures, and from order _DIGIT_TABLE_MIN_ORDER on a
+    ``tabulate`` callable (_digit_tables) as well, which FiniteRing calls
+    only when it makes tables: they are then read off the digit form,
+    whichever closures serve."""
     _check_cap(order, resolve_max_order(max_order), label)
     positions = tuple(positions)
     bases = tuple(islice(bases, len(positions)))
     radices = tuple(B.order for B in bases)
+    flags = tuple(bool(unity(key)) for key in positions)
     slot = {key: p for p, key in enumerate(positions)}
     digit_terms = [[(slot[s], slot[t]) for s, t in terms(key)] for key in positions]
     digit_ops = ops(bases[0]) if ops is not None else {}
     if len(digit_ops) < 6:  # _digit_ops makes the operations that ops leaves out
         digit_ops = {**_digit_ops(radices, bases, digit_terms), **digit_ops}
-    one = None
-    if all(B.unital for B in bases):
-        one = pack_digits(radices, [B.one if unity(key) else B.zero
-                                    for key, B in zip(positions, bases)])
-    return FiniteRing(order, zero=0, one=one, spec=spec, label=label,
-                      element_label=lambda i: element_label(
+    one = (pack_digits(radices, [B.one if f else B.zero for f, B in zip(flags, bases)])
+           if all(B.unital for B in bases) else None)
+    return FiniteRing(order, zero=pack_digits(radices, [B.zero for B in bases]), one=one,
+                      spec=spec, label=label, element_label=lambda i: element_label(
                           dict(zip(positions, unpack_digits(radices, i)))),
-                      meta={**meta, "radices": radices, "positions": positions},
+                      meta={**meta, "radices": radices, "positions": positions, "unity": flags},
                       tabulate=(_digit_tables(radices, bases, digit_terms)
                                 if order >= _DIGIT_TABLE_MIN_ORDER else None), **digit_ops)
 
@@ -578,27 +564,29 @@ def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
     bases = tuple(bases)
 
     def elabel(d):
-        return "(" + ",".join(B.element_label(d[p]) for p, B in enumerate(bases)) + ")"
+        return "(" + ",".join([B.element_label(x) for B, x in zip(bases, d.values())]) + ")"
 
     return _digit_ring("x".join(B.label for B in bases), math.prod(B.order for B in bases),
                        max_order, spec, bases, range(len(bases)), lambda p: [(p, p)],
                        lambda p: True, elabel, {"kind": "product", "bases": bases})
 
 
+def _matrix_label(base: FiniteRing, k: int, d: dict) -> str:
+    """Element label of a k x k matrix or triangular ring over the base, from
+    its digits by cell; a cell with no digit holds the base's zero."""
+    cells = list(map(base.element_label, [d.get((r, c), base.zero)
+                                          for r in range(k) for c in range(k)]))
+    return "[" + ",".join("[" + ",".join(cells[r * k:r * k + k]) + "]" for r in range(k)) + "]"
+
+
 def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
                 max_order: Optional[int] = None) -> FiniteRing:
     """Full k x k matrix ring over the base, entries stored row-major."""
     check_size(Matrix, k)
-
-    def elabel(d):
-        rows = ("[" + ",".join(base.element_label(d[(r, c)]) for c in range(k)) + "]"
-                for r in range(k))
-        return "[" + ",".join(rows) + "]"
-
     return _digit_ring(_label(Matrix, base, k=k), _power(base.order, k * k), max_order, spec,
                        repeat(base), ((i, j) for i in range(k) for j in range(k)),
                        lambda ij: [((ij[0], l), (l, ij[1])) for l in range(k)],
-                       lambda ij: ij[0] == ij[1], elabel,
+                       lambda ij: ij[0] == ij[1], partial(_matrix_label, base, k),
                        {"kind": "matrix", "k": k, "base": base},
                        ops=_m2_ops if k == 2 else None)
 
@@ -607,17 +595,11 @@ def triangular_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
                     max_order: Optional[int] = None) -> FiniteRing:
     """Upper triangular k x k matrix ring; stored entries are (i, j) with i <= j."""
     check_size(Triangular, k)
-
-    def elabel(d):  # no digit below the diagonal: the base's zero
-        rows = ("[" + ",".join(base.element_label(d.get((r, c), base.zero)) for c in range(k))
-                + "]" for r in range(k))
-        return "[" + ",".join(rows) + "]"
-
     return _digit_ring(_label(Triangular, base, k=k), _power(base.order, k * (k + 1) // 2),
                        max_order, spec, repeat(base),
                        ((i, j) for i in range(k) for j in range(i, k)),
                        lambda ij: [((ij[0], l), (l, ij[1])) for l in range(ij[0], ij[1] + 1)],
-                       lambda ij: ij[0] == ij[1], elabel,
+                       lambda ij: ij[0] == ij[1], partial(_matrix_label, base, k),
                        {"kind": "triangular", "k": k, "base": base})
 
 
@@ -633,7 +615,7 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
 
     def elabel(d):
         if not is_zn:
-            return "poly(" + ",".join(base.element_label(c) for c in d.values()) + ")"
+            return "poly(" + ",".join(map(base.element_label, d.values())) + ")"
         terms = []
         for t, c in d.items():
             if c == base.zero:
@@ -818,11 +800,11 @@ def build(spec: RingSpec, max_order: Optional[int] = None) -> FiniteRing:
     cap = resolve_max_order(max_order)
     known = spec_order(spec)
     if known is not None:
-        _check_cap(known, cap, str(spec))
+        _check_cap(known, cap, spec)
     if isinstance(spec, Zn):
         return zn_ring(spec.n, spec=spec, max_order=cap)
     if isinstance(spec, Product):
-        bases = [_build_cached(p, cap) for p in spec.parts]
+        bases = list(map(_build_cached, spec.parts, repeat(cap)))
         return product_ring(bases, spec=spec, max_order=cap)
     if isinstance(spec, Matrix):
         return matrix_ring(_build_cached(spec.base, cap), spec.k, spec=spec, max_order=cap)

@@ -568,18 +568,12 @@ def extract_from_matrix(base: FiniteRing, n: int, a: int,
         mat = ct.build_cached(ct.Matrix(n, base.spec))
     else:
         mat = ct.matrix_ring(base, n)
-    radices = mat.meta["radices"]
-    digits = [base.zero] * (n * n)
-    digits[0] = a
-    amat = ct.pack_digits(radices, digits)
+    amat = ct.ring_pack(mat, [a] + [base.zero] * (n * n - 1))
     if not check_wncl(mat, amat, matrix_witness):
         raise WitnessError("matrix witness is invalid for diag(a, 0, ..., 0)")
-    e = ct.unpack_digits(radices, matrix_witness.e)[0]
-    alpha = ct.unpack_digits(radices, matrix_witness.q)[0]
-    x = ct.unpack_digits(radices, matrix_witness.x)[0]
-    mul, sub, add = base.mul, base.sub, base.add
-    one = base.one
-    q = mul(sub(one, e), alpha)
+    e, alpha, x = (ct.ring_unpack(mat, w)[0]
+                   for w in (matrix_witness.e, matrix_witness.q, matrix_witness.x))
+    q = base.mul(base.sub(base.one, e), alpha)
     w = WnclWitness(e, q, x, "alternate")
     if nil_index_of(base, q) is None:
         raise WitnessError("extracted q is not nilpotent")

@@ -74,20 +74,14 @@ def canonical_nil_ideal(spec: ct.RingSpec,
                         ring: FiniteRing) -> Optional[st.Ideal]:
     """The nil ideal a construction carries by design: the strictly upper
     triangular part, the extension part of a trivial extension, or the
-    multiples of x in a truncated polynomial ring. None for other kinds."""
-    rad = ring.meta.get("radices")
-    if isinstance(spec, ct.Triangular):
-        pos = ring.meta["positions"]
-        members = [m for m in range(ring.order)
-                   if all(d == 0
-                          for d, (i, j) in zip(ct.unpack_digits(rad, m), pos)
-                          if i == j)]
-    elif isinstance(spec, (ct.TrivialExt, ct.PolyMod)):
-        members = [m for m in range(ring.order)
-                   if ct.unpack_digits(rad, m)[0] == 0]
-    else:
+    multiples of x in a truncated polynomial ring. None for other kinds.
+    In each, it is the elements whose digits are the zero's at every
+    position that holds the base's one in the unity (meta["unity"])."""
+    if not isinstance(spec, (ct.Triangular, ct.TrivialExt, ct.PolyMod)):
         return None
-    return st.make_ideal(ring, members)
+    zero, flags = ct.ring_unpack(ring, ring.zero), ring.meta["unity"]
+    return st.make_ideal(ring, [m for m in range(ring.order) if all(
+        d == z for d, z, f in zip(ct.ring_unpack(ring, m), zero, flags) if f)])
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +441,8 @@ def _check_koti(built):
     elements = 0
     for spec, ring in members:
         mat = ct.build_cached(ct.Matrix(2, spec))
-        radices = mat.meta["radices"]
         for a in range(ring.order):
-            digits = [ring.zero] * 4
-            digits[0] = a
-            amat = ct.pack_digits(radices, digits)
+            amat = ct.ring_pack(mat, [a] + [ring.zero] * 3)
             mw = dc.wncl_witness_alt(mat, amat)
             if mw is None:
                 raise _Fail(f"no matrix witness for diag({a},0) over {spec}", spec, a)

@@ -229,6 +229,30 @@ def test_group_nesting_is_bounded():
     assert parse_spec("(" * 256 + "Z2" + ")" * 256) == rl.Zn(2)
 
 
+# (text before, text after) each nesting level around a product Z1x...
+_PRODUCT_NESTINGS = [("M1(", ")"), ("T2(", ")"), ("Op(", ")"), ("Triv(", ")"),
+                     ("Corner(", ",0)"), ("Quot(", ",0)"), ("Ideal(", ",0)"),
+                     ("(", ")[x]/(x^1)")]
+
+
+@pytest.mark.parametrize("before,after", _PRODUCT_NESTINGS)
+def test_products_count_toward_the_nesting_depth(before, after, capsys):
+    def nested(depth):
+        return f"{before}Z1x" * depth + "Z1" + after * depth
+
+    assert rl.main(["classify", nested(128)]) == 0
+    # an element label of T2 or Triv holds the label of its base more than
+    # once, so its length doubles at each level: too long to print at 128
+    if before not in ("T2(", "Triv("):
+        assert rl.main(["witness", nested(128), "0", "wnc"]) == 0
+    capsys.readouterr()
+    column = 128 * len(f"{before}Z1x") + 1  # the constructor or group of level 129
+    for depth in (129, 150):
+        assert rl.main(["classify", nested(depth)]) == 2
+        assert capsys.readouterr().err == (f"error: parse error at column {column}: "
+                                           "constructors nested more than 256 deep\n")
+
+
 def test_polynomial_ring_over_a_product_prints_its_group():
     spec = rl.PolyMod(rl.product([rl.Zn(2), rl.Zn(3)]), 2)
     assert str(spec) == "(Z2xZ3)[x]/(x^2)"

@@ -8,7 +8,7 @@ import pytest
 
 import ringlab as rl
 from ringlab import construct as ct
-from ringlab import core, structure as st
+from ringlab import core, harness as hn, structure as st
 
 import oracles
 from conftest import (all_pairs, assert_index_inverts_members, fresh_build_cache,
@@ -603,6 +603,44 @@ def test_lazy_matrix_vector_ops_broadcast(name):
         got = vec(xs[:, None], ys)
         assert got.shape == (60, 60)
         assert got.tolist() == [[op(x, y) for y in ys.tolist()] for x in xs.tolist()]
+
+
+def _swapped_z2() -> rl.FiniteRing:
+    """Z2 with its two elements swapped: its zero is element 1, its one element 0."""
+    return rl.FiniteRing(2, [[1, 0], [0, 1]], [[0, 1], [1, 1]], [0, 1], zero=1, one=0)
+
+
+def test_digit_rings_over_a_base_whose_zero_is_not_element_0():
+    b = _swapped_z2()
+    rings = [ct.product_ring([b, b]), ct.matrix_ring(b, 2), ct.triangular_ring(b, 2),
+             ct.poly_mod_ring(b, 3), ct.trivial_ext_ring(b)]
+    for ring in rings:
+        assert ring.validated and rl.validate_axioms(ring).ok, ring.label
+        # every digit of the zero is the base's zero, element 1
+        assert rl.ring_unpack(ring, ring.zero) == [b.zero] * len(ring.meta["unity"])
+        assert rl.ring_unpack(ring, ring.one) == [b.one if flag else b.zero
+                                                  for flag in ring.meta["unity"]]
+    m2 = rings[1]
+    assert (m2.zero, m2.one, m2.meta["unity"]) == (15, 6, (True, False, False, True))
+    m4 = ct.matrix_ring(b, 4)
+    assert m4.mul_table is None and m4.zero == 65535
+    xs = np.arange(0, 65536, 97)
+    assert all(m4.add(m4.zero, x) == x == m4.add(x, m4.zero) for x in xs.tolist())
+    assert m4.add_vec(m4.zero, xs).tolist() == xs.tolist()
+    nil = hn.canonical_nil_ideal(rl.Triangular(2, rl.Zn(2)), ct.triangular_ring(b, 2))
+    assert nil.members == (5, 7)
+
+
+def test_digit_ops_over_a_base_whose_zero_is_not_element_0_agree_in_both_forms():
+    b = _swapped_z2()
+    with lazy_rings():
+        rings = [ct.product_ring([b] * 5), ct.triangular_ring(b, 3), ct.poly_mod_ring(b, 4)]
+    rings += [ct.product_ring([b] * 11), ct.triangular_ring(b, 5)]  # above the table cap
+    for ring in rings:
+        assert ring.mul_table is None, ring.label
+        xs, ys = sample_pairs(ring.order)
+        assert vector_mismatches(ring, xs, ys) == [], ring.label
+        assert ring.add_vec(ring.zero, xs).tolist() == xs.tolist(), ring.label
 
 
 # The 2 x 2 matrix rings gather from their own row-pair tables. A silent
