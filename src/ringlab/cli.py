@@ -26,6 +26,10 @@ from . import harness as hn
 
 
 MAX_SPEC_DEPTH = 256  # groups, constructors and products a spec may nest (see _Parser)
+# Building, printing and labelling a ring recurse a few frames per level of its
+# spec (7 for the labels of M1(M1(...)), the most measured): main() adds this
+# many frames per level to the caller's recursion limit.
+_FRAMES_PER_LEVEL = 8
 
 # The spec nodes by the first character of their text (of two, the first is
 # tried: Triv( before T), and the postfix PolyMod by the first one after its base
@@ -53,9 +57,12 @@ class _Parser:
     A prefix or postfix is a spec node's text, as its template
     (construct.RingSpec.syntax) gives it; the postfix binds tighter than x.
     Whitespace is skipped everywhere; columns refer to the original text.
-    Groups, constructors and products (from their first x) nest at most
-    MAX_SPEC_DEPTH deep, so that parsing, building and printing stay well
-    inside the interpreter's recursion limit.
+    Groups, constructors and products nest at most MAX_SPEC_DEPTH deep: the
+    levels open around a node and the height of the spec tree it heads count
+    together. A product is met at its first x and a postfix node after its
+    base, so each is checked one level above the part read before it. That
+    bounds the parser's recursion, and the height of the tree that building,
+    printing and labelling the ring recurse down (see _FRAMES_PER_LEVEL).
     """
 
     def __init__(self, text: str):
@@ -121,41 +128,48 @@ class _Parser:
             out.append(self.integer())
         return tuple(out)
 
-    def nest(self) -> None:
+    def nest(self, below: int = 0) -> None:  # one level, above a tree this high
         self.depth += 1
-        if self.depth > MAX_SPEC_DEPTH:
+        if self.depth + below > MAX_SPEC_DEPTH:
             self.fail(f"constructors nested more than {MAX_SPEC_DEPTH} deep")
 
-    def expr(self) -> ct.RingSpec:
-        parts = [self.atom()]
+    def expr(self) -> Tuple[ct.RingSpec, int]:
+        spec, height = self.atom()
         if self.peek() != "x":
-            return parts[0]
-        self.nest()  # a product is one level, counted at its first x
+            return spec, height
+        self.nest(height)  # a product is one level, counted at its first x
+        parts = [spec]
         while self.peek() == "x":
             self.pos += 1
-            parts.append(self.atom())
+            spec, below = self.atom()
+            parts.append(spec)
+            height = max(height, below)
         self.depth -= 1
-        return ct.product(parts)
+        return ct.product(parts), height + 1
 
-    def atom(self) -> ct.RingSpec:
-        spec = self.primary()
+    def atom(self) -> Tuple[ct.RingSpec, int]:
+        spec, height = self.primary()
         while self.peek() in _POSTFIX:
-            spec = self.primary(_POSTFIX[self.peek()], spec)
-        return spec
+            self.nest(height)
+            spec, height = self.primary(_POSTFIX[self.peek()], spec, height)
+            self.depth -= 1
+        return spec, height
 
-    def primary(self, kind: Optional[type] = None, base: Optional[ct.RingSpec] = None) -> ct.RingSpec:
-        """A group or a prefix node, or the postfix node of the kind on the base given,
-        read along its template in this one frame, as a frame per level costs depth."""
+    def primary(self, kind: Optional[type] = None, base: Optional[ct.RingSpec] = None,
+                height: int = 0) -> Tuple[ct.RingSpec, int]:
+        """A group or a prefix node, or the postfix node of the kind on the base
+        given (of that height), read along its template in this one frame, as a
+        frame per level costs depth; with the height of its tree."""
         if kind is None:
             ch = self.peek()
             if ch in _NESTS:  # a group, or a node with a base
                 self.nest()
             if ch == "(":
                 self.pos += 1
-                spec = self.expr()
+                spec, height = self.expr()
                 self.literal(")")
                 self.depth -= 1
-                return spec
+                return spec, height
             kinds = _PREFIX.get(ch) or self.fail("expected a ring constructor (Z, M, T, Triv, "
                                                  "Op, Corner, Ideal, Quot)")
             kind = kinds[0] if len(kinds) > 1 and self.try_literal(kinds[0].lead) else kinds[-1]
@@ -167,13 +181,13 @@ class _Parser:
                 values[field] = (self.intlist() if field == "generators" else
                                  self.integer() if field == "e" else self.size(kind))
             elif base is None:
-                values[field] = self.expr()
+                values[field], height = self.expr()
                 self.depth -= 1
             self.literal(text)
-        return kind(**values)
+        return kind(**values), (height + 1 if "base" in values else 0)
 
     def parse(self) -> ct.RingSpec:
-        spec = self.expr()
+        spec, _ = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail("unexpected trailing input")
@@ -496,6 +510,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_SPEC_DEPTH)
     try:
         code = args.run(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
@@ -511,6 +527,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RingLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

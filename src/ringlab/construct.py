@@ -82,7 +82,7 @@ class Product(RingSpec):
     parts: tuple
 
     def __str__(self) -> str:
-        return "x".join(map(str, self.parts))
+        return "x".join(str(p) for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def spec_order(spec: RingSpec) -> Optional[int]:
     return None if sub is None else _power(sub, exponent(spec))
 
 
-def _check_cap(order: int, cap: int, what: object) -> None:
+def _check_cap(order: int, cap: int, what: str) -> None:
     if order > cap or order >= _ORDER_LIMIT:
         size = order if order < _ORDER_LIMIT else f"of more than {MAX_INT_DIGITS} digits"
         raise OrderCapError(f"{what} has order {size}, over the cap {cap}")
@@ -564,7 +564,7 @@ def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
     bases = tuple(bases)
 
     def elabel(d):
-        return "(" + ",".join([B.element_label(x) for B, x in zip(bases, d.values())]) + ")"
+        return "(" + ",".join(B.element_label(d[p]) for p, B in enumerate(bases)) + ")"
 
     return _digit_ring("x".join(B.label for B in bases), math.prod(B.order for B in bases),
                        max_order, spec, bases, range(len(bases)), lambda p: [(p, p)],
@@ -574,9 +574,9 @@ def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
 def _matrix_label(base: FiniteRing, k: int, d: dict) -> str:
     """Element label of a k x k matrix or triangular ring over the base, from
     its digits by cell; a cell with no digit holds the base's zero."""
-    cells = list(map(base.element_label, [d.get((r, c), base.zero)
-                                          for r in range(k) for c in range(k)]))
-    return "[" + ",".join("[" + ",".join(cells[r * k:r * k + k]) + "]" for r in range(k)) + "]"
+    rows = ("[" + ",".join(base.element_label(d.get((r, c), base.zero)) for c in range(k)) + "]"
+            for r in range(k))
+    return "[" + ",".join(rows) + "]"
 
 
 def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
@@ -615,7 +615,7 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
 
     def elabel(d):
         if not is_zn:
-            return "poly(" + ",".join(map(base.element_label, d.values())) + ")"
+            return "poly(" + ",".join(base.element_label(c) for c in d.values()) + ")"
         terms = []
         for t, c in d.items():
             if c == base.zero:
@@ -800,11 +800,11 @@ def build(spec: RingSpec, max_order: Optional[int] = None) -> FiniteRing:
     cap = resolve_max_order(max_order)
     known = spec_order(spec)
     if known is not None:
-        _check_cap(known, cap, spec)
+        _check_cap(known, cap, str(spec))
     if isinstance(spec, Zn):
         return zn_ring(spec.n, spec=spec, max_order=cap)
     if isinstance(spec, Product):
-        bases = list(map(_build_cached, spec.parts, repeat(cap)))
+        bases = [_build_cached(p, cap) for p in spec.parts]
         return product_ring(bases, spec=spec, max_order=cap)
     if isinstance(spec, Matrix):
         return matrix_ring(_build_cached(spec.base, cap), spec.k, spec=spec, max_order=cap)

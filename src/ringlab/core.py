@@ -239,7 +239,7 @@ class FiniteRing:
         self.sub = lambda a, b, _add=self.add, _neg=self.neg: _add(a, _neg(b))
         self.sub_vec = lambda a, b, _add=self.add_vec, _neg=self.neg_vec: _add(a, _neg(b))
 
-        self.element_label = element_label if element_label is not None else str
+        self._element_label = element_label
 
         if validate is None:
             validate = self.add_table is not None
@@ -252,6 +252,11 @@ class FiniteRing:
                 core.tables = tables
         self.shared = self.cache if core is None else core
         self.validated = bool(validate)
+
+    def element_label(self, i: int) -> str:
+        if self._element_label is not None:
+            return self._element_label(i)
+        return str(i)
 
     def memo(self, key: Hashable, make: Callable[[], object], shared: bool = False):
         """``cache[key]``, made by ``make()`` on first use: derived rings and

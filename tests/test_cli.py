@@ -229,25 +229,32 @@ def test_group_nesting_is_bounded():
     assert parse_spec("(" * 256 + "Z2" + ")" * 256) == rl.Zn(2)
 
 
-# (text before, text after) each nesting level around a product Z1x...
-_PRODUCT_NESTINGS = [("M1(", ")"), ("T2(", ")"), ("Op(", ")"), ("Triv(", ")"),
-                     ("Corner(", ",0)"), ("Quot(", ",0)"), ("Ideal(", ",0)"),
-                     ("(", ")[x]/(x^1)")]
+# (text before and after each level, the most levels the parser accepts, the
+# error columns at one level more and at twice as many). Around a product
+# Z1x..., the error is at the constructor or group of level 129; around
+# M1(...xZ1), whose product is met after its first part, at the x of the
+# product at level 257; a chain of postfix nodes fails at its 257th "[". The
+# labels of M1(M1(...)) take the most frames per level.
+_DEEPEST = [(f"{before}Z1x", after, 128, (128 * len(f"{before}Z1x") + 1,) * 2)
+            for before, after in [("M1(", ")"), ("T2(", ")"), ("Op(", ")"), ("Triv(", ")"),
+                                  ("Corner(", ",0)"), ("Quot(", ",0)"), ("Ideal(", ",0)"),
+                                  ("(", ")[x]/(x^1)")]]
+_DEEPEST += [("M1(", "xZ1)", 128, (898, 771)), ("", "[x]/(x^1)", 256, (2307, 2307)),
+             ("M1(", ")", 256, (769, 769))]
 
 
-@pytest.mark.parametrize("before,after", _PRODUCT_NESTINGS)
-def test_products_count_toward_the_nesting_depth(before, after, capsys):
+@pytest.mark.parametrize("before,after,deepest,columns", _DEEPEST)
+def test_the_height_of_the_parsed_tree_is_bounded(before, after, deepest, columns, capsys):
     def nested(depth):
-        return f"{before}Z1x" * depth + "Z1" + after * depth
+        return before * depth + "Z1" + after * depth
 
-    assert rl.main(["classify", nested(128)]) == 0
+    assert rl.main(["classify", nested(deepest)]) == 0
     # an element label of T2 or Triv holds the label of its base more than
     # once, so its length doubles at each level: too long to print at 128
-    if before not in ("T2(", "Triv("):
-        assert rl.main(["witness", nested(128), "0", "wnc"]) == 0
+    if before not in ("T2(Z1x", "Triv(Z1x"):
+        assert rl.main(["witness", nested(deepest), "0", "wnc"]) == 0
     capsys.readouterr()
-    column = 128 * len(f"{before}Z1x") + 1  # the constructor or group of level 129
-    for depth in (129, 150):
+    for depth, column in zip((deepest + 1, 2 * deepest), columns):
         assert rl.main(["classify", nested(depth)]) == 2
         assert capsys.readouterr().err == (f"error: parse error at column {column}: "
                                            "constructors nested more than 256 deep\n")
