@@ -26,10 +26,6 @@ from . import harness as hn
 
 
 MAX_SPEC_DEPTH = 256  # groups, constructors and products a spec may nest (see _Parser)
-# Building, printing and labelling a ring recurse a few frames per level of its
-# spec (7 for the labels of M1(M1(...)), the most measured): main() adds this
-# many frames per level to the caller's recursion limit.
-_FRAMES_PER_LEVEL = 8
 
 # The spec nodes by the first character of their text (of two, the first is
 # tried: Triv( before T), and the postfix PolyMod by the first one after its base
@@ -61,8 +57,9 @@ class _Parser:
     levels open around a node and the height of the spec tree it heads count
     together. A product is met at its first x and a postfix node after its
     base, so each is checked one level above the part read before it. That
-    bounds the parser's recursion, and the height of the tree that building,
-    printing and labelling the ring recurse down (see _FRAMES_PER_LEVEL).
+    bounds the parser's recursion, 3 frames a level (expr, atom, primary):
+    about 770 at the deepest, under the interpreter's default limit of 1000.
+    Nothing else recurses down the spec tree (see construct.RingSpec).
     """
 
     def __init__(self, text: str):
@@ -510,8 +507,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_SPEC_DEPTH)
     try:
         code = args.run(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
@@ -527,8 +522,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RingLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import lru_cache, partial
 from itertools import islice, repeat
 from typing import Callable, Iterable, Optional, Sequence
@@ -50,93 +50,83 @@ def resolve_max_order(max_order: Optional[int] = None) -> int:
 
 class RingSpec:
     """Symbolic description of a ring construction; nodes are frozen dataclasses.
-    A node's ``syntax`` is its text, with its fields as %(name)s: str() fills
-    it, cli's parser reads it and ring labels fill it. A product base that
-    opens the text is grouped, as x binds looser: (Z2xZ3)[x]/(x^2)."""
+    A node's ``syntax`` is its text, with its fields as %(name)s: it declares
+    the node kind (_node), the node fills it, cli's parser reads it and ring
+    labels fill it. A product base that opens the text is grouped, as x binds
+    looser: (Z2xZ3)[x]/(x^2).
+
+    A node is made after its ``children`` (a product's parts, or its base)
+    and keeps what it reads off theirs: its canonical ``text``, by which
+    nodes compare and hash, and its ``order`` (see spec_order)."""
 
     __slots__ = ()
-    syntax = ""
+    syntax = lead = ""
+    steps = ()
 
-    def __init_subclass__(cls) -> None:
-        # the text before the first field, then (field, the text after it) pairs
-        cls.lead, *rest = re.split(r"%\((\w+)\)s", cls.syntax)
-        cls.steps = tuple(zip(rest[::2], rest[1::2]))
+    def __post_init__(self) -> None:
+        values, base = self.__dict__, getattr(self, "base", None)
+        if base is not None:
+            values = {**values, "generators": ",".join(map(str, values.get("generators", ()))),
+                      "base": f"({base.text})" if type(base) is Product and not self.lead
+                      else base.text}
+        order = min(self.n, _ORDER_LIMIT) if type(self) is Zn else None
+        exponent = _EXPONENTS.get(type(self))  # None for a quotient, corner or ideal
+        if exponent is not None and base.order is not None:
+            order = _power(base.order, exponent(self))
+        self.__dict__.update(text=self.syntax % values, order=order,
+                             children=() if base is None else (base,))
 
     def __str__(self) -> str:
-        values = self.__dict__
-        if not self.lead or "generators" in values:
-            base = self.base
-            values = {**values, "generators": ",".join(map(str, values.get("generators", ()))),
-                      "base": f"({base})" if type(base) is Product and not self.lead else base}
-        return self.syntax % values
+        return self.text
+
+    def __eq__(self, other) -> bool:
+        return self.text == other.text if isinstance(other, RingSpec) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.text)
 
 
-@dataclass(frozen=True)
-class Zn(RingSpec):
-    n: int
-    syntax = "Z%(n)s"
+def _node(name: str, syntax: str) -> type:
+    """The spec node kind of that name and syntax: a frozen dataclass whose
+    fields are the template's, in its order (a base is a RingSpec, the
+    generators a tuple of ints, any other field an int). Its ``lead`` is the
+    text before the first field, its ``steps`` the (field, text after it) pairs."""
+    lead, *rest = re.split(r"%\((\w+)\)s", syntax)
+    steps = tuple(zip(rest[::2], rest[1::2]))
+    fields = [(field, {"base": RingSpec, "generators": tuple}.get(field, int)) for field, _ in steps]
+    kind = make_dataclass(name, fields, bases=(RingSpec,), frozen=True, eq=False,
+                          namespace={"syntax": syntax, "lead": lead, "steps": steps})
+    kind.__module__ = __name__
+    return kind
 
 
-@dataclass(frozen=True)
+Zn = _node("Zn", "Z%(n)s")
+Matrix = _node("Matrix", "M%(k)s(%(base)s)")
+Triangular = _node("Triangular", "T%(k)s(%(base)s)")
+PolyMod = _node("PolyMod", "%(base)s[x]/(x^%(n)s)")
+TrivialExt = _node("TrivialExt", "Triv(%(base)s)")
+Opposite = _node("Opposite", "Op(%(base)s)")
+Corner = _node("Corner", "Corner(%(base)s,%(e)s)")
+Quotient = _node("Quotient", "Quot(%(base)s,%(generators)s)")
+IdealRing = _node("IdealRing", "Ideal(%(base)s,%(generators)s)")
+
+
+@dataclass(frozen=True, eq=False)
 class Product(RingSpec):
+    """The product of two or more parts; a part that is a product gives its
+    own parts, so that a product's text, Z2xZ3xZ5, names one spec."""
+
     parts: tuple
 
-    def __str__(self) -> str:
-        return "x".join(str(p) for p in self.parts)
-
-
-@dataclass(frozen=True)
-class Matrix(RingSpec):
-    k: int
-    base: RingSpec
-    syntax = "M%(k)s(%(base)s)"
-
-
-@dataclass(frozen=True)
-class Triangular(RingSpec):
-    k: int
-    base: RingSpec
-    syntax = "T%(k)s(%(base)s)"
-
-
-@dataclass(frozen=True)
-class PolyMod(RingSpec):
-    base: RingSpec
-    n: int
-    syntax = "%(base)s[x]/(x^%(n)s)"
-
-
-@dataclass(frozen=True)
-class TrivialExt(RingSpec):
-    base: RingSpec
-    syntax = "Triv(%(base)s)"
-
-
-@dataclass(frozen=True)
-class Opposite(RingSpec):
-    base: RingSpec
-    syntax = "Op(%(base)s)"
-
-
-@dataclass(frozen=True)
-class Corner(RingSpec):
-    base: RingSpec
-    e: int
-    syntax = "Corner(%(base)s,%(e)s)"
-
-
-@dataclass(frozen=True)
-class Quotient(RingSpec):
-    base: RingSpec
-    generators: tuple
-    syntax = "Quot(%(base)s,%(generators)s)"
-
-
-@dataclass(frozen=True)
-class IdealRing(RingSpec):
-    base: RingSpec
-    generators: tuple
-    syntax = "Ideal(%(base)s,%(generators)s)"
+    def __post_init__(self) -> None:
+        parts = tuple(q for p in self.parts for q in (p.parts if type(p) is Product else (p,)))
+        if len(parts) < 2:
+            raise SpecError("product needs at least two factors")
+        order = 1
+        for p in parts:
+            order = None if order is None or p.order is None else min(order * p.order, _ORDER_LIMIT)
+        self.__dict__.update(parts=parts, children=parts, text="x".join(p.text for p in parts),
+                             order=order)
 
 
 def _label(kind: type, base: FiniteRing, **fields) -> str:
@@ -160,18 +150,9 @@ def check_size(kind: type, value: int) -> None:
 
 
 def product(parts: Iterable[RingSpec]) -> RingSpec:
-    """Product spec with nested products flattened; a singleton is unwrapped."""
-    flat: list[RingSpec] = []
-    for p in parts:
-        if isinstance(p, Product):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if not flat:
-        raise SpecError("product needs at least one factor")
-    if len(flat) == 1:
-        return flat[0]
-    return Product(tuple(flat))
+    """Product spec of the parts (see Product); a single part is returned as it is."""
+    parts = tuple(parts)
+    return parts[0] if len(parts) == 1 else Product(parts)
 
 
 def _power(base: int, exp: int) -> int:
@@ -189,21 +170,7 @@ _EXPONENTS = {Matrix: lambda s: s.k * s.k, Triangular: lambda s: s.k * (s.k + 1)
 def spec_order(spec: RingSpec) -> Optional[int]:
     """Order denoted by the spec, or None when it depends on table contents.
     An order of more than MAX_INT_DIGITS digits reads as _ORDER_LIMIT."""
-    if isinstance(spec, Zn):
-        return min(spec.n, _ORDER_LIMIT)
-    if isinstance(spec, Product):
-        n = 1
-        for p in spec.parts:
-            sub = spec_order(p)
-            if sub is None:
-                return None
-            n = min(n * sub, _ORDER_LIMIT)
-        return n
-    exponent = _EXPONENTS.get(type(spec))
-    if exponent is None:
-        return None  # quotient, corner, ideal: bounded by the base order
-    sub = spec_order(spec.base)
-    return None if sub is None else _power(sub, exponent(spec))
+    return spec.order
 
 
 def _check_cap(order: int, cap: int, what: str) -> None:
@@ -491,13 +458,13 @@ def _digit_ring(label: str, order: int, max_order: Optional[int], spec: Optional
     each base's zero, and the unity, when every base has one, the base's one
     at the keys where ``unity(k)`` and its zero elsewhere; ``meta`` gains
     these flags, in position order, as "unity", besides "radices" and
-    "positions". ``element_label`` formats the digits of an element, given
-    as a dict from key to digit. ``ops(base)``, if given, makes operations
-    over the first base that take the place of those of _digit_ops. The
-    ring gets the closures, and from order _DIGIT_TABLE_MIN_ORDER on a
-    ``tabulate`` callable (_digit_tables) as well, which FiniteRing calls
-    only when it makes tables: they are then read off the digit form,
-    whichever closures serve."""
+    "positions". ``element_label`` gives the label parts of an element
+    (see FiniteRing.element_label) from its digits, as a dict from key to
+    digit. ``ops(base)``, if given, makes operations over the first base
+    that take the place of those of _digit_ops. The ring gets the closures,
+    and from order _DIGIT_TABLE_MIN_ORDER on a ``tabulate`` callable
+    (_digit_tables) as well, which FiniteRing calls only when it makes
+    tables: they are then read off the digit form, whichever closures serve."""
     _check_cap(order, resolve_max_order(max_order), label)
     positions = tuple(positions)
     bases = tuple(islice(bases, len(positions)))
@@ -564,19 +531,23 @@ def product_ring(bases: Sequence[FiniteRing], spec: Optional[RingSpec] = None,
     bases = tuple(bases)
 
     def elabel(d):
-        return "(" + ",".join(B.element_label(d[p]) for p, B in enumerate(bases)) + ")"
+        return ["(", *_joined([(B, d[p])] for p, B in enumerate(bases)), ")"]
 
     return _digit_ring("x".join(B.label for B in bases), math.prod(B.order for B in bases),
                        max_order, spec, bases, range(len(bases)), lambda p: [(p, p)],
                        lambda p: True, elabel, {"kind": "product", "bases": bases})
 
 
-def _matrix_label(base: FiniteRing, k: int, d: dict) -> str:
-    """Element label of a k x k matrix or triangular ring over the base, from
-    its digits by cell; a cell with no digit holds the base's zero."""
-    rows = ("[" + ",".join(base.element_label(d.get((r, c), base.zero)) for c in range(k)) + "]"
-            for r in range(k))
-    return "[" + ",".join(rows) + "]"
+def _joined(items: Iterable[list]) -> list:
+    """The label parts of the items in turn, a comma between each two."""
+    return [part for item in items for part in (",", *item)][1:]
+
+
+def _matrix_label(base: FiniteRing, k: int, d: dict) -> list:
+    """Element label parts of a k x k matrix or triangular ring over the base,
+    from its digits by cell; a cell with no digit holds the base's zero."""
+    return ["[", *_joined(["[", *_joined([(base, d.get((r, c), base.zero))] for c in range(k)), "]"]
+                          for r in range(k)), "]"]
 
 
 def matrix_ring(base: FiniteRing, k: int, spec: Optional[RingSpec] = None,
@@ -615,7 +586,7 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
 
     def elabel(d):
         if not is_zn:
-            return "poly(" + ",".join(base.element_label(c) for c in d.values()) + ")"
+            return ["poly(", *_joined([(base, c)] for c in d.values()), ")"]
         terms = []
         for t, c in d.items():
             if c == base.zero:
@@ -626,7 +597,7 @@ def poly_mod_ring(base: FiniteRing, n: int, spec: Optional[RingSpec] = None,
                 terms.append("x" if c == 1 else f"{c}x")
             else:
                 terms.append(f"x^{t}" if c == 1 else f"{c}x^{t}")
-        return "+".join(terms) if terms else "0"
+        return ["+".join(terms) if terms else "0"]
 
     return _digit_ring(_label(PolyMod, base, n=n), _power(base.order, n), max_order, spec,
                        repeat(base), range(n), lambda t: [(u, t - u) for u in range(t + 1)],
@@ -643,7 +614,7 @@ def trivial_ext_ring(base: FiniteRing, spec: Optional[RingSpec] = None,
     terms = {"a": [("a", "a")], "x": [("a", "x"), ("x", "a")]}  # digits a and x of (a, x)
     return _digit_ring(_label(TrivialExt, base), base.order * base.order, max_order, spec,
                        repeat(base), "ax", terms.get, lambda key: key == "a",
-                       lambda d: f"({base.element_label(d['a'])}|{base.element_label(d['x'])})",
+                       lambda d: ["(", (base, d["a"]), "|", (base, d["x"]), ")"],
                        {"kind": "trivext", "base": base}, ops=_triv_ops)
 
 
@@ -658,7 +629,7 @@ def opposite(ring: FiniteRing, spec: Optional[RingSpec] = None) -> FiniteRing:
     if ring.mul_table is not None:  # given tables: no fill, and a core to share
         ops = dict(add=ring.add_table, mul=ring.mul_table.T, neg=ring.neg_table)
     return FiniteRing(ring.order, zero=ring.zero, one=ring.one, spec=spec, label=label,
-                      element_label=ring.element_label,
+                      element_label=lambda i: [(ring, i)],
                       meta={"kind": "opposite", "base": ring}, **ops)
 
 
@@ -702,7 +673,7 @@ def subring(parent: FiniteRing, members: Iterable[int], one: Optional[int] = Non
                       one=int(index_of[one]) if one is not None else None,
                       spec=spec,
                       label=label,
-                      element_label=lambda i, _m=tuple(mem): parent.element_label(_m[i]),
+                      element_label=lambda i, _m=tuple(mem): [(parent, _m[i])],
                       meta={"kind": "subring", "base": parent})
     ring.members = tuple(mem)
     ring.index = {m: i for i, m in enumerate(mem)}
@@ -723,7 +694,7 @@ def corner_ring(parent: FiniteRing, e: int, spec: Optional[RingSpec] = None) -> 
             return parent
         # a subring would tabulate order^2 cells, even above the table cap
         return FiniteRing(parent.order, parent.add, parent.mul, parent.neg, zero=parent.zero,
-                          one=e, spec=spec, label=label, element_label=parent.element_label,
+                          one=e, spec=spec, label=label, element_label=lambda i: [(parent, i)],
                           meta={"kind": "corner", "base": parent}, add_vec=parent.add_vec,
                           mul_vec=parent.mul_vec, neg_vec=parent.neg_vec)
     members = parent.mul_vec(er, e).tolist()
@@ -773,7 +744,7 @@ def quotient(parent: FiniteRing, ideal,
     one = proj[parent.one] if parent.unital else None
     ring = FiniteRing(len(reps), add_t, mul_t, neg_t, zero=proj[parent.zero], one=one,
                       spec=spec, label=label,
-                      element_label=lambda i, _r=tuple(reps): f"[{parent.element_label(_r[i])}]",
+                      element_label=lambda i, _r=tuple(reps): ["[", (parent, _r[i]), "]"],
                       meta={"kind": "quotient", "base": parent})
     ring.reps = tuple(reps)
     ring.projection = tuple(proj)
@@ -796,32 +767,45 @@ def build(spec: RingSpec, max_order: Optional[int] = None) -> FiniteRing:
     until the process ends (about 4 MB for a tabled base of order 1024).
     A ring given tables (ideal ring, quotient, corner, opposite of a tabled
     base) is proved only when no live ring holds an equal table set; it
-    shares that ring's core otherwise (see FiniteRing)."""
+    shares that ring's core otherwise (see FiniteRing).
+
+    One walk over the distinct nodes, on a stack of its own, checks each
+    node's order against the cap on the way down and puts each sub-spec's
+    ring in the build cache on the way up, in the order of a descent by
+    recursion; each constructor then reads its bases from the cache."""
     cap = resolve_max_order(max_order)
-    known = spec_order(spec)
-    if known is not None:
-        _check_cap(known, cap, str(spec))
+    seen, todo = set(), [(spec, False)]
+    while todo:
+        node, up = todo.pop()
+        if up:
+            if node is not spec:
+                _build_cached(node, cap)
+        elif node not in seen:
+            seen.add(node)
+            if node.order is not None:
+                _check_cap(node.order, cap, node.text)
+            todo.append((node, True))
+            todo.extend((child, False) for child in reversed(node.children))
     if isinstance(spec, Zn):
         return zn_ring(spec.n, spec=spec, max_order=cap)
     if isinstance(spec, Product):
-        bases = [_build_cached(p, cap) for p in spec.parts]
-        return product_ring(bases, spec=spec, max_order=cap)
+        return product_ring([_build_cached(p, cap) for p in spec.parts], spec=spec, max_order=cap)
+    base = _build_cached(spec.base, cap)
     if isinstance(spec, Matrix):
-        return matrix_ring(_build_cached(spec.base, cap), spec.k, spec=spec, max_order=cap)
+        return matrix_ring(base, spec.k, spec=spec, max_order=cap)
     if isinstance(spec, Triangular):
-        return triangular_ring(_build_cached(spec.base, cap), spec.k, spec=spec, max_order=cap)
+        return triangular_ring(base, spec.k, spec=spec, max_order=cap)
     if isinstance(spec, PolyMod):
-        return poly_mod_ring(_build_cached(spec.base, cap), spec.n, spec=spec, max_order=cap)
+        return poly_mod_ring(base, spec.n, spec=spec, max_order=cap)
     if isinstance(spec, TrivialExt):
-        return trivial_ext_ring(_build_cached(spec.base, cap), spec=spec, max_order=cap)
+        return trivial_ext_ring(base, spec=spec, max_order=cap)
     if isinstance(spec, Opposite):
-        return opposite(_build_cached(spec.base, cap), spec=spec)
+        return opposite(base, spec=spec)
     if isinstance(spec, Corner):
-        return corner_ring(_build_cached(spec.base, cap), spec.e, spec=spec)
+        return corner_ring(base, spec.e, spec=spec)
     if isinstance(spec, (Quotient, IdealRing)):
         from .structure import ideal_generated
 
-        base = _build_cached(spec.base, cap)
         for g in spec.generators:
             if not 0 <= g < base.order:
                 raise SpecError(f"generator {g} out of range for {base.label}")

@@ -12,6 +12,11 @@ import numpy as np
 
 DEFAULT_TABLE_CAP = 1024
 
+# An element label longer than this prints as the element's index: the label
+# of T2(A) or Triv(A) holds A's labels several times, so around a product it
+# grows about 4x per level of the spec.
+MAX_LABEL_CHARS = 4096
+
 # Cells per block of the blocked array passes (row_blocks): (row, element) of
 # the structure scans and of construct.quotient; (r, element) of
 # kernel.witness_pass, whose r*a block both witness forms read, and its
@@ -175,7 +180,7 @@ class FiniteRing:
         one: Optional[int] = None,
         spec=None,
         label: Optional[str] = None,
-        element_label: Optional[Callable[[int], str]] = None,
+        element_label: Optional[Callable[[int], Sequence]] = None,
         meta: Optional[dict] = None,
         table_cap: int = DEFAULT_TABLE_CAP,
         validate: Optional[bool] = None,
@@ -239,7 +244,7 @@ class FiniteRing:
         self.sub = lambda a, b, _add=self.add, _neg=self.neg: _add(a, _neg(b))
         self.sub_vec = lambda a, b, _add=self.add_vec, _neg=self.neg_vec: _add(a, _neg(b))
 
-        self._element_label = element_label
+        self._element_label = element_label or (lambda x: [str(x)])
 
         if validate is None:
             validate = self.add_table is not None
@@ -254,9 +259,21 @@ class FiniteRing:
         self.validated = bool(validate)
 
     def element_label(self, i: int) -> str:
-        if self._element_label is not None:
-            return self._element_label(i)
-        return str(i)
+        """The label of element i, str(i) past MAX_LABEL_CHARS. The
+        ``element_label(i)`` given gives its parts: strings, and (ring,
+        element) pairs that stand for that element's label. One loop expands
+        them, so no call recurses per level of the spec."""
+        out, size, todo = [], 0, [(self, i)]
+        while todo:
+            part = todo.pop()
+            if isinstance(part, str):
+                out.append(part)
+                size += len(part)
+                if size > MAX_LABEL_CHARS:
+                    return str(i)
+            else:
+                todo.extend(reversed(part[0]._element_label(part[1])))
+        return "".join(out)
 
     def memo(self, key: Hashable, make: Callable[[], object], shared: bool = False):
         """``cache[key]``, made by ``make()`` on first use: derived rings and

@@ -139,10 +139,27 @@ def _check_prva(built):
     return f"{elements} elements across {len(members)} unital rings"
 
 
+def _conjugate_lifts(ring: FiniteRing, ideal: st.Ideal, e: int, f: int) -> bool:
+    """Whether e and f are idempotents congruent mod the nil ideal I and, in
+    a unital ring, conjugate: u = fe + (1 - f)(1 - e) has f*u = fe = u*e and
+    u = 1 mod I, so u has an inverse v (found, and checked: uv = vu = 1),
+    and f = u*e*v. Lifts of one idempotent mod I agree only up to this."""
+    mul, sub = ring.mul, ring.sub
+    if mul(e, e) != e or mul(f, f) != f or sub(e, f) not in ideal.member_set:
+        return False
+    if not ring.unital:
+        return True
+    one = ring.one
+    u = ring.add(mul(f, e), mul(sub(one, f), sub(one, e)))
+    v = st.inverse_map(ring).get(u)
+    return mul(f, u) == mul(u, e) and v is not None and mul(u, v) == one == mul(v, u)
+
+
 def _check_nilideal(built):
     """With a nil ideal I: R weakly nil clean iff R/I is; quotient witnesses
     lift and re-validate, element witnesses project, and the two idempotent
-    lifting paths agree on every liftable element."""
+    lifting paths agree on every liftable element, up to a certified
+    conjugacy (_conjugate_lifts)."""
     lifted = 0
     members = []
     for spec, ring in built:
@@ -173,7 +190,7 @@ def _check_nilideal(built):
             if ring.sub(ring.mul(x, x), x) in ideal.member_set:
                 escan = dc.lift_idempotent(ring, ideal, x, "scan")
                 enewt = dc.lift_idempotent(ring, ideal, x, "newton")
-                if escan != enewt:
+                if escan != enewt and not _conjugate_lifts(ring, ideal, escan, enewt):
                     raise _Fail(f"lift paths disagree at {x} of {spec}: "
                                 f"scan={escan}, newton={enewt}", spec, x)
     return (f"{lifted} cosets lifted on {_names(members)}; "

@@ -249,15 +249,31 @@ def test_the_height_of_the_parsed_tree_is_bounded(before, after, deepest, column
         return before * depth + "Z1" + after * depth
 
     assert rl.main(["classify", nested(deepest)]) == 0
-    # an element label of T2 or Triv holds the label of its base more than
-    # once, so its length doubles at each level: too long to print at 128
-    if before not in ("T2(Z1x", "Triv(Z1x"):
-        assert rl.main(["witness", nested(deepest), "0", "wnc"]) == 0
+    # the label of T2 or Triv, which grows 4x a level, stops at its bound
+    start = time.perf_counter()
+    assert rl.main(["witness", nested(deepest), "0", "wnc"]) == 0
+    assert time.perf_counter() - start < 1
     capsys.readouterr()
     for depth, column in zip((deepest + 1, 2 * deepest), columns):
         assert rl.main(["classify", nested(depth)]) == 2
         assert capsys.readouterr().err == (f"error: parse error at column {column}: "
                                            "constructors nested more than 256 deep\n")
+
+
+@pytest.mark.parametrize("before,after,deepest,columns", _DEEPEST)
+def test_the_deepest_specs_need_no_recursion_grant(before, after, deepest, columns):
+    # parsing recurses 3 frames a level; nothing else recurses down the tree
+    text = before * deepest + "Z1" + after * deepest
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        spec = parse_spec(text)
+        ring = rl.build(spec)
+        again = parse_spec(text)
+        assert (str(spec), hash(spec), spec) == (text, hash(again), again)
+        assert ring.element_label(0)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_polynomial_ring_over_a_product_prints_its_group():

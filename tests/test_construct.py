@@ -65,6 +65,12 @@ def test_product_ring_componentwise():
 def test_product_flattens_and_unwraps():
     nested = rl.product((rl.Zn(2), rl.product((rl.Zn(3), rl.Zn(5)))))
     assert nested == rl.Product((rl.Zn(2), rl.Zn(3), rl.Zn(5)))
+    # a product node flattens its parts itself, so its text names one spec
+    inner = rl.Product((rl.Product((rl.Zn(2), rl.Zn(3))), rl.Zn(5)))
+    assert inner == nested == rl.parse_spec(str(inner))
+    assert str(inner) == "Z2xZ3xZ5"
+    built = rl.build(inner), rl.build(nested)
+    assert [ring.element_label(7) for ring in built] == ["(0,1,2)"] * 2
     assert rl.product((rl.Zn(7),)) == rl.Zn(7)
     with pytest.raises(ValueError):
         rl.product(())

@@ -544,6 +544,16 @@ def test_element_labels(corpus):
     assert "(" in prod.element_label(3)
 
 
+def test_a_label_past_its_bound_prints_the_element_index():
+    # element 11 of Z1 x ... x Z1 x Z12 reads (0,...,0,11): 4096 characters
+    # with 2046 factors Z1, and 2 more with 2047
+    assert core.MAX_LABEL_CHARS == 4096
+    at_bound = rl.build(rl.parse_spec("Z1x" * 2046 + "Z12"))
+    assert at_bound.element_label(11) == "(" + "0," * 2046 + "11)"
+    past = rl.build(rl.parse_spec("Z1x" * 2047 + "Z12"))
+    assert past.element_label(11) == "11"
+
+
 def test_lazy_ring_matches_tabled_ring():
     tabled = rl.matrix_ring(rl.zn_ring(2), 2)
     assert tabled.mul_table is not None

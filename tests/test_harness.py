@@ -85,6 +85,39 @@ def test_empty_member_lists_and_large_non_unital_matrix_rings_are_named():
         "large matrix ring without a unity for: T2(Ideal(Z4,2))")
 
 
+# rings whose scan and Newton lifts of one idempotent differ (by a unit)
+_CONJUGATE_LIFTS = ["T2(Z6)", "T2(Z2xZ2)", "T2(Z2xZ3)", "T2(Z2xZ4)", "T2(T2(Z2))",
+                    "Triv(T2(Z2))", "Triv(T2(Z3))", "Triv(M2(Z2))", "T2(Z2)[x]/(x^2)",
+                    "T2(Z3)[x]/(x^2)", "M2(Z2)[x]/(x^2)"]
+
+
+@pytest.mark.parametrize("text", _CONJUGATE_LIFTS)
+def test_nilideal_certifies_lifts_conjugate_by_a_unit(text):
+    spec = rl.parse_spec(text)
+    ring = rl.build_cached(spec)
+    ideal = hn.canonical_nil_ideal(spec, ring)
+    apart = [x for x in range(ring.order)
+             if ring.sub(ring.mul(x, x), x) in ideal.member_set
+             and dc.lift_idempotent(ring, ideal, x, "scan")
+             != dc.lift_idempotent(ring, ideal, x, "newton")]
+    assert apart
+    check = hn.run_check("P_NILIDEAL", [spec])
+    assert (check.status, check.detail.split("; ")[1]) == (
+        "pass", "lift paths agree on all liftable elements")
+
+
+def test_nilideal_fails_lifts_that_are_not_congruent():
+    lift = dc.lift_idempotent
+
+    def newton_to_zero(ring, ideal, x, *method):  # only where the Newton path is named
+        return ring.zero if method == ("newton",) else lift(ring, ideal, x, *method)
+
+    with mock.patch.object(dc, "lift_idempotent", newton_to_zero):
+        check = hn.run_check("P_NILIDEAL", [rl.parse_spec("T2(Z2xZ2)")])
+    assert (check.status, check.counterexample) == ("fail", ("T2(Z2xZ2)", (1,)))
+    assert check.detail == "lift paths disagree at 1 of T2(Z2xZ2): scan=1, newton=0"
+
+
 def test_run_all_is_deterministic():
     first = rl.run_all(ids=("P_ABEL", "P_RADIKAL", "Q_SYMMETRY"))
     second = rl.run_all(ids=("P_ABEL", "P_RADIKAL", "Q_SYMMETRY"))
