@@ -496,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file with one spec per line (default corpus if omitted)")
     p.add_argument("--csv", action="store_true", help="emit CSV")
     p.set_defaults(run=_cmd_census)
+    parser.commands = sub.choices  # each subcommand's parser, by name, for main
     return parser
 
 
@@ -506,7 +507,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = _parser.commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, ())
+    if args is None or rest:  # argparse reports these through the full parser
+        args = _parser.parse_args(argv)
     try:
         code = args.run(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

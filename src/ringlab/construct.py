@@ -6,8 +6,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, make_dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import islice, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -49,7 +48,7 @@ def resolve_max_order(max_order: Optional[int] = None) -> int:
 
 
 class RingSpec:
-    """Symbolic description of a ring construction; nodes are frozen dataclasses.
+    """Symbolic description of a ring construction; nodes are immutable.
     A node's ``syntax`` is its text, with its fields as %(name)s: it declares
     the node kind (_node), the node fills it, cli's parser reads it and ring
     labels fill it. A product base that opens the text is grouped, as x binds
@@ -57,24 +56,23 @@ class RingSpec:
 
     A node is made after its ``children`` (a product's parts, or its base)
     and keeps what it reads off theirs: its canonical ``text``, by which
-    nodes compare and hash, and its ``order`` (see spec_order)."""
+    nodes compare and hash, and its ``order`` (see spec_order). Each kind's
+    __init__ writes its fields, text, order and children in one update of
+    the node's __dict__; assigning or deleting an attribute raises
+    AttributeError."""
 
     __slots__ = ()
     syntax = lead = ""
     steps = ()
 
-    def __post_init__(self) -> None:
-        values, base = self.__dict__, getattr(self, "base", None)
-        if base is not None:
-            values = {**values, "generators": ",".join(map(str, values.get("generators", ()))),
-                      "base": f"({base.text})" if type(base) is Product and not self.lead
-                      else base.text}
-        order = min(self.n, _ORDER_LIMIT) if type(self) is Zn else None
-        exponent = _EXPONENTS.get(type(self))  # None for a quotient, corner or ideal
-        if exponent is not None and base.order is not None:
-            order = _power(base.order, exponent(self))
-        self.__dict__.update(text=self.syntax % values, order=order,
-                             children=() if base is None else (base,))
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.text}>"
 
     def __str__(self) -> str:
         return self.text
@@ -86,40 +84,57 @@ class RingSpec:
         return hash(self.text)
 
 
-def _node(name: str, syntax: str) -> type:
-    """The spec node kind of that name and syntax: a frozen dataclass whose
-    fields are the template's, in its order (a base is a RingSpec, the
-    generators a tuple of ints, any other field an int). Its ``lead`` is the
-    text before the first field, its ``steps`` the (field, text after it) pairs."""
+# how a node's text shows each field that is not an int
+_SHOWN = {"base": "base.text", "generators": "','.join(map(str, generators))"}
+
+
+def _node(name: str, syntax: str, order: str = "None") -> type:
+    """The spec node kind of that name and syntax. Its fields are the
+    template's, in its order (a base is a RingSpec, the generators a tuple of
+    ints, any other field an int); ``order`` is the expression of the node's
+    order in them (see spec_order). Its ``lead`` is the text before the first
+    field, its ``steps`` the (field, text after it) pairs. Its __init__ is
+    made here, once, from the template, as dataclasses make theirs: it takes
+    the fields by position or by name, and fills the template with them."""
     lead, *rest = re.split(r"%\((\w+)\)s", syntax)
     steps = tuple(zip(rest[::2], rest[1::2]))
-    fields = [(field, {"base": RingSpec, "generators": tuple}.get(field, int)) for field, _ in steps]
-    kind = make_dataclass(name, fields, bases=(RingSpec,), frozen=True, eq=False,
-                          namespace={"syntax": syntax, "lead": lead, "steps": steps})
-    kind.__module__ = __name__
-    return kind
+    fields = [field for field, _ in steps]
+    shown = [_SHOWN.get(field, field) for field in fields]
+    if not lead and "base" in fields:  # a product base that opens the text is grouped
+        shown[fields.index("base")] = "f'({base.text})' if type(base) is Product else base.text"
+    text = re.sub(r"%\(\w+\)s", "%s", syntax)
+    source = (f"def __init__(self, {', '.join(fields)}):\n"
+              f"    self.__dict__.update({''.join(f'{f}={f}, ' for f in fields)}"
+              f"text={text!r} % ({', '.join(shown)},), order={order}, "
+              f"children={'(base,)' if 'base' in fields else '()'})\n")
+    scope: dict = {}
+    exec(source, globals(), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{name}.__init__"
+    return type(name, (RingSpec,), {"__init__": init, "__module__": __name__,
+                                    "syntax": syntax, "lead": lead, "steps": steps})
 
 
-Zn = _node("Zn", "Z%(n)s")
-Matrix = _node("Matrix", "M%(k)s(%(base)s)")
-Triangular = _node("Triangular", "T%(k)s(%(base)s)")
-PolyMod = _node("PolyMod", "%(base)s[x]/(x^%(n)s)")
-TrivialExt = _node("TrivialExt", "Triv(%(base)s)")
-Opposite = _node("Opposite", "Op(%(base)s)")
+# the order of a node over a base of order b is b to a power of its fields,
+# and None over a base of order None; that of a corner, quotient or ideal is
+# None, as it depends on the base's tables
+Zn = _node("Zn", "Z%(n)s", "n if n < _ORDER_LIMIT else _ORDER_LIMIT")
+Matrix = _node("Matrix", "M%(k)s(%(base)s)", "_power(base.order, k * k)")
+Triangular = _node("Triangular", "T%(k)s(%(base)s)", "_power(base.order, k * (k + 1) // 2)")
+PolyMod = _node("PolyMod", "%(base)s[x]/(x^%(n)s)", "_power(base.order, n)")
+TrivialExt = _node("TrivialExt", "Triv(%(base)s)", "_power(base.order, 2)")
+Opposite = _node("Opposite", "Op(%(base)s)", "base.order")
 Corner = _node("Corner", "Corner(%(base)s,%(e)s)")
 Quotient = _node("Quotient", "Quot(%(base)s,%(generators)s)")
 IdealRing = _node("IdealRing", "Ideal(%(base)s,%(generators)s)")
 
 
-@dataclass(frozen=True, eq=False)
 class Product(RingSpec):
     """The product of two or more parts; a part that is a product gives its
     own parts, so that a product's text, Z2xZ3xZ5, names one spec."""
 
-    parts: tuple
-
-    def __post_init__(self) -> None:
-        parts = tuple(q for p in self.parts for q in (p.parts if type(p) is Product else (p,)))
+    def __init__(self, parts: Iterable[RingSpec]):
+        parts = tuple(q for p in parts for q in (p.parts if type(p) is Product else (p,)))
         if len(parts) < 2:
             raise SpecError("product needs at least two factors")
         order = 1
@@ -155,16 +170,14 @@ def product(parts: Iterable[RingSpec]) -> RingSpec:
     return parts[0] if len(parts) == 1 else Product(parts)
 
 
-def _power(base: int, exp: int) -> int:
-    """min(base ** exp, _ORDER_LIMIT), without forming a power far past it."""
+def _power(base: Optional[int], exp: int) -> Optional[int]:
+    """min(base ** exp, _ORDER_LIMIT), without forming a power far past it;
+    None for a base of no known order."""
+    if base is None:
+        return None
     if base > 1 and (base.bit_length() - 1) * exp >= _ORDER_LIMIT.bit_length():
         return _ORDER_LIMIT  # base ** exp >= 2 ** ((bit length - 1) * exp)
     return min(base ** exp, _ORDER_LIMIT)
-
-
-# a node of these kinds over a base of order b has order b ** exponent(node)
-_EXPONENTS = {Matrix: lambda s: s.k * s.k, Triangular: lambda s: s.k * (s.k + 1) // 2,
-              PolyMod: lambda s: s.n, TrivialExt: lambda s: 2, Opposite: lambda s: 1}
 
 
 def spec_order(spec: RingSpec) -> Optional[int]:
@@ -769,28 +782,32 @@ def build(spec: RingSpec, max_order: Optional[int] = None) -> FiniteRing:
     base) is proved only when no live ring holds an equal table set; it
     shares that ring's core otherwise (see FiniteRing).
 
-    One walk over the distinct nodes, on a stack of its own, checks each
-    node's order against the cap on the way down and puts each sub-spec's
-    ring in the build cache on the way up, in the order of a descent by
-    recursion; each constructor then reads its bases from the cache."""
+    One walk, on a stack of its own, goes down to the sub-specs not in the
+    cache, checks each node's order against the cap on the way down and
+    makes each sub-spec's ring from its children's on the way up, once, in
+    the order of a descent by recursion; the spec's own ring is made last."""
     cap = resolve_max_order(max_order)
-    seen, todo = set(), [(spec, False)]
+    todo = [(spec, False)]
     while todo:
         node, up = todo.pop()
-        if up:
-            if node is not spec:
-                _build_cached(node, cap)
-        elif node not in seen:
-            seen.add(node)
+        if up:  # depth first: a node met twice is cached by its second visit
+            _BUILT[node, cap] = _make(node, cap)
+        elif node is spec or (node, cap) not in _BUILT:
             if node.order is not None:
                 _check_cap(node.order, cap, node.text)
-            todo.append((node, True))
+            if node is not spec:
+                todo.append((node, True))
             todo.extend((child, False) for child in reversed(node.children))
+    return _make(spec, cap)
+
+
+def _make(spec: RingSpec, cap: int) -> FiniteRing:
+    """The ring of the spec node alone, its children's rings read from the build cache."""
     if isinstance(spec, Zn):
         return zn_ring(spec.n, spec=spec, max_order=cap)
     if isinstance(spec, Product):
-        return product_ring([_build_cached(p, cap) for p in spec.parts], spec=spec, max_order=cap)
-    base = _build_cached(spec.base, cap)
+        return product_ring([_BUILT[p, cap] for p in spec.parts], spec=spec, max_order=cap)
+    base = _BUILT[spec.base, cap]
     if isinstance(spec, Matrix):
         return matrix_ring(base, spec.k, spec=spec, max_order=cap)
     if isinstance(spec, Triangular):
@@ -816,11 +833,13 @@ def build(spec: RingSpec, max_order: Optional[int] = None) -> FiniteRing:
     raise TypeError(f"unknown spec node {type(spec).__name__}")
 
 
-@lru_cache(maxsize=None)
-def _build_cached(spec: RingSpec, cap: int) -> FiniteRing:
-    return build(spec, max_order=cap)
+_BUILT: dict = {}  # the build cache: (spec, cap) -> ring
 
 
 def build_cached(spec: RingSpec, max_order: Optional[int] = None) -> FiniteRing:
     """build() with memoization on (spec, effective cap)."""
-    return _build_cached(spec, resolve_max_order(max_order))
+    key = (spec, resolve_max_order(max_order))
+    ring = _BUILT.get(key)
+    if ring is None:
+        ring = _BUILT[key] = build(*key)
+    return ring

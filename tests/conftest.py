@@ -40,8 +40,7 @@ def fresh_build_cache():
     """Builds inside use their own empty build cache and table-core registry,
     as in a new process: their bases are built anew, rings given tables are
     proved anew, and none of them is served outside."""
-    fresh = functools.lru_cache(maxsize=None)(ct._build_cached.__wrapped__)
-    with mock.patch.object(ct, "_build_cached", fresh), \
+    with mock.patch.object(ct, "_BUILT", {}), \
             mock.patch.object(core, "_CORES", weakref.WeakValueDictionary()):
         yield
 

@@ -681,6 +681,51 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+# argv that argparse rejects or answers with help: per subcommand -h, a
+# missing argument, a leftover one, a bad integer and a bad choice, where the
+# subcommand has such an argument; and the cases left to the full parser
+_USAGE_ARGV = [
+    [], ["-h"], ["bogus"], ["--"], ["-h", "witness"], ["--", "witness", "Z2", "1", "wnc"],
+    ["classify", "-h"], ["classify"], ["classify", "Z4", "extra"], ["classify", "Z4", "--bogus"],
+    ["classify", "--max-order", "q", "Z4"], ["classify", "--max-order"],
+    ["witness", "-h"], ["witness", "Z6", "2"], ["witness", "Z6", "2", "wnc", "extra"],
+    ["witness", "Z6", "x", "wnc"], ["witness", "Z6", "2", "wnc", "--max-order", "2.5"],
+    ["witness", "Z6", "2", "sideways"], ["witness", "Z6", "2", "wnc", "--", "x"],
+    ["verify", "-h"], ["verify", "--props"], ["verify", "extra"], ["verify", "--corpus", "a", "b"],
+    ["census", "-h"], ["census", "--specs"], ["census", "--csv", "extra"], ["census", "--csv=1"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGV, ids=" ".join)
+def test_main_answers_as_the_full_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at this width
+    rl.main(["witness", "Z6", "2", "wnc"])  # the parser is built
+    capsys.readouterr()
+    answers = []
+    for parse in (rl.main, cli._parser.parse_args):
+        with pytest.raises(SystemExit) as err:
+            parse(argv)
+        answers.append((err.value.code, capsys.readouterr()))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == (0 if "-h" in argv else 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--json", "--max-order", "5", "Z4"], ["witness", "Z6", "-1", "wnc"],
+    ["witness", "Z6", "--", "2", "wnc"], ["witness", "--max-order=9", "Z2", "1", "sreg"],
+    ["verify", "--props", "P_ABEL"], ["census", "--csv", "--csv"], ["census"],
+])
+def test_main_runs_what_the_full_parser_reads(argv, monkeypatch):
+    rl.main(["witness", "Z6", "2", "wnc"])  # the parser is built
+    ran = []
+    for command in cli._parser.commands.values():
+        monkeypatch.setitem(command._defaults, "run", lambda args, out: ran.append(vars(args)) or 0)
+    assert rl.main(argv) == 0
+    full = vars(cli._parser.parse_args(argv))
+    assert full.pop("command") == argv[0]
+    assert ran == [full]
+
+
 def test_usage_error_leaves_the_parser_usable(capsys):
     assert rl.main(["witness", "Z6", "2", "wnc"]) == 0
     expected = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Ring constructors, spec algebra, digit packing, and the order cap."""
 
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -69,6 +70,11 @@ def test_product_flattens_and_unwraps():
     inner = rl.Product((rl.Product((rl.Zn(2), rl.Zn(3))), rl.Zn(5)))
     assert inner == nested == rl.parse_spec(str(inner))
     assert str(inner) == "Z2xZ3xZ5"
+    by_name = rl.Product(parts=[rl.Zn(2), rl.Product((rl.Zn(3), rl.Zn(5)))])
+    for node in (inner, nested, by_name):
+        assert node.parts == node.children == (rl.Zn(2), rl.Zn(3), rl.Zn(5))
+        assert node.order == 30
+    assert rl.Product((rl.Product((rl.Zn(2), rl.Zn(3))),)) == rl.parse_spec("Z2xZ3")
     built = rl.build(inner), rl.build(nested)
     assert [ring.element_label(7) for ring in built] == ["(0,1,2)"] * 2
     assert rl.product((rl.Zn(7),)) == rl.Zn(7)
@@ -426,6 +432,69 @@ def test_spec_str_forms():
     assert str(rl.Quotient(rl.Zn(8), (4,))) == "Quot(Z8,4)"
     assert str(rl.IdealRing(rl.Zn(4), (2,))) == "Ideal(Z4,2)"
     assert str(rl.Corner(rl.Matrix(2, rl.Zn(2)), 8)) == "Corner(M2(Z2),8)"
+
+
+_Z2, _Z3, _Z4 = rl.Zn(2), rl.Zn(3), rl.Zn(4)
+
+# each node kind: its fields in template order, its text and its order
+_NODES = [
+    (rl.Zn, (3,), "Z3", 3),
+    (rl.Matrix, (2, _Z3), "M2(Z3)", 81),
+    (rl.Triangular, (2, _Z4), "T2(Z4)", 64),
+    (rl.PolyMod, (rl.Product((_Z2, _Z3)), 2), "(Z2xZ3)[x]/(x^2)", 36),
+    (rl.TrivialExt, (_Z4,), "Triv(Z4)", 16),
+    (rl.Opposite, (rl.Triangular(2, _Z2),), "Op(T2(Z2))", 8),
+    (rl.Corner, (rl.Matrix(2, _Z2), 8), "Corner(M2(Z2),8)", None),
+    (rl.Quotient, (rl.Zn(8), (4,)), "Quot(Z8,4)", None),
+    (rl.IdealRing, (_Z4, (2, 0)), "Ideal(Z4,2,0)", None),
+]
+
+
+@pytest.mark.parametrize("kind,values,text,order", _NODES, ids=[t for _, _, t, _ in _NODES])
+def test_nodes_take_their_fields_by_position_or_name(kind, values, text, order):
+    fields = [field for field, _ in kind.steps]
+    parsed = rl.parse_spec(text)
+    for node in (kind(*values), kind(**dict(zip(fields, values)))):
+        assert type(node) is type(parsed) is kind
+        assert (node, hash(node), str(node), node.order) == (parsed, hash(parsed), text, order)
+        assert [getattr(node, field) for field in fields] == list(values)
+        assert node.children == (() if kind is rl.Zn else (node.base,))
+    assert parsed.children == (() if kind is rl.Zn else (rl.parse_spec(str(parsed.base)),))
+
+
+@pytest.mark.parametrize("node", [kind(*values) for kind, values, _, _ in _NODES]
+                         + [rl.Product((_Z2, _Z3))], ids=str)
+def test_nodes_are_immutable(node):
+    before = dict(vars(node))
+    for name in [*before, "other"]:
+        with pytest.raises(AttributeError):
+            setattr(node, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert vars(node) == before
+
+
+def test_the_first_build_of_a_chain_makes_each_node_once(monkeypatch):
+    spec = rl.parse_spec("M1(" * 256 + "Z2" + ")" * 256)
+    check = ct._check_cap
+    calls = []
+    monkeypatch.setattr(ct, "_check_cap", lambda *args: calls.append(args) or check(*args))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        with fresh_build_cache():
+            assert rl.build(spec).order == 2
+            # one check per node on the walk down, and one per constructor
+            assert len(calls) <= 2 * 257
+            calls.clear()
+            rl.build(spec)  # the walk stops at the cached base
+            assert [order for order, _, _ in calls] == [2, 2]
+            rl.build_cached(spec)
+            calls.clear()
+            assert rl.build_cached(spec) is rl.build_cached(spec)
+            assert calls == []  # a hit is one lookup
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_build_every_spec_node():

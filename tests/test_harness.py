@@ -106,6 +106,21 @@ def test_nilideal_certifies_lifts_conjugate_by_a_unit(text):
         "pass", "lift paths agree on all liftable elements")
 
 
+# the rings where lifts come apart, and derived, opposite, polynomial and
+# product rings besides
+_SWEEP = _CONJUGATE_LIFTS + ["Corner(T2(Z2xZ2),3)", "Corner(M2(Z2),8)", "Quot(T2(Z4),2)",
+                             "Op(T2(Z3))", "Z9[x]/(x^2)", "Z2xZ2xZ3"]
+_PROPOSITIONS = [i for i in hn.CHECK_IDS if i.startswith(("P_", "L_", "C_"))]
+
+
+@pytest.mark.parametrize("text", _SWEEP)
+def test_every_proposition_holds_on_each_ring_alone(text):
+    spec = rl.parse_spec(text)
+    statuses = {i: hn.run_check(i, [spec]).status for i in _PROPOSITIONS}
+    assert statuses == dict.fromkeys(_PROPOSITIONS, "pass")
+    assert len(_PROPOSITIONS) == 14
+
+
 def test_nilideal_fails_lifts_that_are_not_congruent():
     lift = dc.lift_idempotent
 
